@@ -236,13 +236,13 @@ def cmd_run(args) -> int:
     except (ValueError, jsonschema.ValidationError) as exc:
         raise _ConfigError(str(exc)) from exc
 
-    estimate, records = simulator.run_game(run_config)
+    estimate, transcript = simulator.run_game(run_config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary_path = outdir / "summary.json"
     simulator.write_summary_json(summary_path, estimate, run_config)
-    if keep_transcript:
-        simulator.write_transcript_csv(outdir / "transcript.csv", records)
+    if transcript is not None:
+        simulator.write_transcript_csv(outdir / "transcript.csv", transcript)
     print(
         f"rounds={estimate.rounds} mean={estimate.mean:.6f} "
         f"std_error={estimate.std_error:.6f} seed={estimate.seed}"
@@ -292,9 +292,10 @@ def cmd_verify(args) -> int:
         suite = oracle.random_lhs_suite(trials, rng_seed=seed, spec=spec)
         checks["hidden_state_suite"] = {"passed": suite.passed, **suite.to_json()}
     except ValueError as exc:
-        # the dual-route evaluation needs a calibrated signal ensemble
+        # the dual-route evaluation needs a calibrated signal ensemble; a
+        # check that could not run has not passed
         checks["hidden_state_suite"] = {
-            "passed": True,
+            "passed": False,
             "skipped": True,
             "reason": str(exc),
         }
@@ -354,7 +355,7 @@ def cmd_verify(args) -> int:
         },
         "checks": checks,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.out is not None:
         outdir = Path(args.out)
@@ -414,7 +415,7 @@ def cmd_sweep(args) -> int:
                 )
                 n_rows += 1
     (outdir / "sweep_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n"
+        json.dumps(resolved, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
     print(f"wrote {csv_path} ({n_rows} rows)")
     return 0

@@ -93,11 +93,13 @@ class SteeringGameSpec:
         if abs(sum(dist.values()) - 1.0) > 1e-10:
             raise ValueError("input probabilities must sum to 1")
         r = float(self.r)
-        if r < 1.0:
-            raise ValueError(f"preparation-quality parameter r must be >= 1, got {r}")
+        if not (math.isfinite(r) and r >= 1.0):
+            raise ValueError(
+                f"preparation-quality parameter r must be finite and >= 1, got {r}"
+            )
         bound = float(self.payoff_bound)
-        if bound <= 0.0:
-            raise ValueError("payoff bound must be positive")
+        if not (math.isfinite(bound) and bound > 0.0):
+            raise ValueError(f"payoff bound must be finite and positive, got {bound}")
         object.__setattr__(self, "signal_ensemble", ens)
         object.__setattr__(self, "input_distribution", dist)
         object.__setattr__(self, "r", r)

@@ -9,10 +9,17 @@ Randomness and reproducibility
 A run owns one Philox counter-based stream keyed by ``rng_seed``.  Round
 ``i`` consumes exactly the two 64-bit words ``2i`` and ``2i+1`` of that
 stream: the first word picks the referee's condition (j, s), the second
-picks the outcome pair (a, b).  Because the word positions are fixed,
-rounds can be sharded across workers by advancing the stream to
-``2 * first_round`` per shard, and any sharding reproduces the serial
-transcript bit for bit.
+picks the outcome pair (a, b).
+
+Streaming
+---------
+``run_game`` draws the stream in fixed chunks of ``_CHUNK_ROUNDS``
+rounds; consecutive draws continue the stream, so the chunk size never
+shows in the output.  Each round reduces to a one-byte outcome code
+(sampling-table row and outcome pair), and the estimate is computed from
+the histogram of codes.  Without a transcript a run therefore holds
+O(chunk) memory whatever its length; with one it keeps one byte per
+round, and :func:`write_transcript_csv` expands the codes chunk by chunk.
 
 Communication discipline
 ------------------------
@@ -25,7 +32,6 @@ referee's sign s directly.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -50,22 +56,8 @@ TRANSCRIPT_FIELDS = ("round", "j", "s", "a", "b", "payoff")
 
 _COMM_MODES = (None, "alice_to_bob", "bob_to_alice")
 
-
-def _philox_uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Uniform doubles from the run's Philox stream, starting at word ``offset``.
-
-    Philox emits 64-bit words in counter blocks of four, and ``advance``
-    steps whole blocks; arbitrary word offsets skip the block remainder
-    by drawing and discarding.
-    """
-    bg = np.random.Philox(key=int(seed))
-    blocks, rem = divmod(int(offset), 4)
-    if blocks:
-        bg.advance(blocks)
-    raw = bg.random_raw(int(count) + rem)
-    if rem:
-        raw = raw[rem:]
-    return (raw >> np.uint64(11)) * (2.0 ** -53)
+#: Rounds sampled per chunk; bounds the working memory of a run.
+_CHUNK_ROUNDS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +77,13 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.spec, SteeringGameSpec):
             raise ValueError("config needs a SteeringGameSpec")
+        never = [sig for sig in SIGNALS if self.spec.input_distribution[sig] == 0.0]
+        if never:
+            # an unsampled condition would silently drop its payoff term
+            raise ValueError(
+                f"Monte Carlo runs need every condition to have positive "
+                f"probability; {never} never occur"
+            )
         rounds = int(self.rounds)
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds!r}")
@@ -116,16 +115,24 @@ class RunConfig:
         object.__setattr__(self, "rng_seed", seed)
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
-    """One transcript row."""
+@dataclass(frozen=True, eq=False)
+class Transcript:
+    """The rounds of a run, one outcome code per round.
 
-    index: int
-    j: int
-    s: int
-    a: int
-    b: int
-    payoff: float
+    ``codes[i]`` (uint8) indexes ``rows``, which holds the
+    (j, s, a, b, payoff) of every code, so round i's transcript row is
+    ``(i, *rows[codes[i]])``.
+    """
+
+    codes: np.ndarray
+    rows: tuple
+
+    def column(self, name: str) -> np.ndarray:
+        """One column, named as in ``TRANSCRIPT_FIELDS``, for every round."""
+        if name == "round":
+            return np.arange(self.codes.size)
+        k = TRANSCRIPT_FIELDS.index(name) - 1
+        return np.array([row[k] for row in self.rows])[self.codes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,115 +201,91 @@ def _sampling_tables(config: RunConfig, delivered: list):
                 delivered[k], j, s, config.shared_state, list_value=v
             )
             probs = np.array([dist.get(out, 0.0) for out in OUTCOMES])
-            cdf = np.cumsum(probs)
-            cdf[-1] = max(cdf[-1], 1.0)
-            rows.append(cdf)
+            rows.append(np.cumsum(probs))
     return np.array(rows), len(variants)
 
 
 def run_game(config: RunConfig):
-    """Simulate a run; returns (PayoffEstimate, transcript records).
+    """Simulate a run; returns (PayoffEstimate, Transcript or None).
 
-    The transcript list is empty when ``keep_transcript`` is false (the
-    estimate is unaffected); otherwise it holds one record per round in
-    order.
+    The transcript is None when ``keep_transcript`` is false; the
+    estimate is the same either way.
     """
     spec = config.spec
     n = config.rounds
     delivered = _delivered_signals(config)
     cdf_table, n_var = _sampling_tables(config, delivered)
+    n_codes = 4 * len(cdf_table)
 
     probs = np.array([spec.input_distribution[sig] for sig in SIGNALS])
-    js_cdf = np.cumsum(probs)
-    js_cdf[-1] = max(js_cdf[-1], 1.0)
+    # A draw u picks the index equal to the number of CDF entries <= u,
+    # leaving out the last entry: it is the total probability, so the
+    # last index also takes any draw that a rounded-down total leaves.
+    js_thresholds = np.cumsum(probs)[:-1]
+    out_thresholds = cdf_table[:, :-1].T.copy()
 
-    u = _philox_uniforms(config.rng_seed, 2 * n)
-    u_js = u[0::2]
-    u_out = u[1::2]
+    chunk = _CHUNK_ROUNDS
+    if n_var > 1:
+        round_list = np.array(config.strategy.round_list)
+        period = round_list.size
+        # the variants of rounds i..i+m-1 are variants[i % period:][:m]
+        variants = np.resize((round_list == -1).astype(np.uint8), chunk + period)
 
-    js_idx = np.searchsorted(js_cdf, u_js, side="right")
+    # One stream for the whole run: each random_raw call continues where
+    # the previous one stopped, so round i still reads words 2i and 2i+1.
+    bg = np.random.Philox(key=config.rng_seed)
+    code_counts = np.zeros(n_codes, dtype=np.int64)
+    codes = np.empty(n, dtype=np.uint8) if config.keep_transcript else None
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        u = (bg.random_raw(2 * m) >> np.uint64(11)) * (2.0 ** -53)
+        u_js, u_out = u[0::2], u[1::2]
+        row = np.zeros(m, dtype=np.uint8)
+        for threshold in js_thresholds:
+            row += u_js >= threshold
+        if n_var > 1:
+            phase = start % period
+            row = row * n_var + variants[phase:phase + m]
+        chunk_codes = row * 4
+        for column in out_thresholds:
+            chunk_codes += u_out >= column[row]
+        code_counts += np.bincount(chunk_codes, minlength=n_codes)
+        if codes is not None:
+            codes[start:start + m] = chunk_codes
 
-    if n_var == 1:
-        table_idx = js_idx
-    else:
-        round_list = np.array(config.strategy.round_list, dtype=np.int64)
-        list_vals = round_list[np.arange(n) % round_list.size]
-        table_idx = js_idx * n_var + (list_vals == -1).astype(np.int64)
-
-    cdf_rows = cdf_table[table_idx]
-    out_idx = (u_out[:, None] >= cdf_rows).sum(axis=1)
-
-    a_of = np.array([out[0] for out in OUTCOMES])
-    b_of = np.array([out[1] for out in OUTCOMES])
-    a = a_of[out_idx]
-    b = b_of[out_idx]
-
+    # code = (condition * n_var + variant) * 4 + outcome
+    ids = np.arange(n_codes)
+    k = ids // (4 * n_var)
+    a = np.array([out[0] for out in OUTCOMES])[ids % 4]
+    b = np.array([out[1] for out in OUTCOMES])[ids % 4]
     j_of = np.array([sig[0] for sig in SIGNALS])
     s_of = np.array([sig[1] for sig in SIGNALS])
     # Inverse-probability weight per condition: the per-round payoff
     # w * (s a b - coeff * b) is an unbiased estimator of the aggregate
     # payoff; under the uniform distribution w = 12.
-    weights = np.where(probs > 0.0, 2.0 / np.where(probs > 0.0, probs, 1.0), 0.0)
+    weights = 2.0 / probs
     coeff = spec.penalty_coefficient
-    payoffs = weights[js_idx] * (s_of[js_idx] * a * b - coeff * b)
+    payoff = weights[k] * (s_of[k] * a * b - coeff * b)
 
-    counts = np.bincount(js_idx, minlength=6)
-    sum_ab = np.bincount(js_idx, weights=(a * b).astype(np.float64), minlength=6)
-    sum_b = np.bincount(js_idx, weights=b.astype(np.float64), minlength=6)
+    mean = code_counts @ payoff / n
+    var = code_counts @ (payoff - mean) ** 2 / (n - 1) if n > 1 else 0.0
+    counts = code_counts.reshape(6, -1).sum(axis=1)
+    sum_ab = (code_counts * a * b).reshape(6, -1).sum(axis=1)
+    sum_b = (code_counts * b).reshape(6, -1).sum(axis=1)
     safe = np.where(counts > 0, counts, 1)
     estimate = PayoffEstimate(
-        mean=float(payoffs.mean()),
-        std_error=float(payoffs.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+        mean=float(mean),
+        std_error=float(np.sqrt(var) / np.sqrt(n)),
         rounds=n,
         seed=config.rng_seed,
-        counts={sig: int(counts[k]) for k, sig in enumerate(SIGNALS)},
-        e_ab={sig: float(sum_ab[k] / safe[k]) for k, sig in enumerate(SIGNALS)},
-        e_b={sig: float(sum_b[k] / safe[k]) for k, sig in enumerate(SIGNALS)},
+        counts={sig: int(counts[i]) for i, sig in enumerate(SIGNALS)},
+        e_ab={sig: float(sum_ab[i] / safe[i]) for i, sig in enumerate(SIGNALS)},
+        e_b={sig: float(sum_b[i] / safe[i]) for i, sig in enumerate(SIGNALS)},
     )
-
-    records = []
-    if config.keep_transcript:
-        j_col = j_of[js_idx].tolist()
-        s_col = s_of[js_idx].tolist()
-        a_col = a.tolist()
-        b_col = b.tolist()
-        p_col = payoffs.tolist()
-        records = [
-            RoundRecord(i, j_col[i], s_col[i], a_col[i], b_col[i], p_col[i])
-            for i in range(n)
-        ]
-    return estimate, records
-
-
-def sample_outcome(
-    strategy,
-    shared_state: DensityOperator | None,
-    j: int,
-    s: int,
-    delivered_signal: DensityOperator,
-    rng: np.random.Generator,
-    round_index: int = 0,
-):
-    """Sample one (a, b) pair from a strategy's exact conditional distribution.
-
-    Consumes exactly one uniform draw from ``rng``.  ``round_index``
-    selects the entry of a preagreed answer list when the strategy uses
-    one; it is ignored otherwise.
-    """
-    round_list = getattr(strategy, "round_list", None)
-    list_value = None
-    if round_list is not None:
-        list_value = round_list[round_index % len(round_list)]
-    dist = strategy.outcome_distribution(
-        delivered_signal, j, s, shared_state, list_value=list_value
-    )
-    u = float(rng.random())
-    acc = 0.0
-    for out in OUTCOMES:
-        acc += dist.get(out, 0.0)
-        if u < acc:
-            return out
-    return OUTCOMES[-1]
+    if codes is None:
+        return estimate, None
+    rows = zip(j_of[k].tolist(), s_of[k].tolist(), a.tolist(), b.tolist(), payoff.tolist())
+    return estimate, Transcript(codes, tuple(rows))
 
 
 def modified_povm(channel: QuantumChannel, e_bc: Povm) -> Povm:
@@ -419,13 +402,19 @@ def config_to_json(config: RunConfig) -> dict:
     return out
 
 
-def write_transcript_csv(path, records) -> None:
-    """Write transcript rows with the fixed header round,j,s,a,b,payoff."""
+def write_transcript_csv(path, transcript: Transcript) -> None:
+    """Write transcript rows with the fixed header round,j,s,a,b,payoff.
+
+    Rows end in ``\\r\\n`` as CSV prescribes; payoffs are written with
+    ``repr`` so they read back exactly.
+    """
+    suffix = [f"{j},{s},{a},{b},{payoff!r}\r\n" for j, s, a, b, payoff in transcript.rows]
+    codes = transcript.codes
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRANSCRIPT_FIELDS)
-        for rec in records:
-            writer.writerow([rec.index, rec.j, rec.s, rec.a, rec.b, repr(rec.payoff)])
+        fh.write(",".join(TRANSCRIPT_FIELDS) + "\r\n")
+        for start in range(0, codes.size, _CHUNK_ROUNDS):
+            chunk = codes[start:start + _CHUNK_ROUNDS].tolist()
+            fh.write("".join([f"{i},{suffix[c]}" for i, c in enumerate(chunk, start)]))
 
 
 def write_summary_json(path, estimate: PayoffEstimate, config: RunConfig) -> None:
@@ -444,6 +433,6 @@ def write_summary_json(path, estimate: PayoffEstimate, config: RunConfig) -> Non
         "e_b": {_sig_key(sig): estimate.e_b[sig] for sig in SIGNALS},
         "config": config_to_json(config),
     }
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -62,6 +62,16 @@ def test_run_exit_codes_for_bad_requests(tmp_path):
     ]) == 2
 
 
+@pytest.mark.parametrize("flag", [["--r", "nan"], ["--r", "inf"], ["--payoff-bound", "nan"]])
+def test_run_rejects_non_finite_parameters(tmp_path, flag):
+    code = main([
+        "run", "--strategy", "honest", "--werner", "0.9", "--rounds", "100",
+        *flag, "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_run_accepts_a_strategy_file(tmp_path):
     blob = strategy_to_json(NoStateCheat(best_estimator(), "constant"))
     path = tmp_path / "cheat.json"
@@ -151,8 +161,12 @@ def test_verify_flags_a_single_axis_referee(capsys, quick_verify_args):
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert not report["checks"]["no_state_cheat_grid"]["passed"]
-    # the hidden-state routes need calibrated signals, so that suite skips
-    assert report["checks"]["hidden_state_suite"].get("skipped") is True
+    # the hidden-state routes need calibrated signals, so that suite skips,
+    # and a skipped check is not a passed one
+    suite = report["checks"]["hidden_state_suite"]
+    assert suite.get("skipped") is True
+    assert suite["passed"] is False
+    assert suite["reason"]
 
 
 def test_verify_rejects_bad_scan_step(quick_verify_args):

@@ -1,5 +1,7 @@
 """Game definition, correlation functionals, and exact payoff evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,11 @@ def test_spec_validation():
         SteeringGameSpec.ideal(r=0.99)
     with pytest.raises(ValueError):
         SteeringGameSpec.ideal(payoff_bound=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SteeringGameSpec.ideal(r=bad)
+        with pytest.raises(ValueError):
+            SteeringGameSpec.ideal(payoff_bound=bad)
     bad_dist = uniform_input_distribution()
     bad_dist[(1, 1)] = 0.5  # sum != 1
     with pytest.raises(ValueError):

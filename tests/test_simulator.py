@@ -2,12 +2,14 @@
 artifacts, and the noisy-referee equivalence machinery."""
 
 import csv
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from qrgames import simulator
 from qrgames.games import (
     SIGNALS,
     SQRT3,
@@ -15,6 +17,7 @@ from qrgames.games import (
     per_round_payoff,
     qrs_payoff_exact,
     single_axis_ensemble,
+    uniform_input_distribution,
 )
 from qrgames.qcore import (
     BlochVector,
@@ -35,7 +38,6 @@ from qrgames.simulator import (
     noisy_equivalence_check,
     referee_prepare,
     run_game,
-    sample_outcome,
     write_summary_json,
     write_transcript_csv,
 )
@@ -71,21 +73,22 @@ def _word_to_uniform(word):
 
 def test_runs_are_deterministic(tmp_path):
     config = _honest_config(500, 99)
-    est_a, rec_a = run_game(config)
-    est_b, rec_b = run_game(_honest_config(500, 99))
+    est_a, tr_a = run_game(config)
+    est_b, tr_b = run_game(_honest_config(500, 99))
     assert est_a.mean == est_b.mean
     assert est_a.std_error == est_b.std_error
-    assert rec_a == rec_b
+    assert np.array_equal(tr_a.codes, tr_b.codes)
+    assert tr_a.rows == tr_b.rows
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_transcript_csv(p1, rec_a)
-    write_transcript_csv(p2, rec_b)
+    write_transcript_csv(p1, tr_a)
+    write_transcript_csv(p2, tr_b)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_seed_changes_the_transcript():
-    _, rec_a = run_game(_honest_config(200, 1))
-    _, rec_b = run_game(_honest_config(200, 2))
-    assert rec_a != rec_b
+    _, tr_a = run_game(_honest_config(200, 1))
+    _, tr_b = run_game(_honest_config(200, 2))
+    assert not np.array_equal(tr_a.codes, tr_b.codes)
 
 
 @pytest.mark.parametrize("style", ["honest", "list-cheat"])
@@ -102,17 +105,18 @@ def test_word_rule_replay(style):
     else:
         strategy, state = NoStateCheat(best_estimator(), (1, -1, 1)), None
     config = RunConfig(spec, strategy, n, seed, shared_state=state)
-    _, records = run_game(config)
+    _, transcript = run_game(config)
+    col = {name: transcript.column(name).tolist() for name in TRANSCRIPT_FIELDS}
 
     probs = np.array([spec.input_distribution[sig] for sig in SIGNALS])
     cdf = np.cumsum(probs)
     words = _stream_words(seed, 2 * n)
     round_list = getattr(strategy, "round_list", None)
-    for i, rec in enumerate(records):
+    for i in range(n):
         u_js = _word_to_uniform(words[2 * i])
         u_out = _word_to_uniform(words[2 * i + 1])
         j, s = SIGNALS[int(np.searchsorted(cdf, u_js, side="right"))]
-        assert (rec.j, rec.s) == (j, s)
+        assert (col["j"][i], col["s"][i]) == (j, s)
         list_value = None if round_list is None else round_list[i % len(round_list)]
         dist = strategy.outcome_distribution(
             signal_state(j, s), j, s, state, list_value=list_value
@@ -123,15 +127,50 @@ def test_word_rule_replay(style):
             if u_out < acc:
                 picked = out
                 break
-        assert (rec.a, rec.b) == picked
-        assert rec.index == i
-        assert rec.payoff == per_round_payoff(rec.a, rec.b, j, s, r=spec.r)
+        assert (col["a"][i], col["b"][i]) == picked
+        assert col["round"][i] == i
+        assert col["payoff"][i] == per_round_payoff(col["a"][i], col["b"][i], j, s, r=spec.r)
+
+
+#: sha256 of transcript.csv for the two runs of test_chunking_is_invisible,
+#: as written by the unchunked engine that built one record per round.
+_PINNED_TRANSCRIPTS = {
+    "honest": "d052be9180282da2341cb0567bffe59eff5b5245c234e511a5eeae2006cac784",
+    "list-cheat": "2e72d444c1c346b03b0433a1e1974ebd9ef77121cebce2fa7b4207efe722f8e4",
+}
+
+
+@pytest.mark.parametrize("style", ["honest", "list-cheat"])
+def test_chunking_is_invisible(style, tmp_path, monkeypatch):
+    """Chunk sizes 1, 7, 4096 and the whole run write the same bytes.
+
+    With 5000 rounds and a 7-entry answer list, 4096-round chunks start
+    mid-list, and 7-round chunks split the stream's 4-word Philox blocks.
+    """
+    n, seed = 5000, 20240818
+    spec = SteeringGameSpec.ideal(r=1.081)
+    if style == "honest":
+        strategy, state = honest_strategy(), werner_state(0.85)
+    else:
+        strategy, state = NoStateCheat(best_estimator(), (1, -1, -1, 1, 1, -1, 1)), None
+    outputs = set()
+    for chunk in (1, 7, 4096, n):
+        monkeypatch.setattr(simulator, "_CHUNK_ROUNDS", chunk)
+        config = RunConfig(spec, strategy, n, seed, shared_state=state)
+        est, transcript = run_game(config)
+        csv_path, summary_path = tmp_path / "transcript.csv", tmp_path / "summary.json"
+        write_transcript_csv(csv_path, transcript)
+        write_summary_json(summary_path, est, config)
+        outputs.add((csv_path.read_bytes(), summary_path.read_bytes()))
+    assert len(outputs) == 1
+    ((csv_bytes, _),) = outputs
+    assert hashlib.sha256(csv_bytes).hexdigest() == _PINNED_TRANSCRIPTS[style]
 
 
 def test_single_round_run():
-    est, records = run_game(_honest_config(1, 0))
+    est, transcript = run_game(_honest_config(1, 0))
     assert est.rounds == 1
-    assert len(records) == 1
+    assert transcript.codes.size == 1
     assert est.std_error == 0.0 or math.isnan(est.std_error) is False
 
 
@@ -142,33 +181,30 @@ def test_round_payoffs_live_on_the_three_point_support():
         12.0 * (1 - r / SQRT3),
         -12.0 * (1 + r / SQRT3),
     }
-    _, records = run_game(_honest_config(2000, 5, w=0.98, r=r))
-    assert {rec.payoff for rec in records} <= support
+    _, transcript = run_game(_honest_config(2000, 5, w=0.98, r=r))
+    assert set(transcript.column("payoff").tolist()) <= support
 
 
 def test_estimate_matches_transcript():
-    est, records = run_game(_honest_config(4000, 11))
-    payoffs = np.array([rec.payoff for rec in records])
+    est, transcript = run_game(_honest_config(4000, 11))
+    payoffs = transcript.column("payoff")
     assert est.mean == pytest.approx(payoffs.mean(), abs=1e-12)
     assert est.std_error == pytest.approx(
         payoffs.std(ddof=1) / math.sqrt(len(payoffs)), abs=1e-12
     )
+    j, s, a, b = (transcript.column(name) for name in ("j", "s", "a", "b"))
     for sig in SIGNALS:
-        rows = [rec for rec in records if (rec.j, rec.s) == sig]
-        assert est.counts[sig] == len(rows)
-        if rows:
-            assert est.e_ab[sig] == pytest.approx(
-                np.mean([rec.a * rec.b for rec in rows]), abs=1e-12
-            )
-            assert est.e_b[sig] == pytest.approx(
-                np.mean([rec.b for rec in rows]), abs=1e-12
-            )
+        rows = (j == sig[0]) & (s == sig[1])
+        assert est.counts[sig] == rows.sum()
+        if rows.any():
+            assert est.e_ab[sig] == pytest.approx(np.mean(a[rows] * b[rows]), abs=1e-12)
+            assert est.e_b[sig] == pytest.approx(np.mean(b[rows]), abs=1e-12)
 
 
 def test_dropping_the_transcript_keeps_the_estimate():
-    kept, records = run_game(_honest_config(3000, 17))
+    kept, _ = run_game(_honest_config(3000, 17))
     slim, none = run_game(_honest_config(3000, 17, keep_transcript=False))
-    assert none == []
+    assert none is None
     assert slim.mean == kept.mean
     assert slim.std_error == kept.std_error
     assert slim.counts == kept.counts
@@ -243,6 +279,16 @@ def test_config_validation(ideal_spec):
         )
 
 
+def test_config_rejects_a_never_drawn_condition():
+    """A zero-probability condition would drop its payoff term from the estimate."""
+    dist = uniform_input_distribution()
+    dist[(3, -1)] = 0.0
+    dist[(3, 1)] = 2.0 / 6.0
+    spec = SteeringGameSpec(input_distribution=dist)
+    with pytest.raises(ValueError, match="positive probability"):
+        RunConfig(spec, honest_strategy(), 10, 0, shared_state=werner_state(0.9))
+
+
 def test_referee_prepare_modes(ideal_spec):
     assert np.allclose(
         referee_prepare(ideal_spec, 2, -1, None, None).matrix,
@@ -265,19 +311,6 @@ def test_adversarial_preparation_run(ideal_spec):
     est, _ = run_game(config)
     assert est.mean > 0
     assert abs(est.mean - 2 * (3 - SQRT3)) < 5 * est.std_error
-
-
-def test_sample_outcome_is_reproducible():
-    h = honest_strategy()
-    state = werner_state(0.7)
-    first = sample_outcome(h, state, 1, 1, signal_state(1, 1), np.random.default_rng(42))
-    again = sample_outcome(h, state, 1, 1, signal_state(1, 1), np.random.default_rng(42))
-    assert first == again
-    assert first in OUTCOMES
-    # one uniform consumed: next draw equals the second draw of a fresh stream
-    rng = np.random.default_rng(42)
-    sample_outcome(h, state, 1, 1, signal_state(1, 1), rng)
-    assert rng.random() == np.random.default_rng(42).random(2)[1]
 
 
 def test_modified_povm_identity_channel():
@@ -325,23 +358,25 @@ def test_channel_run_equals_modified_povm_run():
     clean_cfg = RunConfig(
         SteeringGameSpec.ideal(), absorbed, 20_000, 7, shared_state=shared
     )
-    est_a, rec_a = run_game(noisy_cfg)
-    est_b, rec_b = run_game(clean_cfg)
-    assert rec_a == rec_b
+    est_a, tr_a = run_game(noisy_cfg)
+    est_b, tr_b = run_game(clean_cfg)
+    assert np.array_equal(tr_a.codes, tr_b.codes)
+    assert tr_a.rows == tr_b.rows
     assert est_a.mean == est_b.mean
 
 
 def test_transcript_csv_round_trip(tmp_path):
-    _, records = run_game(_honest_config(50, 3))
+    _, transcript = run_game(_honest_config(50, 3))
     path = tmp_path / "transcript.csv"
-    write_transcript_csv(path, records)
+    write_transcript_csv(path, transcript)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == TRANSCRIPT_FIELDS
     assert len(rows) == 51
+    records = zip(*(transcript.column(name).tolist() for name in TRANSCRIPT_FIELDS))
     for rec, row in zip(records, rows[1:]):
-        assert [int(x) for x in row[:5]] == [rec.index, rec.j, rec.s, rec.a, rec.b]
-        assert float(row[5]) == rec.payoff  # repr() round-trips exactly
+        assert [int(x) for x in row[:5]] == list(rec[:5])
+        assert float(row[5]) == rec[5]  # repr() round-trips exactly
 
 
 def test_summary_json_is_self_describing(tmp_path):
