@@ -263,7 +263,21 @@ def cmd_verify(args) -> int:
         seed = int(_pick(args.seed, cfg, "seed", 0))
         if not 0.0 < step <= 0.1:
             raise ValueError(f"scan step must lie in (0, 0.1], got {step}")
+        resolved = {
+            "r": r,
+            "payoff_bound": bound,
+            "preparation": preparation,
+            "lhs_trials": trials,
+            "grid_resolution": grid_res,
+            "scan_step": step,
+            "seed": seed,
+        }
+        # flags must meet the bounds a config file is held to
+        jsonschema.validate(resolved, VERIFY_CONFIG_SCHEMA)
         spec = _build_spec(r, bound, preparation)
+    except jsonschema.ValidationError as exc:
+        key = ".".join(str(p) for p in exc.path)
+        raise _ConfigError(f"{key}: {exc.message}") from exc
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
 
@@ -344,15 +358,7 @@ def cmd_verify(args) -> int:
     passed = all(c["passed"] for c in checks.values())
     report = {
         "passed": passed,
-        "config": {
-            "r": r,
-            "payoff_bound": bound,
-            "preparation": preparation,
-            "lhs_trials": trials,
-            "grid_resolution": grid_res,
-            "scan_step": step,
-            "seed": seed,
-        },
+        "config": resolved,
         "checks": checks,
     }
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)

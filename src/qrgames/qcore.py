@@ -4,6 +4,8 @@ All operators are plain numpy arrays of dtype complex128.  Hilbert-space
 factors are ordered A, B, C throughout the package: composite operators
 are assembled as ``tensor(op_A, op_B, op_C)`` and never permuted
 afterwards, so no permutation bookkeeping is needed anywhere else.
+``tensor`` takes 2-D matrices only and returns the bits ``np.kron``
+would, through one broadcast multiply per factor.
 Dimensions stay small (<= ~16) and everything uses dense double
 precision; there is no sparse or symbolic path.
 
@@ -39,13 +41,28 @@ def pauli(j: int) -> np.ndarray:
     return _PAULI[j - 1].copy()
 
 
+def _as_matrix(op) -> np.ndarray:
+    m = np.asarray(op, dtype=np.complex128)
+    if m.ndim != 2:
+        raise ValueError(f"tensor() operands must be 2-D matrices, got shape {m.shape}")
+    return m
+
+
 def tensor(*operators) -> np.ndarray:
-    """Kronecker product of one or more matrices, in the given order."""
+    """Kronecker product of one or more 2-D matrices, in the given order.
+
+    Each factor is one broadcast outer product, reshaped into block form:
+    the same complex multiplies ``np.kron`` performs, so the result is
+    bitwise equal to ``np.kron``'s, without its generic axis handling.
+    Raises ValueError for no operands or an operand that is not 2-D.
+    """
     if not operators:
         raise ValueError("tensor() needs at least one operator")
-    out = np.asarray(operators[0], dtype=np.complex128)
+    out = _as_matrix(operators[0])
     for op in operators[1:]:
-        out = np.kron(out, np.asarray(op, dtype=np.complex128))
+        op = _as_matrix(op)
+        (m, n), (p, q) = out.shape, op.shape
+        out = (out[:, None, :, None] * op[None, :, None, :]).reshape(m * p, n * q)
     return out
 
 

@@ -18,7 +18,7 @@ POVMs are ordered (b=0, b=1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .qcore import (
     mats_close,
     partial_trace,
     pauli,
-    signal_state,
     singlet_projector,
     tensor,
 )
@@ -102,10 +101,15 @@ class HonestStrategy:
     :func:`honest_strategy`: Alice reports her sigma_j outcome and Bob
     performs the partial Bell measurement, which wins on Werner states
     with w above r/sqrt(3).
+
+    The twelve joint effects ``A_{j,a} x E_b`` are built once, at
+    construction, into ``joint_effects`` as ``{(j, a, b): read-only
+    matrix}``; every evaluation reads them from there.
     """
 
     alice_povms: dict
     bob_joint_povm: Povm
+    joint_effects: dict = field(init=False, repr=False)
 
     needs_shared_state = True
     required_communication = None
@@ -125,6 +129,14 @@ class HonestStrategy:
         if not isinstance(self.bob_joint_povm, Povm) or self.bob_joint_povm.n_outcomes != 2:
             raise ValueError("Bob's joint POVM must have two outcomes")
         object.__setattr__(self, "alice_povms", povms)
+        effects = {}
+        for j, povm in povms.items():
+            for ai, a in enumerate((1, -1)):
+                for b in (0, 1):
+                    effect = tensor(povm[ai], self.bob_joint_povm[b])
+                    effect.setflags(write=False)
+                    effects[(j, a, b)] = effect
+        object.__setattr__(self, "joint_effects", effects)
 
     @property
     def alice_dim(self) -> int:
@@ -150,10 +162,9 @@ class HonestStrategy:
         self._factor_dims(omega, shared_state)
         joint = tensor(shared_state.matrix, omega.matrix)
         dist = {}
-        for ai, a in enumerate((1, -1)):
-            alice_el = self.alice_povms[j][ai]
+        for a in (1, -1):
             for b in (0, 1):
-                effect = tensor(alice_el, self.bob_joint_povm[b])
+                effect = self.joint_effects[(j, a, b)]
                 dist[(a, b)] = float(np.trace(effect @ joint).real)
         return _clean_distribution(dist)
 
@@ -419,11 +430,13 @@ def lhs_reduction(strategy: LhsStrategy) -> LhsReduction:
     return LhsReduction(n_const, q, taus, tuple(kept))
 
 
+#: The calibrated referee's six signal matrices (1/2)(1 + s sigma_j), read-only.
+_IDEAL_SIGNALS = {key: rho.matrix for key, rho in games.ideal_signal_ensemble().items()}
+
+
 def _require_calibrated_ensemble(spec: games.SteeringGameSpec):
-    for (j, s) in games.SIGNALS:
-        if not mats_close(
-            spec.signal_ensemble[(j, s)].matrix, signal_state(j, s).matrix, 1e-10
-        ):
+    for key, ideal in _IDEAL_SIGNALS.items():
+        if not mats_close(spec.signal_ensemble[key].matrix, ideal, 1e-10):
             raise ValueError(
                 "the hidden-state reduction assumes the calibrated signal ensemble"
             )

@@ -2,6 +2,7 @@
 artifact layout."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -173,6 +174,19 @@ def test_verify_rejects_bad_scan_step(quick_verify_args):
     assert main(["verify", "--scan-step", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grid-resolution", "5"],
+    ["--seed", "-3"],
+    ["--lhs-trials", "-1"],
+    ["--lhs-trials", "0"],
+], ids=["grid-resolution-5", "seed-minus-3", "lhs-trials-minus-1", "lhs-trials-0"])
+def test_verify_flags_obey_the_config_schema(tmp_path, capsys, flags):
+    # flags are held to the bounds VERIFY_CONFIG_SCHEMA sets for config files
+    assert main(["verify", *flags, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_sweep_writes_table_and_sidecar(tmp_path):
     code = main([
         "sweep", "--w-start", "0", "--w-stop", "1", "--w-step", "0.25",
@@ -204,6 +218,19 @@ def test_sweep_over_r_values(tmp_path):
     for row in rows:
         want = 3 * 0.5 - float(row["r"]) * SQRT3
         assert float(row["qrs_payoff"]) == pytest.approx(want, abs=1e-12)
+
+
+def test_sweep_bytes_are_pinned(tmp_path):
+    # sha256 of the table the np.kron-based exact engine wrote; any change
+    # in the engine's arithmetic shows up here
+    code = main([
+        "sweep", "--w-start", "0", "--w-stop", "1", "--w-step", "0.1",
+        "--r-start", "1.0", "--r-stop", "1.05", "--r-step", "0.01",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == "8f0dbaf1a0a2aefcf3224ad66d18d04c706e1819b908593764a7c2dbfc909381"
 
 
 def test_sweep_rejects_an_empty_grid(tmp_path):

@@ -66,6 +66,30 @@ def test_tensor_shapes_and_order():
         tensor()
 
 
+def _complex_matrix(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_tensor_is_bitwise_kron(rng):
+    a, b = _complex_matrix(rng, (2, 2)), _complex_matrix(rng, (4, 4))
+    assert np.array_equal(tensor(a, b), np.kron(a, b))
+    x, y = _complex_matrix(rng, (1, 1)), _complex_matrix(rng, (1, 1))
+    assert np.array_equal(tensor(x, y), np.kron(x, y))
+    p, q = _complex_matrix(rng, (2, 3)), _complex_matrix(rng, (3, 2))
+    assert tensor(p, q).shape == (6, 6)
+    assert np.array_equal(tensor(p, q), np.kron(p, q))
+    c = _complex_matrix(rng, (3, 3))
+    assert np.array_equal(tensor(a, b, c), np.kron(np.kron(a, b), c))
+
+
+@pytest.mark.parametrize("bad", [np.ones(2), np.ones((2, 2, 2))])
+def test_tensor_rejects_operands_that_are_not_matrices(bad):
+    with pytest.raises(ValueError):
+        tensor(bad)
+    with pytest.raises(ValueError):
+        tensor(np.eye(2), bad)
+
+
 def test_partial_trace_product_states(rng):
     """Tr_B[rho_A x rho_B] = rho_A and vice versa, for random factors."""
     for da, db in ((2, 2), (2, 3), (3, 2), (4, 2)):

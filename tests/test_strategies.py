@@ -21,6 +21,7 @@ from qrgames.qcore import (
     random_povm,
     signal_state,
     singlet_projector,
+    tensor,
     werner_state,
 )
 from qrgames.strategies import (
@@ -104,6 +105,19 @@ def test_honest_strategy_validation():
         good.outcome_distribution(
             signal_state(1, 1), 1, 1, DensityOperator(np.eye(2) / 2)
         )
+
+
+def test_honest_effects_are_built_once_and_read_only(rng):
+    alice = {j: random_povm(rng, 2) for j in (1, 2, 3)}
+    bob = random_povm(rng, 4)
+    h = HonestStrategy(alice, bob)
+    assert len(h.joint_effects) == 12
+    for j in (1, 2, 3):
+        for ai, a in enumerate((1, -1)):
+            for b in (0, 1):
+                effect = h.joint_effects[(j, a, b)]
+                assert not effect.flags.writeable
+                assert np.array_equal(effect, tensor(alice[j][ai], bob[b]))
 
 
 def test_honest_distribution_is_normalized():
