@@ -408,12 +408,14 @@ def cmd_sweep(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "sweep.csv"
+    # the W-dependent work, built once and reused for every r
+    columns = oracle.werner_columns(w_grid)
     n_rows = 0
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SWEEP_FIELDS)
         for r in r_grid:
-            scan = oracle.threshold_scan(w_grid, r=float(r))
+            scan = oracle.threshold_scan(columns, r=float(r))
             for row in scan.rows:
                 writer.writerow(
                     [repr(row["w"]), repr(float(r))]

@@ -17,8 +17,8 @@ from .games import (
     SIGNALS,
     SteeringGameSpec,
     chsh_from_state,
+    correlation_table,
     correlator,
-    qrs_payoff_exact,
     steering2_value,
     steering3_value,
     witness2_value,
@@ -389,6 +389,20 @@ class ThresholdScan:
     r: float
 
 
+@dataclass(frozen=True, eq=False)
+class WernerColumns:
+    """The r-independent part of a threshold scan, one entry per W.
+
+    ``rows[i]`` holds ``w`` and the witness2, steering2, steering3 and
+    chsh values of ``werner_state(w)``; ``tables[i]`` is the honest
+    strategy's correlation table on that state under the ideal signal
+    ensemble, whose <ab> and <b> do not depend on r.
+    """
+
+    rows: tuple
+    tables: tuple
+
+
 _SCAN_BOUNDS = {
     "witness2": 1.0,
     "steering2": np.sqrt(2.0),
@@ -398,20 +412,21 @@ _SCAN_BOUNDS = {
 }
 
 
-def threshold_scan(w_grid, r: float = 1.0) -> ThresholdScan:
-    """Tabulate witness/steering/CHSH values and the honest game payoff on
-    Werner states, locating where each first exceeds its bound.
+def werner_columns(w_grid) -> WernerColumns:
+    """Evaluate everything a threshold scan needs that does not depend on r.
 
     The steering correlations use Alice's optimal observables -sigma_j,
-    computed from raw traces; the game payoff runs through the full
-    exact engine with the honest strategy.
+    computed from raw traces; the honest tables run through the full
+    exact engine.  Build the columns once and pass them to
+    :func:`threshold_scan` for each r.
     """
     grid = [float(w) for w in w_grid]
     if not grid:
         raise ValueError("empty Werner grid")
-    spec = SteeringGameSpec.ideal(r=r)
+    spec = SteeringGameSpec.ideal()
     honest = honest_strategy()
     rows = []
+    tables = []
     for w in grid:
         state = werner_state(w)
         c = [correlator(state, -pauli(j), pauli(j)) for j in (1, 2, 3)]
@@ -422,9 +437,28 @@ def threshold_scan(w_grid, r: float = 1.0) -> ThresholdScan:
                 "steering2": steering2_value(c[0], c[1]),
                 "steering3": steering3_value(c[0], c[1], c[2]),
                 "chsh": chsh_from_state(state),
-                "qrs_payoff": qrs_payoff_exact(spec, honest, state),
             }
         )
+        tables.append(correlation_table(spec, honest, state))
+    return WernerColumns(rows=tuple(rows), tables=tuple(tables))
+
+
+def threshold_scan(w_grid, r: float = 1.0) -> ThresholdScan:
+    """Tabulate witness/steering/CHSH values and the honest game payoff on
+    Werner states, locating where each first exceeds its bound.
+
+    ``w_grid`` is either a plain sequence of W values or the
+    :class:`WernerColumns` that :func:`werner_columns` built from one; a
+    plain grid is turned into columns first.  Only ``qrs_payoff``
+    depends on r, so a sweep over r builds the columns once and passes
+    them here for each r.
+    """
+    columns = w_grid if isinstance(w_grid, WernerColumns) else werner_columns(w_grid)
+    spec = SteeringGameSpec.ideal(r=r)
+    rows = [
+        {**base, "qrs_payoff": table.payoff(spec)}
+        for base, table in zip(columns.rows, columns.tables)
+    ]
     crossings = {}
     for name, bound in _SCAN_BOUNDS.items():
         crossing = None

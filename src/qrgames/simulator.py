@@ -33,6 +33,7 @@ referee's sign s directly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,14 @@ class RunConfig:
         rounds = int(self.rounds)
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds!r}")
+        # |payoff| <= P per round, so the variance sums at most rounds * (2P)^2
+        bound = max(2.0 / p for p in self.spec.input_distribution.values()) * (
+            1.0 + self.spec.penalty_coefficient
+        )
+        if not math.isfinite(rounds * (2.0 * bound) * (2.0 * bound)):
+            raise ValueError(
+                f"payoff variance overflows a float: per-round payoffs reach {bound:g}"
+            )
         seed = int(self.rng_seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError("rng_seed must be a 64-bit unsigned integer")
@@ -358,12 +367,13 @@ def noisy_equivalence_check(
     return EquivalenceReport(passed, max_dev, True, msg)
 
 
+def _sig_key(sig) -> str:
+    """JSON key of a (j, s) condition: ``"j,s"``."""
+    return f"{sig[0]},{sig[1]}"
+
+
 def config_to_json(config: RunConfig) -> dict:
     """Self-describing echo of a run config (matrices included)."""
-
-    def _sig_key(sig):
-        return f"{sig[0]},{sig[1]}"
-
     spec = config.spec
     out = {
         "rounds": config.rounds,
@@ -419,10 +429,6 @@ def write_transcript_csv(path, transcript: Transcript) -> None:
 
 def write_summary_json(path, estimate: PayoffEstimate, config: RunConfig) -> None:
     """Write the run summary with the full resolved config and seed."""
-
-    def _sig_key(sig):
-        return f"{sig[0]},{sig[1]}"
-
     payload = {
         "mean": estimate.mean,
         "std_error": estimate.std_error,

@@ -73,6 +73,26 @@ def test_run_rejects_non_finite_parameters(tmp_path, flag):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("r", ["1e160", "1e300"])
+def test_run_rejects_a_penalty_whose_variance_overflows(tmp_path, r):
+    # each round's payoff is finite, but its square in the variance is not
+    code = main([
+        "run", "--strategy", "honest", "--werner", "0.9", "--r", r,
+        "--rounds", "1000", "--no-transcript", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_run_accepts_a_large_penalty_with_a_finite_variance(tmp_path):
+    code = main([
+        "run", "--strategy", "honest", "--werner", "0.9", "--r", "1e150",
+        "--rounds", "1000", "--no-transcript", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert np.isfinite(_run_summary(tmp_path)["std_error"])
+
+
 def test_run_accepts_a_strategy_file(tmp_path):
     blob = strategy_to_json(NoStateCheat(best_estimator(), "constant"))
     path = tmp_path / "cheat.json"

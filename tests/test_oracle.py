@@ -13,8 +13,17 @@ from qrgames.oracle import (
     random_lhs_strategy,
     random_lhs_suite,
     threshold_scan,
+    werner_columns,
 )
-from qrgames.strategies import best_estimator, lhs_payoff_exact
+from qrgames.cli import main
+from qrgames.games import qrs_payoff_exact
+from qrgames.qcore import werner_state
+from qrgames.strategies import (
+    HonestStrategy,
+    best_estimator,
+    honest_strategy,
+    lhs_payoff_exact,
+)
 from qrgames.serialize import strategy_from_json
 
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
@@ -175,3 +184,49 @@ def test_threshold_scan_payoff_crossing_moves_with_r():
 def test_threshold_scan_rejects_empty_grid():
     with pytest.raises(ValueError):
         threshold_scan([])
+    with pytest.raises(ValueError, match="empty Werner grid"):
+        werner_columns([])
+
+
+_HOIST_GRID = np.linspace(0.0, 1.0, 11)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.081, 1.7])
+def test_threshold_scan_over_columns_equals_the_plain_grid(r):
+    from_columns = threshold_scan(werner_columns(_HOIST_GRID), r=r)
+    from_grid = threshold_scan(_HOIST_GRID, r=r)
+    assert from_columns.rows == from_grid.rows
+    assert from_columns.crossings == from_grid.crossings
+    assert from_columns.r == from_grid.r == r
+
+
+@pytest.mark.parametrize("r", [1.0, 1.081, 1.7])
+def test_threshold_scan_payoff_is_the_exact_engine(r):
+    scan = threshold_scan(werner_columns(_HOIST_GRID), r=r)
+    spec = SteeringGameSpec.ideal(r=r)
+    for w, row in zip(_HOIST_GRID, scan.rows):
+        assert row["qrs_payoff"] == qrs_payoff_exact(
+            spec, honest_strategy(), werner_state(float(w))
+        )
+
+
+@pytest.mark.parametrize("r_stop", ["1.0", "1.3"])
+def test_sweep_evaluates_each_werner_state_once(tmp_path, monkeypatch, r_stop):
+    calls = []
+    original = HonestStrategy.outcome_distribution
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HonestStrategy, "outcome_distribution", counted)
+    assert main([
+        "sweep", "--w-start", "0.6", "--w-stop", "1.0", "--w-step", "0.1",
+        "--r-start", "1.0", "--r-stop", r_stop, "--r-step", "0.1",
+        "--out", str(tmp_path),
+    ]) == 0
+    n_r = 1 if r_stop == "1.0" else 4
+    with open(tmp_path / "sweep.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + 5 * n_r
+    # six conditions per W value, whatever the number of r values
+    assert len(calls) == 6 * 5
