@@ -220,8 +220,7 @@ def cmd_run(args) -> int:
             raise _ConfigError("this strategy does not take a Werner state")
         shared = werner_state(float(werner)) if needs_state else None
 
-        prep_table = single_axis_ensemble() if preparation == "single_axis" else None
-        spec = SteeringGameSpec.ideal(r=r, payoff_bound=bound)
+        spec = _build_spec(r, bound, preparation)
         run_config = simulator.RunConfig(
             spec=spec,
             strategy=strategy,
@@ -230,7 +229,6 @@ def cmd_run(args) -> int:
             shared_state=shared,
             channel=channel,
             communication=getattr(strategy, "required_communication", None),
-            preparation=prep_table,
             keep_transcript=keep_transcript,
         )
     except (ValueError, jsonschema.ValidationError) as exc:

@@ -12,8 +12,10 @@ where r >= 1 scales the penalty term (r = 1 for a perfectly calibrated
 referee).  The game is won when the payoff is strictly positive.
 
 This module knows nothing about how strategies are parameterised; exact
-evaluation only requires each strategy to expose conditional
-expectations per signal (duck-typed ``conditional_expectations``).
+evaluation only requires each strategy to expose the joint outcome
+distribution per signal (duck-typed ``outcome_distribution``).
+:func:`outcome_table` collects those distributions into one array, which
+both :func:`correlation_table` and the simulator's sampler read.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ SQRT2 = math.sqrt(2.0)
 
 #: Canonical ordering of the referee's six signal conditions (j, s).
 SIGNALS = ((1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1))
+
+#: Fixed (a, b) ordering of the last axis of an outcome table.
+OUTCOMES = ((1, 0), (1, 1), (-1, 0), (-1, 1))
 
 
 def ideal_signal_ensemble() -> dict:
@@ -235,28 +240,65 @@ def chsh_from_state(state: DensityOperator, settings=None) -> float:
     )
 
 
+def _list_variants(strategy):
+    """The answer-list values an outcome table has one column for, and their weights.
+
+    A strategy without an answer list has the single variant None, of
+    weight 1; one with a list has +1 then -1, each weighted by its share
+    of the list.
+    """
+    round_list = getattr(strategy, "round_list", None)
+    if round_list is None:
+        return (None,), np.ones(1)
+    n = len(round_list)
+    return (1, -1), np.array([round_list.count(1) / n, round_list.count(-1) / n])
+
+
+def outcome_table(
+    spec: SteeringGameSpec,
+    strategy,
+    shared_state: DensityOperator | None = None,
+    channel: QuantumChannel | None = None,
+) -> np.ndarray:
+    """Exact outcome probabilities of a strategy under a game spec.
+
+    ``table[k, v, o]`` is the probability of outcome pair ``OUTCOMES[o]``
+    in condition ``SIGNALS[k]`` and list variant v, read from the
+    strategy's ``outcome_distribution`` for the delivered signal state.
+    A strategy without an answer list has one variant; one with a list
+    has two, for the list values +1 and -1.
+    """
+    if getattr(strategy, "needs_shared_state", False) and shared_state is None:
+        raise ValueError("this strategy requires a shared state")
+    variants, _ = _list_variants(strategy)
+    table = np.empty((len(SIGNALS), len(variants), len(OUTCOMES)))
+    for k, (j, s) in enumerate(SIGNALS):
+        omega = spec.delivered_signal(j, s, channel)
+        for v, value in enumerate(variants):
+            dist = strategy.outcome_distribution(omega, j, s, shared_state, list_value=value)
+            table[k, v] = [dist.get(out, 0.0) for out in OUTCOMES]
+    return table
+
+
 def correlation_table(
     spec: SteeringGameSpec,
     strategy,
     shared_state: DensityOperator | None = None,
     channel: QuantumChannel | None = None,
 ) -> CorrelationTable:
-    """Exact per-condition expectations for a strategy under a game spec.
+    """Exact per-condition expectations <ab> and <b> from the outcome table.
 
-    The strategy object supplies ``conditional_expectations(omega, j, s,
-    shared_state)`` returning (<ab>, <b>) for the delivered signal state
-    ``omega``; this function only routes signals and assembles the table.
+    List variants are averaged with the weights of their share of the
+    strategy's answer list.
     """
-    if getattr(strategy, "needs_shared_state", False) and shared_state is None:
-        raise ValueError("this strategy requires a shared state")
-    e_ab = {}
-    e_b = {}
-    for (j, s) in SIGNALS:
-        omega = spec.delivered_signal(j, s, channel)
-        ab, b = strategy.conditional_expectations(omega, j, s, shared_state)
-        e_ab[(j, s)] = ab
-        e_b[(j, s)] = b
-    return CorrelationTable(e_ab, e_b)
+    table = outcome_table(spec, strategy, shared_state, channel)
+    _, weights = _list_variants(strategy)
+    probs = (table * weights[:, None]).sum(axis=1)
+    a = np.array([out[0] for out in OUTCOMES])
+    b = np.array([out[1] for out in OUTCOMES])
+    e_ab = probs @ (a * b)
+    e_b = probs @ b
+    return CorrelationTable(dict(zip(SIGNALS, e_ab)), dict(zip(SIGNALS, e_b)))
 
 
 def qrs_payoff_exact(
@@ -275,8 +317,9 @@ def per_round_payoff(
     """Single-round payoff 12 (s a b - (r/sqrt(3)) b) under uniform sampling.
 
     With the referee drawing (j, s) uniformly (probability 1/6 each), the
-    expectation of this quantity equals the aggregate average payoff; the
-    simulator uses it to attach a diagnostic payoff to every transcript row.
+    expectation of this quantity equals the aggregate average payoff.  It
+    is the uniform-sampling case of the simulator's per-round payoff
+    2/p(j, s) * (s a b - coeff b).
     """
     if a not in (1, -1):
         raise ValueError(f"Alice's outcome must be +1 or -1, got {a!r}")

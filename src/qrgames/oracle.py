@@ -34,6 +34,7 @@ from .qcore import (
 )
 from .serialize import strategy_to_json
 from .strategies import (
+    ALICE_RULES_BA,
     LhsStrategy,
     NoStateCheat,
     cheat_payoff_no_state,
@@ -106,15 +107,14 @@ def _conditional_setting_weights(spec: SteeringGameSpec, s: int) -> np.ndarray:
     return w / total
 
 
-def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatResult:
-    """Sweep the full estimator family mu*(1 + m.sigma) on a sphere-and-interior grid.
+def _estimator_grid(spec: SteeringGameSpec, grid_resolution: int):
+    """The sphere-and-interior estimator grid both cheat searches sweep.
 
-    Directions come from a Fibonacci lattice (2 R^2 points), radii and
-    the admissible mu range are swept in R steps each.  The cheat payoff
-    is linear in mu, so per grid point only the admissible endpoints
-    matter; both are evaluated from raw traces of the grid operator
-    against the spec's actual signal ensemble.  Also tracks the
-    sign-discrimination ratio across the grid.
+    Directions come from a Fibonacci lattice (2 R^2 points) and radii
+    are swept in R steps.  Returns (res, m, c, mu_hi, mu_lo, cell): the
+    grid vectors m, c[k, i] = Tr[(1 + m_i . sigma) omega_k] for each
+    signal condition k, the admissible mu endpoints per point, and the
+    grid cell size.
     """
     res = int(grid_resolution)
     if res < 10:
@@ -129,15 +129,27 @@ def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatRes
     m_hat = np.eye(2, dtype=np.complex128)[None, :, :] + np.einsum(
         "ik,kab->iab", m, paulis
     )
-    # c[k, i] = Tr[(1 + m_i . sigma) omega_k] for each signal condition k
     c = np.einsum("iab,kba->ki", m_hat, _signal_stack(spec)).real
-
-    s_arr = np.array([sig[1] for sig in SIGNALS], dtype=np.float64)
-    coeff = spec.penalty_coefficient
-    base = 2.0 * np.einsum("k,ki->i", s_arr - coeff, c)  # payoff per unit mu
 
     mu_hi = 1.0 / (1.0 + norms)
     mu_lo = mu_hi / res
+    cell = float(np.sqrt(4.0 * np.pi / n_dir) + (radii[1] - radii[0]))
+    return res, m, c, mu_hi, mu_lo, cell
+
+
+def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatResult:
+    """Sweep the full estimator family mu*(1 + m.sigma) on the estimator grid.
+
+    The cheat payoff is linear in mu, so per grid point only the
+    admissible endpoints mu_hi and mu_hi / R matter; both are
+    evaluated from raw traces of the grid operator
+    against the spec's actual signal ensemble.  Also tracks the
+    sign-discrimination ratio across the grid.
+    """
+    res, m, c, mu_hi, mu_lo, cell = _estimator_grid(spec, grid_resolution)
+    s_arr = np.array([sig[1] for sig in SIGNALS], dtype=np.float64)
+    coeff = spec.penalty_coefficient
+    base = 2.0 * np.einsum("k,ki->i", s_arr - coeff, c)  # payoff per unit mu
     payoff = np.where(base > 0.0, mu_hi * base, mu_lo * base)
     mu_best = np.where(base > 0.0, mu_hi, mu_lo)
 
@@ -159,7 +171,6 @@ def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatRes
         ratio = np.where(fp > 0.0, tp / np.where(fp > 0.0, fp, 1.0), np.inf)
     max_ratio = float(np.max(ratio))
 
-    cell = float(np.sqrt(4.0 * np.pi / n_dir) + (radii[1] - radii[0]))
     return GridCheatResult(
         max_payoff=float(payoff[k_best]),
         argmax=argmax,
@@ -181,13 +192,6 @@ class CommBaGridResult:
     n_points: int
 
 
-_BA_ALICE_RULES = {
-    "follow_estimate": {1: 1, -1: -1},
-    "negate_estimate": {1: -1, -1: 1},
-    "constant_plus": {1: 1, -1: 1},
-    "constant_minus": {1: -1, -1: -1},
-}
-
 _BA_BOB_RULES = ((), (1,), (-1,), (1, -1))
 
 
@@ -196,34 +200,17 @@ def grid_max_comm_ba(spec: SteeringGameSpec, grid_resolution: int) -> CommBaGrid
 
     Bob's reply rule maps his guess to b, Alice's rule maps the
     transmitted guess to a; both are enumerated exactly while the
-    estimator sweeps the same sphere-and-interior grid as
-    :func:`grid_max_cheat`.
+    estimator sweeps the same grid as :func:`grid_max_cheat`.
     """
-    res = int(grid_resolution)
-    if res < 10:
-        raise ValueError(f"grid resolution must be >= 10, got {grid_resolution!r}")
-    n_dir = 2 * res * res
-    dirs = fibonacci_sphere(n_dir)
-    radii = np.linspace(1.0 / res, 1.0, res)
-    m = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-    norms = np.linalg.norm(m, axis=1)
-
-    paulis = np.stack([pauli(1), pauli(2), pauli(3)])
-    m_hat = np.eye(2, dtype=np.complex128)[None, :, :] + np.einsum(
-        "ik,kab->iab", m, paulis
-    )
-    c = np.einsum("iab,kba->ki", m_hat, _signal_stack(spec)).real
-
+    _, m, c, mu_hi, mu_lo, _ = _estimator_grid(spec, grid_resolution)
     s_arr = np.array([sig[1] for sig in SIGNALS], dtype=np.float64)
     coeff = spec.penalty_coefficient
-    mu_hi = 1.0 / (1.0 + norms)
-    mu_lo = mu_hi / res
 
     best = None
     for bob_rule in _BA_BOB_RULES:
         g_plus = 1.0 if 1 in bob_rule else 0.0
         g_minus = 1.0 if -1 in bob_rule else 0.0
-        for rule_name, amap in _BA_ALICE_RULES.items():
+        for rule_name, amap in ALICE_RULES_BA.items():
             a_plus, a_minus = amap[1], amap[-1]
             # per condition: e_ab = p (a+ g+) + (1-p)(a- g-), e_b likewise,
             # with p = mu * c; the payoff is affine in mu.

@@ -1,8 +1,11 @@
 """Round-by-round protocol engine for the refereed steering game.
 
-Outcomes are sampled from the exact conditional distributions implied by
-the configured strategy — there is no trajectory-level simulation — so a
-finite run is an unbiased Monte Carlo estimate of the exact payoff.
+Outcomes are sampled from the strategy's exact outcome table
+(:func:`games.outcome_table`, the one exact evaluation reads) — there is
+no trajectory-level simulation — so a finite run is an unbiased Monte
+Carlo estimate of the exact payoff.  The referee's signals, imperfect
+or not, come from the spec's ``signal_ensemble``, and an optional
+``channel`` models the transmission line.
 
 Randomness and reproducibility
 ------------------------------
@@ -39,19 +42,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .games import SIGNALS, SteeringGameSpec
+from .games import OUTCOMES, SIGNALS, SteeringGameSpec, outcome_table
 from .qcore import (
     DensityOperator,
     Povm,
     QuantumChannel,
-    apply_channel,
     random_density,
     signal_state,
     tensor,
 )
-
-#: Fixed (a, b) ordering used by all sampling tables.
-OUTCOMES = ((1, 0), (1, 1), (-1, 0), (-1, 1))
 
 TRANSCRIPT_FIELDS = ("round", "j", "s", "a", "b", "payoff")
 
@@ -72,7 +71,6 @@ class RunConfig:
     shared_state: DensityOperator | None = None
     channel: QuantumChannel | None = None
     communication: str | None = None
-    preparation: dict | None = None
     keep_transcript: bool = True
 
     def __post_init__(self):
@@ -112,14 +110,6 @@ class RunConfig:
                 raise ValueError("this strategy requires a shared state")
         elif self.shared_state is not None:
             raise ValueError("this strategy does not consume a shared state")
-        if self.preparation is not None:
-            prep = dict(self.preparation)
-            if set(prep) != set(SIGNALS):
-                raise ValueError("preparation table must cover exactly the six (j, s) pairs")
-            for key, st in prep.items():
-                if not isinstance(st, DensityOperator) or st.dim != 2:
-                    raise ValueError(f"preparation for {key} must be a qubit state")
-            object.__setattr__(self, "preparation", prep)
         object.__setattr__(self, "rounds", rounds)
         object.__setattr__(self, "rng_seed", seed)
 
@@ -163,57 +153,6 @@ class PayoffEstimate:
     e_b: dict
 
 
-def referee_prepare(
-    spec: SteeringGameSpec,
-    j: int,
-    s: int,
-    preparation: dict | None = None,
-    channel: QuantumChannel | None = None,
-) -> DensityOperator:
-    """The state Bob receives for condition (j, s).
-
-    ``preparation`` overrides the spec's signal table (modelling an
-    imperfect referee); ``channel`` models the transmission line.
-    """
-    if (j, s) not in dict.fromkeys(SIGNALS):
-        raise ValueError(f"invalid signal condition ({j!r}, {s!r})")
-    if preparation is not None:
-        omega = preparation[(j, s)]
-    else:
-        omega = spec.signal_ensemble[(j, s)]
-    if channel is not None:
-        omega = apply_channel(channel, omega)
-    return omega
-
-
-def _delivered_signals(config: RunConfig) -> list:
-    return [
-        referee_prepare(config.spec, j, s, config.preparation, config.channel)
-        for (j, s) in SIGNALS
-    ]
-
-
-def _sampling_tables(config: RunConfig, delivered: list):
-    """Per-condition outcome CDFs over the fixed (a, b) ordering.
-
-    Returns (cdf, n_variants): ``cdf[k * n_variants + v]`` is the
-    cumulative distribution for condition index k and list-variant v.
-    Strategies without an answer list have a single variant; list-based
-    strategies get one variant per list value (+1 then -1).
-    """
-    round_list = getattr(config.strategy, "round_list", None)
-    variants = (None,) if round_list is None else (1, -1)
-    rows = []
-    for k, (j, s) in enumerate(SIGNALS):
-        for v in variants:
-            dist = config.strategy.outcome_distribution(
-                delivered[k], j, s, config.shared_state, list_value=v
-            )
-            probs = np.array([dist.get(out, 0.0) for out in OUTCOMES])
-            rows.append(np.cumsum(probs))
-    return np.array(rows), len(variants)
-
-
 def run_game(config: RunConfig):
     """Simulate a run; returns (PayoffEstimate, Transcript or None).
 
@@ -222,8 +161,10 @@ def run_game(config: RunConfig):
     """
     spec = config.spec
     n = config.rounds
-    delivered = _delivered_signals(config)
-    cdf_table, n_var = _sampling_tables(config, delivered)
+    table = outcome_table(spec, config.strategy, config.shared_state, config.channel)
+    # row k * n_var + v is the outcome CDF of condition k, list variant v
+    n_var = table.shape[1]
+    cdf_table = np.cumsum(table.reshape(-1, 4), axis=1)
     n_codes = 4 * len(cdf_table)
 
     probs = np.array([spec.input_distribution[sig] for sig in SIGNALS])
@@ -399,14 +340,6 @@ def config_to_json(config: RunConfig) -> dict:
         ),
         "channel": (
             None if config.channel is None else serialize.channel_to_json(config.channel)
-        ),
-        "preparation": (
-            None
-            if config.preparation is None
-            else {
-                _sig_key(sig): serialize.density_to_json(config.preparation[sig])
-                for sig in SIGNALS
-            }
         ),
     }
     return out

@@ -1,16 +1,15 @@
 """Everything Alice and Bob can do: honest play, cheats, hidden-state models.
 
-Each strategy class implements two evaluation entry points used by the
-exact-payoff machinery and the simulator:
-
-``conditional_expectations(omega, j, s, shared_state)``
-    exact (<ab>, <b>) for one signal condition, given the delivered
-    signal state ``omega``;
+Each strategy class describes its behaviour once, through
 
 ``outcome_distribution(omega, j, s, shared_state, list_value)``
     the exact joint distribution {(a, b): p} the strategy induces for
-    one condition.  ``list_value`` parameterises strategies whose reply
-    depends on a preagreed answer list (the round's list entry).
+    one condition, given the delivered signal state ``omega``.
+    ``list_value`` parameterises strategies whose reply depends on a
+    preagreed answer list (the round's list entry).
+
+:func:`games.outcome_table` collects these distributions into the one
+table that exact evaluation and the simulator both read.
 
 Outcome conventions: Alice's POVMs are ordered (a=+1, a=-1); Bob's joint
 POVMs are ordered (b=0, b=1).
@@ -36,7 +35,13 @@ from .qcore import (
     tensor,
 )
 
-_ALICE_RULES_BA = ("follow_estimate", "negate_estimate", "constant_plus", "constant_minus")
+#: Alice's answer a to each guess Bob transmits, per Bob-to-Alice rule.
+ALICE_RULES_BA = {
+    "follow_estimate": {1: 1, -1: -1},
+    "negate_estimate": {1: -1, -1: 1},
+    "constant_plus": {1: 1, -1: 1},
+    "constant_minus": {1: -1, -1: -1},
+}
 
 
 def _clean_distribution(dist: dict) -> dict:
@@ -168,12 +173,6 @@ class HonestStrategy:
                 dist[(a, b)] = float(np.trace(effect @ joint).real)
         return _clean_distribution(dist)
 
-    def conditional_expectations(self, omega, j, s, shared_state=None):
-        dist = self.outcome_distribution(omega, j, s, shared_state)
-        e_ab = sum(a * b * p for (a, b), p in dist.items())
-        e_b = sum(b * p for (a, b), p in dist.items())
-        return e_ab, e_b
-
 
 def honest_strategy() -> HonestStrategy:
     """The canonical winning pair: Alice reports sigma_j, Bob projects on the singlet."""
@@ -220,13 +219,6 @@ class NoStateCheat:
     def round_list(self):
         return None if self.alice_rule == "constant" else self.alice_rule
 
-    @property
-    def plus_fraction(self) -> float:
-        if self.alice_rule == "constant":
-            return 1.0
-        rule = self.alice_rule
-        return sum(1 for v in rule if v == 1) / len(rule)
-
     def _p_guess_plus(self, omega: DensityOperator) -> float:
         return float(np.trace(self._m_plus @ omega.matrix).real)
 
@@ -237,15 +229,6 @@ class NoStateCheat:
             raise ValueError(f"list value must be +-1, got {list_value!r}")
         p_match = p_plus if a == 1 else 1.0 - p_plus
         return _clean_distribution({(a, 1): p_match, (a, 0): 1.0 - p_match})
-
-    def conditional_expectations(self, omega, j, s, shared_state=None):
-        p_plus = self._p_guess_plus(omega)
-        f = self.plus_fraction
-        # averaged over the list: a=+1 with weight f (match prob p_plus),
-        # a=-1 with weight 1-f (match prob 1-p_plus)
-        e_ab = f * p_plus - (1.0 - f) * (1.0 - p_plus)
-        e_b = f * p_plus + (1.0 - f) * (1.0 - p_plus)
-        return e_ab, e_b
 
 
 def cheat_payoff_no_state(cheat: NoStateCheat, spec: games.SteeringGameSpec) -> float:
@@ -363,12 +346,6 @@ class LhsStrategy:
             ]
         )
 
-    def conditional_expectations(self, omega, j, s, shared_state=None):
-        t = self._b1_probs(omega)
-        e_b = float(np.dot(self.weights, t))
-        e_ab = float(np.dot(self.weights * self.alice_responses[:, j - 1], t))
-        return e_ab, e_b
-
     def outcome_distribution(self, omega, j, s, shared_state=None, list_value=None):
         t = self._b1_probs(omega)
         dist = {}
@@ -445,7 +422,7 @@ def _require_calibrated_ensemble(spec: games.SteeringGameSpec):
 def lhs_payoff_routes(strategy: LhsStrategy, spec: games.SteeringGameSpec):
     """Exact hidden-state payoff by two independent routes.
 
-    Route one aggregates the six conditional expectations directly;
+    Route one aggregates the strategy's outcome table directly;
     route two goes through the reduction onto the signal space.  Both
     are exact, so any disagreement flags an implementation bug.
     """
@@ -486,9 +463,9 @@ class CommCheat:
     ``bob_to_alice``: Bob estimates s with a Bloch estimator, sends his
     guess (and his reply b) to Alice, who answers as a function of the
     message alone.  ``bob_outputs_one_when`` lists the guesses for
-    which Bob replies b=1; ``alice_rule`` is one of "follow_estimate",
-    "negate_estimate", "constant_plus", "constant_minus".  No choice of
-    estimator and post-processing scores above zero.
+    which Bob replies b=1; ``alice_rule`` names one of the maps in
+    ``ALICE_RULES_BA``.  No choice of estimator and post-processing
+    scores above zero.
     """
 
     direction: str
@@ -509,22 +486,13 @@ class CommCheat:
             if not isinstance(self.estimator, BlochVector):
                 raise ValueError("bob_to_alice cheat requires a Bloch estimator")
             self.estimator.povm_pair()  # validate
-            if self.alice_rule not in _ALICE_RULES_BA:
+            if self.alice_rule not in ALICE_RULES_BA:
                 raise ValueError(f"unknown alice_rule {self.alice_rule!r}")
         object.__setattr__(self, "bob_outputs_one_when", ones)
 
     @property
     def required_communication(self) -> str:
         return self.direction
-
-    def _alice_answer(self, guess: int) -> int:
-        if self.alice_rule == "follow_estimate":
-            return guess
-        if self.alice_rule == "negate_estimate":
-            return -guess
-        if self.alice_rule == "constant_plus":
-            return 1
-        return -1
 
     def _guess_distribution(self, omega: DensityOperator, j: int) -> dict:
         if self.direction == "alice_to_bob":
@@ -543,15 +511,9 @@ class CommCheat:
                 a, b = 1, (1 if guess == 1 else 0)
             else:
                 b = 1 if guess in self.bob_outputs_one_when else 0
-                a = self._alice_answer(guess)
+                a = ALICE_RULES_BA[self.alice_rule][guess]
             dist[(a, b)] = dist.get((a, b), 0.0) + p
         return _clean_distribution(dist)
-
-    def conditional_expectations(self, omega, j, s, shared_state=None):
-        dist = self.outcome_distribution(omega, j, s)
-        e_ab = sum(a * b * p for (a, b), p in dist.items())
-        e_b = sum(b * p for (a, b), p in dist.items())
-        return e_ab, e_b
 
 
 def comm_cheat_payoff(cheat: CommCheat, spec: games.SteeringGameSpec) -> float:

@@ -4,15 +4,18 @@ artifact layout."""
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qrgames
 from qrgames.cli import main
-from qrgames.games import SQRT3
-from qrgames.serialize import strategy_to_json
+from qrgames.games import SQRT3, single_axis_ensemble
+from qrgames.serialize import density_to_json, strategy_to_json
 from qrgames.strategies import NoStateCheat, best_estimator
 
 
@@ -46,6 +49,23 @@ def test_run_can_skip_the_transcript(tmp_path):
     assert code == 0
     assert (tmp_path / "summary.json").exists()
     assert not (tmp_path / "transcript.csv").exists()
+
+
+def test_run_records_the_signals_a_sloppy_referee_sent(tmp_path):
+    """--preparation single_axis shows in game.signal_ensemble, nowhere else."""
+    code = main([
+        "run", "--strategy", "cheat-nostate", "--preparation", "single_axis",
+        "--rounds", "2000", "--seed", "5", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    config = _run_summary(tmp_path)["config"]
+    assert "preparation" not in config
+    sent = {f"{j},{s}": density_to_json(st) for (j, s), st in single_axis_ensemble().items()}
+    assert config["game"]["signal_ensemble"] == sent
+    # pinned when the states came from a run-config override of the
+    # spec; the states sent, and so the transcript, are the same
+    digest = hashlib.sha256((tmp_path / "transcript.csv").read_bytes()).hexdigest()
+    assert digest == "748373d9ea85791d27cc3b7a9d790ab532a64551dee5a22e0e66e09beaad0802"
 
 
 def test_run_exit_codes_for_bad_requests(tmp_path):
@@ -276,9 +296,13 @@ def test_usage_errors_exit_with_two():
 
 
 def test_module_entry_point_runs():
+    # the child imports the same qrgames package this test imported
+    src = str(Path(qrgames.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qrgames.cli", "schema"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)

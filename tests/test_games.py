@@ -98,6 +98,9 @@ def test_delivered_signal_applies_channel():
     assert mats_close(omega.matrix, signal_state(2, -1).matrix, 1e-15)
     noisy = spec.delivered_signal(2, -1, depolarizing_channel(1.0))
     assert mats_close(noisy.matrix, np.eye(2) / 2, 1e-12)
+    sloppy = SteeringGameSpec(signal_ensemble=single_axis_ensemble())
+    omega = sloppy.delivered_signal(3, 1)
+    assert mats_close(omega.matrix, signal_state(1, 1).matrix, 1e-15)
 
 
 def test_correlation_table_validation():

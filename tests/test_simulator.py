@@ -36,7 +36,6 @@ from qrgames.simulator import (
     RunConfig,
     modified_povm,
     noisy_equivalence_check,
-    referee_prepare,
     run_game,
     write_summary_json,
     write_transcript_csv,
@@ -272,11 +271,6 @@ def test_config_validation(ideal_spec):
             ideal_spec, NoStateCheat(best_estimator(), "constant"), 10, 0,
             shared_state=state,
         )
-    with pytest.raises(ValueError):  # incomplete preparation table
-        RunConfig(
-            ideal_spec, honest_strategy(), 10, 0, shared_state=state,
-            preparation={(1, 1): signal_state(1, 1)},
-        )
 
 
 def test_config_rejects_a_never_drawn_condition():
@@ -289,24 +283,12 @@ def test_config_rejects_a_never_drawn_condition():
         RunConfig(spec, honest_strategy(), 10, 0, shared_state=werner_state(0.9))
 
 
-def test_referee_prepare_modes(ideal_spec):
-    assert np.allclose(
-        referee_prepare(ideal_spec, 2, -1, None, None).matrix,
-        signal_state(2, -1).matrix,
-    )
-    table = {sig: signal_state(1, sig[1]) for sig in SIGNALS}
-    out = referee_prepare(ideal_spec, 3, 1, table, None)
-    assert np.allclose(out.matrix, signal_state(1, 1).matrix)
-    noisy = referee_prepare(ideal_spec, 1, 1, None, depolarizing_channel(1.0))
-    assert np.allclose(noisy.matrix, np.eye(2) / 2, atol=1e-12)
-
-
-def test_adversarial_preparation_run(ideal_spec):
+def test_adversarial_preparation_run():
     """All-sigma_1 referee: the matched single-axis cheat wins 2(3 - sqrt(3))."""
     table = {sig: signal_state(1, sig[1]) for sig in SIGNALS}
     cheat = NoStateCheat(BlochVector(np.array([1.0, 0, 0]), 0.5), "constant")
     config = RunConfig(
-        ideal_spec, cheat, 50_000, 31, preparation=table, keep_transcript=False
+        SteeringGameSpec(signal_ensemble=table), cheat, 50_000, 31, keep_transcript=False
     )
     est, _ = run_game(config)
     assert est.mean > 0

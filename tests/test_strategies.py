@@ -4,13 +4,17 @@ one-way-communication cheats."""
 import numpy as np
 import pytest
 
+from qrgames import games
 from qrgames.games import (
     SIGNALS,
     SQRT3,
     SteeringGameSpec,
+    correlation_table,
+    outcome_table,
     qrs_payoff_exact,
     single_axis_ensemble,
 )
+from qrgames.oracle import random_lhs_strategy
 from qrgames.qcore import (
     BlochVector,
     DensityOperator,
@@ -167,7 +171,10 @@ def test_no_state_cheat_list_rule(ideal_spec):
 def test_no_state_cheat_list_plumbing():
     cheat = NoStateCheat(best_estimator(), (1, -1, -1))
     assert cheat.round_list == (1, -1, -1)
-    assert cheat.plus_fraction == pytest.approx(1 / 3)
+    values, weights = games._list_variants(cheat)
+    assert values == (1, -1)
+    assert weights[0] == pytest.approx(1 / 3)
+    assert outcome_table(SteeringGameSpec.ideal(), cheat).shape == (6, 2, 4)
     omega = signal_state(1, 1)
     d_plus = cheat.outcome_distribution(omega, 1, 1, list_value=1)
     d_minus = cheat.outcome_distribution(omega, 1, 1, list_value=-1)
@@ -336,9 +343,60 @@ def test_comm_cheat_expectations_consistent(ideal_spec):
     for (j, s) in SIGNALS:
         dist = cheat.outcome_distribution(signal_state(j, s), j, s)
         assert abs(sum(dist.values()) - 1.0) < 1e-12
-        e_ab, e_b = cheat.conditional_expectations(signal_state(j, s), j, s)
+        table = correlation_table(ideal_spec, cheat)
+        e_ab, e_b = table.e_ab[(j, s)], table.e_b[(j, s)]
         assert abs(e_ab - sum(a * b * p for (a, b), p in dist.items())) < 1e-12
         assert abs(e_b - sum(b * p for (a, b), p in dist.items())) < 1e-12
+
+
+_SPECS = {
+    "ideal": SteeringGameSpec.ideal(),
+    "single_axis": SteeringGameSpec(signal_ensemble=single_axis_ensemble()),
+}
+
+
+@pytest.mark.parametrize("spec_name", sorted(_SPECS))
+@pytest.mark.parametrize(
+    "rule", ["constant", (1,), (1, -1), (1, -1, -1), (1, -1, -1, 1, 1, -1, 1)]
+)
+def test_no_state_table_matches_the_list_closed_form(spec_name, rule):
+    """<ab> = f p+ - (1-f)(1-p+) and <b> = f p+ + (1-f)(1-p+),
+    with f the share of +1 in the answer list and p+ = Tr[M_plus omega]."""
+    spec = _SPECS[spec_name]
+    f = 1.0 if rule == "constant" else rule.count(1) / len(rule)
+    estimators = (
+        best_estimator(),
+        BlochVector(np.array([1.0, 0, 0]), 0.5),
+        BlochVector(M_STAR * 0.9, 0.3),
+        BlochVector(np.array([0.2, -0.5, 0.4]), 0.55),
+    )
+    for est in estimators:
+        table = correlation_table(spec, NoStateCheat(est, rule))
+        m_plus = est.povm_pair()[0]
+        for sig in SIGNALS:
+            p = float(np.trace(m_plus @ spec.signal_ensemble[sig].matrix).real)
+            assert abs(table.e_ab[sig] - (f * p - (1 - f) * (1 - p))) < 1e-12
+            assert abs(table.e_b[sig] - (f * p + (1 - f) * (1 - p))) < 1e-12
+
+
+@pytest.mark.parametrize("spec_name", sorted(_SPECS))
+def test_hidden_state_table_matches_the_closed_form(spec_name):
+    """<ab>_j = sum_l p_l a_lj t_l and <b> = sum_l p_l t_l,
+    with t_l = Tr[E_1 (rho_l x omega)]."""
+    spec = _SPECS[spec_name]
+    for t in range(12):
+        strategy = random_lhs_strategy(np.random.default_rng([5, t]), t % 3 + 2, t % 4 + 1)
+        table = correlation_table(spec, strategy)
+        e1 = strategy.bob_joint_povm[1]
+        for (j, s) in SIGNALS:
+            omega = spec.signal_ensemble[(j, s)].matrix
+            t_lam = np.array(
+                [np.trace(e1 @ np.kron(st.matrix, omega)).real for st in strategy.hidden_states]
+            )
+            e_b = strategy.weights @ t_lam
+            e_ab = (strategy.weights * strategy.alice_responses[:, j - 1]) @ t_lam
+            assert abs(table.e_ab[(j, s)] - e_ab) < 1e-12
+            assert abs(table.e_b[(j, s)] - e_b) < 1e-12
 
 
 def test_best_estimator_is_the_diagonal_direction():
