@@ -67,7 +67,7 @@ RUN_CONFIG_SCHEMA = {
         "r": {"type": "number", "minimum": 1.0},
         "payoff_bound": {"type": "number", "exclusiveMinimum": 0.0},
         "rounds": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 18446744073709551615},
         "channel": _CHANNEL_CONFIG_SCHEMA,
         "preparation": {"enum": ["ideal", "single_axis"]},
         "keep_transcript": {"type": "boolean"},
@@ -114,20 +114,27 @@ CONFIG_SCHEMAS = {
 
 _STRATEGY_NAMES = ("honest", "cheat-nostate", "cheat-comm-ab", "cheat-comm-ba")
 
+#: Largest (W, r) grid ``sweep`` accepts, in rows of sweep.csv.
+SWEEP_MAX_ROWS = 1_000_000
+
 
 class _ConfigError(Exception):
     """Anything wrong with the requested configuration (exit code 2)."""
 
 
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise _ConfigError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise _ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _load_config(path, schema) -> dict:
     if path is None:
         return {}
-    try:
-        obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise _ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _ConfigError(f"config file is not valid JSON: {exc}") from exc
+    obj = _read_json(path, "config file")
     try:
         jsonschema.validate(obj, schema)
     except jsonschema.ValidationError as exc:
@@ -142,32 +149,26 @@ def _pick(flag_value, cfg: dict, key: str, default):
 
 
 def _resolve_strategy(value):
-    if isinstance(value, dict):
-        jsonschema.validate(value, serialize.STRATEGY_SCHEMA)
-        return serialize.strategy_from_json(value)
-    name = str(value)
-    if name == "honest":
-        return honest_strategy()
-    if name == "cheat-nostate":
-        return NoStateCheat(best_estimator(), "constant")
-    if name == "cheat-comm-ab":
-        return CommCheat("alice_to_bob")
-    if name == "cheat-comm-ba":
-        return CommCheat("bob_to_alice", best_estimator())
-    path = Path(name)
-    if path.suffix == ".json" or path.exists():
-        try:
-            obj = json.loads(path.read_text())
-        except OSError as exc:
-            raise _ConfigError(f"cannot read strategy file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise _ConfigError(f"strategy file is not valid JSON: {exc}") from exc
-        jsonschema.validate(obj, serialize.STRATEGY_SCHEMA)
-        return serialize.strategy_from_json(obj)
-    raise _ConfigError(
-        f"unknown strategy {name!r}; use one of {', '.join(_STRATEGY_NAMES)} "
-        "or a path to a strategy JSON file"
-    )
+    """A built-in name, a path to a strategy JSON file, or an inline document."""
+    if not isinstance(value, dict):
+        name = str(value)
+        if name == "honest":
+            return honest_strategy()
+        if name == "cheat-nostate":
+            return NoStateCheat(best_estimator(), "constant")
+        if name == "cheat-comm-ab":
+            return CommCheat("alice_to_bob")
+        if name == "cheat-comm-ba":
+            return CommCheat("bob_to_alice", best_estimator())
+        path = Path(name)
+        if not (path.suffix == ".json" or path.exists()):
+            raise _ConfigError(
+                f"unknown strategy {name!r}; use one of {', '.join(_STRATEGY_NAMES)} "
+                "or a path to a strategy JSON file"
+            )
+        value = _read_json(path, "strategy file")
+    jsonschema.validate(value, serialize.STRATEGY_SCHEMA)
+    return serialize.strategy_from_json(value)
 
 
 def _resolve_channel(obj):
@@ -328,7 +329,8 @@ def cmd_verify(args) -> int:
         "channels": channel_reports,
     }
 
-    scan = oracle.threshold_scan(np.arange(0.0, 1.0 + 0.5 * step, step), r=r)
+    columns = oracle.werner_columns(np.arange(0.0, 1.0 + 0.5 * step, step))
+    scan = oracle.threshold_scan(columns, r=r)
     expected = {
         "witness2": 0.5,
         "steering2": 1.0 / SQRT2,
@@ -371,6 +373,14 @@ def cmd_verify(args) -> int:
 _SWEEP_FIELDS = ("w", "r", "witness2", "steering2", "steering3", "chsh", "qrs_payoff")
 
 
+def _arange_size(start: float, stop: float, step: float) -> int:
+    """The length np.arange(start, stop, step) would have, without building it."""
+    length = (stop - start) / step
+    if not math.isfinite(length):
+        raise ValueError("grid bounds and steps must be finite")
+    return max(0, math.ceil(length))
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, SWEEP_CONFIG_SCHEMA)
     try:
@@ -382,10 +392,14 @@ def cmd_sweep(args) -> int:
         r_step = float(_pick(args.r_step, cfg, "r_step", 0.01))
         if w_step <= 0.0 or r_step <= 0.0:
             raise ValueError("grid steps must be positive")
+        n_w = _arange_size(w_start, w_stop + 0.5 * w_step, w_step)
+        n_r = _arange_size(r_start, r_stop + 0.5 * r_step, r_step)
+        if n_w == 0 or n_r == 0:
+            raise ValueError("empty sweep grid")
+        if n_w * n_r > SWEEP_MAX_ROWS:
+            raise ValueError(f"{n_w} W x {n_r} r sweep grid exceeds {SWEEP_MAX_ROWS} rows")
         w_grid = np.arange(w_start, w_stop + 0.5 * w_step, w_step)
         r_grid = np.arange(r_start, r_stop + 0.5 * r_step, r_step)
-        if w_grid.size == 0 or r_grid.size == 0:
-            raise ValueError("empty sweep grid")
         if w_grid[0] < -1.0 / 3.0 - 1e-12 or w_grid[-1] > 1.0 + 1e-12:
             raise ValueError("Werner grid must stay inside [-1/3, 1]")
         if r_grid[0] < 1.0:

@@ -1,9 +1,9 @@
 """Brute-force and randomized verification of the game's no-win guarantees.
 
-Everything here recomputes payoffs from raw traces over explicit
-operator grids or random model draws, independently of the closed forms
-the test suite freezes, so the two can be compared.  Only ``qcore``
-primitives and the strategy evaluation entry points are used.
+The cheat grids recompute payoffs from raw traces over explicit operator
+grids, independently of the closed forms the test suite freezes, and
+check their argmax against ``games.qrs_payoff_exact``.  The hidden-state
+suite compares both routes of ``strategies.lhs_payoff_routes``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .games import (
     chsh_from_state,
     correlation_table,
     correlator,
+    qrs_payoff_exact,
     steering2_value,
     steering3_value,
     witness2_value,
@@ -37,7 +38,6 @@ from .strategies import (
     ALICE_RULES_BA,
     LhsStrategy,
     NoStateCheat,
-    cheat_payoff_no_state,
     honest_strategy,
     lhs_payoff_routes,
 )
@@ -92,7 +92,6 @@ class GridCheatResult:
     max_ratio: float
     grid_cell_size: float
     n_points: int
-    resolution: int
 
 
 def _signal_stack(spec: SteeringGameSpec) -> np.ndarray:
@@ -111,7 +110,7 @@ def _estimator_grid(spec: SteeringGameSpec, grid_resolution: int):
     """The sphere-and-interior estimator grid both cheat searches sweep.
 
     Directions come from a Fibonacci lattice (2 R^2 points) and radii
-    are swept in R steps.  Returns (res, m, c, mu_hi, mu_lo, cell): the
+    are swept in R steps.  Returns (m, c, mu_hi, mu_lo, cell): the
     grid vectors m, c[k, i] = Tr[(1 + m_i . sigma) omega_k] for each
     signal condition k, the admissible mu endpoints per point, and the
     grid cell size.
@@ -134,7 +133,7 @@ def _estimator_grid(spec: SteeringGameSpec, grid_resolution: int):
     mu_hi = 1.0 / (1.0 + norms)
     mu_lo = mu_hi / res
     cell = float(np.sqrt(4.0 * np.pi / n_dir) + (radii[1] - radii[0]))
-    return res, m, c, mu_hi, mu_lo, cell
+    return m, c, mu_hi, mu_lo, cell
 
 
 def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatResult:
@@ -146,7 +145,7 @@ def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatRes
     against the spec's actual signal ensemble.  Also tracks the
     sign-discrimination ratio across the grid.
     """
-    res, m, c, mu_hi, mu_lo, cell = _estimator_grid(spec, grid_resolution)
+    m, c, mu_hi, mu_lo, cell = _estimator_grid(spec, grid_resolution)
     s_arr = np.array([sig[1] for sig in SIGNALS], dtype=np.float64)
     coeff = spec.penalty_coefficient
     base = 2.0 * np.einsum("k,ki->i", s_arr - coeff, c)  # payoff per unit mu
@@ -156,7 +155,7 @@ def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatRes
     k_best = int(np.argmax(payoff))
     argmax = BlochVector(m[k_best], float(mu_best[k_best]))
 
-    exact = cheat_payoff_no_state(NoStateCheat(argmax, "constant"), spec)
+    exact = qrs_payoff_exact(spec, NoStateCheat(argmax, "constant"))
     if abs(exact - payoff[k_best]) > 1e-10 * max(1.0, abs(exact)):
         raise RuntimeError(
             "grid payoff disagrees with exact cheat evaluation at the argmax: "
@@ -177,7 +176,6 @@ def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatRes
         max_ratio=max_ratio,
         grid_cell_size=cell,
         n_points=int(m.shape[0]),
-        resolution=res,
     )
 
 
@@ -202,7 +200,7 @@ def grid_max_comm_ba(spec: SteeringGameSpec, grid_resolution: int) -> CommBaGrid
     transmitted guess to a; both are enumerated exactly while the
     estimator sweeps the same grid as :func:`grid_max_cheat`.
     """
-    _, m, c, mu_hi, mu_lo, _ = _estimator_grid(spec, grid_resolution)
+    m, c, mu_hi, mu_lo, _ = _estimator_grid(spec, grid_resolution)
     s_arr = np.array([sig[1] for sig in SIGNALS], dtype=np.float64)
     coeff = spec.penalty_coefficient
 
@@ -305,26 +303,27 @@ class LhsSuiteReport:
         }
 
 
+#: Hidden dimensions and hidden-variable counts the random suite cycles through.
+_LHS_DIMS = (2, 3, 4)
+_LHS_LAMBDA_SIZES = (1, 4, 8)
+
+
 def random_lhs_suite(
     trials: int,
-    dims=(2, 3, 4),
-    lambda_sizes=(1, 4, 8),
     rng_seed: int = 0,
     spec: SteeringGameSpec | None = None,
     include_probes: bool = True,
 ) -> LhsSuiteReport:
     """Verify no hidden-state model wins, over random draws plus boundary probes.
 
-    Trial t draws from the child generator seeded by (rng_seed, t) and
-    cycles through the requested hidden dimensions and hidden-variable
-    counts.  A trial fails when its exact payoff exceeds 1e-9 or the two
-    evaluation routes disagree beyond 1e-10; failing strategies are
-    serialised into the report.
+    Trial t draws from the child generator seeded by (rng_seed, t), with
+    hidden dimension ``_LHS_DIMS[t % 3]`` and hidden-variable count
+    ``_LHS_LAMBDA_SIZES[(t // 3) % 3]``.  A trial fails when its exact
+    payoff exceeds 1e-9 or the two evaluation routes disagree beyond
+    1e-10; failing strategies are serialised into the report.
     """
     if spec is None:
         spec = SteeringGameSpec.ideal()
-    dims = tuple(dims)
-    lambda_sizes = tuple(lambda_sizes)
     max_payoff = -np.inf
     max_gap = 0.0
     failures = []
@@ -347,8 +346,8 @@ def random_lhs_suite(
 
     for t in range(int(trials)):
         rng = np.random.default_rng([int(rng_seed), t])
-        d = dims[t % len(dims)]
-        n_lambda = lambda_sizes[(t // len(dims)) % len(lambda_sizes)]
+        d = _LHS_DIMS[t % len(_LHS_DIMS)]
+        n_lambda = _LHS_LAMBDA_SIZES[(t // len(_LHS_DIMS)) % len(_LHS_LAMBDA_SIZES)]
         _evaluate(random_lhs_strategy(rng, d, n_lambda), f"trial-{t}")
 
     n_probes = 0
@@ -373,7 +372,6 @@ class ThresholdScan:
 
     rows: list
     crossings: dict
-    r: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,17 +428,14 @@ def werner_columns(w_grid) -> WernerColumns:
     return WernerColumns(rows=tuple(rows), tables=tuple(tables))
 
 
-def threshold_scan(w_grid, r: float = 1.0) -> ThresholdScan:
+def threshold_scan(columns: WernerColumns, r: float = 1.0) -> ThresholdScan:
     """Tabulate witness/steering/CHSH values and the honest game payoff on
     Werner states, locating where each first exceeds its bound.
 
-    ``w_grid`` is either a plain sequence of W values or the
-    :class:`WernerColumns` that :func:`werner_columns` built from one; a
-    plain grid is turned into columns first.  Only ``qrs_payoff``
-    depends on r, so a sweep over r builds the columns once and passes
-    them here for each r.
+    ``columns`` are the :class:`WernerColumns` that :func:`werner_columns`
+    built from a W grid.  Only ``qrs_payoff`` depends on r, so a sweep
+    over r builds the columns once and passes them here for each r.
     """
-    columns = w_grid if isinstance(w_grid, WernerColumns) else werner_columns(w_grid)
     spec = SteeringGameSpec.ideal(r=r)
     rows = [
         {**base, "qrs_payoff": table.payoff(spec)}
@@ -454,4 +449,4 @@ def threshold_scan(w_grid, r: float = 1.0) -> ThresholdScan:
                 crossing = row["w"]
                 break
         crossings[name] = crossing
-    return ThresholdScan(rows=rows, crossings=crossings, r=float(r))
+    return ThresholdScan(rows=rows, crossings=crossings)

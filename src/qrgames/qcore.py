@@ -24,9 +24,6 @@ import numpy as np
 #: Absolute per-entry tolerance used when validating quantum objects.
 VALIDATION_TOL = 1e-10
 
-#: Tighter tolerance for algebraic identities (completeness sums, duals).
-IDENTITY_TOL = 1e-12
-
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
@@ -105,24 +102,6 @@ def is_hermitian(matrix, tol: float = VALIDATION_TOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def is_positive_semidefinite(matrix, tol: float = VALIDATION_TOL) -> bool:
-    """Check positivity of a Hermitian matrix via its spectrum.
-
-    Raises ValueError if the input is not Hermitian within ``tol``;
-    positivity is only meaningful for Hermitian operators.
-    """
-    m = np.asarray(matrix, dtype=np.complex128)
-    if not is_hermitian(m, tol):
-        raise ValueError("positivity check requires a Hermitian matrix")
-    return bool(np.linalg.eigvalsh(m)[0] >= -tol)
-
-
-def _frozen_array(values, dtype=np.complex128) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,35 +230,6 @@ class QuantumChannel:
 
 
 @dataclass(frozen=True, eq=False)
-class AdjointChannel:
-    """Heisenberg-picture dual of a CPTP map: X -> sum_k K_k^dag X K_k.
-
-    The dual of a trace-preserving map is unital (it fixes the identity)
-    but generally not trace preserving, so this is a separate type from
-    :class:`QuantumChannel`.  ``kraus_operators`` are those of the
-    underlying Schroedinger-picture channel.
-    """
-
-    kraus_operators: tuple
-
-    @property
-    def input_dim(self) -> int:
-        return self.kraus_operators[0].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.kraus_operators[0].shape[1]
-
-    def apply_to_matrix(self, x) -> np.ndarray:
-        m = np.asarray(x, dtype=np.complex128)
-        return sum(k.conj().T @ m @ k for k in self.kraus_operators)
-
-    def is_unital(self, tol: float = IDENTITY_TOL) -> bool:
-        d = self.input_dim
-        return mats_close(self.apply_to_matrix(np.eye(d)), np.eye(self.output_dim), tol)
-
-
-@dataclass(frozen=True, eq=False)
 class BlochVector:
     """Parameters (m, mu) of the binary estimator element mu*(1 + m . sigma).
 
@@ -363,11 +313,6 @@ def apply_channel(channel: QuantumChannel, rho: DensityOperator) -> DensityOpera
     return DensityOperator(channel.apply_to_matrix(rho.matrix))
 
 
-def dual_channel(channel: QuantumChannel) -> AdjointChannel:
-    """The Heisenberg-picture dual map, satisfying Tr[X phi(Y)] = Tr[phi*(X) Y]."""
-    return AdjointChannel(channel.kraus_operators)
-
-
 def identity_channel(dim: int = 2) -> QuantumChannel:
     return QuantumChannel((np.eye(dim, dtype=np.complex128),))
 
@@ -393,12 +338,6 @@ def amplitude_damping_channel(gamma: float) -> QuantumChannel:
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - g)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(g)], [0.0, 0.0]], dtype=np.complex128)
     return QuantumChannel((k0, k1))
-
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random Hermitian matrix with complex Gaussian entries."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2.0
 
 
 def random_positive(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -23,11 +23,9 @@ import numpy as np
 
 from . import games
 from .qcore import (
-    VALIDATION_TOL,
     BlochVector,
     DensityOperator,
     Povm,
-    bloch_operator,
     mats_close,
     partial_trace,
     pauli,
@@ -229,13 +227,6 @@ class NoStateCheat:
             raise ValueError(f"list value must be +-1, got {list_value!r}")
         p_match = p_plus if a == 1 else 1.0 - p_plus
         return _clean_distribution({(a, 1): p_match, (a, 0): 1.0 - p_match})
-
-
-def cheat_payoff_no_state(cheat: NoStateCheat, spec: games.SteeringGameSpec) -> float:
-    """Exact average payoff of a no-state cheat against a game spec."""
-    if not isinstance(cheat, NoStateCheat):
-        raise ValueError("cheat_payoff_no_state expects a NoStateCheat")
-    return games.qrs_payoff_exact(spec, cheat)
 
 
 @dataclass(frozen=True)
@@ -440,17 +431,6 @@ def lhs_payoff_routes(strategy: LhsStrategy, spec: games.SteeringGameSpec):
     return direct, reduced
 
 
-def lhs_payoff_exact(strategy: LhsStrategy, spec: games.SteeringGameSpec) -> float:
-    """Exact hidden-state payoff, cross-checked through both routes."""
-    direct, reduced = lhs_payoff_routes(strategy, spec)
-    if abs(direct - reduced) > 1e-10:
-        raise RuntimeError(
-            "hidden-state payoff routes disagree: "
-            f"direct={direct!r} reduced={reduced!r}"
-        )
-    return direct
-
-
 @dataclass(frozen=True, eq=False)
 class CommCheat:
     """Cheat with one-way classical communication and no shared state.
@@ -514,13 +494,6 @@ class CommCheat:
                 a = ALICE_RULES_BA[self.alice_rule][guess]
             dist[(a, b)] = dist.get((a, b), 0.0) + p
         return _clean_distribution(dist)
-
-
-def comm_cheat_payoff(cheat: CommCheat, spec: games.SteeringGameSpec) -> float:
-    """Exact average payoff of a one-way-communication cheat."""
-    if not isinstance(cheat, CommCheat):
-        raise ValueError("comm_cheat_payoff expects a CommCheat")
-    return games.qrs_payoff_exact(spec, cheat)
 
 
 def best_estimator() -> BlochVector:

@@ -22,6 +22,7 @@ from qrgames.oracle import (
     grid_max_comm_ba,
     random_lhs_suite,
     threshold_scan,
+    werner_columns,
 )
 from qrgames.qcore import (
     BlochVector,
@@ -36,8 +37,6 @@ from qrgames.strategies import (
     HonestStrategy,
     NoStateCheat,
     best_estimator,
-    cheat_payoff_no_state,
-    comm_cheat_payoff,
     discrimination_stats,
     honest_strategy,
 )
@@ -96,9 +95,7 @@ def test_criterion_03_discrimination_bound():
 
 
 def test_criterion_04_no_hidden_state_model_wins():
-    report = random_lhs_suite(
-        trials=1000, dims=(2, 3, 4), lambda_sizes=(1, 4, 8), rng_seed=0
-    )
+    report = random_lhs_suite(trials=1000, rng_seed=0)
     ok = report.passed and report.max_payoff <= 1e-9 and report.max_route_gap <= 1e-10
     _report(4, ok, f"{report.trials} random models + {report.probes} probes: "
             f"max payoff {report.max_payoff:.2e}, max route gap "
@@ -123,7 +120,8 @@ def test_criterion_05_chsh_classical_bound():
 
 def test_criterion_06_hierarchy_thresholds():
     step = 0.001
-    scan = threshold_scan(np.arange(0.0, 1.0 + 0.5 * step, step), r=1.0)
+    columns = werner_columns(np.arange(0.0, 1.0 + 0.5 * step, step))
+    scan = threshold_scan(columns, r=1.0)
     expected = {
         "witness2": 0.5,
         "steering2": 1 / SQRT2,
@@ -146,7 +144,7 @@ def test_criterion_06_hierarchy_thresholds():
 def test_criterion_07_classical_referee_cheat():
     classical = classical_witness_payoff(1.0, 1.0)
     cheat = NoStateCheat(best_estimator(), (1, -1, -1, 1))
-    quantum = cheat_payoff_no_state(cheat, SteeringGameSpec.ideal())
+    quantum = qrs_payoff_exact(SteeringGameSpec.ideal(), cheat)
     ok = classical == 1.0 and quantum <= 1e-9
     _report(7, ok, f"identical-list classical payoff {classical} (exact +1), same "
             f"list against the quantum referee {quantum:.2e} (<= 0)")
@@ -181,7 +179,7 @@ def test_criterion_08_channel_robustness():
 
 def test_criterion_09_one_way_communication():
     spec = SteeringGameSpec.ideal()
-    ab = comm_cheat_payoff(CommCheat("alice_to_bob"), spec)
+    ab = qrs_payoff_exact(spec, CommCheat("alice_to_bob"))
     ba = grid_max_comm_ba(spec, 50)
     ok = abs(ab - 2 * (3 - SQRT3)) <= 1e-12 and ba.max_payoff <= 1e-9
     _report(9, ok, f"Alice->Bob cheat {ab:.10f} = 2(3 - sqrt(3)), Bob->Alice "
@@ -191,7 +189,7 @@ def test_criterion_09_one_way_communication():
 def test_criterion_10_imperfect_preparation():
     adversarial = SteeringGameSpec(signal_ensemble=single_axis_ensemble(), r=1.0)
     axis_cheat = NoStateCheat(BlochVector(np.array([1.0, 0.0, 0.0]), 0.5), "constant")
-    win = cheat_payoff_no_state(axis_cheat, adversarial)
+    win = qrs_payoff_exact(adversarial, axis_cheat)
     cheat_ok = abs(win - 2 * (3 - SQRT3)) <= 1e-10
 
     # raising r moves the honest threshold to W > r/sqrt(3)

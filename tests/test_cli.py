@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qrgames
-from qrgames.cli import main
+from qrgames.cli import SWEEP_MAX_ROWS, main
 from qrgames.games import SQRT3, single_axis_ensemble
 from qrgames.serialize import density_to_json, strategy_to_json
 from qrgames.strategies import NoStateCheat, best_estimator
@@ -123,6 +123,24 @@ def test_run_accepts_a_strategy_file(tmp_path):
     ])
     assert code == 0
     assert _run_summary(tmp_path)["config"]["strategy"]["type"] == "no_state_cheat"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("missing.json", None, "cannot read strategy file"),
+        ("broken.json", "{nope", "strategy file is not valid JSON"),
+        ("gravity.json", '{"type": "gravity"}', "is not valid under any of the given schemas"),
+    ],
+)
+def test_run_rejects_bad_strategy_files(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    code = main(["run", "--strategy", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_run_channel_flag(tmp_path):
@@ -283,11 +301,40 @@ def test_sweep_rejects_an_empty_grid(tmp_path):
     ]) == 2
 
 
+def test_sweep_rejects_a_grid_over_the_row_cap(tmp_path, capsys):
+    # sized arithmetically: np.arange would need about 8 GB for this r grid
+    code = main([
+        "sweep", "--r-stop", "1e7", "--r-step", "0.01", "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert f"exceeds {SWEEP_MAX_ROWS} rows" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--w-start", "nan"], ["--w-stop", "inf"], ["--r-stop", "inf"], ["--r-step", "nan"]],
+)
+def test_sweep_rejects_non_finite_bounds(tmp_path, flag):
+    assert main(["sweep", *flag, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_schema_prints_machine_readable_json(capsys):
     assert main(["schema"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert set(blob["config"]) == {"run", "verify", "sweep"}
     assert blob["strategy"]["$schema"].startswith("http://json-schema.org/")
+    # the bound RunConfig enforces on rng_seed
+    assert blob["config"]["run"]["properties"]["seed"]["maximum"] == 2**64 - 1
+
+
+def test_run_config_seed_above_the_published_bound(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"strategy": "cheat-nostate", "seed": 2**64}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config file rejected by schema" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_usage_errors_exit_with_two():

@@ -22,7 +22,7 @@ from qrgames.strategies import (
     HonestStrategy,
     best_estimator,
     honest_strategy,
-    lhs_payoff_exact,
+    lhs_payoff_routes,
 )
 from qrgames.serialize import strategy_from_json
 
@@ -136,9 +136,9 @@ def test_random_lhs_suite_catches_a_weakened_penalty():
     assert probe["payoff"] == pytest.approx(2 * (SQRT3 - 1.5), abs=1e-12)
     # failing strategies are serialized well enough to replay the win
     replayed = strategy_from_json(probe["strategy"])
-    assert lhs_payoff_exact(replayed, weak) == pytest.approx(
-        probe["payoff"], abs=1e-10
-    )
+    direct, reduced = lhs_payoff_routes(replayed, weak)
+    assert abs(direct - reduced) <= 1e-10
+    assert direct == pytest.approx(probe["payoff"], abs=1e-10)
 
 
 def test_random_lhs_strategy_is_valid(rng):
@@ -149,8 +149,8 @@ def test_random_lhs_strategy_is_valid(rng):
 
 
 def test_threshold_scan_locates_all_crossings():
-    grid = np.arange(0.0, 1.0 + 1e-12, 0.005)
-    scan = threshold_scan(grid, r=1.0)
+    columns = werner_columns(np.arange(0.0, 1.0 + 1e-12, 0.005))
+    scan = threshold_scan(columns, r=1.0)
     expected = {
         "witness2": 0.5,
         "steering2": 1 / SQRT2,
@@ -170,34 +170,23 @@ def test_threshold_scan_locates_all_crossings():
 
 
 def test_threshold_scan_payoff_crossing_moves_with_r():
-    grid = np.arange(0.0, 1.0 + 1e-12, 0.005)
-    scan = threshold_scan(grid, r=1.2)
+    columns = werner_columns(np.arange(0.0, 1.0 + 1e-12, 0.005))
+    scan = threshold_scan(columns, r=1.2)
     got = scan.crossings["qrs_payoff"]
     w_star = 1.2 / SQRT3
     assert w_star < got <= w_star + 0.005 + 1e-9
     # r large enough pushes the threshold past W = 1: no crossing at all
-    assert threshold_scan(grid, r=1.8).crossings["qrs_payoff"] is None
+    assert threshold_scan(columns, r=1.8).crossings["qrs_payoff"] is None
     # the kinematic thresholds don't move
-    assert scan.crossings["witness2"] == threshold_scan(grid).crossings["witness2"]
+    assert scan.crossings["witness2"] == threshold_scan(columns).crossings["witness2"]
 
 
 def test_threshold_scan_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        threshold_scan([])
     with pytest.raises(ValueError, match="empty Werner grid"):
-        werner_columns([])
+        threshold_scan(werner_columns([]))
 
 
 _HOIST_GRID = np.linspace(0.0, 1.0, 11)
-
-
-@pytest.mark.parametrize("r", [1.0, 1.081, 1.7])
-def test_threshold_scan_over_columns_equals_the_plain_grid(r):
-    from_columns = threshold_scan(werner_columns(_HOIST_GRID), r=r)
-    from_grid = threshold_scan(_HOIST_GRID, r=r)
-    assert from_columns.rows == from_grid.rows
-    assert from_columns.crossings == from_grid.crossings
-    assert from_columns.r == from_grid.r == r
 
 
 @pytest.mark.parametrize("r", [1.0, 1.081, 1.7])

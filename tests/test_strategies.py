@@ -34,11 +34,8 @@ from qrgames.strategies import (
     LhsStrategy,
     NoStateCheat,
     best_estimator,
-    cheat_payoff_no_state,
-    comm_cheat_payoff,
     discrimination_stats,
     honest_strategy,
-    lhs_payoff_exact,
     lhs_payoff_routes,
     lhs_reduction,
     partial_bell_povm,
@@ -143,15 +140,15 @@ def test_no_state_cheat_closed_form(rng):
             mu = rng.uniform(0.05, 1.0 / (1.0 + np.linalg.norm(m)))
             cheat = NoStateCheat(BlochVector(m, mu), "constant")
             want = 4.0 * mu * (m.sum() - r * SQRT3)
-            assert abs(cheat_payoff_no_state(cheat, spec) - want) < 1e-10
+            assert abs(qrs_payoff_exact(spec, cheat) - want) < 1e-10
 
 
 def test_no_state_cheat_tops_out_at_zero(ideal_spec):
     best = NoStateCheat(best_estimator(), "constant")
-    assert abs(cheat_payoff_no_state(best, ideal_spec)) < 1e-12
+    assert abs(qrs_payoff_exact(ideal_spec, best)) < 1e-12
     # an uninformative estimator just pays the penalty term
     blind = NoStateCheat(BlochVector(np.zeros(3), 0.35), "constant")
-    assert cheat_payoff_no_state(blind, ideal_spec) == pytest.approx(
+    assert qrs_payoff_exact(ideal_spec, blind) == pytest.approx(
         -4 * 0.35 * SQRT3, abs=1e-12
     )
 
@@ -159,12 +156,12 @@ def test_no_state_cheat_tops_out_at_zero(ideal_spec):
 def test_no_state_cheat_list_rule(ideal_spec):
     """A balanced answer list changes nothing at mu=1/2 and hurts otherwise."""
     est = best_estimator()
-    const = cheat_payoff_no_state(NoStateCheat(est, "constant"), ideal_spec)
-    listed = cheat_payoff_no_state(NoStateCheat(est, (1, -1)), ideal_spec)
+    const = qrs_payoff_exact(ideal_spec, NoStateCheat(est, "constant"))
+    listed = qrs_payoff_exact(ideal_spec, NoStateCheat(est, (1, -1)))
     assert abs(const - listed) < 1e-12
     small = BlochVector(M_STAR * 0.9, 0.3)
-    p_const = cheat_payoff_no_state(NoStateCheat(small, "constant"), ideal_spec)
-    p_list = cheat_payoff_no_state(NoStateCheat(small, (1, -1)), ideal_spec)
+    p_const = qrs_payoff_exact(ideal_spec, NoStateCheat(small, "constant"))
+    p_list = qrs_payoff_exact(ideal_spec, NoStateCheat(small, (1, -1)))
     assert p_list < p_const  # the -1 rounds turn the mismatch term against them
 
 
@@ -235,7 +232,7 @@ def test_lhs_routes_agree_and_never_win(rng, ideal_spec):
         direct, reduced = lhs_payoff_routes(strategy, ideal_spec)
         assert abs(direct - reduced) < 1e-10
         assert direct <= 1e-9
-        assert lhs_payoff_exact(strategy, ideal_spec) == direct
+        assert qrs_payoff_exact(ideal_spec, strategy) == direct
 
 
 def test_lhs_zero_responses_pay_only_the_penalty(rng, ideal_spec):
@@ -245,7 +242,8 @@ def test_lhs_zero_responses_pay_only_the_penalty(rng, ideal_spec):
         base.weights, base.hidden_states, np.zeros((4, 3)), base.bob_joint_povm
     )
     red = lhs_reduction(strategy)
-    payoff = lhs_payoff_exact(strategy, ideal_spec)
+    payoff, reduced = lhs_payoff_routes(strategy, ideal_spec)
+    assert abs(payoff - reduced) <= 1e-10
     assert payoff == pytest.approx(-2.0 * red.normalization * SQRT3, abs=1e-12)
 
 
@@ -292,23 +290,23 @@ def test_comm_cheat_alice_to_bob_breaks_the_game():
     """Perfect sign knowledge scores 2(3 - r sqrt(3)) = 6 - 2 r sqrt(3)."""
     for r in (1.0, 1.081, 1.5):
         spec = SteeringGameSpec.ideal(r=r)
-        payoff = comm_cheat_payoff(CommCheat("alice_to_bob"), spec)
+        payoff = qrs_payoff_exact(spec, CommCheat("alice_to_bob"))
         assert payoff == pytest.approx(2 * (3 - r * SQRT3), abs=1e-12)
     # positive below r = sqrt(3), negative above
-    assert comm_cheat_payoff(
-        CommCheat("alice_to_bob"), SteeringGameSpec.ideal(r=1.7)
+    assert qrs_payoff_exact(
+        SteeringGameSpec.ideal(r=1.7), CommCheat("alice_to_bob")
     ) > 0
-    assert comm_cheat_payoff(
-        CommCheat("alice_to_bob"), SteeringGameSpec.ideal(r=1.75)
+    assert qrs_payoff_exact(
+        SteeringGameSpec.ideal(r=1.75), CommCheat("alice_to_bob")
     ) < 0
 
 
 def test_comm_cheat_bob_to_alice_capped_at_zero(ideal_spec):
     """No reply rule beats the trivial b = 0 strategy, which scores exactly 0."""
     silent = CommCheat("bob_to_alice", best_estimator(), bob_outputs_one_when=())
-    assert comm_cheat_payoff(silent, ideal_spec) == 0.0
+    assert qrs_payoff_exact(ideal_spec, silent) == 0.0
     follow = CommCheat("bob_to_alice", best_estimator())
-    assert comm_cheat_payoff(follow, ideal_spec) <= 1e-12
+    assert qrs_payoff_exact(ideal_spec, follow) <= 1e-12
     rng = np.random.default_rng(3)
     for _ in range(10):
         m = rng.uniform(-1, 1, 3)
@@ -323,7 +321,7 @@ def test_comm_cheat_bob_to_alice_capped_at_zero(ideal_spec):
                 "constant_minus",
             ):
                 cheat = CommCheat("bob_to_alice", est, ones, rule)
-                assert comm_cheat_payoff(cheat, ideal_spec) <= 1e-9
+                assert qrs_payoff_exact(ideal_spec, cheat) <= 1e-9
 
 
 def test_comm_cheat_validation():
@@ -404,10 +402,3 @@ def test_best_estimator_is_the_diagonal_direction():
     assert np.allclose(b.m, M_STAR, atol=1e-15)
     assert b.mu == pytest.approx(0.5)
     b.povm_pair()  # valid POVM
-
-
-def test_cheat_payoff_helpers_type_check(ideal_spec):
-    with pytest.raises(ValueError):
-        cheat_payoff_no_state(honest_strategy(), ideal_spec)
-    with pytest.raises(ValueError):
-        comm_cheat_payoff(honest_strategy(), ideal_spec)
