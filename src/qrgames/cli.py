@@ -114,7 +114,8 @@ CONFIG_SCHEMAS = {
 
 _STRATEGY_NAMES = ("honest", "cheat-nostate", "cheat-comm-ab", "cheat-comm-ba")
 
-#: Largest (W, r) grid ``sweep`` accepts, in rows of sweep.csv.
+#: Largest (W, r) grid ``sweep`` accepts, in rows of sweep.csv; also the
+#: largest Werner grid ``verify`` scans.
 SWEEP_MAX_ROWS = 1_000_000
 
 
@@ -262,6 +263,9 @@ def cmd_verify(args) -> int:
         seed = int(_pick(args.seed, cfg, "seed", 0))
         if not 0.0 < step <= 0.1:
             raise ValueError(f"scan step must lie in (0, 0.1], got {step}")
+        n_w = _arange_size(0.0, 1.0 + 0.5 * step, step)
+        if n_w > SWEEP_MAX_ROWS:
+            raise ValueError(f"{n_w}-point Werner scan grid exceeds {SWEEP_MAX_ROWS} rows")
         resolved = {
             "r": r,
             "payoff_bound": bound,

@@ -5,7 +5,8 @@ factors are ordered A, B, C throughout the package: composite operators
 are assembled as ``tensor(op_A, op_B, op_C)`` and never permuted
 afterwards, so no permutation bookkeeping is needed anywhere else.
 ``tensor`` takes 2-D matrices only and returns the bits ``np.kron``
-would, through one broadcast multiply per factor.
+would, through one broadcast multiply per factor; its private pair
+kernel also takes stacks of matrices, one Kronecker product per item.
 Dimensions stay small (<= ~16) and everything uses dense double
 precision; there is no sparse or symbolic path.
 
@@ -45,21 +46,32 @@ def _as_matrix(op) -> np.ndarray:
     return m
 
 
+def _kron_pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Kronecker product over the last two axes; leading stack axes broadcast.
+
+    One broadcast outer product reshaped into block form: entry by entry
+    the complex multiplies ``np.kron`` performs, so each stacked result
+    is bitwise equal to ``np.kron`` of the matching 2-D items.
+    """
+    (m, n), (p, q) = left.shape[-2:], right.shape[-2:]
+    out = left[..., :, None, :, None] * right[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * p, n * q))
+
+
 def tensor(*operators) -> np.ndarray:
     """Kronecker product of one or more 2-D matrices, in the given order.
 
-    Each factor is one broadcast outer product, reshaped into block form:
-    the same complex multiplies ``np.kron`` performs, so the result is
-    bitwise equal to ``np.kron``'s, without its generic axis handling.
+    Each factor goes through the pair kernel ``_kron_pair``, which the
+    stacked evaluations of :mod:`strategies` share: the same complex
+    multiplies ``np.kron`` performs, so the result is bitwise equal to
+    ``np.kron``'s, without its generic axis handling.
     Raises ValueError for no operands or an operand that is not 2-D.
     """
     if not operators:
         raise ValueError("tensor() needs at least one operator")
     out = _as_matrix(operators[0])
     for op in operators[1:]:
-        op = _as_matrix(op)
-        (m, n), (p, q) = out.shape, op.shape
-        out = (out[:, None, :, None] * op[None, :, None, :]).reshape(m * p, n * q)
+        out = _kron_pair(out, _as_matrix(op))
     return out
 
 

@@ -49,10 +49,6 @@ def channel_to_json(channel: QuantumChannel) -> dict:
     return {"kraus": [matrix_to_json(k) for k in channel.kraus_operators]}
 
 
-def channel_from_json(obj) -> QuantumChannel:
-    return QuantumChannel(tuple(matrix_from_json(k) for k in obj["kraus"]))
-
-
 def density_to_json(state: DensityOperator) -> dict:
     return matrix_to_json(state.matrix)
 

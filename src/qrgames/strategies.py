@@ -26,9 +26,11 @@ from .qcore import (
     BlochVector,
     DensityOperator,
     Povm,
+    _kron_pair,
     mats_close,
     partial_trace,
     pauli,
+    signal_state,
     singlet_projector,
     tensor,
 )
@@ -106,8 +108,10 @@ class HonestStrategy:
     with w above r/sqrt(3).
 
     The twelve joint effects ``A_{j,a} x E_b`` are built once, at
-    construction, into ``joint_effects`` as ``{(j, a, b): read-only
-    matrix}``; every evaluation reads them from there.
+    construction, into ``joint_effects``: for each setting j one
+    read-only ``(4, d, d)`` stack, its items in ``games.OUTCOMES``
+    order.  ``outcome_distribution`` contracts a whole stack against
+    the joint state with one ``matmul`` and one stacked trace.
     """
 
     alice_povms: dict
@@ -132,13 +136,14 @@ class HonestStrategy:
         if not isinstance(self.bob_joint_povm, Povm) or self.bob_joint_povm.n_outcomes != 2:
             raise ValueError("Bob's joint POVM must have two outcomes")
         object.__setattr__(self, "alice_povms", povms)
+        bob = np.stack(self.bob_joint_povm.elements)
         effects = {}
         for j, povm in povms.items():
-            for ai, a in enumerate((1, -1)):
-                for b in (0, 1):
-                    effect = tensor(povm[ai], self.bob_joint_povm[b])
-                    effect.setflags(write=False)
-                    effects[(j, a, b)] = effect
+            # (a, b) pairs in OUTCOMES order: a = +1, -1 outer, b = 0, 1 inner
+            stack = _kron_pair(np.stack(povm.elements)[:, None], bob[None, :])
+            stack = stack.reshape((-1,) + stack.shape[-2:])
+            stack.setflags(write=False)
+            effects[j] = stack
         object.__setattr__(self, "joint_effects", effects)
 
     @property
@@ -164,12 +169,8 @@ class HonestStrategy:
             raise ValueError("honest strategy requires a shared state")
         self._factor_dims(omega, shared_state)
         joint = tensor(shared_state.matrix, omega.matrix)
-        dist = {}
-        for a in (1, -1):
-            for b in (0, 1):
-                effect = self.joint_effects[(j, a, b)]
-                dist[(a, b)] = float(np.trace(effect @ joint).real)
-        return _clean_distribution(dist)
+        probs = np.trace(self.joint_effects[j] @ joint, axis1=1, axis2=2).real
+        return _clean_distribution(dict(zip(games.OUTCOMES, probs.tolist())))
 
 
 def honest_strategy() -> HonestStrategy:
@@ -281,12 +282,17 @@ class LhsStrategy:
     ``hidden_states[lambda]`` on B; Bob applies ``bob_joint_povm`` to
     B x C.  This is the most general strategy in which Bob holds a
     pre-set quantum state uncorrelated with Alice beyond lambda.
+
+    The hidden states are also stacked once, at construction, into the
+    read-only ``(n_lambda, d, d)`` array ``state_stack``, so each
+    evaluation contracts over every lambda at once.
     """
 
     weights: np.ndarray
     hidden_states: tuple
     alice_responses: np.ndarray
     bob_joint_povm: Povm
+    state_stack: np.ndarray = field(init=False, repr=False)
 
     needs_shared_state = False
     required_communication = None
@@ -317,33 +323,29 @@ class LhsStrategy:
             raise ValueError("response biases must lie in [-1, 1]")
         if self.bob_joint_povm.n_outcomes != 2 or self.bob_joint_povm.dim != 2 * d_b:
             raise ValueError("Bob's POVM must act on B x C with two outcomes")
-        w.setflags(write=False)
-        resp.setflags(write=False)
+        stack = np.stack([st.matrix for st in states])
+        for arr in (w, resp, stack):
+            arr.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "hidden_states", states)
         object.__setattr__(self, "alice_responses", resp)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.hidden_states[0].dim
+        object.__setattr__(self, "state_stack", stack)
 
     def _b1_probs(self, omega: DensityOperator) -> np.ndarray:
-        """Tr[E_1 (rho_lambda x omega)] for each lambda."""
-        e1 = self.bob_joint_povm[1]
-        return np.array(
-            [
-                float(np.trace(e1 @ tensor(st.matrix, omega.matrix)).real)
-                for st in self.hidden_states
-            ]
-        )
+        """Tr[E_1 (rho_lambda x omega)] for each lambda, as one stacked trace."""
+        joint = _kron_pair(self.state_stack, omega.matrix)
+        probs = np.trace(self.bob_joint_povm[1] @ joint, axis1=1, axis2=2).real
+        # contiguous like the per-lambda list: np.dot sums a strided vector differently
+        return np.ascontiguousarray(probs)
 
     def outcome_distribution(self, omega, j, s, shared_state=None, list_value=None):
         t = self._b1_probs(omega)
+        not_t = 1.0 - t
         dist = {}
         for a in (1, -1):
-            p_a = (1.0 + a * self.alice_responses[:, j - 1]) / 2.0
-            dist[(a, 1)] = float(np.dot(self.weights * p_a, t))
-            dist[(a, 0)] = float(np.dot(self.weights * p_a, 1.0 - t))
+            weighted = self.weights * ((1.0 + a * self.alice_responses[:, j - 1]) / 2.0)
+            dist[(a, 1)] = float(np.dot(weighted, t))
+            dist[(a, 0)] = float(np.dot(weighted, not_t))
         return _clean_distribution(dist)
 
 
@@ -377,17 +379,20 @@ class LhsReduction:
 
 
 def lhs_reduction(strategy: LhsStrategy) -> LhsReduction:
-    """Collapse a hidden-state model onto the signal space (see LhsReduction)."""
-    e1 = strategy.bob_joint_povm[1]
-    d_b = strategy.hidden_dim
-    traces = []
-    x_ops = []
-    for st in strategy.hidden_states:
-        x = partial_trace(e1 @ tensor(st.matrix, np.eye(2)), [d_b, 2], 0)
-        x = (x + x.conj().T) / 2.0
-        x_ops.append(x)
-        traces.append(float(np.trace(x).real))
-    traces = np.array(traces)
+    """Collapse a hidden-state model onto the signal space (see LhsReduction).
+
+    Every X_lambda comes from one contraction over the hidden-state
+    stack: E_1 (rho_lambda x 1_C) for all lambda in one ``matmul``, then
+    the trace over B of the whole stack.  Each kept tau_lambda is still
+    validated as a :class:`DensityOperator`.
+    """
+    n_lambda, d_b, _ = strategy.state_stack.shape
+    joint = strategy.bob_joint_povm[1] @ _kron_pair(
+        strategy.state_stack, np.eye(2, dtype=np.complex128)
+    )
+    x_ops = np.trace(joint.reshape(n_lambda, d_b, 2, d_b, 2), axis1=1, axis2=3)
+    x_ops = (x_ops + x_ops.conj().swapaxes(1, 2)) / 2.0
+    traces = np.trace(x_ops, axis1=1, axis2=2).real
     weighted = strategy.weights * traces
     n_const = float(weighted.sum())
     kept = [i for i in range(len(traces)) if weighted[i] > 1e-14]
@@ -398,16 +403,20 @@ def lhs_reduction(strategy: LhsStrategy) -> LhsReduction:
     return LhsReduction(n_const, q, taus, tuple(kept))
 
 
-#: The calibrated referee's six signal matrices (1/2)(1 + s sigma_j), read-only.
-_IDEAL_SIGNALS = {key: rho.matrix for key, rho in games.ideal_signal_ensemble().items()}
+#: sigma_1, sigma_2, sigma_3 as one read-only (3, 2, 2) stack.
+_PAULI_STACK = np.stack([pauli(j) for j in (1, 2, 3)])
+_PAULI_STACK.setflags(write=False)
+
+#: The calibrated referee's six signal matrices (1/2)(1 + s sigma_j), in
+#: ``games.SIGNALS`` order, as one read-only (6, 2, 2) stack.
+_IDEAL_SIGNALS = np.stack([signal_state(j, s).matrix for (j, s) in games.SIGNALS])
+_IDEAL_SIGNALS.setflags(write=False)
 
 
 def _require_calibrated_ensemble(spec: games.SteeringGameSpec):
-    for key, ideal in _IDEAL_SIGNALS.items():
-        if not mats_close(spec.signal_ensemble[key].matrix, ideal, 1e-10):
-            raise ValueError(
-                "the hidden-state reduction assumes the calibrated signal ensemble"
-            )
+    sent = np.stack([spec.signal_ensemble[key].matrix for key in games.SIGNALS])
+    if not mats_close(sent, _IDEAL_SIGNALS, 1e-10):
+        raise ValueError("the hidden-state reduction assumes the calibrated signal ensemble")
 
 
 def lhs_payoff_routes(strategy: LhsStrategy, spec: games.SteeringGameSpec):
@@ -415,17 +424,20 @@ def lhs_payoff_routes(strategy: LhsStrategy, spec: games.SteeringGameSpec):
 
     Route one aggregates the strategy's outcome table directly;
     route two goes through the reduction onto the signal space.  Both
-    are exact, so any disagreement flags an implementation bug.
+    are exact, so any disagreement flags an implementation bug.  Route
+    two takes every <sigma_j>_tau in one stacked trace over the kept
+    lambda, then sums over lambda in order.
     """
     direct = games.qrs_payoff_exact(spec, strategy)
     _require_calibrated_ensemble(spec)
     red = lhs_reduction(strategy)
+    taus = np.array([tau.matrix for tau in red.tau_states]).reshape(-1, 1, 2, 2)
+    sigma = np.trace(_PAULI_STACK @ taus, axis1=2, axis2=3).real
     total = 0.0
     for pos, lam in enumerate(red.kept_indices):
-        tau = red.tau_states[pos]
         inner = 0.0
-        for j in (1, 2, 3):
-            inner += strategy.alice_responses[lam, j - 1] * tau.expectation(pauli(j))
+        for j in range(3):
+            inner += strategy.alice_responses[lam, j] * sigma[pos, j]
         total += red.q_weights[pos] * inner
     reduced = 2.0 * red.normalization * (total - spec.r * spec.payoff_bound)
     return direct, reduced

@@ -291,6 +291,42 @@ def test_sweep_bytes_are_pinned(tmp_path):
     assert digest == "8f0dbaf1a0a2aefcf3224ad66d18d04c706e1819b908593764a7c2dbfc909381"
 
 
+@pytest.mark.parametrize(
+    "flags, code, digest",
+    [
+        (
+            ["--seed", "1"],
+            0,
+            "c9ffbb6c9ab642e6b3852532538c07b0bb3ac84f2eded138fb4fb8b5b6164fd2",
+        ),
+        (
+            ["--seed", "7", "--preparation", "single_axis"],
+            1,
+            "f081001c748e4ebc3625abb6b2a8f67adfd1af3714382ff1ca7c783780a6e0e8",
+        ),
+        (
+            ["--payoff-bound", "1.5"],
+            1,
+            "416660e0f027096fa826618d7f01d7b3b23663b6e5d6559b866cc3aa1092b3ae",
+        ),
+    ],
+    ids=["seed-1", "seed-7-single-axis", "payoff-bound-1.5"],
+)
+def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest):
+    # sha256 of the reports the per-lambda, per-effect exact engine wrote;
+    # the stacked evaluations must reproduce every bit
+    assert main(["verify", *flags, "--out", str(tmp_path)]) == code
+    report = (tmp_path / "verify_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest
+
+
+def test_verify_rejects_a_scan_grid_over_the_row_cap(tmp_path, capsys):
+    # sized arithmetically: this step would ask np.arange for about 1e9 W values
+    assert main(["verify", "--scan-step", "1e-9", "--out", str(tmp_path)]) == 2
+    assert f"exceeds {SWEEP_MAX_ROWS} rows" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 def test_sweep_rejects_an_empty_grid(tmp_path):
     assert main([
         "sweep", "--w-start", "0.9", "--w-stop", "0.1", "--w-step", "0.1",

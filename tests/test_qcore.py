@@ -8,6 +8,7 @@ from qrgames.qcore import (
     DensityOperator,
     Povm,
     QuantumChannel,
+    _kron_pair,
     amplitude_damping_channel,
     apply_channel,
     bloch_operator,
@@ -81,6 +82,31 @@ def test_tensor_is_bitwise_kron(rng):
     assert np.array_equal(tensor(p, q), np.kron(p, q))
     c = _complex_matrix(rng, (3, 3))
     assert np.array_equal(tensor(a, b, c), np.kron(np.kron(a, b), c))
+
+
+@pytest.mark.parametrize(
+    "left_shape, right_shape",
+    [
+        ((5, 2, 3), (5, 3, 2)),  # one stack axis on both sides
+        ((8, 4, 4), (2, 2)),  # a stack times one matrix
+        ((2, 2), (3, 4, 4)),  # one matrix times a stack
+        ((2, 1, 2, 2), (1, 3, 4, 4)),  # stack axes broadcast against each other
+        ((1, 1, 1), (1, 1)),
+    ],
+)
+def test_stacked_kron_kernel_is_bitwise_kron_per_item(rng, left_shape, right_shape):
+    left = _complex_matrix(rng, left_shape)
+    right = _complex_matrix(rng, right_shape)
+    out = _kron_pair(left, right)
+    lead = np.broadcast_shapes(left.shape[:-2], right.shape[:-2])
+    l_items = np.broadcast_to(left, lead + left.shape[-2:])
+    r_items = np.broadcast_to(right, lead + right.shape[-2:])
+    assert out.shape == lead + (
+        left.shape[-2] * right.shape[-2],
+        left.shape[-1] * right.shape[-1],
+    )
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(out[idx], np.kron(l_items[idx], r_items[idx]))
 
 
 @pytest.mark.parametrize("bad", [np.ones(2), np.ones((2, 2, 2))])

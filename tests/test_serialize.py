@@ -9,6 +9,7 @@ import pytest
 from qrgames.games import SteeringGameSpec, qrs_payoff_exact
 from qrgames.qcore import (
     BlochVector,
+    QuantumChannel,
     depolarizing_channel,
     random_density,
     random_povm,
@@ -18,7 +19,6 @@ from qrgames.serialize import (
     STRATEGY_SCHEMA,
     bloch_from_json,
     bloch_to_json,
-    channel_from_json,
     channel_to_json,
     density_from_json,
     density_to_json,
@@ -41,6 +41,11 @@ from qrgames.strategies import (
 def _round_trip(obj):
     """Force a pass through actual JSON text, not just dicts."""
     return json.loads(json.dumps(obj))
+
+
+def _channel_from_json(obj) -> QuantumChannel:
+    """Decode a ``channel_to_json`` document; the package only writes channels."""
+    return QuantumChannel(tuple(matrix_from_json(k) for k in obj["kraus"]))
 
 
 def test_matrix_round_trip(rng):
@@ -67,7 +72,7 @@ def test_povm_round_trip(rng):
 
 def test_channel_round_trip():
     ch = depolarizing_channel(0.3)
-    back = channel_from_json(_round_trip(channel_to_json(ch)))
+    back = _channel_from_json(_round_trip(channel_to_json(ch)))
     state = random_density(np.random.default_rng(5), 2)
     assert np.allclose(
         ch.apply_to_matrix(state.matrix), back.apply_to_matrix(state.matrix), atol=0

@@ -6,6 +6,7 @@ import pytest
 
 from qrgames import games
 from qrgames.games import (
+    OUTCOMES,
     SIGNALS,
     SQRT3,
     SteeringGameSpec,
@@ -20,6 +21,7 @@ from qrgames.qcore import (
     DensityOperator,
     Povm,
     mats_close,
+    partial_trace,
     pauli,
     random_density,
     random_povm,
@@ -33,6 +35,7 @@ from qrgames.strategies import (
     HonestStrategy,
     LhsStrategy,
     NoStateCheat,
+    _clean_distribution,
     best_estimator,
     discrimination_stats,
     honest_strategy,
@@ -112,13 +115,38 @@ def test_honest_effects_are_built_once_and_read_only(rng):
     alice = {j: random_povm(rng, 2) for j in (1, 2, 3)}
     bob = random_povm(rng, 4)
     h = HonestStrategy(alice, bob)
-    assert len(h.joint_effects) == 12
+    assert set(h.joint_effects) == {1, 2, 3}
     for j in (1, 2, 3):
-        for ai, a in enumerate((1, -1)):
-            for b in (0, 1):
-                effect = h.joint_effects[(j, a, b)]
-                assert not effect.flags.writeable
-                assert np.array_equal(effect, tensor(alice[j][ai], bob[b]))
+        stack = h.joint_effects[j]
+        assert stack.shape == (4, 8, 8)
+        assert not stack.flags.writeable
+        for o, (a, b) in enumerate(OUTCOMES):
+            ai = (1, -1).index(a)
+            assert np.array_equal(stack[o], tensor(alice[j][ai], bob[b]))
+
+
+def test_honest_distribution_is_four_separate_traces(rng):
+    # the stacked matmul and trace against one trace per joint effect
+    strategies = [honest_strategy()]
+    for _ in range(3):
+        alice = {j: random_povm(rng, 2) for j in (1, 2, 3)}
+        strategies.append(HonestStrategy(alice, random_povm(rng, 4)))
+    states = [werner_state(0.98), random_density(rng, 4)]
+    ensembles = (games.ideal_signal_ensemble(), single_axis_ensemble())
+    for h in strategies:
+        for state in states:
+            for ens in ensembles:
+                for (j, s) in SIGNALS:
+                    omega = ens[(j, s)]
+                    joint = np.kron(state.matrix, omega.matrix)
+                    dist = {}
+                    for ai, a in enumerate((1, -1)):
+                        for b in (0, 1):
+                            effect = np.kron(h.alice_povms[j][ai], h.bob_joint_povm[b])
+                            dist[(a, b)] = float(np.trace(effect @ joint).real)
+                    got = h.outcome_distribution(omega, j, s, state)
+                    assert got == _clean_distribution(dist)
+                    assert list(got) == list(OUTCOMES)
 
 
 def test_honest_distribution_is_normalized():
@@ -224,6 +252,75 @@ def test_lhs_strategy_validation(rng):
             good.alice_responses,
             random_povm(rng, 6, 2),  # wrong joint dimension
         )
+
+
+def _lhs_with_a_dropped_lambda(rng, dim, n_lambda):
+    """A random model whose last hidden variable has weight 0 (for n_lambda > 1)."""
+    base = _random_lhs(rng, dim, n_lambda)
+    weights = base.weights.copy()
+    if n_lambda > 1:
+        weights[-1] = 0.0
+        weights /= weights.sum()
+    return LhsStrategy(weights, base.hidden_states, base.alice_responses, base.bob_joint_povm)
+
+
+@pytest.mark.parametrize("n_lambda", [1, 4, 8])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_hidden_state_b1_probs_are_the_per_lambda_traces(rng, dim, n_lambda):
+    strategy = _random_lhs(rng, dim, n_lambda)
+    e1 = strategy.bob_joint_povm[1]
+    assert strategy.state_stack.shape == (n_lambda, dim, dim)
+    assert not strategy.state_stack.flags.writeable
+    for ens in (games.ideal_signal_ensemble(), single_axis_ensemble()):
+        for (j, s), omega in ens.items():
+            want = np.array(
+                [
+                    float(np.trace(e1 @ np.kron(st.matrix, omega.matrix)).real)
+                    for st in strategy.hidden_states
+                ]
+            )
+            assert np.array_equal(strategy._b1_probs(omega), want)
+            # and the distribution built from the per-lambda list, bit for bit
+            dist = {}
+            for a in (1, -1):
+                p_a = (1.0 + a * strategy.alice_responses[:, j - 1]) / 2.0
+                dist[(a, 1)] = float(np.dot(strategy.weights * p_a, want))
+                dist[(a, 0)] = float(np.dot(strategy.weights * p_a, 1.0 - want))
+            assert strategy.outcome_distribution(omega, j, s) == _clean_distribution(dist)
+
+
+@pytest.mark.parametrize("n_lambda", [1, 4, 8])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_lhs_reduction_is_the_per_lambda_partial_trace_route(rng, ideal_spec, dim, n_lambda):
+    strategy = _lhs_with_a_dropped_lambda(rng, dim, n_lambda)
+    e1 = strategy.bob_joint_povm[1]
+    x_ops = []
+    for st in strategy.hidden_states:
+        x = partial_trace(e1 @ np.kron(st.matrix, np.eye(2)), [dim, 2], 0)
+        x_ops.append((x + x.conj().T) / 2.0)
+    traces = np.array([float(np.trace(x).real) for x in x_ops])
+    weighted = strategy.weights * traces
+    kept = tuple(i for i in range(n_lambda) if weighted[i] > 1e-14)
+
+    red = lhs_reduction(strategy)
+    assert red.normalization == float(weighted.sum())
+    assert red.kept_indices == kept
+    assert len(kept) == (n_lambda - 1 if n_lambda > 1 else 1)
+    assert np.array_equal(red.q_weights, weighted[list(kept)] / red.normalization)
+    for pos, i in enumerate(kept):
+        assert np.array_equal(red.tau_states[pos].matrix, x_ops[i] / traces[i])
+
+    # the reduced route, with one <sigma_j>_tau trace at a time
+    total = 0.0
+    for pos, lam in enumerate(kept):
+        inner = 0.0
+        for j in (1, 2, 3):
+            inner += strategy.alice_responses[lam, j - 1] * red.tau_states[
+                pos
+            ].expectation(pauli(j))
+        total += red.q_weights[pos] * inner
+    want = 2.0 * red.normalization * (total - ideal_spec.r * ideal_spec.payoff_bound)
+    assert lhs_payoff_routes(strategy, ideal_spec)[1] == want
 
 
 def test_lhs_routes_agree_and_never_win(rng, ideal_spec):
