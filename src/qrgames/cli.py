@@ -6,7 +6,8 @@ verdict, ``sweep`` tabulates functionals over Werner/penalty grids for
 plotting, and ``schema`` prints the published JSON schemas.  Exit codes
 are stable: 0 success, 1 runtime or verification failure, 2 invalid
 configuration or arguments.  Options given on the command line override
-the JSON config file.
+the JSON config file.  Only the paths that check input against a schema
+import ``jsonschema``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import oracle, serialize, simulator
@@ -132,14 +132,23 @@ def _read_json(path, what: str):
         raise _ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
+def _validate(obj, schema, what: str) -> None:
+    """Check ``obj`` against a JSON schema; a violation is a one-line config error."""
+    import jsonschema  # deferred: only the paths that validate load it
+
+    try:
+        jsonschema.validate(obj, schema)
+    except jsonschema.ValidationError as exc:
+        raise _ConfigError(
+            f"{what} rejected by schema at {exc.json_path}: {exc.message}"
+        ) from exc
+
+
 def _load_config(path, schema) -> dict:
     if path is None:
         return {}
     obj = _read_json(path, "config file")
-    try:
-        jsonschema.validate(obj, schema)
-    except jsonschema.ValidationError as exc:
-        raise _ConfigError(f"config file rejected by schema: {exc.message}") from exc
+    _validate(obj, schema, "config file")
     return obj
 
 
@@ -168,7 +177,7 @@ def _resolve_strategy(value):
                 "or a path to a strategy JSON file"
             )
         value = _read_json(path, "strategy file")
-    jsonschema.validate(value, serialize.STRATEGY_SCHEMA)
+    _validate(value, serialize.STRATEGY_SCHEMA, "strategy")
     return serialize.strategy_from_json(value)
 
 
@@ -212,7 +221,7 @@ def cmd_run(args) -> int:
                 channel_cfg = json.loads(args.channel)
             except json.JSONDecodeError as exc:
                 raise _ConfigError(f"--channel is not valid JSON: {exc}") from exc
-            jsonschema.validate(channel_cfg, _CHANNEL_CONFIG_SCHEMA)
+            _validate(channel_cfg, _CHANNEL_CONFIG_SCHEMA, "--channel")
         channel = _resolve_channel(channel_cfg)
 
         needs_state = getattr(strategy, "needs_shared_state", False)
@@ -233,7 +242,7 @@ def cmd_run(args) -> int:
             communication=getattr(strategy, "required_communication", None),
             keep_transcript=keep_transcript,
         )
-    except (ValueError, jsonschema.ValidationError) as exc:
+    except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
 
     estimate, transcript = simulator.run_game(run_config)
@@ -276,11 +285,11 @@ def cmd_verify(args) -> int:
             "seed": seed,
         }
         # flags must meet the bounds a config file is held to
-        jsonschema.validate(resolved, VERIFY_CONFIG_SCHEMA)
+        _validate(resolved, VERIFY_CONFIG_SCHEMA, "verify flags")
         spec = _build_spec(r, bound, preparation)
-    except jsonschema.ValidationError as exc:
-        key = ".".join(str(p) for p in exc.path)
-        raise _ConfigError(f"{key}: {exc.message}") from exc
+        # |grid payoff| <= 2 sum_k |s - c| Tr[(1 + m.sigma) omega_k] <= 24 (1 + c)
+        if not math.isfinite(24.0 * (1.0 + spec.penalty_coefficient)):
+            raise ValueError(f"payoffs overflow a float: c = {spec.penalty_coefficient:g}")
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
 

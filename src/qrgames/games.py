@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qcore import (
+    _SIGMA_PAIRS,
     DensityOperator,
     QuantumChannel,
     apply_channel,
@@ -193,8 +194,8 @@ def witness2_value(state: DensityOperator) -> float:
     if state.dim != 4:
         raise ValueError("witness is defined for two-qubit states")
     total = 0.0
-    for j in (1, 2):
-        total += state.expectation(tensor(pauli(j), pauli(j)))
+    for pair in _SIGMA_PAIRS[:2]:
+        total += state.expectation(pair)
     return abs(total)
 
 
@@ -227,17 +228,26 @@ def canonical_chsh_settings():
     return (a1, a2, pauli(1), pauli(3))
 
 
-def chsh_from_state(state: DensityOperator, settings=None) -> float:
-    """Evaluate the CHSH combination on a two-qubit state at given settings."""
-    if settings is None:
-        settings = canonical_chsh_settings()
+def _chsh_operators(settings) -> np.ndarray:
+    """A_x x B_y for settings (A1, A2, B1, B2), in ``chsh_value``'s argument order."""
     a1, a2, b1, b2 = settings
-    return chsh_value(
-        correlator(state, a1, b1),
-        correlator(state, a1, b2),
-        correlator(state, a2, b1),
-        correlator(state, a2, b2),
+    return np.stack([tensor(a, b) for a in (a1, a2) for b in (b1, b2)])
+
+
+#: The canonical settings' four correlation operators, built once (read-only).
+_CANONICAL_CHSH_OPERATORS = _chsh_operators(canonical_chsh_settings())
+_CANONICAL_CHSH_OPERATORS.setflags(write=False)
+
+
+def chsh_from_state(state: DensityOperator, settings=None) -> float:
+    """Evaluate the CHSH combination on a two-qubit state at given settings.
+
+    Without settings, the canonical ones of :func:`canonical_chsh_settings`.
+    """
+    operators = (
+        _CANONICAL_CHSH_OPERATORS if settings is None else _chsh_operators(settings)
     )
+    return chsh_value(*(state.expectation(op) for op in operators))
 
 
 def _list_variants(strategy):

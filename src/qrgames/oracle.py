@@ -18,7 +18,6 @@ from .games import (
     SteeringGameSpec,
     chsh_from_state,
     correlation_table,
-    correlator,
     qrs_payoff_exact,
     steering2_value,
     steering3_value,
@@ -31,6 +30,7 @@ from .qcore import (
     pauli,
     random_density,
     random_povm,
+    tensor,
     werner_state,
 )
 from .serialize import strategy_to_json
@@ -397,6 +397,12 @@ _SCAN_BOUNDS = {
 }
 
 
+#: (-sigma_j) x sigma_j for j = 1, 2, 3: the steering correlators with
+#: Alice's optimal observables -sigma_j, as one read-only (3, 4, 4) stack.
+_STEERING_OPERATORS = np.stack([tensor(-pauli(j), pauli(j)) for j in (1, 2, 3)])
+_STEERING_OPERATORS.setflags(write=False)
+
+
 def werner_columns(w_grid) -> WernerColumns:
     """Evaluate everything a threshold scan needs that does not depend on r.
 
@@ -414,7 +420,7 @@ def werner_columns(w_grid) -> WernerColumns:
     tables = []
     for w in grid:
         state = werner_state(w)
-        c = [correlator(state, -pauli(j), pauli(j)) for j in (1, 2, 3)]
+        c = [state.expectation(op) for op in _STEERING_OPERATORS]
         rows.append(
             {
                 "w": w,

@@ -75,6 +75,11 @@ def tensor(*operators) -> np.ndarray:
     return out
 
 
+#: sigma_j x sigma_j for j = 1, 2, 3 as one read-only (3, 4, 4) stack.
+_SIGMA_PAIRS = np.stack([tensor(p, p) for p in _PAULI])
+_SIGMA_PAIRS.setflags(write=False)
+
+
 def partial_trace(matrix, dims, traced_factor: int) -> np.ndarray:
     """Trace out one tensor factor of a square matrix.
 
@@ -293,8 +298,8 @@ def bloch_operator(b: BlochVector) -> np.ndarray:
 def singlet_projector() -> np.ndarray:
     """Projector onto the two-qubit singlet, (1/4)(1x1 - sum_j sigma_j x sigma_j)."""
     out = np.eye(4, dtype=np.complex128)
-    for j in (1, 2, 3):
-        out = out - tensor(_PAULI[j - 1], _PAULI[j - 1])
+    for pair in _SIGMA_PAIRS:
+        out = out - pair
     return out / 4.0
 
 
@@ -308,8 +313,8 @@ def werner_state(w: float) -> DensityOperator:
     if not (-1.0 / 3.0 - 1e-12 <= w <= 1.0 + 1e-12):
         raise ValueError(f"Werner parameter must lie in [-1/3, 1], got {w}")
     mat = np.eye(4, dtype=np.complex128)
-    for j in (1, 2, 3):
-        mat = mat - w * tensor(_PAULI[j - 1], _PAULI[j - 1])
+    for pair in _SIGMA_PAIRS:
+        mat = mat - w * pair
     return DensityOperator(mat / 4.0)
 
 

@@ -245,6 +245,19 @@ def test_verify_flags_obey_the_config_schema(tmp_path, capsys, flags):
     assert not (tmp_path / "verify_report.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--r", "--payoff-bound"])
+def test_verify_rejects_payoffs_that_overflow(tmp_path, capsys, flag):
+    # 24 (1 + c) bounds every grid payoff; it must stay a finite float
+    assert main(["verify", flag, "1e308", "--out", str(tmp_path)]) == 2
+    assert "payoffs overflow a float" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_verify_accepts_a_large_penalty_with_finite_payoffs(tmp_path, quick_verify_args):
+    assert main(["verify", "--r", "1e300", *quick_verify_args, "--out", str(tmp_path)]) != 2
+    assert (tmp_path / "verify_report.json").exists()
+
+
 def test_sweep_writes_table_and_sidecar(tmp_path):
     code = main([
         "sweep", "--w-start", "0", "--w-stop", "1", "--w-step", "0.25",
@@ -363,6 +376,14 @@ def test_schema_prints_machine_readable_json(capsys):
     assert blob["strategy"]["$schema"].startswith("http://json-schema.org/")
     # the bound RunConfig enforces on rng_seed
     assert blob["config"]["run"]["properties"]["seed"]["maximum"] == 2**64 - 1
+
+
+def test_schema_bytes_are_pinned(capsys):
+    # sha256 of the published schemas; printing them needs no validator
+    assert main(["schema"]) == 0
+    out = capsys.readouterr().out.encode()
+    digest = hashlib.sha256(out).hexdigest()
+    assert digest == "fee86b00501e8f9782844441ceb9b142bb2b34a66d2e6f9dc7f4da061f27e3a6"
 
 
 def test_run_config_seed_above_the_published_bound(tmp_path, capsys):
