@@ -250,8 +250,12 @@ def cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     summary_path = outdir / "summary.json"
     simulator.write_summary_json(summary_path, estimate, run_config)
+    transcript_path = outdir / "transcript.csv"
     if transcript is not None:
-        simulator.write_transcript_csv(outdir / "transcript.csv", transcript)
+        simulator.write_transcript_csv(transcript_path, transcript)
+    else:
+        # a transcript of an earlier run would not match this summary
+        transcript_path.unlink(missing_ok=True)
     print(
         f"rounds={estimate.rounds} mean={estimate.mean:.6f} "
         f"std_error={estimate.std_error:.6f} seed={estimate.seed}"

@@ -22,7 +22,9 @@ shows in the output.  Each round reduces to a one-byte outcome code
 (sampling-table row and outcome pair), and the estimate is computed from
 the histogram of codes.  Without a transcript a run therefore holds
 O(chunk) memory whatever its length; with one it keeps one byte per
-round, and :func:`write_transcript_csv` expands the codes chunk by chunk.
+round, read-only.  :func:`write_transcript_csv` expands the codes in
+blocks of 10**4 rounds, gathering each round's row bytes from a table of
+the encoded rows of every code.
 
 Communication discipline
 ------------------------
@@ -234,6 +236,8 @@ def run_game(config: RunConfig):
     )
     if codes is None:
         return estimate, None
+    # frozen like the arrays of qcore: a code is an index into rows
+    codes.setflags(write=False)
     rows = zip(j_of[k].tolist(), s_of[k].tolist(), a.tolist(), b.tolist(), payoff.tolist())
     return estimate, Transcript(codes, tuple(rows))
 
@@ -349,15 +353,41 @@ def write_transcript_csv(path, transcript: Transcript) -> None:
     """Write transcript rows with the fixed header round,j,s,a,b,payoff.
 
     Rows end in ``\\r\\n`` as CSV prescribes; payoffs are written with
-    ``repr`` so they read back exactly.
+    ``repr`` so they read back exactly.  Rows are assembled as bytes:
+    each code's ``,j,s,a,b,payoff`` suffix is encoded once, NUL-padded to
+    a common width, and the rounds go out in blocks of 10**4.  In block
+    q >= 1 every round index is ``str(q)`` followed by four zero-padded
+    low digits from a digit table (block 0 has NUL for the leading
+    zeros), and one gather by code fills in the suffixes.  NUL never
+    occurs in a row, so deleting it from a block's bytes leaves exactly
+    the rows.
     """
-    suffix = [f"{j},{s},{a},{b},{payoff!r}\r\n" for j, s, a, b, payoff in transcript.rows]
+    suffixes = [
+        f",{j},{s},{a},{b},{payoff!r}\r\n".encode() for j, s, a, b, payoff in transcript.rows
+    ]
+    width = max(map(len, suffixes))
+    padded = b"".join(suffix.ljust(width, b"\0") for suffix in suffixes)
+    table = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
+    block = 10 ** 4
+    # digits[i] spells i with four zero-padded digits
+    low, places = np.arange(block)[:, None], np.array([1000, 100, 10, 1])
+    digits = (low // places % 10 + ord("0")).astype(np.uint8)
+    # block 0 has no prefix, so its leading zeros go; round 0 keeps its "0"
+    first = np.where(low < places, 0, digits).astype(np.uint8)
+    first[0, -1] = ord("0")
     codes = transcript.codes
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRANSCRIPT_FIELDS) + "\r\n")
-        for start in range(0, codes.size, _CHUNK_ROUNDS):
-            chunk = codes[start:start + _CHUNK_ROUNDS].tolist()
-            fh.write("".join([f"{i},{suffix[c]}" for i, c in enumerate(chunk, start)]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRANSCRIPT_FIELDS) + "\r\n").encode())
+        for q, start in enumerate(range(0, codes.size, block)):
+            chunk = codes[start:start + block]
+            m = chunk.size
+            prefix = str(q).encode() if q else b""
+            p = len(prefix)
+            rows = np.empty((m, p + 4 + width), dtype=np.uint8)
+            rows[:, :p] = np.frombuffer(prefix, dtype=np.uint8)
+            rows[:, p:p + 4] = (digits if q else first)[:m]
+            rows[:, p + 4:] = table[chunk]
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def write_summary_json(path, estimate: PayoffEstimate, config: RunConfig) -> None:

@@ -51,6 +51,33 @@ def test_run_can_skip_the_transcript(tmp_path):
     assert not (tmp_path / "transcript.csv").exists()
 
 
+def test_run_without_a_transcript_removes_a_stale_one(tmp_path):
+    common = ["run", "--strategy", "cheat-nostate", "--out", str(tmp_path)]
+    assert main(common + ["--rounds", "50"]) == 0
+    assert (tmp_path / "transcript.csv").exists()
+    assert main(common + ["--rounds", "20", "--no-transcript"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["summary.json"]
+    assert _run_summary(tmp_path)["rounds"] == 20
+
+
+def test_run_bytes_are_pinned_at_six_digit_rounds(tmp_path):
+    # sha256 of the artifacts the one-f-string-per-round writer produced;
+    # rounds 100000..199999 have six-digit indices
+    code = main([
+        "run", "--strategy", "honest", "--werner", "0.98", "--r", "1.081",
+        "--rounds", "200000", "--seed", "1", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("transcript.csv", "summary.json")
+    }
+    assert digests == {
+        "transcript.csv": "608f1437b46f6ebb3d659a6944d56a4fc2e9e4499d73895280eae66cacbb13eb",
+        "summary.json": "82abc47df0c5031d3e815002909f4f274dd933cf77aafb1699c4068857f09fc1",
+    }
+
+
 def test_run_records_the_signals_a_sloppy_referee_sent(tmp_path):
     """--preparation single_axis shows in game.signal_ensemble, nowhere else."""
     code = main([

@@ -361,6 +361,43 @@ def test_transcript_csv_round_trip(tmp_path):
         assert float(row[5]) == rec[5]  # repr() round-trips exactly
 
 
+def _reference_csv(transcript):
+    """transcript.csv as the one-f-string-per-round formula spells it."""
+    rows = transcript.rows
+    return (",".join(TRANSCRIPT_FIELDS) + "\r\n" + "".join(
+        f"{i},{j},{s},{a},{b},{payoff!r}\r\n"
+        for i, (j, s, a, b, payoff) in enumerate(rows[c] for c in transcript.codes.tolist())
+    )).encode()
+
+
+@pytest.mark.parametrize("config, n_codes", [
+    (_honest_config(100_001, 41, w=0.98, r=1.081), 24),
+    # the answer list doubles the sampling-table rows
+    (RunConfig(
+        SteeringGameSpec.ideal(r=1.081),
+        NoStateCheat(best_estimator(), (1, -1, -1, 1, 1, -1, 1)), 100_001, 43,
+    ), 48),
+    # payoffs in exponent form, e.g. -6.928203230275508e+150
+    (RunConfig(SteeringGameSpec.ideal(r=1e150), NoStateCheat(best_estimator()), 100_001, 47), 24),
+], ids=["honest", "list-cheat", "huge-penalty"])
+def test_transcript_csv_matches_the_reference_formula(config, n_codes, tmp_path):
+    """Run lengths cross every digit-width edge of the round index and
+    every 10**4-round block edge of the writer."""
+    _, full = run_game(config)
+    assert len(full.rows) == n_codes
+    path = tmp_path / "transcript.csv"
+    for n in (1, 9, 10, 11, 99, 100, 9_999, 10_000, 10_001, 20_000, 100_001):
+        transcript = simulator.Transcript(full.codes[:n], full.rows)
+        write_transcript_csv(path, transcript)
+        assert path.read_bytes() == _reference_csv(transcript), n
+
+
+def test_transcript_codes_are_read_only():
+    _, transcript = run_game(_honest_config(100, 3))
+    with pytest.raises(ValueError):
+        transcript.codes[0] = 0
+
+
 def test_summary_json_is_self_describing(tmp_path):
     config = _honest_config(500, 13, w=0.8, r=1.2)
     est, _ = run_game(config)
