@@ -224,7 +224,7 @@ def cmd_run(args) -> int:
             _validate(channel_cfg, _CHANNEL_CONFIG_SCHEMA, "--channel")
         channel = _resolve_channel(channel_cfg)
 
-        needs_state = getattr(strategy, "needs_shared_state", False)
+        needs_state = strategy.needs_shared_state
         if needs_state and werner is None:
             raise _ConfigError("this strategy needs a shared state; pass --werner")
         if not needs_state and werner is not None:
@@ -239,7 +239,6 @@ def cmd_run(args) -> int:
             rng_seed=seed,
             shared_state=shared,
             channel=channel,
-            communication=getattr(strategy, "required_communication", None),
             keep_transcript=keep_transcript,
         )
     except ValueError as exc:

@@ -13,7 +13,8 @@ referee).  The game is won when the payoff is strictly positive.
 
 This module knows nothing about how strategies are parameterised; exact
 evaluation only requires each strategy to expose the joint outcome
-distribution per signal (duck-typed ``outcome_distribution``).
+distribution per signal (duck-typed ``outcome_distribution``) and to
+declare ``needs_shared_state`` and ``round_list``.
 :func:`outcome_table` collects those distributions into one array, which
 both :func:`correlation_table` and the simulator's sampler read.
 """
@@ -94,7 +95,7 @@ class SteeringGameSpec:
         dist = {k: float(v) for k, v in dict(self.input_distribution).items()}
         if set(dist) != set(SIGNALS):
             raise ValueError("input distribution must cover exactly the six (j, s) pairs")
-        if any(p < 0.0 for p in dist.values()):
+        if any(not p >= 0.0 for p in dist.values()):  # NaN fails too
             raise ValueError("input probabilities must be nonnegative")
         if abs(sum(dist.values()) - 1.0) > 1e-10:
             raise ValueError("input probabilities must sum to 1")
@@ -257,7 +258,7 @@ def _list_variants(strategy):
     weight 1; one with a list has +1 then -1, each weighted by its share
     of the list.
     """
-    round_list = getattr(strategy, "round_list", None)
+    round_list = strategy.round_list
     if round_list is None:
         return (None,), np.ones(1)
     n = len(round_list)
@@ -278,14 +279,14 @@ def outcome_table(
     A strategy without an answer list has one variant; one with a list
     has two, for the list values +1 and -1.
     """
-    if getattr(strategy, "needs_shared_state", False) and shared_state is None:
+    if strategy.needs_shared_state and shared_state is None:
         raise ValueError("this strategy requires a shared state")
     variants, _ = _list_variants(strategy)
     table = np.empty((len(SIGNALS), len(variants), len(OUTCOMES)))
     for k, (j, s) in enumerate(SIGNALS):
         omega = spec.delivered_signal(j, s, channel)
         for v, value in enumerate(variants):
-            dist = strategy.outcome_distribution(omega, j, s, shared_state, list_value=value)
+            dist = strategy.outcome_distribution(omega, j, shared_state, list_value=value)
             table[k, v] = [dist.get(out, 0.0) for out in OUTCOMES]
     return table
 

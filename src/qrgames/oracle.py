@@ -24,6 +24,7 @@ from .games import (
     witness2_value,
 )
 from .qcore import (
+    _PAULI,
     BlochVector,
     DensityOperator,
     Povm,
@@ -38,6 +39,7 @@ from .strategies import (
     ALICE_RULES_BA,
     LhsStrategy,
     NoStateCheat,
+    _conditional_setting_weights,
     honest_strategy,
     lhs_payoff_routes,
 )
@@ -98,14 +100,6 @@ def _signal_stack(spec: SteeringGameSpec) -> np.ndarray:
     return np.stack([spec.signal_ensemble[sig].matrix for sig in SIGNALS])
 
 
-def _conditional_setting_weights(spec: SteeringGameSpec, s: int) -> np.ndarray:
-    w = np.array([spec.input_distribution[(j, s)] for j in (1, 2, 3)])
-    total = w.sum()
-    if total <= 0:
-        raise ValueError(f"signal distribution assigns no weight to s={s}")
-    return w / total
-
-
 def _estimator_grid(spec: SteeringGameSpec, grid_resolution: int):
     """The sphere-and-interior estimator grid both cheat searches sweep.
 
@@ -124,9 +118,8 @@ def _estimator_grid(spec: SteeringGameSpec, grid_resolution: int):
     m = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
     norms = np.linalg.norm(m, axis=1)
 
-    paulis = np.stack([pauli(1), pauli(2), pauli(3)])
     m_hat = np.eye(2, dtype=np.complex128)[None, :, :] + np.einsum(
-        "ik,kab->iab", m, paulis
+        "ik,kab->iab", m, _PAULI
     )
     c = np.einsum("iab,kba->ki", m_hat, _signal_stack(spec)).real
 
@@ -136,30 +129,51 @@ def _estimator_grid(spec: SteeringGameSpec, grid_resolution: int):
     return m, c, mu_hi, mu_lo, cell
 
 
+_SIGNS = np.array([sig[1] for sig in SIGNALS], dtype=np.float64)
+
+
+def _best_rule_point(spec: SteeringGameSpec, grid, bob_rule, alice_map):
+    """Best grid estimator for one deterministic reply rule: (payoff, BlochVector).
+
+    Bob replies b = 1 on the guesses listed in ``bob_rule``; Alice
+    answers ``alice_map[guess]``.  Per condition k, with p = mu c[k] the
+    probability of guess +1, e_ab = p a+ g+ + (1 - p) a- g- and e_b
+    likewise, so the payoff is affine in mu: only the admissible
+    endpoints mu_hi and mu_lo matter.
+    """
+    m, c, mu_hi, mu_lo, _ = grid
+    coeff = spec.penalty_coefficient
+    g_plus = 1.0 if 1 in bob_rule else 0.0
+    g_minus = 1.0 if -1 in bob_rule else 0.0
+    a_plus, a_minus = alice_map[1], alice_map[-1]
+    k1 = _SIGNS * (a_plus * g_plus - a_minus * g_minus) - coeff * (g_plus - g_minus)
+    const = float(np.sum(_SIGNS * a_minus * g_minus - coeff * g_minus))
+    slope = k1 @ c
+    mu = np.where(slope > 0.0, mu_hi, mu_lo)
+    payoff = 2.0 * (mu * slope + const)
+    k_best = int(np.argmax(payoff))
+    return float(payoff[k_best]), BlochVector(m[k_best], float(mu[k_best]))
+
+
 def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatResult:
     """Sweep the full estimator family mu*(1 + m.sigma) on the estimator grid.
 
-    The cheat payoff is linear in mu, so per grid point only the
-    admissible endpoints mu_hi and mu_hi / R matter; both are
-    evaluated from raw traces of the grid operator
-    against the spec's actual signal ensemble.  Also tracks the
-    sign-discrimination ratio across the grid.
+    The no-state cheat is the reply rule "b = 1 on guess +1, a = +1",
+    evaluated from raw traces of the grid operator against the spec's
+    actual signal ensemble.  Also tracks the sign-discrimination ratio
+    across the grid.
     """
-    m, c, mu_hi, mu_lo, cell = _estimator_grid(spec, grid_resolution)
-    s_arr = np.array([sig[1] for sig in SIGNALS], dtype=np.float64)
-    coeff = spec.penalty_coefficient
-    base = 2.0 * np.einsum("k,ki->i", s_arr - coeff, c)  # payoff per unit mu
-    payoff = np.where(base > 0.0, mu_hi * base, mu_lo * base)
-    mu_best = np.where(base > 0.0, mu_hi, mu_lo)
-
-    k_best = int(np.argmax(payoff))
-    argmax = BlochVector(m[k_best], float(mu_best[k_best]))
+    grid = _estimator_grid(spec, grid_resolution)
+    m, c, _, _, cell = grid
+    max_payoff, argmax = _best_rule_point(
+        spec, grid, (1,), ALICE_RULES_BA["constant_plus"]
+    )
 
     exact = qrs_payoff_exact(spec, NoStateCheat(argmax, "constant"))
-    if abs(exact - payoff[k_best]) > 1e-10 * max(1.0, abs(exact)):
+    if abs(exact - max_payoff) > 1e-10 * max(1.0, abs(exact)):
         raise RuntimeError(
             "grid payoff disagrees with exact cheat evaluation at the argmax: "
-            f"{payoff[k_best]!r} vs {exact!r}"
+            f"{max_payoff!r} vs {exact!r}"
         )
 
     plus_rows = [SIGNALS.index((j, 1)) for j in (1, 2, 3)]
@@ -171,7 +185,7 @@ def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatRes
     max_ratio = float(np.max(ratio))
 
     return GridCheatResult(
-        max_payoff=float(payoff[k_best]),
+        max_payoff=max_payoff,
         argmax=argmax,
         max_ratio=max_ratio,
         grid_cell_size=cell,
@@ -200,40 +214,14 @@ def grid_max_comm_ba(spec: SteeringGameSpec, grid_resolution: int) -> CommBaGrid
     transmitted guess to a; both are enumerated exactly while the
     estimator sweeps the same grid as :func:`grid_max_cheat`.
     """
-    m, c, mu_hi, mu_lo, _ = _estimator_grid(spec, grid_resolution)
-    s_arr = np.array([sig[1] for sig in SIGNALS], dtype=np.float64)
-    coeff = spec.penalty_coefficient
-
+    grid = _estimator_grid(spec, grid_resolution)
     best = None
     for bob_rule in _BA_BOB_RULES:
-        g_plus = 1.0 if 1 in bob_rule else 0.0
-        g_minus = 1.0 if -1 in bob_rule else 0.0
         for rule_name, amap in ALICE_RULES_BA.items():
-            a_plus, a_minus = amap[1], amap[-1]
-            # per condition: e_ab = p (a+ g+) + (1-p)(a- g-), e_b likewise,
-            # with p = mu * c; the payoff is affine in mu.
-            k1 = s_arr * (a_plus * g_plus - a_minus * g_minus) - coeff * (
-                g_plus - g_minus
-            )
-            const = float(np.sum(s_arr * a_minus * g_minus - coeff * g_minus))
-            slope = k1 @ c
-            payoff = 2.0 * (np.where(slope > 0.0, mu_hi, mu_lo) * slope + const)
-            k_best = int(np.argmax(payoff))
-            if best is None or payoff[k_best] > best[0]:
-                mu = mu_hi[k_best] if slope[k_best] > 0.0 else mu_lo[k_best]
-                best = (
-                    float(payoff[k_best]),
-                    BlochVector(m[k_best], float(mu)),
-                    bob_rule,
-                    rule_name,
-                )
-    return CommBaGridResult(
-        max_payoff=best[0],
-        argmax=best[1],
-        bob_rule=best[2],
-        alice_rule=best[3],
-        n_points=int(m.shape[0]),
-    )
+            payoff, estimator = _best_rule_point(spec, grid, bob_rule, amap)
+            if best is None or payoff > best[0]:
+                best = (payoff, estimator, bob_rule, rule_name)
+    return CommBaGridResult(*best, n_points=int(grid[0].shape[0]))
 
 
 def random_lhs_strategy(

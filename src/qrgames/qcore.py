@@ -12,8 +12,9 @@ precision; there is no sparse or symbolic path.
 
 The validated wrapper types (:class:`DensityOperator`, :class:`Povm`,
 :class:`QuantumChannel`, :class:`BlochVector`) check their defining
-properties on construction and freeze the underlying arrays, so
-instances can be shared freely between threads.
+properties on construction, to the absolute tolerance
+``VALIDATION_TOL``, and freeze the underlying arrays, so instances can
+be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ import numpy as np
 #: Absolute per-entry tolerance used when validating quantum objects.
 VALIDATION_TOL = 1e-10
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+#: sigma_1, sigma_2, sigma_3 as one read-only (3, 2, 2) stack.
+_PAULI = np.array(
+    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128
 )
+_PAULI.setflags(write=False)
 
 
 def pauli(j: int) -> np.ndarray:
@@ -126,18 +127,17 @@ class DensityOperator:
     """A validated density operator: Hermitian, unit trace, positive."""
 
     matrix: np.ndarray
-    tol: float = VALIDATION_TOL
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("density operator must be a square matrix")
-        if not is_hermitian(mat, self.tol):
+        if not is_hermitian(mat):
             raise ValueError("density operator must be Hermitian")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > self.tol:
+        if abs(tr - 1.0) > VALIDATION_TOL:
             raise ValueError(f"density operator must have unit trace, got {tr}")
-        if np.linalg.eigvalsh(mat)[0] < -self.tol:
+        if np.linalg.eigvalsh(mat)[0] < -VALIDATION_TOL:
             raise ValueError("density operator must be positive semidefinite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -161,7 +161,6 @@ class Povm:
     """
 
     elements: tuple
-    tol: float = VALIDATION_TOL
 
     def __post_init__(self):
         if len(self.elements) < 1:
@@ -176,14 +175,14 @@ class Povm:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
                 raise ValueError("POVM elements must share one dimension")
-            if not is_hermitian(m, self.tol):
+            if not is_hermitian(m):
                 raise ValueError("POVM elements must be Hermitian")
-            if np.linalg.eigvalsh(m)[0] < -self.tol:
+            if np.linalg.eigvalsh(m)[0] < -VALIDATION_TOL:
                 raise ValueError("POVM elements must be positive semidefinite")
             m.setflags(write=False)
             mats.append(m)
         total = sum(mats)
-        if not mats_close(total, np.eye(dim), self.tol):
+        if not mats_close(total, np.eye(dim)):
             raise ValueError("POVM elements must sum to the identity")
         object.__setattr__(self, "elements", tuple(mats))
 
@@ -210,7 +209,6 @@ class QuantumChannel:
     """A CPTP map in Kraus form: rho -> sum_k K_k rho K_k^dag."""
 
     kraus_operators: tuple
-    tol: float = VALIDATION_TOL
 
     def __post_init__(self):
         if len(self.kraus_operators) < 1:
@@ -228,7 +226,7 @@ class QuantumChannel:
             m.setflags(write=False)
             mats.append(m)
         total = sum(m.conj().T @ m for m in mats)
-        if not mats_close(total, np.eye(shape[1]), self.tol):
+        if not mats_close(total, np.eye(shape[1])):
             raise ValueError("Kraus operators must satisfy sum K^dag K = 1")
         object.__setattr__(self, "kraus_operators", tuple(mats))
 
@@ -276,7 +274,7 @@ class BlochVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.m))
 
-    def povm_pair(self, tol: float = VALIDATION_TOL) -> Povm:
+    def povm_pair(self) -> Povm:
         """The POVM (M_plus, M_minus) with M_plus = mu*(1 + m.sigma).
 
         Element order is (outcome +1, outcome -1).  Raises ValueError if
@@ -284,7 +282,7 @@ class BlochVector:
         """
         plus = bloch_operator(self)
         minus = np.eye(2, dtype=np.complex128) - plus
-        return Povm((plus, minus), tol=tol)
+        return Povm((plus, minus))
 
 
 def bloch_operator(b: BlochVector) -> np.ndarray:
@@ -330,8 +328,8 @@ def apply_channel(channel: QuantumChannel, rho: DensityOperator) -> DensityOpera
     return DensityOperator(channel.apply_to_matrix(rho.matrix))
 
 
-def identity_channel(dim: int = 2) -> QuantumChannel:
-    return QuantumChannel((np.eye(dim, dtype=np.complex128),))
+def identity_channel() -> QuantumChannel:
+    return QuantumChannel((np.eye(2, dtype=np.complex128),))
 
 
 def depolarizing_channel(p: float) -> QuantumChannel:

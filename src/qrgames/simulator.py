@@ -28,11 +28,11 @@ the encoded rows of every code.
 
 Communication discipline
 ------------------------
-Strategies declare the one-way channel they consume; the run config must
-enable exactly that channel or construction fails.  Samplers are wired
-so Alice's reply can depend only on her setting j and — when Bob-to-Alice
-communication is enabled — on Bob's transmitted message, never on the
-referee's sign s directly.
+A run opens the one-way channel its strategy declares
+(``required_communication``, echoed in the config) and no other.
+Strategies are never passed the referee's sign s: Alice's reply can
+depend only on her setting j and — for a Bob-to-Alice cheat — on Bob's
+transmitted message, and Bob's only on the signal state he receives.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ from .qcore import (
 
 TRANSCRIPT_FIELDS = ("round", "j", "s", "a", "b", "payoff")
 
-_COMM_MODES = (None, "alice_to_bob", "bob_to_alice")
-
 #: Rounds sampled per chunk; bounds the working memory of a run.
 _CHUNK_ROUNDS = 1 << 16
 
@@ -72,7 +70,6 @@ class RunConfig:
     rng_seed: int
     shared_state: DensityOperator | None = None
     channel: QuantumChannel | None = None
-    communication: str | None = None
     keep_transcript: bool = True
 
     def __post_init__(self):
@@ -99,15 +96,7 @@ class RunConfig:
         seed = int(self.rng_seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError("rng_seed must be a 64-bit unsigned integer")
-        if self.communication not in _COMM_MODES:
-            raise ValueError(f"unknown communication mode {self.communication!r}")
-        needed = getattr(self.strategy, "required_communication", None)
-        if needed != self.communication:
-            raise ValueError(
-                f"strategy requires communication={needed!r} but the run "
-                f"configures {self.communication!r}"
-            )
-        if getattr(self.strategy, "needs_shared_state", False):
+        if self.strategy.needs_shared_state:
             if self.shared_state is None:
                 raise ValueError("this strategy requires a shared state")
         elif self.shared_state is not None:
@@ -278,18 +267,22 @@ class EquivalenceReport:
         return self.passed
 
 
+#: Random states on B that :func:`noisy_equivalence_check` draws.
+_EQUIVALENCE_SAMPLES = 20
+
+
 def noisy_equivalence_check(
     channel: QuantumChannel,
     e_bc: Povm,
-    samples: int = 20,
     rng_seed: int = 0,
     tol: float = 1e-12,
 ) -> EquivalenceReport:
     """Verify the dual-map identity behind :func:`modified_povm` numerically.
 
     Checks that the modified POVM is valid and that both evaluation
-    orders agree on ``samples`` random states on B against all six
-    calibrated signals.  Never raises on failure; inspect the report.
+    orders agree, to ``tol``, on ``_EQUIVALENCE_SAMPLES`` random states
+    on B (drawn from ``rng_seed``) against all six calibrated signals.
+    Never raises on failure; inspect the report.
     """
     try:
         modified = modified_povm(channel, e_bc)
@@ -298,7 +291,7 @@ def noisy_equivalence_check(
     d_b = e_bc.dim // channel.input_dim
     rng = np.random.default_rng(rng_seed)
     max_dev = 0.0
-    for _ in range(samples):
+    for _ in range(_EQUIVALENCE_SAMPLES):
         rho = random_density(rng, d_b)
         for (j, s) in SIGNALS:
             omega = signal_state(j, s)
@@ -323,7 +316,7 @@ def config_to_json(config: RunConfig) -> dict:
     out = {
         "rounds": config.rounds,
         "rng_seed": config.rng_seed,
-        "communication": config.communication,
+        "communication": config.strategy.required_communication,
         "keep_transcript": config.keep_transcript,
         "game": {
             "r": spec.r,

@@ -2,13 +2,16 @@
 
 Each strategy class describes its behaviour once, through
 
-``outcome_distribution(omega, j, s, shared_state, list_value)``
+``outcome_distribution(omega, j, shared_state, list_value)``
     the exact joint distribution {(a, b): p} the strategy induces for
-    one condition, given the delivered signal state ``omega``.
-    ``list_value`` parameterises strategies whose reply depends on a
-    preagreed answer list (the round's list entry).
+    one condition, given the announced setting ``j`` and the delivered
+    signal state ``omega`` (never the referee's sign s).  ``list_value``
+    parameterises strategies whose reply depends on a preagreed answer
+    list (the round's list entry).
 
-:func:`games.outcome_table` collects these distributions into the one
+Each class also declares ``needs_shared_state``,
+``required_communication`` and ``round_list``.
+:func:`games.outcome_table` collects the distributions into the one
 table that exact evaluation and the simulator both read.
 
 Outcome conventions: Alice's POVMs are ordered (a=+1, a=-1); Bob's joint
@@ -23,6 +26,7 @@ import numpy as np
 
 from . import games
 from .qcore import (
+    _PAULI,
     BlochVector,
     DensityOperator,
     Povm,
@@ -164,7 +168,7 @@ class HonestStrategy:
             )
         return d_a, d_b, d_c
 
-    def outcome_distribution(self, omega, j, s, shared_state=None, list_value=None):
+    def outcome_distribution(self, omega, j, shared_state=None, list_value=None):
         if shared_state is None:
             raise ValueError("honest strategy requires a shared state")
         self._factor_dims(omega, shared_state)
@@ -221,7 +225,7 @@ class NoStateCheat:
     def _p_guess_plus(self, omega: DensityOperator) -> float:
         return float(np.trace(self._m_plus @ omega.matrix).real)
 
-    def outcome_distribution(self, omega, j, s, shared_state=None, list_value=None):
+    def outcome_distribution(self, omega, j, shared_state=None, list_value=None):
         p_plus = self._p_guess_plus(omega)
         a = 1 if list_value is None else int(list_value)
         if a not in (1, -1):
@@ -251,6 +255,15 @@ class DiscriminationStats:
         return self.true_positive / self.false_positive
 
 
+def _conditional_setting_weights(spec: games.SteeringGameSpec, s: int) -> np.ndarray:
+    """p(j | s) for j = 1, 2, 3 under the spec's input distribution."""
+    w = np.array([spec.input_distribution[(j, s)] for j in (1, 2, 3)])
+    total = w.sum()
+    if total <= 0:
+        raise ValueError(f"signal distribution assigns no weight to s={s}")
+    return w / total
+
+
 def discrimination_stats(
     estimator: BlochVector, spec: games.SteeringGameSpec
 ) -> DiscriminationStats:
@@ -258,16 +271,11 @@ def discrimination_stats(
     m_plus = estimator.povm_pair()[0]
     rates = {}
     for s in (1, -1):
-        weights = {j: spec.input_distribution[(j, s)] for j in (1, 2, 3)}
-        total_w = sum(weights.values())
-        if total_w <= 0.0:
-            raise ValueError(f"signal distribution assigns no weight to s={s}")
+        weights = _conditional_setting_weights(spec, s).tolist()
         rate = 0.0
         for j in (1, 2, 3):
             omega = spec.signal_ensemble[(j, s)]
-            rate += (weights[j] / total_w) * float(
-                np.trace(m_plus @ omega.matrix).real
-            )
+            rate += weights[j - 1] * float(np.trace(m_plus @ omega.matrix).real)
         rates[s] = rate
     return DiscriminationStats(true_positive=rates[1], false_positive=rates[-1])
 
@@ -302,8 +310,8 @@ class LhsStrategy:
         w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
-        if np.any(w < -1e-12):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(w)) or np.any(w < -1e-12):
+            raise ValueError("weights must be finite and nonnegative")
         w = np.clip(w, 0.0, None)
         if abs(w.sum() - 1.0) > 1e-10:
             raise ValueError(f"weights must sum to 1, got {w.sum()}")
@@ -319,8 +327,8 @@ class LhsStrategy:
         resp = np.array(self.alice_responses, dtype=np.float64)
         if resp.shape != (w.size, 3):
             raise ValueError("alice_responses must have shape (n_lambda, 3)")
-        if np.max(np.abs(resp)) > 1.0 + 1e-12:
-            raise ValueError("response biases must lie in [-1, 1]")
+        if not np.all(np.abs(resp) <= 1.0 + 1e-12):  # NaN fails too
+            raise ValueError("response biases must be finite and lie in [-1, 1]")
         if self.bob_joint_povm.n_outcomes != 2 or self.bob_joint_povm.dim != 2 * d_b:
             raise ValueError("Bob's POVM must act on B x C with two outcomes")
         stack = np.stack([st.matrix for st in states])
@@ -338,7 +346,7 @@ class LhsStrategy:
         # contiguous like the per-lambda list: np.dot sums a strided vector differently
         return np.ascontiguousarray(probs)
 
-    def outcome_distribution(self, omega, j, s, shared_state=None, list_value=None):
+    def outcome_distribution(self, omega, j, shared_state=None, list_value=None):
         t = self._b1_probs(omega)
         not_t = 1.0 - t
         dist = {}
@@ -403,10 +411,6 @@ def lhs_reduction(strategy: LhsStrategy) -> LhsReduction:
     return LhsReduction(n_const, q, taus, tuple(kept))
 
 
-#: sigma_1, sigma_2, sigma_3 as one read-only (3, 2, 2) stack.
-_PAULI_STACK = np.stack([pauli(j) for j in (1, 2, 3)])
-_PAULI_STACK.setflags(write=False)
-
 #: The calibrated referee's six signal matrices (1/2)(1 + s sigma_j), in
 #: ``games.SIGNALS`` order, as one read-only (6, 2, 2) stack.
 _IDEAL_SIGNALS = np.stack([signal_state(j, s).matrix for (j, s) in games.SIGNALS])
@@ -432,7 +436,7 @@ def lhs_payoff_routes(strategy: LhsStrategy, spec: games.SteeringGameSpec):
     _require_calibrated_ensemble(spec)
     red = lhs_reduction(strategy)
     taus = np.array([tau.matrix for tau in red.tau_states]).reshape(-1, 1, 2, 2)
-    sigma = np.trace(_PAULI_STACK @ taus, axis1=2, axis2=3).real
+    sigma = np.trace(_PAULI @ taus, axis1=2, axis2=3).real
     total = 0.0
     for pos, lam in enumerate(red.kept_indices):
         inner = 0.0
@@ -495,7 +499,7 @@ class CommCheat:
         p_plus = float(np.trace(plus @ omega.matrix).real)
         return {1: p_plus, -1: 1.0 - p_plus}
 
-    def outcome_distribution(self, omega, j, s, shared_state=None, list_value=None):
+    def outcome_distribution(self, omega, j, shared_state=None, list_value=None):
         guesses = self._guess_distribution(omega, j)
         dist = {}
         for guess, p in guesses.items():

@@ -15,6 +15,7 @@ import pytest
 import qrgames
 from qrgames.cli import SWEEP_MAX_ROWS, main
 from qrgames.games import SQRT3, single_axis_ensemble
+from qrgames.oracle import random_lhs_strategy
 from qrgames.serialize import density_to_json, strategy_to_json
 from qrgames.strategies import NoStateCheat, best_estimator
 
@@ -150,6 +151,36 @@ def test_run_accepts_a_strategy_file(tmp_path):
     ])
     assert code == 0
     assert _run_summary(tmp_path)["config"]["strategy"]["type"] == "no_state_cheat"
+
+
+@pytest.mark.parametrize("field, index", [("weights", (0,)), ("alice_responses", (1, 2))])
+def test_run_rejects_a_nan_in_a_hidden_state_document(tmp_path, capsys, field, index):
+    doc = strategy_to_json(random_lhs_strategy(np.random.default_rng(3), 2, 2))
+    entry = doc[field]
+    for i in index[:-1]:
+        entry = entry[i]
+    entry[index[-1]] = float("nan")
+    path = tmp_path / "lhs.json"
+    path.write_text(json.dumps(doc))  # writes the bare token NaN
+    code = main(["run", "--strategy", str(path), "--rounds", "100", "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "strategy, communication",
+    [("cheat-comm-ab", "alice_to_bob"), ("cheat-comm-ba", "bob_to_alice"), ("honest", None)],
+)
+def test_run_echoes_the_channel_its_strategy_declares(tmp_path, strategy, communication):
+    werner = ["--werner", "0.9"] if strategy == "honest" else []
+    code = main([
+        "run", "--strategy", strategy, *werner, "--rounds", "100", "--no-transcript",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert _run_summary(tmp_path)["config"]["communication"] == communication
 
 
 @pytest.mark.parametrize(

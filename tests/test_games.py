@@ -76,6 +76,10 @@ def test_spec_validation():
     bad_dist[(1, 1)] = 0.5  # sum != 1
     with pytest.raises(ValueError):
         SteeringGameSpec(input_distribution=bad_dist)
+    nan_dist = uniform_input_distribution()
+    nan_dist[(2, -1)] = math.nan
+    with pytest.raises(ValueError, match="nonnegative"):
+        SteeringGameSpec(input_distribution=nan_dist)
     ens = ideal_signal_ensemble()
     del ens[(3, -1)]
     with pytest.raises(ValueError):
@@ -267,7 +271,7 @@ def test_per_round_expectation_matches_aggregate():
     total = 0.0
     for (j, s) in SIGNALS:
         omega = spec.delivered_signal(j, s)
-        dist = strategy.outcome_distribution(omega, j, s, state)
+        dist = strategy.outcome_distribution(omega, j, state)
         for (a, b), p in dist.items():
             total += (1.0 / 6.0) * p * per_round_payoff(a, b, j, s, r=1.081)
     exact = qrs_payoff_exact(spec, strategy, state)

@@ -94,6 +94,28 @@ def test_grid_comm_ba_never_wins(ideal_spec):
     assert result.n_points == 2 * 20 ** 3
 
 
+@pytest.mark.parametrize(
+    "spec, no_state, max_ratio, comm_ba, bob_rule, alice_rule",
+    [
+        (SteeringGameSpec.ideal(), -0.0003041507210787165, 3.7207269114482466,
+         0.0, (), "follow_estimate"),
+        (SteeringGameSpec.ideal(payoff_bound=1.5), 0.45801860071618017, 3.7207269114482466,
+         0.9160372014323599, (1, -1), "follow_estimate"),
+        (SteeringGameSpec(signal_ensemble=single_axis_ensemble()), 2.5262322832844695,
+         1240.451882482798, 5.0637780617921795, (1, -1), "negate_estimate"),
+    ],
+    ids=["ideal", "low-bound", "single-axis"],
+)
+def test_grid_searches_are_pinned(spec, no_state, max_ratio, comm_ba, bob_rule, alice_rule):
+    """Both grids at resolution 20, bit for bit as first measured."""
+    grid = grid_max_cheat(spec, 20)
+    assert (grid.max_payoff, grid.max_ratio) == (no_state, max_ratio)
+    ba = grid_max_comm_ba(spec, 20)
+    assert (ba.max_payoff, ba.bob_rule, ba.alice_rule) == (comm_ba, bob_rule, alice_rule)
+    if comm_ba == 0.0:  # staying silent: the smallest admissible mu on the grid
+        assert ba.argmax.mu == 0.047619047619047616
+
+
 def test_random_lhs_suite_passes_on_the_ideal_game():
     report = random_lhs_suite(trials=30, rng_seed=11)
     assert report.passed

@@ -118,7 +118,7 @@ def test_word_rule_replay(style):
         assert (col["j"][i], col["s"][i]) == (j, s)
         list_value = None if round_list is None else round_list[i % len(round_list)]
         dist = strategy.outcome_distribution(
-            signal_state(j, s), j, s, state, list_value=list_value
+            signal_state(j, s), j, state, list_value=list_value
         )
         acc, picked = 0.0, OUTCOMES[-1]
         for out in OUTCOMES:
@@ -244,7 +244,6 @@ def test_communication_cheat_run(ideal_spec):
         CommCheat("alice_to_bob"),
         50_000,
         29,
-        communication="alice_to_bob",
         keep_transcript=False,
     )
     est, _ = run_game(config)
@@ -257,13 +256,6 @@ def test_config_validation(ideal_spec):
         RunConfig(ideal_spec, honest_strategy(), 0, 0, shared_state=state)
     with pytest.raises(ValueError):
         RunConfig(ideal_spec, honest_strategy(), 10, 2 ** 64, shared_state=state)
-    with pytest.raises(ValueError):  # honest players must not get a channel... of talk
-        RunConfig(
-            ideal_spec, honest_strategy(), 10, 0,
-            shared_state=state, communication="alice_to_bob",
-        )
-    with pytest.raises(ValueError):  # comm cheat without the matching mode
-        RunConfig(ideal_spec, CommCheat("alice_to_bob"), 10, 0)
     with pytest.raises(ValueError):  # honest needs a shared state
         RunConfig(ideal_spec, honest_strategy(), 10, 0)
     with pytest.raises(ValueError):  # no-state cheat must not get one

@@ -107,7 +107,7 @@ def test_honest_strategy_validation():
     # shared state of the wrong dimension is rejected at evaluation time
     with pytest.raises(ValueError):
         good.outcome_distribution(
-            signal_state(1, 1), 1, 1, DensityOperator(np.eye(2) / 2)
+            signal_state(1, 1), 1, DensityOperator(np.eye(2) / 2)
         )
 
 
@@ -144,7 +144,7 @@ def test_honest_distribution_is_four_separate_traces(rng):
                         for b in (0, 1):
                             effect = np.kron(h.alice_povms[j][ai], h.bob_joint_povm[b])
                             dist[(a, b)] = float(np.trace(effect @ joint).real)
-                    got = h.outcome_distribution(omega, j, s, state)
+                    got = h.outcome_distribution(omega, j, state)
                     assert got == _clean_distribution(dist)
                     assert list(got) == list(OUTCOMES)
 
@@ -153,7 +153,7 @@ def test_honest_distribution_is_normalized():
     h = honest_strategy()
     state = werner_state(0.7)
     for (j, s) in SIGNALS:
-        dist = h.outcome_distribution(signal_state(j, s), j, s, state)
+        dist = h.outcome_distribution(signal_state(j, s), j, state)
         assert abs(sum(dist.values()) - 1.0) < 1e-12
         assert all(p >= 0.0 for p in dist.values())
 
@@ -201,8 +201,8 @@ def test_no_state_cheat_list_plumbing():
     assert weights[0] == pytest.approx(1 / 3)
     assert outcome_table(SteeringGameSpec.ideal(), cheat).shape == (6, 2, 4)
     omega = signal_state(1, 1)
-    d_plus = cheat.outcome_distribution(omega, 1, 1, list_value=1)
-    d_minus = cheat.outcome_distribution(omega, 1, 1, list_value=-1)
+    d_plus = cheat.outcome_distribution(omega, 1, list_value=1)
+    d_minus = cheat.outcome_distribution(omega, 1, list_value=-1)
     assert set(d_plus) == {(1, 0), (1, 1)}
     assert set(d_minus) == {(-1, 0), (-1, 1)}
     with pytest.raises(ValueError):
@@ -254,6 +254,35 @@ def test_lhs_strategy_validation(rng):
         )
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_lhs_strategy_rejects_non_finite_entries(rng, value):
+    good = _random_lhs(rng, 2, 3)
+    weights = good.weights.copy()
+    weights[0] = value
+    with pytest.raises(ValueError, match="finite"):
+        LhsStrategy(weights, good.hidden_states, good.alice_responses, good.bob_joint_povm)
+    responses = good.alice_responses.copy()
+    responses[1, 2] = value
+    with pytest.raises(ValueError, match="finite"):
+        LhsStrategy(good.weights, good.hidden_states, responses, good.bob_joint_povm)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        honest_strategy,
+        lambda: NoStateCheat(best_estimator(), (1, -1)),
+        lambda: random_lhs_strategy(np.random.default_rng(0), 2, 2),
+        lambda: CommCheat("bob_to_alice", best_estimator()),
+    ],
+    ids=["honest", "no-state", "lhs", "comm"],
+)
+def test_strategies_declare_what_a_run_reads(make):
+    strategy = make()
+    for name in ("needs_shared_state", "required_communication", "round_list"):
+        assert hasattr(strategy, name), name
+
+
 def _lhs_with_a_dropped_lambda(rng, dim, n_lambda):
     """A random model whose last hidden variable has weight 0 (for n_lambda > 1)."""
     base = _random_lhs(rng, dim, n_lambda)
@@ -286,7 +315,7 @@ def test_hidden_state_b1_probs_are_the_per_lambda_traces(rng, dim, n_lambda):
                 p_a = (1.0 + a * strategy.alice_responses[:, j - 1]) / 2.0
                 dist[(a, 1)] = float(np.dot(strategy.weights * p_a, want))
                 dist[(a, 0)] = float(np.dot(strategy.weights * p_a, 1.0 - want))
-            assert strategy.outcome_distribution(omega, j, s) == _clean_distribution(dist)
+            assert strategy.outcome_distribution(omega, j) == _clean_distribution(dist)
 
 
 @pytest.mark.parametrize("n_lambda", [1, 4, 8])
@@ -436,7 +465,7 @@ def test_comm_cheat_validation():
 def test_comm_cheat_expectations_consistent(ideal_spec):
     cheat = CommCheat("bob_to_alice", best_estimator(), (1, -1), "negate_estimate")
     for (j, s) in SIGNALS:
-        dist = cheat.outcome_distribution(signal_state(j, s), j, s)
+        dist = cheat.outcome_distribution(signal_state(j, s), j)
         assert abs(sum(dist.values()) - 1.0) < 1e-12
         table = correlation_table(ideal_spec, cheat)
         e_ab, e_b = table.e_ab[(j, s)], table.e_b[(j, s)]
