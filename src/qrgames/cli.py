@@ -83,8 +83,10 @@ VERIFY_CONFIG_SCHEMA = {
         "r": {"type": "number", "minimum": 1.0},
         "payoff_bound": {"type": "number", "exclusiveMinimum": 0.0},
         "preparation": {"enum": ["ideal", "single_axis"]},
-        "lhs_trials": {"type": "integer", "minimum": 1},
-        "grid_resolution": {"type": "integer", "minimum": 10},
+        # every failing model is serialised into the report
+        "lhs_trials": {"type": "integer", "minimum": 1, "maximum": 10000},
+        # 2 R^3 estimator points at about 210 bytes each: 110 MB at R = 64
+        "grid_resolution": {"type": "integer", "minimum": 10, "maximum": 64},
         "scan_step": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 0.1},
         "seed": {"type": "integer", "minimum": 0},
     },

@@ -12,11 +12,11 @@ where r >= 1 scales the penalty term (r = 1 for a perfectly calibrated
 referee).  The game is won when the payoff is strictly positive.
 
 This module knows nothing about how strategies are parameterised; exact
-evaluation only requires each strategy to expose the joint outcome
-distribution per signal (duck-typed ``outcome_distribution``) and to
-declare ``needs_shared_state`` and ``round_list``.
-:func:`outcome_table` collects those distributions into one array, which
-both :func:`correlation_table` and the simulator's sampler read.
+evaluation only requires each strategy to return its whole outcome table
+from the stack of delivered signals (duck-typed ``outcome_distribution``)
+and to declare ``needs_shared_state`` and ``round_list``.
+:func:`outcome_table` makes that one call; its array is what both
+:func:`correlation_table` and the simulator's sampler read.
 """
 
 from __future__ import annotations
@@ -51,14 +51,14 @@ def ideal_signal_ensemble() -> dict:
     return {(j, s): signal_state(j, s) for (j, s) in SIGNALS}
 
 
-def single_axis_ensemble(axis: int = 1) -> dict:
-    """An uncalibrated referee that prepares every signal along one axis.
+def single_axis_ensemble() -> dict:
+    """An uncalibrated referee that prepares every signal along sigma_1.
 
-    Regardless of the announced j, the delivered state is the sigma_axis
+    Regardless of the announced j, the delivered state is the sigma_1
     eigenstate with the announced sign.  Against such a referee the
     no-state cheat discriminates the sign perfectly.
     """
-    return {(j, s): signal_state(axis, s) for (j, s) in SIGNALS}
+    return {(j, s): signal_state(1, s) for (j, s) in SIGNALS}
 
 
 def uniform_input_distribution() -> dict:
@@ -121,12 +121,13 @@ class SteeringGameSpec:
         """Coefficient of the <b> term: r * payoff_bound / 3 (= r/sqrt(3) by default)."""
         return self.r * self.payoff_bound / 3.0
 
-    def delivered_signal(self, j: int, s: int, channel: QuantumChannel | None = None):
-        """The state Bob receives for condition (j, s), after an optional channel."""
-        omega = self.signal_ensemble[(j, s)]
+    def delivered_signals(self, channel: QuantumChannel | None = None) -> np.ndarray:
+        """The (6, 2, 2) stack of states Bob receives, in ``SIGNALS`` order,
+        after an optional channel."""
+        states = [self.signal_ensemble[sig] for sig in SIGNALS]
         if channel is not None:
-            omega = apply_channel(channel, omega)
-        return omega
+            states = [apply_channel(channel, omega) for omega in states]
+        return np.stack([omega.matrix for omega in states])
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,18 +252,18 @@ def chsh_from_state(state: DensityOperator, settings=None) -> float:
     return chsh_value(*(state.expectation(op) for op in operators))
 
 
-def _list_variants(strategy):
-    """The answer-list values an outcome table has one column for, and their weights.
+def _list_weights(strategy) -> np.ndarray:
+    """The weights of an outcome table's list variants.
 
-    A strategy without an answer list has the single variant None, of
-    weight 1; one with a list has +1 then -1, each weighted by its share
+    A strategy without an answer list has one variant, of weight 1; one
+    with a list has the variants +1 then -1, each weighted by its share
     of the list.
     """
     round_list = strategy.round_list
     if round_list is None:
-        return (None,), np.ones(1)
+        return np.ones(1)
     n = len(round_list)
-    return (1, -1), np.array([round_list.count(1) / n, round_list.count(-1) / n])
+    return np.array([round_list.count(1) / n, round_list.count(-1) / n])
 
 
 def outcome_table(
@@ -274,21 +275,14 @@ def outcome_table(
     """Exact outcome probabilities of a strategy under a game spec.
 
     ``table[k, v, o]`` is the probability of outcome pair ``OUTCOMES[o]``
-    in condition ``SIGNALS[k]`` and list variant v, read from the
-    strategy's ``outcome_distribution`` for the delivered signal state.
-    A strategy without an answer list has one variant; one with a list
-    has two, for the list values +1 and -1.
+    in condition ``SIGNALS[k]`` and list variant v: the strategy's
+    ``outcome_distribution`` of the delivered signal stack.  A strategy
+    without an answer list has one variant; one with a list has two, for
+    the list values +1 and -1.
     """
     if strategy.needs_shared_state and shared_state is None:
         raise ValueError("this strategy requires a shared state")
-    variants, _ = _list_variants(strategy)
-    table = np.empty((len(SIGNALS), len(variants), len(OUTCOMES)))
-    for k, (j, s) in enumerate(SIGNALS):
-        omega = spec.delivered_signal(j, s, channel)
-        for v, value in enumerate(variants):
-            dist = strategy.outcome_distribution(omega, j, shared_state, list_value=value)
-            table[k, v] = [dist.get(out, 0.0) for out in OUTCOMES]
-    return table
+    return strategy.outcome_distribution(spec.delivered_signals(channel), shared_state)
 
 
 def correlation_table(
@@ -303,8 +297,7 @@ def correlation_table(
     strategy's answer list.
     """
     table = outcome_table(spec, strategy, shared_state, channel)
-    _, weights = _list_variants(strategy)
-    probs = (table * weights[:, None]).sum(axis=1)
+    probs = (table * _list_weights(strategy)[:, None]).sum(axis=1)
     a = np.array([out[0] for out in OUTCOMES])
     b = np.array([out[1] for out in OUTCOMES])
     e_ab = probs @ (a * b)

@@ -96,10 +96,6 @@ class GridCheatResult:
     n_points: int
 
 
-def _signal_stack(spec: SteeringGameSpec) -> np.ndarray:
-    return np.stack([spec.signal_ensemble[sig].matrix for sig in SIGNALS])
-
-
 def _estimator_grid(spec: SteeringGameSpec, grid_resolution: int):
     """The sphere-and-interior estimator grid both cheat searches sweep.
 
@@ -121,7 +117,7 @@ def _estimator_grid(spec: SteeringGameSpec, grid_resolution: int):
     m_hat = np.eye(2, dtype=np.complex128)[None, :, :] + np.einsum(
         "ik,kab->iab", m, _PAULI
     )
-    c = np.einsum("iab,kba->ki", m_hat, _signal_stack(spec)).real
+    c = np.einsum("iab,kba->ki", m_hat, spec.delivered_signals()).real
 
     mu_hi = 1.0 / (1.0 + norms)
     mu_lo = mu_hi / res
@@ -300,7 +296,6 @@ def random_lhs_suite(
     trials: int,
     rng_seed: int = 0,
     spec: SteeringGameSpec | None = None,
-    include_probes: bool = True,
 ) -> LhsSuiteReport:
     """Verify no hidden-state model wins, over random draws plus boundary probes.
 
@@ -338,15 +333,12 @@ def random_lhs_suite(
         n_lambda = _LHS_LAMBDA_SIZES[(t // len(_LHS_DIMS)) % len(_LHS_LAMBDA_SIZES)]
         _evaluate(random_lhs_strategy(rng, d, n_lambda), f"trial-{t}")
 
-    n_probes = 0
-    if include_probes:
-        for i, direction in enumerate(_PROBE_DIRECTIONS):
-            _evaluate(_extremal_lhs_strategy(direction), f"probe-{i}")
-            n_probes += 1
+    for i, direction in enumerate(_PROBE_DIRECTIONS):
+        _evaluate(_extremal_lhs_strategy(direction), f"probe-{i}")
 
     return LhsSuiteReport(
         trials=int(trials),
-        probes=n_probes,
+        probes=len(_PROBE_DIRECTIONS),
         seed=int(rng_seed),
         max_payoff=float(max_payoff),
         max_route_gap=float(max_gap),

@@ -267,21 +267,23 @@ class EquivalenceReport:
         return self.passed
 
 
-#: Random states on B that :func:`noisy_equivalence_check` draws.
+#: Random states on B that :func:`noisy_equivalence_check` draws, and the
+#: largest deviation between the two evaluation orders it accepts.
 _EQUIVALENCE_SAMPLES = 20
+_EQUIVALENCE_TOL = 1e-12
 
 
 def noisy_equivalence_check(
     channel: QuantumChannel,
     e_bc: Povm,
     rng_seed: int = 0,
-    tol: float = 1e-12,
 ) -> EquivalenceReport:
     """Verify the dual-map identity behind :func:`modified_povm` numerically.
 
     Checks that the modified POVM is valid and that both evaluation
-    orders agree, to ``tol``, on ``_EQUIVALENCE_SAMPLES`` random states
-    on B (drawn from ``rng_seed``) against all six calibrated signals.
+    orders agree, to ``_EQUIVALENCE_TOL``, on ``_EQUIVALENCE_SAMPLES``
+    random states on B (drawn from ``rng_seed``) against all six
+    calibrated signals.
     Never raises on failure; inspect the report.
     """
     try:
@@ -300,6 +302,7 @@ def noisy_equivalence_check(
                 lhs = np.trace(e_bc[b] @ tensor(rho.matrix, noisy)).real
                 rhs = np.trace(modified[b] @ tensor(rho.matrix, omega.matrix)).real
                 max_dev = max(max_dev, float(abs(lhs - rhs)))
+    tol = _EQUIVALENCE_TOL
     passed = max_dev <= tol
     msg = "" if passed else f"evaluation orders deviate by {max_dev:.3e} (tol {tol:.1e})"
     return EquivalenceReport(passed, max_dev, True, msg)

@@ -2,17 +2,20 @@
 
 Each strategy class describes its behaviour once, through
 
-``outcome_distribution(omega, j, shared_state, list_value)``
-    the exact joint distribution {(a, b): p} the strategy induces for
-    one condition, given the announced setting ``j`` and the delivered
-    signal state ``omega`` (never the referee's sign s).  ``list_value``
-    parameterises strategies whose reply depends on a preagreed answer
-    list (the round's list entry).
+``outcome_distribution(signals, shared_state=None)``
+    the strategy's whole outcome table: a ``(6, V, 4)`` array whose
+    entry ``[k, v, o]`` is the probability of the pair
+    ``games.OUTCOMES[o]`` in condition ``games.SIGNALS[k]`` and list
+    variant v.  ``signals`` is the ``(6, 2, 2)`` stack of delivered
+    signal states in ``games.SIGNALS`` order; condition k announces the
+    setting j of ``SIGNALS[k]`` to Alice, and no strategy reads the
+    referee's sign s.  A strategy without an answer list has V = 1; one
+    with a list has V = 2, for the list values +1 and -1.
 
 Each class also declares ``needs_shared_state``,
 ``required_communication`` and ``round_list``.
-:func:`games.outcome_table` collects the distributions into the one
-table that exact evaluation and the simulator both read.
+:func:`games.outcome_table` hands a strategy the delivered signals and
+returns its table, which exact evaluation and the simulator both read.
 
 Outcome conventions: Alice's POVMs are ordered (a=+1, a=-1); Bob's joint
 POVMs are ordered (b=0, b=1).
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import games
+from .games import OUTCOMES, SIGNALS
 from .qcore import (
     _PAULI,
     BlochVector,
@@ -48,23 +52,28 @@ ALICE_RULES_BA = {
 }
 
 
-def _clean_distribution(dist: dict) -> dict:
-    """Validate and tidy a sampled-outcome distribution.
+#: The calibrated referee's six signal matrices (1/2)(1 + s sigma_j), in
+#: ``SIGNALS`` order, as one read-only (6, 2, 2) stack.
+_IDEAL_SIGNALS = np.stack([signal_state(j, s).matrix for (j, s) in SIGNALS])
+_IDEAL_SIGNALS.setflags(write=False)
+
+
+def _clean_distribution(table: np.ndarray) -> np.ndarray:
+    """Validate and tidy outcome distributions over the last axis.
 
     Probabilities slightly outside [0, 1] from floating-point round-off
     are clipped; anything beyond 1e-10 signals numerical corruption.
+    Each distribution is divided by its sum, taken in column order.
     """
-    total = 0.0
-    cleaned = {}
-    for key, p in dist.items():
-        if p < -1e-10 or p > 1.0 + 1e-10:
-            raise RuntimeError(f"outcome probability for {key} out of range: {p}")
-        p = min(max(p, 0.0), 1.0)
-        cleaned[key] = p
-        total += p
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"outcome probabilities sum to {total}, expected 1")
-    return {k: v / total for k, v in cleaned.items()}
+    bad = ~((table >= -1e-10) & (table <= 1.0 + 1e-10))
+    if bad.any():
+        raise RuntimeError(f"outcome probability out of range: {table[bad][0]}")
+    table = np.clip(table, 0.0, 1.0)
+    total = table.sum(axis=-1, keepdims=True)
+    off = ~(np.abs(total - 1.0) <= 1e-9)
+    if off.any():
+        raise RuntimeError(f"outcome probabilities sum to {total[off][0]}, expected 1")
+    return table / total
 
 
 def partial_bell_povm() -> Povm:
@@ -112,10 +121,10 @@ class HonestStrategy:
     with w above r/sqrt(3).
 
     The twelve joint effects ``A_{j,a} x E_b`` are built once, at
-    construction, into ``joint_effects``: for each setting j one
-    read-only ``(4, d, d)`` stack, its items in ``games.OUTCOMES``
-    order.  ``outcome_distribution`` contracts a whole stack against
-    the joint state with one ``matmul`` and one stacked trace.
+    construction, into the read-only ``(3, 4, d, d)`` array
+    ``joint_effects``: row j-1 holds setting j's four effects in
+    ``OUTCOMES`` order.  ``outcome_distribution`` contracts them against
+    the six joint states with one ``matmul`` and one stacked trace.
     """
 
     alice_povms: dict
@@ -140,24 +149,24 @@ class HonestStrategy:
         if not isinstance(self.bob_joint_povm, Povm) or self.bob_joint_povm.n_outcomes != 2:
             raise ValueError("Bob's joint POVM must have two outcomes")
         object.__setattr__(self, "alice_povms", povms)
+        alice = np.stack([np.stack(povms[j].elements) for j in (1, 2, 3)])
         bob = np.stack(self.bob_joint_povm.elements)
-        effects = {}
-        for j, povm in povms.items():
-            # (a, b) pairs in OUTCOMES order: a = +1, -1 outer, b = 0, 1 inner
-            stack = _kron_pair(np.stack(povm.elements)[:, None], bob[None, :])
-            stack = stack.reshape((-1,) + stack.shape[-2:])
-            stack.setflags(write=False)
-            effects[j] = stack
+        # (a, b) pairs in OUTCOMES order: a = +1, -1 outer, b = 0, 1 inner
+        effects = _kron_pair(alice[:, :, None], bob[None, None, :])
+        effects = effects.reshape((3, 4) + effects.shape[-2:])
+        effects.setflags(write=False)
         object.__setattr__(self, "joint_effects", effects)
 
     @property
     def alice_dim(self) -> int:
         return self.alice_povms[1].dim
 
-    def _factor_dims(self, omega: DensityOperator, shared_state: DensityOperator):
+    def outcome_distribution(self, signals, shared_state=None):
+        if shared_state is None:
+            raise ValueError("honest strategy requires a shared state")
         d_a = self.alice_dim
         d_bc = self.bob_joint_povm.dim
-        d_c = omega.dim
+        d_c = signals.shape[-1]
         if d_bc % d_c != 0:
             raise ValueError("Bob's POVM dimension incompatible with the signal")
         d_b = d_bc // d_c
@@ -166,15 +175,11 @@ class HonestStrategy:
                 f"shared state has dimension {shared_state.dim}, "
                 f"expected {d_a}*{d_b} for this strategy"
             )
-        return d_a, d_b, d_c
-
-    def outcome_distribution(self, omega, j, shared_state=None, list_value=None):
-        if shared_state is None:
-            raise ValueError("honest strategy requires a shared state")
-        self._factor_dims(omega, shared_state)
-        joint = tensor(shared_state.matrix, omega.matrix)
-        probs = np.trace(self.joint_effects[j] @ joint, axis1=1, axis2=2).real
-        return _clean_distribution(dict(zip(games.OUTCOMES, probs.tolist())))
+        joints = np.stack([tensor(shared_state.matrix, omega) for omega in signals])
+        # SIGNALS runs over j outer, s inner: axes (j, s, outcome, row, column)
+        joints = joints.reshape((3, 2, 1) + joints.shape[-2:])
+        probs = np.trace(self.joint_effects[:, None] @ joints, axis1=3, axis2=4).real
+        return _clean_distribution(probs.reshape(len(SIGNALS), 1, len(OUTCOMES)))
 
 
 def honest_strategy() -> HonestStrategy:
@@ -222,16 +227,16 @@ class NoStateCheat:
     def round_list(self):
         return None if self.alice_rule == "constant" else self.alice_rule
 
-    def _p_guess_plus(self, omega: DensityOperator) -> float:
-        return float(np.trace(self._m_plus @ omega.matrix).real)
-
-    def outcome_distribution(self, omega, j, shared_state=None, list_value=None):
-        p_plus = self._p_guess_plus(omega)
-        a = 1 if list_value is None else int(list_value)
-        if a not in (1, -1):
-            raise ValueError(f"list value must be +-1, got {list_value!r}")
-        p_match = p_plus if a == 1 else 1.0 - p_plus
-        return _clean_distribution({(a, 1): p_match, (a, 0): 1.0 - p_match})
+    def outcome_distribution(self, signals, shared_state=None):
+        p_plus = np.trace(self._m_plus @ signals, axis1=1, axis2=2).real
+        p_minus = 1.0 - p_plus
+        zero = np.zeros_like(p_plus)
+        # b = 1 exactly when Bob's guess matches Alice's answer, in OUTCOMES order
+        variants = [(p_minus, p_plus, zero, zero)]  # a = +1
+        if self.round_list is not None:
+            variants.append((zero, zero, 1.0 - p_minus, p_minus))  # a = -1
+        table = np.stack([np.stack(v, axis=-1) for v in variants], axis=1)
+        return _clean_distribution(table)
 
 
 @dataclass(frozen=True)
@@ -339,22 +344,20 @@ class LhsStrategy:
         object.__setattr__(self, "alice_responses", resp)
         object.__setattr__(self, "state_stack", stack)
 
-    def _b1_probs(self, omega: DensityOperator) -> np.ndarray:
-        """Tr[E_1 (rho_lambda x omega)] for each lambda, as one stacked trace."""
-        joint = _kron_pair(self.state_stack, omega.matrix)
-        probs = np.trace(self.bob_joint_povm[1] @ joint, axis1=1, axis2=2).real
-        # contiguous like the per-lambda list: np.dot sums a strided vector differently
-        return np.ascontiguousarray(probs)
-
-    def outcome_distribution(self, omega, j, shared_state=None, list_value=None):
-        t = self._b1_probs(omega)
-        not_t = 1.0 - t
-        dist = {}
-        for a in (1, -1):
-            weighted = self.weights * ((1.0 + a * self.alice_responses[:, j - 1]) / 2.0)
-            dist[(a, 1)] = float(np.dot(weighted, t))
-            dist[(a, 0)] = float(np.dot(weighted, not_t))
-        return _clean_distribution(dist)
+    def outcome_distribution(self, signals, shared_state=None):
+        # t[k, lambda] = Tr[E_1 (rho_lambda x omega_k)], as one stacked trace
+        joint = _kron_pair(self.state_stack, signals[:, None])
+        t = np.trace(self.bob_joint_povm[1] @ joint, axis1=2, axis2=3).real
+        bob = np.stack([t, 1.0 - t], axis=-1).reshape(3, 2, -1, 2)  # b = 1, 0
+        # p(lambda) p(a | lambda, j) for a = +1, -1, shared by both signs s
+        answers = np.array([[1.0], [-1.0]])
+        alice = (1.0 + answers * self.alice_responses.T[:, None, None]) / 2.0
+        probs = (self.weights * alice) @ bob
+        # summed and normalised in the column order (a, b) = (+,1), (+,0),
+        # (-,1), (-,0) that every pinned output was computed in, then
+        # permuted to OUTCOMES
+        table = _clean_distribution(probs.reshape(len(SIGNALS), 1, 4))
+        return table[..., [1, 0, 3, 2]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,15 +414,8 @@ def lhs_reduction(strategy: LhsStrategy) -> LhsReduction:
     return LhsReduction(n_const, q, taus, tuple(kept))
 
 
-#: The calibrated referee's six signal matrices (1/2)(1 + s sigma_j), in
-#: ``games.SIGNALS`` order, as one read-only (6, 2, 2) stack.
-_IDEAL_SIGNALS = np.stack([signal_state(j, s).matrix for (j, s) in games.SIGNALS])
-_IDEAL_SIGNALS.setflags(write=False)
-
-
 def _require_calibrated_ensemble(spec: games.SteeringGameSpec):
-    sent = np.stack([spec.signal_ensemble[key].matrix for key in games.SIGNALS])
-    if not mats_close(sent, _IDEAL_SIGNALS, 1e-10):
+    if not mats_close(spec.delivered_signals(), _IDEAL_SIGNALS, 1e-10):
         raise ValueError("the hidden-state reduction assumes the calibrated signal ensemble")
 
 
@@ -481,35 +477,31 @@ class CommCheat:
         if self.direction == "bob_to_alice":
             if not isinstance(self.estimator, BlochVector):
                 raise ValueError("bob_to_alice cheat requires a Bloch estimator")
-            self.estimator.povm_pair()  # validate
+            plus = self.estimator.povm_pair()[0]  # raises if either element is not PSD
             if self.alice_rule not in ALICE_RULES_BA:
                 raise ValueError(f"unknown alice_rule {self.alice_rule!r}")
+        else:
+            # Bob knows j and measures sigma_j projectively: (1/2)(1 + sigma_j),
+            # the s = +1 signal of each condition's setting
+            plus = np.repeat(_IDEAL_SIGNALS[::2], 2, axis=0)
         object.__setattr__(self, "bob_outputs_one_when", ones)
+        object.__setattr__(self, "_m_plus", plus)
 
     @property
     def required_communication(self) -> str:
         return self.direction
 
-    def _guess_distribution(self, omega: DensityOperator, j: int) -> dict:
-        if self.direction == "alice_to_bob":
-            # Bob knows j and measures sigma_j projectively.
-            plus = (np.eye(2, dtype=np.complex128) + pauli(j)) / 2.0
-        else:
-            plus = self.estimator.povm_pair()[0]
-        p_plus = float(np.trace(plus @ omega.matrix).real)
-        return {1: p_plus, -1: 1.0 - p_plus}
-
-    def outcome_distribution(self, omega, j, shared_state=None, list_value=None):
-        guesses = self._guess_distribution(omega, j)
-        dist = {}
-        for guess, p in guesses.items():
+    def outcome_distribution(self, signals, shared_state=None):
+        p_plus = np.trace(self._m_plus @ signals, axis1=1, axis2=2).real
+        table = np.zeros((len(SIGNALS), 1, len(OUTCOMES)))
+        for guess, p in ((1, p_plus), (-1, 1.0 - p_plus)):
             if self.direction == "alice_to_bob":
                 a, b = 1, (1 if guess == 1 else 0)
             else:
                 b = 1 if guess in self.bob_outputs_one_when else 0
                 a = ALICE_RULES_BA[self.alice_rule][guess]
-            dist[(a, b)] = dist.get((a, b), 0.0) + p
-        return _clean_distribution(dist)
+            table[:, 0, OUTCOMES.index((a, b))] += p
+        return _clean_distribution(table)
 
 
 def best_estimator() -> BlochVector:

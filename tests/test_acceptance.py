@@ -164,7 +164,7 @@ def test_criterion_08_channel_robustness():
     max_dev = 0.0
     max_gap = 0.0
     for _, channel in channels:
-        rep = noisy_equivalence_check(channel, honest.bob_joint_povm, tol=1e-12)
+        rep = noisy_equivalence_check(channel, honest.bob_joint_povm)
         max_dev = max(max_dev, rep.max_deviation)
         absorbed = HonestStrategy(
             honest.alice_povms, modified_povm(channel, honest.bob_joint_povm)

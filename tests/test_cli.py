@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qrgames
-from qrgames.cli import SWEEP_MAX_ROWS, main
+from qrgames.cli import SWEEP_MAX_ROWS, VERIFY_CONFIG_SCHEMA, _validate, main
 from qrgames.games import SQRT3, single_axis_ensemble
 from qrgames.oracle import random_lhs_strategy
 from qrgames.serialize import density_to_json, strategy_to_json
@@ -303,6 +303,23 @@ def test_verify_flags_obey_the_config_schema(tmp_path, capsys, flags):
     assert not (tmp_path / "verify_report.json").exists()
 
 
+@pytest.mark.parametrize("key, cap", [("lhs_trials", 10_000), ("grid_resolution", 64)])
+def test_verify_rejects_sizes_above_their_cap(tmp_path, capsys, key, cap):
+    _validate({key: cap}, VERIFY_CONFIG_SCHEMA, "verify flags")  # the cap itself passes
+    # refused before anything is allocated: as a flag and in a config file
+    flag = "--" + key.replace("_", "-")
+    assert main(["verify", flag, str(cap + 1), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert f"{cap + 1} is greater than the maximum of {cap}" in err
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({key: cap + 1}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "verify_report.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--r", "--payoff-bound"])
 def test_verify_rejects_payoffs_that_overflow(tmp_path, capsys, flag):
     # 24 (1 + c) bounds every grid payoff; it must stay a finite float
@@ -439,8 +456,17 @@ def test_schema_prints_machine_readable_json(capsys):
 def test_schema_bytes_are_pinned(capsys):
     # sha256 of the published schemas; printing them needs no validator
     assert main(["schema"]) == 0
-    out = capsys.readouterr().out.encode()
-    digest = hashlib.sha256(out).hexdigest()
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "9d2e4c22b3324e324ef1e27eb10ff93276649123bc36698dcea8d57d42979d02"
+    # less the caps on verify's lhs_trials and grid_resolution, the bytes
+    # are those printed before the caps were added
+    schemas = json.loads(out)
+    verify = schemas["config"]["verify"]["properties"]
+    del verify["lhs_trials"]["maximum"]
+    del verify["grid_resolution"]["maximum"]
+    uncapped = (json.dumps(schemas, indent=2, sort_keys=True) + "\n").encode()
+    digest = hashlib.sha256(uncapped).hexdigest()
     assert digest == "fee86b00501e8f9782844441ceb9b142bb2b34a66d2e6f9dc7f4da061f27e3a6"
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qrgames.games import (
+    OUTCOMES,
     SIGNALS,
     SQRT2,
     SQRT3,
@@ -56,8 +57,6 @@ def test_single_axis_ensemble_ignores_setting():
     for j in (1, 2, 3):
         assert mats_close(ens[(j, 1)].matrix, signal_state(1, 1).matrix, 1e-15)
         assert mats_close(ens[(j, -1)].matrix, signal_state(1, -1).matrix, 1e-15)
-    ens3 = single_axis_ensemble(axis=3)
-    assert mats_close(ens3[(1, 1)].matrix, signal_state(3, 1).matrix, 1e-15)
 
 
 def test_spec_validation():
@@ -98,13 +97,15 @@ def test_delivered_signal_applies_channel():
     from qrgames.qcore import depolarizing_channel
 
     spec = SteeringGameSpec.ideal()
-    omega = spec.delivered_signal(2, -1)
-    assert mats_close(omega.matrix, signal_state(2, -1).matrix, 1e-15)
-    noisy = spec.delivered_signal(2, -1, depolarizing_channel(1.0))
-    assert mats_close(noisy.matrix, np.eye(2) / 2, 1e-12)
+    stack = spec.delivered_signals()
+    assert stack.shape == (6, 2, 2)
+    for k, (j, s) in enumerate(SIGNALS):
+        assert np.array_equal(stack[k], signal_state(j, s).matrix)
+    noisy = spec.delivered_signals(depolarizing_channel(1.0))
+    assert mats_close(noisy, np.broadcast_to(np.eye(2) / 2, (6, 2, 2)), 1e-12)
     sloppy = SteeringGameSpec(signal_ensemble=single_axis_ensemble())
-    omega = sloppy.delivered_signal(3, 1)
-    assert mats_close(omega.matrix, signal_state(1, 1).matrix, 1e-15)
+    omega = sloppy.delivered_signals()[SIGNALS.index((3, 1))]
+    assert mats_close(omega, signal_state(1, 1).matrix, 1e-15)
 
 
 def test_correlation_table_validation():
@@ -268,11 +269,11 @@ def test_per_round_expectation_matches_aggregate():
     spec = SteeringGameSpec.ideal(r=1.081)
     strategy = honest_strategy()
     state = werner_state(0.9)
+    table = strategy.outcome_distribution(spec.delivered_signals(), state)
+    assert table.shape == (6, 1, 4)
     total = 0.0
-    for (j, s) in SIGNALS:
-        omega = spec.delivered_signal(j, s)
-        dist = strategy.outcome_distribution(omega, j, state)
-        for (a, b), p in dist.items():
+    for k, (j, s) in enumerate(SIGNALS):
+        for (a, b), p in zip(OUTCOMES, table[k, 0]):
             total += (1.0 / 6.0) * p * per_round_payoff(a, b, j, s, r=1.081)
     exact = qrs_payoff_exact(spec, strategy, state)
     assert abs(total - exact) < 1e-10

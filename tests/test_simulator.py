@@ -110,19 +110,19 @@ def test_word_rule_replay(style):
     probs = np.array([spec.input_distribution[sig] for sig in SIGNALS])
     cdf = np.cumsum(probs)
     words = _stream_words(seed, 2 * n)
-    round_list = getattr(strategy, "round_list", None)
+    round_list = strategy.round_list
+    table = strategy.outcome_distribution(spec.delivered_signals(), state)
     for i in range(n):
         u_js = _word_to_uniform(words[2 * i])
         u_out = _word_to_uniform(words[2 * i + 1])
         j, s = SIGNALS[int(np.searchsorted(cdf, u_js, side="right"))]
         assert (col["j"][i], col["s"][i]) == (j, s)
-        list_value = None if round_list is None else round_list[i % len(round_list)]
-        dist = strategy.outcome_distribution(
-            signal_state(j, s), j, state, list_value=list_value
-        )
+        # list variant 0 answers +1, variant 1 answers -1
+        variant = 0 if round_list is None else int(round_list[i % len(round_list)] == -1)
+        dist = table[SIGNALS.index((j, s)), variant]
         acc, picked = 0.0, OUTCOMES[-1]
-        for out in OUTCOMES:
-            acc += dist.get(out, 0.0)
+        for out, p in zip(OUTCOMES, dist):
+            acc += p
             if u_out < acc:
                 picked = out
                 break
@@ -303,16 +303,15 @@ def test_modified_povm_depolarizing_mixes_toward_identity():
     assert modified.n_outcomes == 2
 
 
-def test_noisy_equivalence_check_reports():
+def test_noisy_equivalence_check_reports(monkeypatch):
     report = noisy_equivalence_check(depolarizing_channel(0.3), partial_bell_povm())
     assert report
     assert report.passed and report.povm_valid
     assert isinstance(report.max_deviation, float)
     assert report.max_deviation <= 1e-12
     assert report.message == ""
-    tight = noisy_equivalence_check(
-        depolarizing_channel(0.3), partial_bell_povm(), tol=0.0
-    )
+    monkeypatch.setattr(simulator, "_EQUIVALENCE_TOL", 0.0)
+    tight = noisy_equivalence_check(depolarizing_channel(0.3), partial_bell_povm())
     assert not tight          # genuine roundoff beats an impossible tolerance
     assert tight.message != ""
 

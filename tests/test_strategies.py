@@ -1,6 +1,8 @@
 """Strategy families: honest pair, no-state cheats, hidden-state models,
 one-way-communication cheats."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from qrgames.qcore import (
     BlochVector,
     DensityOperator,
     Povm,
+    amplitude_damping_channel,
+    depolarizing_channel,
     mats_close,
     partial_trace,
     pauli,
@@ -31,6 +35,7 @@ from qrgames.qcore import (
     werner_state,
 )
 from qrgames.strategies import (
+    ALICE_RULES_BA,
     CommCheat,
     HonestStrategy,
     LhsStrategy,
@@ -46,6 +51,10 @@ from qrgames.strategies import (
 )
 
 M_STAR = np.full(3, 1.0 / SQRT3)
+
+#: The delivered signal stacks of the calibrated and the single-axis referee.
+IDEAL_SIGNALS = SteeringGameSpec.ideal().delivered_signals()
+SINGLE_AXIS_SIGNALS = SteeringGameSpec(signal_ensemble=single_axis_ensemble()).delivered_signals()
 
 
 def _random_lhs(rng, dim, n_lambda):
@@ -106,23 +115,21 @@ def test_honest_strategy_validation():
         HonestStrategy(good.alice_povms, Povm((np.eye(4),)))
     # shared state of the wrong dimension is rejected at evaluation time
     with pytest.raises(ValueError):
-        good.outcome_distribution(
-            signal_state(1, 1), 1, DensityOperator(np.eye(2) / 2)
-        )
+        good.outcome_distribution(IDEAL_SIGNALS, DensityOperator(np.eye(2) / 2))
+    with pytest.raises(ValueError):
+        good.outcome_distribution(IDEAL_SIGNALS)
 
 
 def test_honest_effects_are_built_once_and_read_only(rng):
     alice = {j: random_povm(rng, 2) for j in (1, 2, 3)}
     bob = random_povm(rng, 4)
     h = HonestStrategy(alice, bob)
-    assert set(h.joint_effects) == {1, 2, 3}
+    assert h.joint_effects.shape == (3, 4, 8, 8)
+    assert not h.joint_effects.flags.writeable
     for j in (1, 2, 3):
-        stack = h.joint_effects[j]
-        assert stack.shape == (4, 8, 8)
-        assert not stack.flags.writeable
         for o, (a, b) in enumerate(OUTCOMES):
             ai = (1, -1).index(a)
-            assert np.array_equal(stack[o], tensor(alice[j][ai], bob[b]))
+            assert np.array_equal(h.joint_effects[j - 1, o], tensor(alice[j][ai], bob[b]))
 
 
 def test_honest_distribution_is_four_separate_traces(rng):
@@ -132,30 +139,26 @@ def test_honest_distribution_is_four_separate_traces(rng):
         alice = {j: random_povm(rng, 2) for j in (1, 2, 3)}
         strategies.append(HonestStrategy(alice, random_povm(rng, 4)))
     states = [werner_state(0.98), random_density(rng, 4)]
-    ensembles = (games.ideal_signal_ensemble(), single_axis_ensemble())
     for h in strategies:
         for state in states:
-            for ens in ensembles:
-                for (j, s) in SIGNALS:
-                    omega = ens[(j, s)]
-                    joint = np.kron(state.matrix, omega.matrix)
-                    dist = {}
-                    for ai, a in enumerate((1, -1)):
-                        for b in (0, 1):
-                            effect = np.kron(h.alice_povms[j][ai], h.bob_joint_povm[b])
-                            dist[(a, b)] = float(np.trace(effect @ joint).real)
-                    got = h.outcome_distribution(omega, j, state)
-                    assert got == _clean_distribution(dist)
-                    assert list(got) == list(OUTCOMES)
+            for signals in (IDEAL_SIGNALS, SINGLE_AXIS_SIGNALS):
+                got = h.outcome_distribution(signals, state)
+                assert got.shape == (6, 1, 4)
+                for k, (j, s) in enumerate(SIGNALS):
+                    joint = np.kron(state.matrix, signals[k])
+                    dist = []
+                    for a, b in OUTCOMES:
+                        ai = (1, -1).index(a)
+                        effect = np.kron(h.alice_povms[j][ai], h.bob_joint_povm[b])
+                        dist.append(float(np.trace(effect @ joint).real))
+                    assert np.array_equal(got[k, 0], _clean_distribution(np.array(dist)))
 
 
 def test_honest_distribution_is_normalized():
     h = honest_strategy()
-    state = werner_state(0.7)
-    for (j, s) in SIGNALS:
-        dist = h.outcome_distribution(signal_state(j, s), j, state)
-        assert abs(sum(dist.values()) - 1.0) < 1e-12
-        assert all(p >= 0.0 for p in dist.values())
+    table = h.outcome_distribution(IDEAL_SIGNALS, werner_state(0.7))
+    assert np.all(np.abs(table.sum(axis=-1) - 1.0) < 1e-12)
+    assert np.all(table >= 0.0)
 
 
 def test_no_state_cheat_closed_form(rng):
@@ -196,15 +199,18 @@ def test_no_state_cheat_list_rule(ideal_spec):
 def test_no_state_cheat_list_plumbing():
     cheat = NoStateCheat(best_estimator(), (1, -1, -1))
     assert cheat.round_list == (1, -1, -1)
-    values, weights = games._list_variants(cheat)
-    assert values == (1, -1)
+    weights = games._list_weights(cheat)
+    assert weights.shape == (2,)
     assert weights[0] == pytest.approx(1 / 3)
     assert outcome_table(SteeringGameSpec.ideal(), cheat).shape == (6, 2, 4)
-    omega = signal_state(1, 1)
-    d_plus = cheat.outcome_distribution(omega, 1, list_value=1)
-    d_minus = cheat.outcome_distribution(omega, 1, list_value=-1)
-    assert set(d_plus) == {(1, 0), (1, 1)}
-    assert set(d_minus) == {(-1, 0), (-1, 1)}
+    table = cheat.outcome_distribution(IDEAL_SIGNALS)
+    # variant 0 answers a = +1, variant 1 answers a = -1
+    plus = [OUTCOMES.index(out) for out in ((1, 0), (1, 1))]
+    minus = [OUTCOMES.index(out) for out in ((-1, 0), (-1, 1))]
+    assert np.all(table[:, 0, minus] == 0.0) and np.all(table[:, 0, plus] > 0.0)
+    assert np.all(table[:, 1, plus] == 0.0) and np.all(table[:, 1, minus] > 0.0)
+    constant = NoStateCheat(best_estimator(), "constant").outcome_distribution(IDEAL_SIGNALS)
+    assert np.array_equal(constant, table[:, :1])
     with pytest.raises(ValueError):
         NoStateCheat(best_estimator(), (1, 0))
     with pytest.raises(ValueError):
@@ -300,22 +306,25 @@ def test_hidden_state_b1_probs_are_the_per_lambda_traces(rng, dim, n_lambda):
     e1 = strategy.bob_joint_povm[1]
     assert strategy.state_stack.shape == (n_lambda, dim, dim)
     assert not strategy.state_stack.flags.writeable
-    for ens in (games.ideal_signal_ensemble(), single_axis_ensemble()):
-        for (j, s), omega in ens.items():
+    for signals in (IDEAL_SIGNALS, SINGLE_AXIS_SIGNALS):
+        table = strategy.outcome_distribution(signals)
+        assert table.shape == (6, 1, 4)
+        for k, (j, s) in enumerate(SIGNALS):
             want = np.array(
                 [
-                    float(np.trace(e1 @ np.kron(st.matrix, omega.matrix)).real)
+                    float(np.trace(e1 @ np.kron(st.matrix, signals[k])).real)
                     for st in strategy.hidden_states
                 ]
             )
-            assert np.array_equal(strategy._b1_probs(omega), want)
-            # and the distribution built from the per-lambda list, bit for bit
+            # the distribution built from the per-lambda list, bit for bit
             dist = {}
             for a in (1, -1):
                 p_a = (1.0 + a * strategy.alice_responses[:, j - 1]) / 2.0
                 dist[(a, 1)] = float(np.dot(strategy.weights * p_a, want))
                 dist[(a, 0)] = float(np.dot(strategy.weights * p_a, 1.0 - want))
-            assert strategy.outcome_distribution(omega, j) == _clean_distribution(dist)
+            # normalised by its sum in this order, read in OUTCOMES order
+            cleaned = dict(zip(dist, _clean_distribution(np.array(list(dist.values())))))
+            assert np.array_equal(table[k, 0], [cleaned[out] for out in OUTCOMES])
 
 
 @pytest.mark.parametrize("n_lambda", [1, 4, 8])
@@ -464,13 +473,14 @@ def test_comm_cheat_validation():
 
 def test_comm_cheat_expectations_consistent(ideal_spec):
     cheat = CommCheat("bob_to_alice", best_estimator(), (1, -1), "negate_estimate")
-    for (j, s) in SIGNALS:
-        dist = cheat.outcome_distribution(signal_state(j, s), j)
-        assert abs(sum(dist.values()) - 1.0) < 1e-12
-        table = correlation_table(ideal_spec, cheat)
+    dists = cheat.outcome_distribution(ideal_spec.delivered_signals())
+    table = correlation_table(ideal_spec, cheat)
+    for k, (j, s) in enumerate(SIGNALS):
+        dist = dists[k, 0]
+        assert abs(sum(dist) - 1.0) < 1e-12
         e_ab, e_b = table.e_ab[(j, s)], table.e_b[(j, s)]
-        assert abs(e_ab - sum(a * b * p for (a, b), p in dist.items())) < 1e-12
-        assert abs(e_b - sum(b * p for (a, b), p in dist.items())) < 1e-12
+        assert abs(e_ab - sum(a * b * p for (a, b), p in zip(OUTCOMES, dist))) < 1e-12
+        assert abs(e_b - sum(b * p for (a, b), p in zip(OUTCOMES, dist))) < 1e-12
 
 
 _SPECS = {
@@ -528,3 +538,86 @@ def test_best_estimator_is_the_diagonal_direction():
     assert np.allclose(b.m, M_STAR, atol=1e-15)
     assert b.mu == pytest.approx(0.5)
     b.povm_pair()  # valid POVM
+
+
+#: One case per bob-to-alice reply rule: the guesses on which Bob replies b = 1.
+_BOB_RULES = ((), (1,), (-1,), (1, -1))
+
+_ESTIMATORS = (
+    best_estimator(),
+    BlochVector(np.array([1.0, 0, 0]), 0.5),
+    BlochVector(M_STAR * 0.9, 0.3),
+    BlochVector(np.array([0.2, -0.5, 0.4]), 0.55),
+)
+
+
+@pytest.mark.parametrize("spec_name", sorted(_SPECS))
+def test_comm_cheat_table_matches_the_closed_form(spec_name):
+    """Bob guesses +1 with p = mu (1 + s m_axis), axis the signal's axis;
+    with a(g) and b(g) the answers to guess g, <ab> = p a(+) b(+) +
+    (1 - p) a(-) b(-) and <b> = p b(+) + (1 - p) b(-)."""
+    spec = _SPECS[spec_name]
+    # alice_to_bob: Bob measures sigma_j, the estimator m = e_j, mu = 1/2
+    cases = [(CommCheat("alice_to_bob"), None, {1: 1, -1: 1}, {1: 1, -1: 0})]
+    for est in _ESTIMATORS:
+        for ones in _BOB_RULES:
+            for rule, answers in ALICE_RULES_BA.items():
+                replies = {g: int(g in ones) for g in (1, -1)}
+                cases.append((CommCheat("bob_to_alice", est, ones, rule), est, answers, replies))
+    for cheat, est, answers, replies in cases:
+        table = correlation_table(spec, cheat)
+        for (j, s) in SIGNALS:
+            axis = 1 if spec_name == "single_axis" else j
+            if est is None:
+                p = 0.5 * (1 + s * (axis == j))
+            else:
+                p = est.mu * (1 + s * est.m[axis - 1])
+            e_ab = p * answers[1] * replies[1] + (1 - p) * answers[-1] * replies[-1]
+            e_b = p * replies[1] + (1 - p) * replies[-1]
+            assert abs(table.e_ab[(j, s)] - e_ab) < 1e-12
+            assert abs(table.e_b[(j, s)] - e_b) < 1e-12
+
+
+_IDEAL = SteeringGameSpec.ideal()
+
+#: The specs and channels the outcome tables are pinned under.
+_TABLE_GAMES = {
+    "ideal": (_IDEAL, None),
+    "single_axis": (SteeringGameSpec(signal_ensemble=single_axis_ensemble(), r=1.3), None),
+    "depolarizing": (_IDEAL, depolarizing_channel(0.3)),
+    "amplitude_damping": (_IDEAL, amplitude_damping_channel(0.4)),
+}
+
+#: sha256 over the bytes of every table of _pinned_table_cases, in order,
+#: as computed when each strategy still returned one dict per condition.
+_PINNED_TABLES = {
+    "amplitude_damping": "4a899dddcd5486786ef12226c149eb4f022cb79c8edf63700c2db123971ee285",
+    "depolarizing": "505a169af50d9b30149b7c30683778acde59dfc740bb08cb97b7e721cc961537",
+    "ideal": "ae6b3d1a5c391f26307328a28400b36cce3c166693c156024c636491680edbb4",
+    "single_axis": "540267a46b784b63724b76ab98b4284e26ff2bb5ad735ae53bbb0105548e6765",
+}
+
+
+def _pinned_table_cases():
+    """(strategy, shared state) pairs covering all four strategy classes."""
+    cases = [(honest_strategy(), werner_state(w)) for w in (0.98, 0.6)]
+    for rule in ("constant", (1, -1, -1, 1, 1, -1, 1), (-1,)):
+        cases.append((NoStateCheat(best_estimator(), rule), None))
+    est = _ESTIMATORS[-1]
+    for ones in _BOB_RULES:
+        for rule in ALICE_RULES_BA:
+            cases.append((CommCheat("bob_to_alice", est, ones, rule), None))
+    cases.append((CommCheat("alice_to_bob"), None))
+    for t in range(9):
+        rng = np.random.default_rng([11, t])
+        cases.append((random_lhs_strategy(rng, t % 3 + 2, (1, 4, 8)[t // 3]), None))
+    return cases
+
+
+@pytest.mark.parametrize("game", sorted(_TABLE_GAMES))
+def test_outcome_tables_are_pinned(game):
+    spec, channel = _TABLE_GAMES[game]
+    digest = hashlib.sha256()
+    for strategy, state in _pinned_table_cases():
+        digest.update(outcome_table(spec, strategy, state, channel).tobytes())
+    assert digest.hexdigest() == _PINNED_TABLES[game]
