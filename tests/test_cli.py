@@ -333,6 +333,32 @@ def test_verify_accepts_a_large_penalty_with_finite_payoffs(tmp_path, quick_veri
     assert (tmp_path / "verify_report.json").exists()
 
 
+@pytest.mark.parametrize("r", ["1e5", "1e300"])
+def test_verify_passes_at_large_penalties(tmp_path, r):
+    # the two hidden-state routes agree to rounding of the penalty term 2c,
+    # which an absolute 1e-10 bound stopped admitting near r = 1e5
+    assert main([
+        "verify", "--r", r, "--lhs-trials", "30", "--grid-resolution", "10",
+        "--scan-step", "0.1", "--out", str(tmp_path),
+    ]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["checks"]["hidden_state_suite"]["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--w-step", "1e-300"], ["verify", "--scan-step", "1e-300"]],
+    ids=["sweep", "verify"],
+)
+def test_grid_cap_error_line_stays_short(tmp_path, capsys, argv):
+    # a 1e300-row request prints its size in three digits, not three hundred
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"exceeds {SWEEP_MAX_ROWS} rows" in err
+    assert "1e+300" in err
+    assert err.count("\n") == 1 and len(err) < 80
+
+
 def test_sweep_writes_table_and_sidecar(tmp_path):
     code = main([
         "sweep", "--w-start", "0", "--w-stop", "1", "--w-step", "0.25",
