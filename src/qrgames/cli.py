@@ -349,7 +349,9 @@ def cmd_verify(args) -> int:
         "channels": channel_reports,
     }
 
-    columns = oracle.werner_columns(np.arange(0.0, 1.0 + 0.5 * step, step))
+    w_grid = np.arange(0.0, 1.0 + 0.5 * step, step)
+    # a step that does not divide 1 overshoots it; werner_state would reject those points
+    columns = oracle.werner_columns(w_grid[w_grid <= 1.0 + 1e-12])
     scan = oracle.threshold_scan(columns, r=r)
     expected = {
         "witness2": 0.5,

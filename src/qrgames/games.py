@@ -142,49 +142,80 @@ class CorrelationTable:
         e_b = {k: float(v) for k, v in dict(self.e_b).items()}
         if set(e_ab) != set(SIGNALS) or set(e_b) != set(SIGNALS):
             raise ValueError("correlation table must cover exactly the six (j, s) pairs")
-        for sig in SIGNALS:
-            if not -1e-9 <= e_b[sig] <= 1.0 + 1e-9:
-                raise ValueError(f"<b> for {sig} outside [0, 1]: {e_b[sig]}")
-            if abs(e_ab[sig]) > e_b[sig] + 1e-9:
-                raise ValueError(
-                    f"|<ab>| exceeds <b> for {sig}: {e_ab[sig]} vs {e_b[sig]}"
-                )
+        _check_correlations(
+            np.array([e_ab[sig] for sig in SIGNALS]), np.array([e_b[sig] for sig in SIGNALS])
+        )
         object.__setattr__(self, "e_ab", e_ab)
         object.__setattr__(self, "e_b", e_b)
 
     def payoff(self, spec: SteeringGameSpec) -> float:
         """Aggregate the table into the game's average payoff."""
-        coeff = spec.penalty_coefficient
-        total = 0.0
-        for (j, s) in SIGNALS:
-            total += s * self.e_ab[(j, s)] - coeff * self.e_b[(j, s)]
-        return 2.0 * total
+        e_ab = np.array([self.e_ab[sig] for sig in SIGNALS])
+        e_b = np.array([self.e_b[sig] for sig in SIGNALS])
+        return float(_payoffs(e_ab, e_b, spec.penalty_coefficient))
 
 
-def _check_expectation_range(name, value):
-    if abs(value) > 1.0 + 1e-9:
-        raise ValueError(f"{name} must lie in [-1, 1], got {value}")
+def _check_correlations(e_ab: np.ndarray, e_b: np.ndarray) -> None:
+    """Check stacked (..., 6) expectations <ab> and <b>, in ``SIGNALS`` order.
+
+    Each condition needs <b> in [0, 1] and |<ab>| <= <b>, both to 1e-9;
+    the first bad condition of the first bad item raises the message
+    :class:`CorrelationTable` gives.
+    """
+    bad_b = ~((e_b >= -1e-9) & (e_b <= 1.0 + 1e-9))
+    bad_ab = np.abs(e_ab) > e_b + 1e-9
+    bad = (bad_b | bad_ab).ravel()
+    if bad.any():
+        i = int(np.argmax(bad))
+        sig = SIGNALS[i % len(SIGNALS)]
+        ab, b = float(e_ab.flat[i]), float(e_b.flat[i])
+        if bad_b.flat[i]:
+            raise ValueError(f"<b> for {sig} outside [0, 1]: {b}")
+        raise ValueError(f"|<ab>| exceeds <b> for {sig}: {ab} vs {b}")
+
+
+def _payoffs(e_ab: np.ndarray, e_b: np.ndarray, coeff: float) -> np.ndarray:
+    """The payoff 2 sum_{j,s} (s <ab> - coeff <b>) of stacked (..., 6) expectations.
+
+    The six conditions are added one at a time, in ``SIGNALS`` order, so
+    every item rounds as a table aggregated on its own does.
+    """
+    total = 0.0
+    for k, (_, s) in enumerate(SIGNALS):
+        total = total + (s * e_ab[..., k] - coeff * e_b[..., k])
+    return 2.0 * total
+
+
+def _check_expectation_range(**values):
+    """Each value (or stack of values) must lie in [-1, 1], to 1e-9.
+
+    The first bad value, item by item and in argument order within an
+    item, raises; NaN passes, as it always has here.
+    """
+    names = list(values)
+    arrays = np.broadcast_arrays(*values.values())
+    bad = np.stack([np.abs(a) > 1.0 + 1e-9 for a in arrays], axis=-1).ravel()
+    if bad.any():
+        item, k = divmod(int(np.argmax(bad)), len(names))
+        raise ValueError(f"{names[k]} must lie in [-1, 1], got {arrays[k].flat[item]}")
 
 
 def chsh_value(e11: float, e12: float, e21: float, e22: float) -> float:
     """|<a1 b1> + <a1 b2> + <a2 b1> - <a2 b2>|, bounded by 2 for local models."""
-    for name, v in (("e11", e11), ("e12", e12), ("e21", e21), ("e22", e22)):
-        _check_expectation_range(name, v)
+    _check_expectation_range(e11=e11, e12=e12, e21=e21, e22=e22)
     return abs(e11 + e12 + e21 - e22)
 
 
 def steering2_value(c1: float, c2: float) -> float:
     """|<a1 sigma_1> + <a2 sigma_2>|, bounded by sqrt(2) for hidden-state models."""
-    _check_expectation_range("c1", c1)
-    _check_expectation_range("c2", c2)
+    _check_expectation_range(c1=c1, c2=c2)
     return abs(c1 + c2)
 
 
 def steering3_value(c1: float, c2: float, c3: float) -> float:
     """<a1 sigma_1> + <a2 sigma_2> + <a3 sigma_3> (signed), bounded by sqrt(3)
     for hidden-state models."""
-    for name, v in (("c1", c1), ("c2", c2), ("c3", c3)):
-        _check_expectation_range(name, v)
+    _check_expectation_range(c1=c1, c2=c2, c3=c3)
     return c1 + c2 + c3
 
 
@@ -209,8 +240,7 @@ def classical_witness_payoff(e11: float, e22: float) -> float:
     certifies nothing when players may share classical randomness: a
     predetermined identical answer list reaches the maximum +1.
     """
-    _check_expectation_range("e11", e11)
-    _check_expectation_range("e22", e22)
+    _check_expectation_range(e11=e11, e22=e22)
     return abs(e11 + e22) - 1.0
 
 
@@ -269,7 +299,7 @@ def _list_weights(strategy) -> np.ndarray:
 def outcome_table(
     spec: SteeringGameSpec,
     strategy,
-    shared_state: DensityOperator | None = None,
+    shared_state: DensityOperator | np.ndarray | None = None,
     channel: QuantumChannel | None = None,
 ) -> np.ndarray:
     """Exact outcome probabilities of a strategy under a game spec.
@@ -278,11 +308,25 @@ def outcome_table(
     in condition ``SIGNALS[k]`` and list variant v: the strategy's
     ``outcome_distribution`` of the delivered signal stack.  A strategy
     without an answer list has one variant; one with a list has two, for
-    the list values +1 and -1.
+    the list values +1 and -1.  A strategy that needs a shared state also
+    takes an ``(n, d, d)`` stack of state matrices, which it validates,
+    and then returns the ``(n, 6, V, 4)`` stack of their tables.
     """
     if strategy.needs_shared_state and shared_state is None:
         raise ValueError("this strategy requires a shared state")
     return strategy.outcome_distribution(spec.delivered_signals(channel), shared_state)
+
+
+def _correlations(tables: np.ndarray, list_weights: np.ndarray):
+    """<ab> and <b> per condition of stacked (..., 6, V, 4) outcome tables.
+
+    The list variants are averaged with ``list_weights``; returns two
+    (..., 6) arrays in ``SIGNALS`` order.
+    """
+    probs = (tables * list_weights[:, None]).sum(axis=-2)
+    a = np.array([out[0] for out in OUTCOMES])
+    b = np.array([out[1] for out in OUTCOMES])
+    return probs @ (a * b), probs @ b
 
 
 def correlation_table(
@@ -297,11 +341,7 @@ def correlation_table(
     strategy's answer list.
     """
     table = outcome_table(spec, strategy, shared_state, channel)
-    probs = (table * _list_weights(strategy)[:, None]).sum(axis=1)
-    a = np.array([out[0] for out in OUTCOMES])
-    b = np.array([out[1] for out in OUTCOMES])
-    e_ab = probs @ (a * b)
-    e_b = probs @ b
+    e_ab, e_b = _correlations(table, _list_weights(strategy))
     return CorrelationTable(dict(zip(SIGNALS, e_ab)), dict(zip(SIGNALS, e_b)))
 
 

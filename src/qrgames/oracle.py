@@ -3,45 +3,58 @@
 The cheat grids recompute payoffs from raw traces over explicit operator
 grids, independently of the closed forms the test suite freezes, and
 check their argmax against ``games.qrs_payoff_exact``.  The hidden-state
-suite compares both routes of ``strategies.lhs_payoff_routes``.
+suite compares both routes of ``strategies.lhs_payoff_routes``, evaluated
+for a whole group of equally sized models at once; the Werner scan
+evaluates all its states as one stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .games import (
+    _CANONICAL_CHSH_OPERATORS,
     SIGNALS,
     SteeringGameSpec,
-    chsh_from_state,
-    correlation_table,
+    _check_correlations,
+    _correlations,
+    _payoffs,
+    chsh_value,
+    outcome_table,
     qrs_payoff_exact,
     steering2_value,
     steering3_value,
-    witness2_value,
 )
 from .qcore import (
     _PAULI,
+    _SIGMA_PAIRS,
+    _STACK_BLOCK,
     BlochVector,
     DensityOperator,
     Povm,
+    _check_density_stack,
+    _check_povm_stack,
+    _gram,
+    _normalized_povm,
+    _unit_trace,
+    _werner_matrices,
     pauli,
-    random_density,
-    random_povm,
     tensor,
-    werner_state,
 )
 from .serialize import strategy_to_json
 from .strategies import (
     ALICE_RULES_BA,
     LhsStrategy,
     NoStateCheat,
+    _as_stack,
+    _checked_lhs_weights,
     _conditional_setting_weights,
+    _lhs_routes,
     honest_strategy,
-    lhs_payoff_routes,
 )
 
 
@@ -251,16 +264,42 @@ def grid_max_comm_ba(spec: SteeringGameSpec, grid_resolution: int) -> CommBaGrid
     return CommBaGridResult(*best[i], *pairs[i], n_points=n_points)
 
 
+def _draw_lhs(rng: np.random.Generator, hidden_dim: int, n_lambda: int):
+    """The raw random draws of one hidden-state model, in generator order.
+
+    Dirichlet weights, then each hidden state's complex Gaussian (real
+    part, then imaginary part), then the uniform response biases, then
+    the Gaussians of Bob's two joint-POVM operators: the numbers the
+    one-by-one draws of ``random_density`` and ``random_povm`` consume.
+    """
+    weights = rng.dirichlet(np.ones(n_lambda))
+    states = rng.standard_normal((n_lambda, 2, hidden_dim, hidden_dim))
+    responses = rng.uniform(-1.0, 1.0, size=(n_lambda, 3))
+    povm = rng.standard_normal((2, 2, 2 * hidden_dim, 2 * hidden_dim))
+    return weights, states, responses, povm
+
+
+def _lhs_parameters(weights, states, responses, povm):
+    """Model parameters from stacked raw draws of :func:`_draw_lhs`.
+
+    Each state is G^dag G at unit trace and Bob's POVM the sum-normalised
+    pair; returns (weights, states, responses, povm elements) as stacks.
+    """
+    return weights, _unit_trace(_gram(states)), responses, _normalized_povm(_gram(povm))
+
+
+def _lhs_strategy(weights, states, responses, elements) -> LhsStrategy:
+    return LhsStrategy(
+        weights, tuple(DensityOperator(m) for m in states), responses, Povm(tuple(elements))
+    )
+
+
 def random_lhs_strategy(
     rng: np.random.Generator, hidden_dim: int, n_lambda: int
 ) -> LhsStrategy:
     """Draw a random hidden-state model (Dirichlet weights, G^dag G states,
     uniform response biases, sum-normalised random joint POVM)."""
-    weights = rng.dirichlet(np.ones(n_lambda))
-    states = tuple(random_density(rng, hidden_dim) for _ in range(n_lambda))
-    responses = rng.uniform(-1.0, 1.0, size=(n_lambda, 3))
-    bob = random_povm(rng, 2 * hidden_dim, 2)
-    return LhsStrategy(weights, states, responses, bob)
+    return _lhs_strategy(*_lhs_parameters(*_draw_lhs(rng, hidden_dim, n_lambda)))
 
 
 def _extremal_lhs_strategy(direction) -> LhsStrategy:
@@ -322,6 +361,11 @@ class LhsSuiteReport:
 _LHS_DIMS = (2, 3, 4)
 _LHS_LAMBDA_SIZES = (1, 4, 8)
 
+#: Most trials the suite evaluates as one stack.  Larger groups save no
+#: measurable time but raise ``verify``'s peak RSS through the allocator's
+#: high-water mark: about 0.3 MB at 32 trials, 0.1 MB at 16.
+_LHS_GROUP = 8
+
 
 def random_lhs_suite(
     trials: int,
@@ -337,38 +381,65 @@ def random_lhs_suite(
     1e-10 max(1, c), c = ``spec.penalty_coefficient``: both routes carry
     the penalty term 2c, whose rounding grows with c; failing strategies
     are serialised into the report.
+
+    The trials are evaluated in groups of equal (dimension, count), each
+    of at most ``_LHS_GROUP`` trials, and the probes as one more group
+    (28 groups for the default 200 trials).  Each group's
+    states and POVMs are validated as stacks, and both routes of
+    ``strategies._lhs_routes`` run over the whole group.  Every model
+    gets the bits it gets alone, and the report lists trials then probes
+    in order.
     """
     if spec is None:
         spec = SteeringGameSpec.ideal()
     gap_bound = 1e-10 * max(1.0, spec.penalty_coefficient)
+    groups = {}
+    for t in range(int(trials)):
+        d = _LHS_DIMS[t % len(_LHS_DIMS)]
+        n_lambda = _LHS_LAMBDA_SIZES[(t // len(_LHS_DIMS)) % len(_LHS_LAMBDA_SIZES)]
+        groups.setdefault((d, n_lambda), []).append(t)
+
+    def outcome(label, direct, reduced, build):
+        """(label, payoff, route gap, the model's JSON if it fails, else None)."""
+        direct = float(direct)
+        gap = abs(direct - float(reduced))
+        failed = direct > 1e-9 or gap > gap_bound
+        return label, direct, gap, strategy_to_json(build()) if failed else None
+
+    outcomes = [None] * int(trials)
+    blocks = [
+        (key, ts[start:start + _LHS_GROUP])
+        for key, ts in groups.items()
+        for start in range(0, len(ts), _LHS_GROUP)
+    ]
+    for (d, n_lambda), ts in blocks:
+        draws = [_draw_lhs(np.random.default_rng([int(rng_seed), t]), d, n_lambda) for t in ts]
+        weights, states, responses, elements = _lhs_parameters(
+            *(np.stack(arrays) for arrays in zip(*draws))
+        )
+        _check_density_stack(states.reshape(-1, d, d))
+        _check_povm_stack(elements)
+        weights = _checked_lhs_weights(weights, responses)
+        routes = _lhs_routes(spec, weights, states, responses, elements[:, 1])
+        for i, (t, direct, reduced) in enumerate(zip(ts, *routes)):
+            build = partial(_lhs_strategy, weights[i], states[i], responses[i], elements[i])
+            outcomes[t] = outcome(f"trial-{t}", direct, reduced, build)
+
+    probes = [_extremal_lhs_strategy(direction) for direction in _PROBE_DIRECTIONS]
+    routes = _lhs_routes(spec, *map(np.concatenate, zip(*map(_as_stack, probes))))
+    for i, (probe, direct, reduced) in enumerate(zip(probes, *routes)):
+        outcomes.append(outcome(f"probe-{i}", direct, reduced, lambda probe=probe: probe))
+
     max_payoff = -np.inf
     max_gap = 0.0
     failures = []
-
-    def _evaluate(strategy, label):
-        nonlocal max_payoff, max_gap
-        direct, reduced = lhs_payoff_routes(strategy, spec)
-        gap = abs(direct - reduced)
+    for label, direct, gap, strategy in outcomes:
         max_payoff = max(max_payoff, direct)
         max_gap = max(max_gap, gap)
-        if direct > 1e-9 or gap > gap_bound:
+        if strategy is not None:
             failures.append(
-                {
-                    "label": label,
-                    "payoff": direct,
-                    "route_gap": gap,
-                    "strategy": strategy_to_json(strategy),
-                }
+                {"label": label, "payoff": direct, "route_gap": gap, "strategy": strategy}
             )
-
-    for t in range(int(trials)):
-        rng = np.random.default_rng([int(rng_seed), t])
-        d = _LHS_DIMS[t % len(_LHS_DIMS)]
-        n_lambda = _LHS_LAMBDA_SIZES[(t // len(_LHS_DIMS)) % len(_LHS_LAMBDA_SIZES)]
-        _evaluate(random_lhs_strategy(rng, d, n_lambda), f"trial-{t}")
-
-    for i, direction in enumerate(_PROBE_DIRECTIONS):
-        _evaluate(_extremal_lhs_strategy(direction), f"probe-{i}")
 
     return LhsSuiteReport(
         trials=int(trials),
@@ -393,13 +464,14 @@ class WernerColumns:
     """The r-independent part of a threshold scan, one entry per W.
 
     ``rows[i]`` holds ``w`` and the witness2, steering2, steering3 and
-    chsh values of ``werner_state(w)``; ``tables[i]`` is the honest
-    strategy's correlation table on that state under the ideal signal
-    ensemble, whose <ab> and <b> do not depend on r.
+    chsh values of ``werner_state(w)``; ``e_ab[i]`` and ``e_b[i]`` are the
+    honest strategy's <ab> and <b> on that state under the ideal signal
+    ensemble, in ``SIGNALS`` order, which do not depend on r.
     """
 
     rows: tuple
-    tables: tuple
+    e_ab: np.ndarray
+    e_b: np.ndarray
 
 
 _SCAN_BOUNDS = {
@@ -411,41 +483,55 @@ _SCAN_BOUNDS = {
 }
 
 
-#: (-sigma_j) x sigma_j for j = 1, 2, 3: the steering correlators with
-#: Alice's optimal observables -sigma_j, as one read-only (3, 4, 4) stack.
-_STEERING_OPERATORS = np.stack([tensor(-pauli(j), pauli(j)) for j in (1, 2, 3)])
-_STEERING_OPERATORS.setflags(write=False)
+#: The operators whose expectations a scan row needs, as one read-only
+#: (9, 4, 4) stack: (-sigma_j) x sigma_j for j = 1, 2, 3 (the steering
+#: correlators with Alice's optimal observables -sigma_j), sigma_j x
+#: sigma_j for j = 1, 2 (the witness), and the four canonical CHSH
+#: correlators in ``chsh_value``'s argument order.
+_SCAN_OPERATORS = np.concatenate(
+    [
+        np.stack([tensor(-pauli(j), pauli(j)) for j in (1, 2, 3)]),
+        _SIGMA_PAIRS[:2],
+        _CANONICAL_CHSH_OPERATORS,
+    ]
+)
+_SCAN_OPERATORS.setflags(write=False)
 
 
 def werner_columns(w_grid) -> WernerColumns:
     """Evaluate everything a threshold scan needs that does not depend on r.
 
-    The steering correlations use Alice's optimal observables -sigma_j,
-    computed from raw traces; the honest tables run through the full
-    exact engine.  Build the columns once and pass them to
+    All W states are built as one (n, 4, 4) stack.  The honest
+    strategy's outcome tables are one call over the stack, which
+    validates it, and the exact engine turns them into <ab> and <b>;
+    every steering, witness and CHSH expectation is one stacked trace.  Each W gets the bits it
+    gets alone.  Build the columns once and pass them to
     :func:`threshold_scan` for each r.
     """
     grid = [float(w) for w in w_grid]
     if not grid:
         raise ValueError("empty Werner grid")
-    spec = SteeringGameSpec.ideal()
-    honest = honest_strategy()
-    rows = []
-    tables = []
-    for w in grid:
-        state = werner_state(w)
-        c = [state.expectation(op) for op in _STEERING_OPERATORS]
-        rows.append(
-            {
-                "w": w,
-                "witness2": witness2_value(state),
-                "steering2": steering2_value(c[0], c[1]),
-                "steering3": steering3_value(c[0], c[1], c[2]),
-                "chsh": chsh_from_state(state),
-            }
-        )
-        tables.append(correlation_table(spec, honest, state))
-    return WernerColumns(rows=tuple(rows), tables=tuple(tables))
+    states = _werner_matrices(grid)
+    # the honest call validates the stack, before any trace is taken
+    tables = outcome_table(SteeringGameSpec.ideal(), honest_strategy(), states)
+    x = np.empty((len(grid), len(_SCAN_OPERATORS)))
+    for start in range(0, len(grid), _STACK_BLOCK):
+        block = slice(start, start + _STACK_BLOCK)
+        x[block] = np.trace(_SCAN_OPERATORS @ states[block, None], axis1=-2, axis2=-1).real
+    c1, c2, c3 = x[:, 0], x[:, 1], x[:, 2]
+    columns = {
+        "witness2": abs(x[:, 3] + x[:, 4]),  # witness2_value's sum
+        "steering2": steering2_value(c1, c2),
+        "steering3": steering3_value(c1, c2, c3),
+        "chsh": chsh_value(*x[:, 5:].T),
+    }
+    rows = [
+        {"w": w, **dict(zip(columns, values))}
+        for w, values in zip(grid, zip(*(v.tolist() for v in columns.values())))
+    ]
+    e_ab, e_b = _correlations(tables, np.ones(1))
+    _check_correlations(e_ab, e_b)
+    return WernerColumns(rows=tuple(rows), e_ab=e_ab, e_b=e_b)
 
 
 def threshold_scan(columns: WernerColumns, r: float = 1.0) -> ThresholdScan:
@@ -457,10 +543,8 @@ def threshold_scan(columns: WernerColumns, r: float = 1.0) -> ThresholdScan:
     over r builds the columns once and passes them here for each r.
     """
     spec = SteeringGameSpec.ideal(r=r)
-    rows = [
-        {**base, "qrs_payoff": table.payoff(spec)}
-        for base, table in zip(columns.rows, columns.tables)
-    ]
+    payoffs = _payoffs(columns.e_ab, columns.e_b, spec.penalty_coefficient).tolist()
+    rows = [{**base, "qrs_payoff": p} for base, p in zip(columns.rows, payoffs)]
     crossings = {}
     for name, bound in _SCAN_BOUNDS.items():
         crossing = None

@@ -26,6 +26,11 @@ import numpy as np
 #: Absolute per-entry tolerance used when validating quantum objects.
 VALIDATION_TOL = 1e-10
 
+#: States per block of the stacked contractions over a stack of shared
+#: states: the 8 x 8 products of a block stay near 0.2 MB however long
+#: the stack is.
+_STACK_BLOCK = 8
+
 #: sigma_1, sigma_2, sigma_3 as one read-only (3, 2, 2) stack.
 _PAULI = np.array(
     [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128
@@ -62,10 +67,12 @@ def _kron_pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def tensor(*operators) -> np.ndarray:
     """Kronecker product of one or more 2-D matrices, in the given order.
 
-    Each factor goes through the pair kernel ``_kron_pair``, which the
-    stacked evaluations of :mod:`strategies` share: the same complex
-    multiplies ``np.kron`` performs, so the result is bitwise equal to
-    ``np.kron``'s, without its generic axis handling.
+    Each factor goes through the pair kernel ``_kron_pair``: the same
+    complex multiplies ``np.kron`` performs, so the result is bitwise
+    equal to ``np.kron``'s, without its generic axis handling.  A stack
+    of matrices stacked row-wise is one 2-D operand, and
+    [A; B] x C = [A x C; B x C]; the stacked kernels of :mod:`strategies`
+    take their products that way.
     Raises ValueError for no operands or an operand that is not 2-D.
     """
     if not operators:
@@ -115,11 +122,70 @@ def mats_close(a, b, tol: float = VALIDATION_TOL) -> bool:
     return bool(np.max(np.abs(a - b)) <= tol)
 
 
-def is_hermitian(matrix, tol: float = VALIDATION_TOL) -> bool:
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def _hermitian_items(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack is Hermitian to ``VALIDATION_TOL`` (NaN fails)."""
+    gap = np.abs(mats - mats.conj().swapaxes(-1, -2))
+    return np.max(gap, axis=(-2, -1)) <= VALIDATION_TOL
+
+
+def _psd_items(mats: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack has no eigenvalue below -VALIDATION_TOL.
+
+    One ``eigvalsh`` runs over the items ``where`` selects, which must be
+    Hermitian (and so finite); the others read True.
+    """
+    ok = np.ones(where.shape, dtype=bool)
+    if where.any():
+        ok[where] = np.linalg.eigvalsh(mats[where])[:, 0] >= -VALIDATION_TOL
+    return ok
+
+
+def _check_density_stack(mats: np.ndarray) -> None:
+    """Validate a (n, d, d) stack as n density operators, all at once.
+
+    Each item gets the checks of :class:`DensityOperator`, in its order
+    (Hermitian, unit trace, positive semidefinite), with one ``eigvalsh``
+    over the stack; the first bad item raises the message its own
+    construction would.
+    """
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] < 1:
+        raise ValueError("density operator must be a square matrix")
+    herm = _hermitian_items(mats)
+    tr = np.trace(mats, axis1=1, axis2=2)
+    unit = np.abs(tr - 1.0) <= VALIDATION_TOL  # NaN has already failed herm
+    psd = _psd_items(mats, herm & unit)
+    ok = herm & unit & psd
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not herm[i]:
+            raise ValueError("density operator must be Hermitian")
+        if not unit[i]:
+            raise ValueError(f"density operator must have unit trace, got {tr[i]}")
+        raise ValueError("density operator must be positive semidefinite")
+
+
+def _check_povm_stack(elements: np.ndarray) -> None:
+    """Validate a (n, k, d, d) stack as n POVMs of k square elements each.
+
+    Each POVM gets the checks of :class:`Povm`: every element Hermitian
+    and positive semidefinite, in element order, then the elements sum to
+    the identity; one ``eigvalsh`` runs over all elements.  The first bad
+    POVM raises the message its own construction would.
+    """
+    herm = _hermitian_items(elements)
+    psd = _psd_items(elements, herm)
+    gap = np.abs(elements.sum(axis=1) - np.eye(elements.shape[-1]))
+    sums = np.max(gap, axis=(-2, -1)) <= VALIDATION_TOL
+    bad_element = ~(herm & psd)
+    bad = bad_element.any(axis=1) | ~sums
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_element[i].any():
+            k = int(np.argmax(bad_element[i]))
+            if not herm[i, k]:
+                raise ValueError("POVM elements must be Hermitian")
+            raise ValueError("POVM elements must be positive semidefinite")
+        raise ValueError("POVM elements must sum to the identity")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +196,7 @@ class DensityOperator:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-            raise ValueError("density operator must be a square matrix")
-        if not is_hermitian(mat):
-            raise ValueError("density operator must be Hermitian")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > VALIDATION_TOL:
-            raise ValueError(f"density operator must have unit trace, got {tr}")
-        if np.linalg.eigvalsh(mat)[0] < -VALIDATION_TOL:
-            raise ValueError("density operator must be positive semidefinite")
+        _check_density_stack(mat[None])
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -165,25 +223,15 @@ class Povm:
     def __post_init__(self):
         if len(self.elements) < 1:
             raise ValueError("POVM needs at least one element")
-        mats = []
-        dim = None
-        for el in self.elements:
-            m = np.array(el, dtype=np.complex128)
+        mats = [np.array(el, dtype=np.complex128) for el in self.elements]
+        for m in mats:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("POVM elements must be square matrices")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
+            if m.shape != mats[0].shape:
                 raise ValueError("POVM elements must share one dimension")
-            if not is_hermitian(m):
-                raise ValueError("POVM elements must be Hermitian")
-            if np.linalg.eigvalsh(m)[0] < -VALIDATION_TOL:
-                raise ValueError("POVM elements must be positive semidefinite")
+        _check_povm_stack(np.stack(mats)[None])
+        for m in mats:
             m.setflags(write=False)
-            mats.append(m)
-        total = sum(mats)
-        if not mats_close(total, np.eye(dim)):
-            raise ValueError("POVM elements must sum to the identity")
         object.__setattr__(self, "elements", tuple(mats))
 
     @property
@@ -301,19 +349,29 @@ def singlet_projector() -> np.ndarray:
     return out / 4.0
 
 
+def _werner_matrices(w) -> np.ndarray:
+    """The (n, 4, 4) stack of Werner matrices for a 1-D array of parameters.
+
+    Raises ValueError for the first parameter outside [-1/3, 1] (beyond
+    1e-12); the matrices themselves are not validated here.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    bad = ~((w >= -1.0 / 3.0 - 1e-12) & (w <= 1.0 + 1e-12))
+    if bad.any():
+        raise ValueError(f"Werner parameter must lie in [-1/3, 1], got {float(w[bad][0])}")
+    mat = np.eye(4, dtype=np.complex128)
+    for pair in _SIGMA_PAIRS:
+        mat = mat - w[:, None, None] * pair
+    return mat / 4.0
+
+
 def werner_state(w: float) -> DensityOperator:
     """Two-qubit Werner state (1/4)(1x1 - w sum_j sigma_j x sigma_j).
 
     Mixes the singlet with white noise; positive exactly for
     -1/3 <= w <= 1, with spectrum {(1+3w)/4, (1-w)/4 (x3)}.
     """
-    w = float(w)
-    if not (-1.0 / 3.0 - 1e-12 <= w <= 1.0 + 1e-12):
-        raise ValueError(f"Werner parameter must lie in [-1/3, 1], got {w}")
-    mat = np.eye(4, dtype=np.complex128)
-    for pair in _SIGMA_PAIRS:
-        mat = mat - w * pair
-    return DensityOperator(mat / 4.0)
+    return DensityOperator(_werner_matrices([float(w)])[0])
 
 
 def signal_state(j: int, s: int) -> DensityOperator:
@@ -355,16 +413,42 @@ def amplitude_damping_channel(gamma: float) -> QuantumChannel:
     return QuantumChannel((k0, k1))
 
 
+def _gram(gauss: np.ndarray) -> np.ndarray:
+    """G^dag G for each G = real + 1j imag of a (..., 2, d, d) Gaussian stack."""
+    g = gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]
+    return g.conj().swapaxes(-1, -2) @ g
+
+
+def _unit_trace(h: np.ndarray) -> np.ndarray:
+    """Each matrix of a (..., d, d) stack divided by the real part of its trace."""
+    return h / np.trace(h, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _normalized_povm(ops: np.ndarray) -> np.ndarray:
+    """S^{-1/2} A_k S^{-1/2} for positive A_k along axis -3, S = sum_k A_k.
+
+    Works on a stack of such sets; the elements are positive and sum to
+    the identity by construction, and are symmetrised to be exactly
+    Hermitian.
+    """
+    total = sum(np.moveaxis(ops, -3, 0))
+    vals, vecs = np.linalg.eigh(total)
+    if np.any(vals[..., 0] <= 0):
+        raise ValueError("degenerate random POVM draw; sum is singular")
+    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    inv_sqrt = inv_sqrt[..., None, :, :]
+    el = inv_sqrt @ ops @ inv_sqrt
+    return (el + el.conj().swapaxes(-1, -2)) / 2.0
+
+
 def random_positive(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random positive-semidefinite matrix G^dag G, G complex Gaussian."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return g.conj().T @ g
+    return _gram(rng.standard_normal((2, dim, dim)))
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
     """Random full-rank density operator, G^dag G normalised to unit trace."""
-    h = random_positive(rng, dim)
-    return DensityOperator(h / np.trace(h).real)
+    return DensityOperator(_unit_trace(random_positive(rng, dim)))
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int = 2) -> Povm:
@@ -375,14 +459,5 @@ def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int = 2) -> Povm
     """
     if n_outcomes < 1:
         raise ValueError("POVM needs at least one outcome")
-    ops = [random_positive(rng, dim) for _ in range(n_outcomes)]
-    total = sum(ops)
-    vals, vecs = np.linalg.eigh(total)
-    if vals[0] <= 0:
-        raise ValueError("degenerate random POVM draw; sum is singular")
-    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    elements = []
-    for op in ops:
-        el = inv_sqrt @ op @ inv_sqrt
-        elements.append((el + el.conj().T) / 2.0)
-    return Povm(tuple(elements))
+    ops = _gram(rng.standard_normal((n_outcomes, 2, dim, dim)))
+    return Povm(tuple(_normalized_povm(ops)))

@@ -17,6 +17,13 @@ Each class also declares ``needs_shared_state``,
 :func:`games.outcome_table` hands a strategy the delivered signals and
 returns its table, which exact evaluation and the simulator both read.
 
+The honest and hidden-state kernels are stacked: the honest table takes
+an ``(n, d, d)`` stack of shared states, and ``_lhs_tables``,
+``_lhs_reductions`` and ``_lhs_routes`` take the parameters of n
+equally sized hidden-state models at once.  A single object's call is
+the n = 1 case of the same kernel, and every item of a stack gets the
+bits it gets on its own.
+
 Outcome conventions: Alice's POVMs are ordered (a=+1, a=-1); Bob's joint
 POVMs are ordered (b=0, b=1).
 """
@@ -31,9 +38,11 @@ from . import games
 from .games import OUTCOMES, SIGNALS
 from .qcore import (
     _PAULI,
+    _STACK_BLOCK,
     BlochVector,
     DensityOperator,
     Povm,
+    _check_density_stack,
     _kron_pair,
     mats_close,
     partial_trace,
@@ -74,6 +83,19 @@ def _clean_distribution(table: np.ndarray) -> np.ndarray:
     if off.any():
         raise RuntimeError(f"outcome probabilities sum to {total[off][0]}, expected 1")
     return table / total
+
+
+def _tensor_rows(stack: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Each matrix of a (..., m, n) stack Kronecker the 2-D matrix ``right``.
+
+    The items, stacked row-wise, are one 2-D operand of :func:`tensor`,
+    and [A; B] x C = [A x C; B x C]: one call gives every product, each
+    bitwise equal to ``tensor`` of its item alone.
+    """
+    m, n = stack.shape[-2:]
+    p, q = right.shape
+    out = tensor(stack.reshape(-1, n), right)
+    return out.reshape(stack.shape[:-2] + (m * p, n * q))
 
 
 def partial_bell_povm() -> Povm:
@@ -124,7 +146,9 @@ class HonestStrategy:
     construction, into the read-only ``(3, 4, d, d)`` array
     ``joint_effects``: row j-1 holds setting j's four effects in
     ``OUTCOMES`` order.  ``outcome_distribution`` contracts them against
-    the six joint states with one ``matmul`` and one stacked trace.
+    the six joint states of every shared state it is given: per block of
+    ``_STACK_BLOCK`` states, one :func:`tensor` call per signal, one
+    ``matmul`` and one stacked trace.
     """
 
     alice_povms: dict
@@ -162,24 +186,40 @@ class HonestStrategy:
         return self.alice_povms[1].dim
 
     def outcome_distribution(self, signals, shared_state=None):
+        """The ``(6, 1, 4)`` table of one :class:`DensityOperator`, or the
+        ``(n, 6, 1, 4)`` tables of an ``(n, d, d)`` stack of state
+        matrices, each validated as a :class:`DensityOperator` would be;
+        one state is the stack of one."""
         if shared_state is None:
             raise ValueError("honest strategy requires a shared state")
+        single = isinstance(shared_state, DensityOperator)
+        if single:
+            states = shared_state.matrix[None]
+        else:
+            states = np.asarray(shared_state, dtype=np.complex128)
+            _check_density_stack(states)
         d_a = self.alice_dim
         d_bc = self.bob_joint_povm.dim
         d_c = signals.shape[-1]
         if d_bc % d_c != 0:
             raise ValueError("Bob's POVM dimension incompatible with the signal")
         d_b = d_bc // d_c
-        if shared_state.dim != d_a * d_b:
+        if states.shape[-1] != d_a * d_b:
             raise ValueError(
-                f"shared state has dimension {shared_state.dim}, "
+                f"shared state has dimension {states.shape[-1]}, "
                 f"expected {d_a}*{d_b} for this strategy"
             )
-        joints = np.stack([tensor(shared_state.matrix, omega) for omega in signals])
-        # SIGNALS runs over j outer, s inner: axes (j, s, outcome, row, column)
-        joints = joints.reshape((3, 2, 1) + joints.shape[-2:])
-        probs = np.trace(self.joint_effects[:, None] @ joints, axis1=3, axis2=4).real
-        return _clean_distribution(probs.reshape(len(SIGNALS), 1, len(OUTCOMES)))
+        n = len(states)
+        probs = np.empty((n, 3, 2, len(OUTCOMES)))
+        for start in range(0, n, _STACK_BLOCK):
+            block = slice(start, start + _STACK_BLOCK)
+            joints = [_tensor_rows(states[block], omega) for omega in signals]
+            # SIGNALS runs over j outer, s inner: axes (state, j, s, outcome, row, column)
+            joints = np.stack(joints, axis=1).reshape((-1, 3, 2, 1) + joints[0].shape[-2:])
+            effects = self.joint_effects[:, None] @ joints
+            probs[block] = np.trace(effects, axis1=-2, axis2=-1).real
+        table = _clean_distribution(probs.reshape(n, len(SIGNALS), 1, len(OUTCOMES)))
+        return table[0] if single else table
 
 
 def honest_strategy() -> HonestStrategy:
@@ -315,11 +355,6 @@ class LhsStrategy:
         w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)) or np.any(w < -1e-12):
-            raise ValueError("weights must be finite and nonnegative")
-        w = np.clip(w, 0.0, None)
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ValueError(f"weights must sum to 1, got {w.sum()}")
         states = tuple(self.hidden_states)
         if len(states) != w.size:
             raise ValueError("one hidden state per weight is required")
@@ -332,8 +367,7 @@ class LhsStrategy:
         resp = np.array(self.alice_responses, dtype=np.float64)
         if resp.shape != (w.size, 3):
             raise ValueError("alice_responses must have shape (n_lambda, 3)")
-        if not np.all(np.abs(resp) <= 1.0 + 1e-12):  # NaN fails too
-            raise ValueError("response biases must be finite and lie in [-1, 1]")
+        w = _checked_lhs_weights(w[None], resp[None])[0]
         if self.bob_joint_povm.n_outcomes != 2 or self.bob_joint_povm.dim != 2 * d_b:
             raise ValueError("Bob's POVM must act on B x C with two outcomes")
         stack = np.stack([st.matrix for st in states])
@@ -345,19 +379,59 @@ class LhsStrategy:
         object.__setattr__(self, "state_stack", stack)
 
     def outcome_distribution(self, signals, shared_state=None):
-        # t[k, lambda] = Tr[E_1 (rho_lambda x omega_k)], as one stacked trace
-        joint = _kron_pair(self.state_stack, signals[:, None])
-        t = np.trace(self.bob_joint_povm[1] @ joint, axis1=2, axis2=3).real
-        bob = np.stack([t, 1.0 - t], axis=-1).reshape(3, 2, -1, 2)  # b = 1, 0
-        # p(lambda) p(a | lambda, j) for a = +1, -1, shared by both signs s
-        answers = np.array([[1.0], [-1.0]])
-        alice = (1.0 + answers * self.alice_responses.T[:, None, None]) / 2.0
-        probs = (self.weights * alice) @ bob
-        # summed and normalised in the column order (a, b) = (+,1), (+,0),
-        # (-,1), (-,0) that every pinned output was computed in, then
-        # permuted to OUTCOMES
-        table = _clean_distribution(probs.reshape(len(SIGNALS), 1, 4))
-        return table[..., [1, 0, 3, 2]]
+        return _lhs_tables(*_as_stack(self), signals)[0]
+
+
+def _checked_lhs_weights(weights: np.ndarray, responses: np.ndarray) -> np.ndarray:
+    """Check a stack of n hidden-state models' weights and response biases.
+
+    ``weights`` is (n, n_lambda) and ``responses`` (n, n_lambda, 3).  Each
+    model gets the checks of :class:`LhsStrategy`, in its order: weights
+    finite and nonnegative (to 1e-12), summing to 1 after clipping at 0
+    (to 1e-10), then biases in [-1, 1] (to 1e-12).  The first bad model
+    raises; otherwise returns the clipped weights.
+    """
+    bad_w = ~np.all(np.isfinite(weights), axis=-1) | np.any(weights < -1e-12, axis=-1)
+    weights = np.clip(weights, 0.0, None)
+    sums = weights.sum(axis=-1)
+    bad_sum = np.abs(sums - 1.0) > 1e-10
+    bad_r = ~np.all(np.abs(responses) <= 1.0 + 1e-12, axis=(-2, -1))  # NaN fails too
+    bad = bad_w | bad_sum | bad_r
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_w[i]:
+            raise ValueError("weights must be finite and nonnegative")
+        if bad_sum[i]:
+            raise ValueError(f"weights must sum to 1, got {sums[i]}")
+        raise ValueError("response biases must be finite and lie in [-1, 1]")
+    return weights
+
+
+def _lhs_tables(weights, states, responses, effects, signals) -> np.ndarray:
+    """Outcome tables of a stack of n hidden-state models with n_lambda each.
+
+    ``weights`` (n, n_lambda), ``states`` (n, n_lambda, d, d),
+    ``responses`` (n, n_lambda, 3) and ``effects`` (n, 2d, 2d), Bob's b=1
+    element, are validated model parameters; ``signals`` is the (6, 2, 2)
+    signal stack.  Returns the (n, 6, 1, 4) tables.  Every model goes
+    through the same per-item products and traces, so its table has the
+    bits it has when evaluated alone.
+    """
+    n = len(weights)
+    # t[i, k, lambda] = Tr[E_1 (rho_lambda x omega_k)], one stacked trace per signal
+    t = np.empty((n, len(SIGNALS), states.shape[1]))
+    for k, omega in enumerate(signals):
+        t[:, k] = np.trace(effects[:, None] @ _tensor_rows(states, omega), axis1=-2, axis2=-1).real
+    bob = np.stack([t, 1.0 - t], axis=-1).reshape(n, 3, 2, -1, 2)  # b = 1, 0
+    # p(lambda) p(a | lambda, j) for a = +1, -1, shared by both signs s
+    answers = np.array([[1.0], [-1.0]])
+    alice = (1.0 + answers * responses.swapaxes(1, 2)[:, :, None, None]) / 2.0
+    probs = (weights[:, None, None, None] * alice) @ bob
+    # summed and normalised in the column order (a, b) = (+,1), (+,0),
+    # (-,1), (-,0) that every pinned output was computed in, then
+    # permuted to OUTCOMES
+    table = _clean_distribution(probs.reshape(n, len(SIGNALS), 1, 4))
+    return table[..., [1, 0, 3, 2]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,29 +463,64 @@ class LhsReduction:
         object.__setattr__(self, "kept_indices", tuple(self.kept_indices))
 
 
+def _lhs_reductions(weights, states, effects):
+    """The reductions (see :class:`LhsReduction`) of a stack of n models.
+
+    Parameters as for :func:`_lhs_tables`.  X_lambda = Tr_B[E_1
+    (rho_lambda x 1_C)] for every model and lambda is one ``matmul``,
+    then the trace over B of the whole stack.  A term is kept when
+    p(lambda) Tr[X_lambda] > 1e-14, and a model whose N is not positive
+    keeps none.  Returns (normalization, kept, q, taus): the (n,) N, 0
+    for a model that keeps nothing; the (n, n_lambda) mask of kept terms;
+    the (n, n_lambda) reduced weights q, read only where kept; and the
+    (n_kept, 2, 2) tau_lambda of the kept terms, model by model in lambda
+    order.  Every tau gets the checks of :class:`DensityOperator`, then
+    every model those of :class:`LhsReduction`, as stacks; the first bad
+    one raises its message.
+    """
+    n, n_lambda, d_b, _ = states.shape
+    joint = effects[:, None] @ _tensor_rows(states, np.eye(2, dtype=np.complex128))
+    x_ops = np.trace(joint.reshape(n, n_lambda, d_b, 2, d_b, 2), axis1=2, axis2=4)
+    x_ops = (x_ops + x_ops.conj().swapaxes(-1, -2)) / 2.0
+    traces = np.trace(x_ops, axis1=-2, axis2=-1).real
+    weighted = weights * traces
+    n_const = weighted.sum(axis=-1)
+    kept = weighted > 1e-14
+    valid = (n_const > 0.0) & kept.any(axis=-1)
+    kept &= valid[:, None]
+    normalization = np.where(valid, n_const, 0.0)
+    taus = x_ops[kept] / traces[kept][:, None, None]
+    _check_density_stack(taus)
+    q = weighted / np.where(valid, n_const, 1.0)[:, None]
+    off = valid & ~(np.abs(np.where(kept, q, 0.0).sum(axis=-1) - 1.0) <= 1e-9)
+    if off.any():
+        raise ValueError("reduced weights must sum to 1")
+    return normalization, kept, q, taus
+
+
+def _as_stack(strategy: LhsStrategy):
+    """One model's parameters as a stack of one, in :func:`_lhs_tables` order."""
+    return (
+        strategy.weights[None],
+        strategy.state_stack[None],
+        strategy.alice_responses[None],
+        strategy.bob_joint_povm[1][None],
+    )
+
+
 def lhs_reduction(strategy: LhsStrategy) -> LhsReduction:
     """Collapse a hidden-state model onto the signal space (see LhsReduction).
 
-    Every X_lambda comes from one contraction over the hidden-state
-    stack: E_1 (rho_lambda x 1_C) for all lambda in one ``matmul``, then
-    the trace over B of the whole stack.  Each kept tau_lambda is still
-    validated as a :class:`DensityOperator`.
+    This is :func:`_lhs_reductions` for a stack of one model.
     """
-    n_lambda, d_b, _ = strategy.state_stack.shape
-    joint = strategy.bob_joint_povm[1] @ _kron_pair(
-        strategy.state_stack, np.eye(2, dtype=np.complex128)
-    )
-    x_ops = np.trace(joint.reshape(n_lambda, d_b, 2, d_b, 2), axis1=1, axis2=3)
-    x_ops = (x_ops + x_ops.conj().swapaxes(1, 2)) / 2.0
-    traces = np.trace(x_ops, axis1=1, axis2=2).real
-    weighted = strategy.weights * traces
-    n_const = float(weighted.sum())
-    kept = [i for i in range(len(traces)) if weighted[i] > 1e-14]
-    if n_const <= 0.0 or not kept:
+    weights, states, _, effects = _as_stack(strategy)
+    normalization, kept, q, taus = _lhs_reductions(weights, states, effects)
+    kept = np.flatnonzero(kept[0]).tolist()
+    if not kept:
         return LhsReduction(0.0, np.array([]), (), ())
-    q = weighted[kept] / n_const
-    taus = tuple(DensityOperator(x_ops[i] / traces[i]) for i in kept)
-    return LhsReduction(n_const, q, taus, tuple(kept))
+    return LhsReduction(
+        float(normalization[0]), q[0, kept], tuple(map(DensityOperator, taus)), tuple(kept)
+    )
 
 
 def _require_calibrated_ensemble(spec: games.SteeringGameSpec):
@@ -419,28 +528,44 @@ def _require_calibrated_ensemble(spec: games.SteeringGameSpec):
         raise ValueError("the hidden-state reduction assumes the calibrated signal ensemble")
 
 
+def _lhs_routes(spec: games.SteeringGameSpec, weights, states, responses, effects):
+    """Both routes of :func:`lhs_payoff_routes` for a stack of n models.
+
+    Parameters as for :func:`_lhs_tables`; returns the (n,) direct and
+    reduced payoffs.  The direct route aggregates each model's outcome
+    table; the reduced route takes every <sigma_j> of every kept
+    tau_lambda of :func:`_lhs_reductions` in one stacked trace, then sums
+    over j and over the kept lambda one step at a time, in order.  A dropped term is masked, not added, so each model rounds as
+    it does alone.
+    """
+    tables = _lhs_tables(weights, states, responses, effects, spec.delivered_signals())
+    e_ab, e_b = games._correlations(tables, np.ones(1))
+    games._check_correlations(e_ab, e_b)
+    direct = games._payoffs(e_ab, e_b, spec.penalty_coefficient)
+    _require_calibrated_ensemble(spec)
+    normalization, kept, q, taus = _lhs_reductions(weights, states, effects)
+    sigma = np.zeros(kept.shape + (3,))
+    sigma[kept] = np.trace(_PAULI @ taus[:, None], axis1=-2, axis2=-1).real
+    inner = np.zeros(kept.shape)
+    for j in range(3):
+        inner = inner + responses[..., j] * sigma[..., j]
+    total = np.zeros(len(weights))
+    for lam in range(kept.shape[1]):
+        total = np.where(kept[:, lam], total + q[:, lam] * inner[:, lam], total)
+    reduced = 2.0 * normalization * (total - spec.r * spec.payoff_bound)
+    return direct, reduced
+
+
 def lhs_payoff_routes(strategy: LhsStrategy, spec: games.SteeringGameSpec):
     """Exact hidden-state payoff by two independent routes.
 
     Route one aggregates the strategy's outcome table directly;
     route two goes through the reduction onto the signal space.  Both
-    are exact, so any disagreement flags an implementation bug.  Route
-    two takes every <sigma_j>_tau in one stacked trace over the kept
-    lambda, then sums over lambda in order.
+    are exact, so any disagreement flags an implementation bug.  This is
+    :func:`_lhs_routes` for a stack of one model.
     """
-    direct = games.qrs_payoff_exact(spec, strategy)
-    _require_calibrated_ensemble(spec)
-    red = lhs_reduction(strategy)
-    taus = np.array([tau.matrix for tau in red.tau_states]).reshape(-1, 1, 2, 2)
-    sigma = np.trace(_PAULI @ taus, axis1=2, axis2=3).real
-    total = 0.0
-    for pos, lam in enumerate(red.kept_indices):
-        inner = 0.0
-        for j in range(3):
-            inner += strategy.alice_responses[lam, j] * sigma[pos, j]
-        total += red.q_weights[pos] * inner
-    reduced = 2.0 * red.normalization * (total - spec.r * spec.payoff_bound)
-    return direct, reduced
+    direct, reduced = _lhs_routes(spec, *_as_stack(strategy))
+    return float(direct[0]), float(reduced[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -290,6 +290,30 @@ def test_verify_rejects_bad_scan_step(quick_verify_args):
     assert main(["verify", "--scan-step", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("step", ["0.06", "0.007"])
+def test_verify_scans_steps_that_do_not_divide_one(tmp_path, capsys, monkeypatch, step):
+    # np.arange(0, 1 + step/2, step) ends at 1.02 and 1.001 for these steps,
+    # which werner_state rejects; the scan stops at the last W <= 1 instead
+    scanned = []
+    werner_columns = qrgames.oracle.werner_columns
+
+    def recorded(w_grid):
+        scanned.extend(w_grid)
+        return werner_columns(w_grid)
+
+    monkeypatch.setattr(qrgames.oracle, "werner_columns", recorded)
+    code = main([
+        "verify", "--scan-step", step, "--lhs-trials", "1", "--grid-resolution", "10",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert 1.0 - float(step) < scanned[-1] <= 1.0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    scan = report["checks"]["threshold_scan"]
+    assert scan["passed"] is True
+    assert all(c["passed"] and c["crossing"] is not None for c in scan["crossings"].values())
+
+
 @pytest.mark.parametrize("flags", [
     ["--grid-resolution", "5"],
     ["--seed", "-3"],

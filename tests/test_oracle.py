@@ -1,13 +1,27 @@
 """Verification oracles: exhaustive CHSH scan, cheat grid searches, the
 randomized hidden-state suite, and the Werner threshold scan."""
 
+import hashlib
+import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qrgames import oracle
-from qrgames.games import SIGNALS, SQRT2, SQRT3, SteeringGameSpec, single_axis_ensemble
+from qrgames.games import (
+    SIGNALS,
+    SQRT2,
+    SQRT3,
+    SteeringGameSpec,
+    chsh_from_state,
+    correlation_table,
+    single_axis_ensemble,
+    steering2_value,
+    steering3_value,
+    witness2_value,
+)
 from qrgames.oracle import (
     _BA_BOB_RULES,
     _GRID_BLOCK,
@@ -27,7 +41,7 @@ from qrgames.oracle import (
 )
 from qrgames.cli import main
 from qrgames.games import qrs_payoff_exact
-from qrgames.qcore import _PAULI, BlochVector, werner_state
+from qrgames.qcore import _PAULI, BlochVector, pauli, tensor, werner_state
 from qrgames.strategies import (
     ALICE_RULES_BA,
     HonestStrategy,
@@ -36,7 +50,7 @@ from qrgames.strategies import (
     honest_strategy,
     lhs_payoff_routes,
 )
-from qrgames.serialize import strategy_from_json
+from qrgames.serialize import strategy_from_json, strategy_to_json
 
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
 
@@ -297,17 +311,126 @@ def test_random_lhs_suite_route_gap_bound_is_1e10_at_the_defaults(
     monkeypatch, offset, passed
 ):
     """At c = 1/sqrt(3) <= 1 the route-gap bound stays an absolute 1e-10."""
-    original = oracle.lhs_payoff_routes
+    original = oracle._lhs_routes
 
-    def perturbed(strategy, spec):
-        direct, reduced = original(strategy, spec)
+    def perturbed(spec, *stack):
+        direct, reduced = original(spec, *stack)
         return direct, reduced + offset
 
-    monkeypatch.setattr(oracle, "lhs_payoff_routes", perturbed)
+    monkeypatch.setattr(oracle, "_lhs_routes", perturbed)
     report = random_lhs_suite(trials=3, rng_seed=0)
     assert report.passed is passed
     if not passed:
         assert len(report.failures) == report.trials + report.probes
+
+
+def _suite_one_model_at_a_time(trials, seed, spec):
+    """The reference: the suite's report built by drawing, building and
+    evaluating each model on its own, trials then probes."""
+    gap_bound = 1e-10 * max(1.0, spec.penalty_coefficient)
+    models = []
+    for t in range(trials):
+        d = _LHS_DIMS[t % len(_LHS_DIMS)]
+        n_lambda = _LHS_LAMBDA_SIZES[(t // len(_LHS_DIMS)) % len(_LHS_LAMBDA_SIZES)]
+        rng = np.random.default_rng([seed, t])
+        models.append((f"trial-{t}", random_lhs_strategy(rng, d, n_lambda)))
+    for i, direction in enumerate(oracle._PROBE_DIRECTIONS):
+        models.append((f"probe-{i}", oracle._extremal_lhs_strategy(direction)))
+    max_payoff, max_gap, failures = -np.inf, 0.0, []
+    for label, model in models:
+        direct, reduced = lhs_payoff_routes(model, spec)
+        gap = abs(direct - reduced)
+        max_payoff = max(max_payoff, direct)
+        max_gap = max(max_gap, gap)
+        if direct > 1e-9 or gap > gap_bound:
+            failures.append({
+                "label": label,
+                "payoff": direct,
+                "route_gap": gap,
+                "strategy": strategy_to_json(model),
+            })
+    return {
+        "trials": trials,
+        "probes": len(oracle._PROBE_DIRECTIONS),
+        "seed": seed,
+        "max_payoff": max_payoff,
+        "max_route_gap": max_gap,
+        "passed": not failures,
+        "failures": failures,
+    }
+
+
+_SUITE_SPECS = {
+    "ideal": SteeringGameSpec.ideal(),
+    "r-1.081": SteeringGameSpec.ideal(r=1.081),
+    "r-1e5": SteeringGameSpec.ideal(r=1e5),
+    # random models win here, so failing models are serialised
+    "payoff-bound-0.01": SteeringGameSpec.ideal(payoff_bound=0.01),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("spec", list(_SUITE_SPECS.values()), ids=list(_SUITE_SPECS))
+def test_random_lhs_suite_equals_the_one_model_at_a_time_suite(spec, seed):
+    # 1 and 7 trials leave some (dimension, count) groups empty and the
+    # others unequal in size; 200 fills all nine
+    for trials in (1, 7, 200):
+        want = _suite_one_model_at_a_time(trials, seed, spec)
+        assert random_lhs_suite(trials, rng_seed=seed, spec=spec).to_json() == want
+
+
+@pytest.mark.parametrize(
+    "seed, spec, n_failures, digest",
+    [
+        (0, "payoff-bound-0.01", 92,
+         "8b8fbaccf39b5c26d56034d3cbd9b480d54d6388a619db36b9d6cc5442b52abd"),
+        (7, "r-1e5", 0, "b97619e92ac41945dcd1c139a37a13db39c0c17e9d9258b5c95a6912a8b35dc8"),
+    ],
+)
+def test_random_lhs_suite_reports_are_pinned(seed, spec, n_failures, digest):
+    """Digests of reports the suite wrote when it evaluated one model at a time."""
+    report = random_lhs_suite(200, rng_seed=seed, spec=_SUITE_SPECS[spec]).to_json()
+    assert len(report["failures"]) == n_failures
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_stacked_suite_and_scan_hold_one_block_at_a_time():
+    """Evaluated as whole stacks, 1,000 trials peak at about 5 MB and
+    1,001 W states at about 32 MB (321 MB at 10,001)."""
+    for run in (lambda: random_lhs_suite(1000), lambda: werner_columns(np.linspace(0, 1, 1001))):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, peak
+
+
+def test_random_lhs_suite_needs_the_calibrated_ensemble():
+    spec = SteeringGameSpec(signal_ensemble=single_axis_ensemble())
+    for trials in (0, 3):
+        with pytest.raises(ValueError, match="calibrated signal ensemble"):
+            random_lhs_suite(trials, spec=spec)
+
+
+def test_random_lhs_suite_evaluates_groups_not_models(monkeypatch):
+    sizes = []
+    original = oracle._lhs_routes
+
+    def counted(spec, weights, *stack):
+        sizes.append(len(weights))
+        return original(spec, weights, *stack)
+
+    monkeypatch.setattr(oracle, "_lhs_routes", counted)
+    report = random_lhs_suite(200)
+    # the nine (dimension, count) pairs get 22 or 23 trials each, evaluated
+    # in groups of at most _LHS_GROUP; the probes make one more group
+    pairs = len(_LHS_DIMS) * len(_LHS_LAMBDA_SIZES)
+    assert max(sizes) <= oracle._LHS_GROUP
+    assert len(sizes) <= pairs * math.ceil(23 / oracle._LHS_GROUP) + 1 == 28
+    assert sum(sizes) == report.trials + report.probes == 205
 
 
 def test_random_lhs_strategy_is_valid(rng):
@@ -355,6 +478,61 @@ def test_threshold_scan_rejects_empty_grid():
         threshold_scan(werner_columns([]))
 
 
+_WERNER_GRIDS = {
+    "verify": np.arange(0.0, 1.0 + 0.5 * 0.005, 0.005),
+    "sweep": np.arange(0.0, 1.0 + 0.5 * 0.01, 0.01),
+    "full-range": np.linspace(-1.0 / 3.0, 1.0, 41),
+    "one-point": np.array([0.7]),
+}
+
+
+@pytest.mark.parametrize("grid", list(_WERNER_GRIDS.values()), ids=list(_WERNER_GRIDS))
+def test_werner_columns_equal_the_per_state_evaluation(grid):
+    columns = werner_columns(grid)
+    assert len(columns.rows) == len(grid)
+    honest = honest_strategy()
+    steering = [tensor(-pauli(j), pauli(j)) for j in (1, 2, 3)]
+    scans = {r: threshold_scan(columns, r=r).rows for r in (1.0, 1.081)}
+    for i, w in enumerate(grid):
+        state = werner_state(float(w))
+        c = [state.expectation(op) for op in steering]
+        assert columns.rows[i] == {
+            "w": float(w),
+            "witness2": witness2_value(state),
+            "steering2": steering2_value(c[0], c[1]),
+            "steering3": steering3_value(c[0], c[1], c[2]),
+            "chsh": chsh_from_state(state),
+        }
+        table = correlation_table(SteeringGameSpec.ideal(), honest, state)
+        assert columns.e_ab[i].tolist() == [table.e_ab[sig] for sig in SIGNALS]
+        assert columns.e_b[i].tolist() == [table.e_b[sig] for sig in SIGNALS]
+        for r, rows in scans.items():
+            assert rows[i]["qrs_payoff"] == table.payoff(SteeringGameSpec.ideal(r=r))
+
+
+def test_werner_columns_reject_a_parameter_out_of_range():
+    with pytest.raises(ValueError) as per_state:
+        werner_state(1.1)
+    with pytest.raises(ValueError) as stacked:
+        werner_columns([0.5, 1.1, 1.2])
+    assert str(stacked.value) == str(per_state.value)
+    assert str(stacked.value) == "Werner parameter must lie in [-1/3, 1], got 1.1"
+
+
+@pytest.mark.parametrize("n", [1, 11, 201])
+def test_werner_columns_make_one_honest_table_call(monkeypatch, n):
+    calls = []
+    original = HonestStrategy.outcome_distribution
+
+    def counted(self, signals, shared_state=None):
+        calls.append(len(shared_state))
+        return original(self, signals, shared_state)
+
+    monkeypatch.setattr(HonestStrategy, "outcome_distribution", counted)
+    werner_columns(np.linspace(0.0, 1.0, n))
+    assert calls == [n]
+
+
 _HOIST_GRID = np.linspace(0.0, 1.0, 11)
 
 
@@ -373,9 +551,9 @@ def test_sweep_evaluates_each_werner_state_once(tmp_path, monkeypatch, r_stop):
     calls = []
     original = HonestStrategy.outcome_distribution
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
+    def counted(self, signals, shared_state=None):
+        calls.append(len(shared_state))
+        return original(self, signals, shared_state)
 
     monkeypatch.setattr(HonestStrategy, "outcome_distribution", counted)
     assert main([
@@ -386,5 +564,6 @@ def test_sweep_evaluates_each_werner_state_once(tmp_path, monkeypatch, r_stop):
     n_r = 1 if r_stop == "1.0" else 4
     with open(tmp_path / "sweep.csv") as fh:
         assert sum(1 for _ in fh) == 1 + 5 * n_r
-    # one outcome table per W value, whatever the number of r values
-    assert len(calls) == 5
+    # one outcome table per W value, whatever the number of r values, all
+    # from one call over the stack of W states
+    assert calls == [5]

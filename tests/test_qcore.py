@@ -1,5 +1,7 @@
 """Linear-algebra primitives and validated quantum objects."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from qrgames.qcore import (
     DensityOperator,
     Povm,
     QuantumChannel,
+    _check_density_stack,
+    _check_povm_stack,
     _kron_pair,
     amplitude_damping_channel,
     apply_channel,
     bloch_operator,
     depolarizing_channel,
-    is_hermitian,
     mats_close,
     partial_trace,
     pauli,
@@ -41,7 +44,7 @@ def test_pauli_algebra():
         s = pauli(j)
         assert mats_close(s @ s, I2, 1e-15)
         assert abs(np.trace(s)) < 1e-15
-        assert is_hermitian(s, 1e-15)
+        assert mats_close(s, s.conj().T, 1e-15)
     for j in (1, 2, 3):
         for k in (1, 2, 3):
             if j != k:
@@ -207,6 +210,45 @@ def test_density_operator_validation():
         rho.matrix[0, 0] = 9.0  # frozen array
 
 
+_BAD_STATES = {
+    "not Hermitian": np.array([[0.5, 1.0], [0.0, 0.5]]),
+    "not unit trace": np.eye(2),
+    "not positive": np.diag([1.5, -0.5]),
+    "not finite": np.array([[np.nan, 0.0], [0.0, 1.0]]),
+}
+
+_BAD_POVMS = {
+    "not Hermitian": [np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]])],
+    "not positive": [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])],
+    "not a resolution": [np.eye(2), np.eye(2)],
+    "second element": [np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])],
+}
+
+
+@pytest.mark.parametrize("first, later", list(permutations(_BAD_STATES, 2)))
+def test_stacked_state_validation_reports_the_first_bad_item(first, later):
+    good = np.eye(2) / 2
+    stack = np.array([good, _BAD_STATES[first], good, _BAD_STATES[later]], dtype=complex)
+    with pytest.raises(ValueError) as alone:
+        DensityOperator(_BAD_STATES[first])
+    with pytest.raises(ValueError) as stacked:
+        _check_density_stack(stack)
+    assert str(stacked.value) == str(alone.value)
+    _check_density_stack(stack[[0, 2]])
+
+
+@pytest.mark.parametrize("first, later", list(permutations(_BAD_POVMS, 2)))
+def test_stacked_povm_validation_reports_the_first_bad_item(first, later):
+    good = [np.eye(2) / 2, np.eye(2) / 2]
+    stack = np.array([good, _BAD_POVMS[first], good, _BAD_POVMS[later]], dtype=complex)
+    with pytest.raises(ValueError) as alone:
+        Povm(tuple(_BAD_POVMS[first]))
+    with pytest.raises(ValueError) as stacked:
+        _check_povm_stack(stack)
+    assert str(stacked.value) == str(alone.value)
+    _check_povm_stack(stack[[0, 2]])
+
+
 def test_density_operator_expectation():
     rho = signal_state(3, 1)
     assert abs(rho.expectation(pauli(3)) - 1.0) < 1e-15
@@ -300,7 +342,7 @@ def test_random_constructors_produce_valid_objects(rng):
         rho = random_density(rng, dim)
         assert rho.dim == dim
         pos = random_positive(rng, dim)
-        assert is_hermitian(pos, 1e-10)
+        assert mats_close(pos, pos.conj().T, 1e-10)
         assert np.linalg.eigvalsh(pos)[0] >= -1e-10
         povm = random_povm(rng, dim, 3)
         assert povm.n_outcomes == 3

@@ -40,7 +40,9 @@ from qrgames.strategies import (
     HonestStrategy,
     LhsStrategy,
     NoStateCheat,
+    _as_stack,
     _clean_distribution,
+    _lhs_routes,
     best_estimator,
     discrimination_stats,
     honest_strategy,
@@ -152,6 +154,30 @@ def test_honest_distribution_is_four_separate_traces(rng):
                         effect = np.kron(h.alice_povms[j][ai], h.bob_joint_povm[b])
                         dist.append(float(np.trace(effect @ joint).real))
                     assert np.array_equal(got[k, 0], _clean_distribution(np.array(dist)))
+
+
+def _bad_state_stacks():
+    good = np.stack([werner_state(w).matrix for w in (0.2, 0.5, 0.9)])
+    skew, double, negative = good.copy(), good.copy(), good.copy()
+    skew[1, 0, 1] += 0.1
+    double[1] *= 2.0
+    # the Werner matrix at w = 1.2, Hermitian with unit trace: eigenvalue -0.05
+    negative[1] = (-0.2 * np.eye(4) + 4.8 * singlet_projector()) / 4.0
+    return [
+        (good[0], "must be a square matrix"),
+        (skew, "must be Hermitian"),
+        (double, "must have unit trace, got"),
+        (negative, "must be positive semidefinite"),
+    ]
+
+
+@pytest.mark.parametrize(("states", "message"), _bad_state_stacks())
+def test_honest_tables_of_a_state_stack_validate_every_state(states, message):
+    """A stack of state matrices gets every check of DensityOperator."""
+    with pytest.raises(ValueError, match=message):
+        honest_strategy().outcome_distribution(IDEAL_SIGNALS, states)
+    with pytest.raises(ValueError, match=message):
+        outcome_table(SteeringGameSpec.ideal(), honest_strategy(), states)
 
 
 def test_honest_distribution_is_normalized():
@@ -413,6 +439,33 @@ def test_lhs_reduction_drops_zero_trace_terms(ideal_spec):
     assert red.normalization == pytest.approx(0.5)
     direct, reduced = lhs_payoff_routes(strategy, ideal_spec)
     assert abs(direct - reduced) < 1e-12
+
+
+def _tiny_normalization_lhs(dropped):
+    """Two hidden states under E_1 = |0><0| x 1_C whose p(lambda) Tr[X_lambda]
+    are 1e-13 (kept) and ``dropped``."""
+    e1 = np.kron(np.diag([1.0, 0.0]), np.eye(2))
+    states = tuple(DensityOperator(np.diag([a, 1.0 - a])) for a in (1e-13, dropped))
+    return LhsStrategy(
+        np.array([0.5, 0.5]), states, np.zeros((2, 3)), Povm((np.eye(4) - e1, e1))
+    )
+
+
+def test_lhs_reduction_checks_the_reduced_weights_of_a_tiny_normalization(ideal_spec):
+    """A dropped term a tenth the size of N pulls sum q off 1, which raises."""
+    good = _tiny_normalization_lhs(0.0)
+    red = lhs_reduction(good)
+    assert red.kept_indices == (0,) and red.q_weights.tolist() == [1.0]
+    assert red.normalization == pytest.approx(1e-13, rel=1e-9)
+    bad = _tiny_normalization_lhs(0.9e-14)
+    with pytest.raises(ValueError, match="reduced weights must sum to 1"):
+        lhs_reduction(bad)
+    with pytest.raises(ValueError, match="reduced weights must sum to 1"):
+        lhs_payoff_routes(bad, ideal_spec)
+    # the stacked routes check every model, not only the first
+    stack = [np.concatenate(pair) for pair in zip(_as_stack(good), _as_stack(bad))]
+    with pytest.raises(ValueError, match="reduced weights must sum to 1"):
+        _lhs_routes(ideal_spec, *stack)
 
 
 def test_lhs_requires_calibrated_ensemble(rng):
