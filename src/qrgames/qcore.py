@@ -441,14 +441,9 @@ def _normalized_povm(ops: np.ndarray) -> np.ndarray:
     return (el + el.conj().swapaxes(-1, -2)) / 2.0
 
 
-def random_positive(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random positive-semidefinite matrix G^dag G, G complex Gaussian."""
-    return _gram(rng.standard_normal((2, dim, dim)))
-
-
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
     """Random full-rank density operator, G^dag G normalised to unit trace."""
-    return DensityOperator(_unit_trace(random_positive(rng, dim)))
+    return DensityOperator(_unit_trace(_gram(rng.standard_normal((2, dim, dim)))))
 
 
 def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int = 2) -> Povm:

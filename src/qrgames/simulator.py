@@ -26,6 +26,14 @@ round, read-only.  :func:`write_transcript_csv` expands the codes in
 blocks of 10**4 rounds, gathering each round's row bytes from a table of
 the encoded rows of every code.
 
+Channel check
+-------------
+:func:`modified_povm` pulls a transmission channel into Bob's joint
+POVM through its dual map, and :func:`noisy_equivalence_check` confirms
+the identity numerically: it draws its random states on B as one
+validated stack and evaluates both orders with the Born-rule kernel of
+:mod:`strategies`, one call each, with no per-state loop.
+
 Communication discipline
 ------------------------
 A run opens the one-way channel its strategy declares
@@ -49,10 +57,12 @@ from .qcore import (
     DensityOperator,
     Povm,
     QuantumChannel,
-    random_density,
-    signal_state,
+    _check_density_stack,
+    _gram,
+    _unit_trace,
     tensor,
 )
+from .strategies import _signal_traces
 
 TRANSCRIPT_FIELDS = ("round", "j", "s", "a", "b", "payoff")
 
@@ -282,8 +292,10 @@ def noisy_equivalence_check(
 
     Checks that the modified POVM is valid and that both evaluation
     orders agree, to ``_EQUIVALENCE_TOL``, on ``_EQUIVALENCE_SAMPLES``
-    random states on B (drawn from ``rng_seed``) against all six
-    calibrated signals.
+    random states on B (drawn from ``rng_seed`` as one validated stack)
+    against all six calibrated signals: ``E`` against the signals behind
+    the channel, and the modified POVM against the clean signals, one
+    call of the Born-rule kernel each.
     Never raises on failure; inspect the report.
     """
     try:
@@ -292,16 +304,15 @@ def noisy_equivalence_check(
         return EquivalenceReport(False, float("nan"), False, f"invalid modified POVM: {exc}")
     d_b = e_bc.dim // channel.input_dim
     rng = np.random.default_rng(rng_seed)
-    max_dev = 0.0
-    for _ in range(_EQUIVALENCE_SAMPLES):
-        rho = random_density(rng, d_b)
-        for (j, s) in SIGNALS:
-            omega = signal_state(j, s)
-            noisy = channel.apply_to_matrix(omega.matrix)
-            for b in range(e_bc.n_outcomes):
-                lhs = np.trace(e_bc[b] @ tensor(rho.matrix, noisy)).real
-                rhs = np.trace(modified[b] @ tensor(rho.matrix, omega.matrix)).real
-                max_dev = max(max_dev, float(abs(lhs - rhs)))
+    # the numbers random_density draws one state at a time
+    rhos = _unit_trace(_gram(rng.standard_normal((_EQUIVALENCE_SAMPLES, 2, d_b, d_b))))
+    _check_density_stack(rhos)
+    spec = SteeringGameSpec.ideal()
+    states = rhos[:, None]
+    # (signal, state, outcome): E behind the channel, E~ against the clean signals
+    lhs = _signal_traces(np.stack(e_bc.elements)[None], states, spec.delivered_signals(channel))
+    rhs = _signal_traces(np.stack(modified.elements)[None], states, spec.delivered_signals())
+    max_dev = float(np.max(np.abs(lhs - rhs)))
     tol = _EQUIVALENCE_TOL
     passed = max_dev <= tol
     msg = "" if passed else f"evaluation orders deviate by {max_dev:.3e} (tol {tol:.1e})"

@@ -17,12 +17,16 @@ Each class also declares ``needs_shared_state``,
 :func:`games.outcome_table` hands a strategy the delivered signals and
 returns its table, which exact evaluation and the simulator both read.
 
-The honest and hidden-state kernels are stacked: the honest table takes
-an ``(n, d, d)`` stack of shared states, and ``_lhs_tables``,
-``_lhs_reductions`` and ``_lhs_routes`` take the parameters of n
-equally sized hidden-state models at once.  A single object's call is
-the n = 1 case of the same kernel, and every item of a stack gets the
-bits it gets on its own.
+Every probability on Bob's side is the Born rule Tr[E (rho x omega_k)]
+on the signal omega_k the referee sent, and one private kernel,
+``_signal_traces``, is the only code that evaluates it.  It has three
+callers: the honest table, over an ``(n, d, d)`` stack of shared states
+in blocks of ``qcore._STACK_BLOCK``; ``_lhs_tables``, over the hidden
+states of n equally sized hidden-state models; and
+``simulator.noisy_equivalence_check``, over its stack of random states
+on B.  ``_lhs_reductions`` and ``_lhs_routes`` also take n models at
+once.  A single object's call is the n = 1 case of the same kernel, and
+every item of a stack gets the bits it gets on its own.
 
 Outcome conventions: Alice's POVMs are ordered (a=+1, a=-1); Bob's joint
 POVMs are ordered (b=0, b=1).
@@ -98,6 +102,26 @@ def _tensor_rows(stack: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out.reshape(stack.shape[:-2] + (m * p, n * q))
 
 
+def _signal_traces(effects: np.ndarray, states: np.ndarray, signals: np.ndarray) -> np.ndarray:
+    """Tr[E (rho x omega_k)] for every effect E, state rho and signal omega_k.
+
+    The one Born-rule kernel of Bob's side.  ``states`` is a (..., d, d)
+    stack and ``signals`` a (K, c, c) stack; ``effects`` is
+    (K or 1, ..., d*c, d*c), its leading axis picking the effects played
+    against each signal, and its remaining leading axes broadcasting
+    against those of ``states``.  Per signal: one :func:`_tensor_rows`,
+    one ``matmul`` and one stacked trace.  Returns the real traces with
+    the signal axis first.
+    """
+    effects = np.broadcast_to(effects, (len(signals),) + effects.shape[1:])
+    return np.stack(
+        [
+            np.trace(e @ _tensor_rows(states, omega), axis1=-2, axis2=-1).real
+            for e, omega in zip(effects, signals)
+        ]
+    )
+
+
 def partial_bell_povm() -> Povm:
     """Bob's honest joint measurement on B x C.
 
@@ -145,10 +169,9 @@ class HonestStrategy:
     The twelve joint effects ``A_{j,a} x E_b`` are built once, at
     construction, into the read-only ``(3, 4, d, d)`` array
     ``joint_effects``: row j-1 holds setting j's four effects in
-    ``OUTCOMES`` order.  ``outcome_distribution`` contracts them against
-    the six joint states of every shared state it is given: per block of
-    ``_STACK_BLOCK`` states, one :func:`tensor` call per signal, one
-    ``matmul`` and one stacked trace.
+    ``OUTCOMES`` order.  ``outcome_distribution`` plays row j-1 against
+    both signals of setting j for every shared state it is given, one
+    :func:`_signal_traces` call per block of ``_STACK_BLOCK`` states.
     """
 
     alice_povms: dict
@@ -209,16 +232,14 @@ class HonestStrategy:
                 f"shared state has dimension {states.shape[-1]}, "
                 f"expected {d_a}*{d_b} for this strategy"
             )
+        # signal k = (j, s) is played against setting j's four effects
+        effects = np.repeat(self.joint_effects, 2, axis=0)
         n = len(states)
-        probs = np.empty((n, 3, 2, len(OUTCOMES)))
+        probs = np.empty((n, len(SIGNALS), len(OUTCOMES)))
         for start in range(0, n, _STACK_BLOCK):
             block = slice(start, start + _STACK_BLOCK)
-            joints = [_tensor_rows(states[block], omega) for omega in signals]
-            # SIGNALS runs over j outer, s inner: axes (state, j, s, outcome, row, column)
-            joints = np.stack(joints, axis=1).reshape((-1, 3, 2, 1) + joints[0].shape[-2:])
-            effects = self.joint_effects[:, None] @ joints
-            probs[block] = np.trace(effects, axis1=-2, axis2=-1).real
-        table = _clean_distribution(probs.reshape(n, len(SIGNALS), 1, len(OUTCOMES)))
+            probs[block] = np.moveaxis(_signal_traces(effects, states[block, None], signals), 0, 1)
+        table = _clean_distribution(probs[:, :, None])
         return table[0] if single else table
 
 
@@ -418,10 +439,8 @@ def _lhs_tables(weights, states, responses, effects, signals) -> np.ndarray:
     bits it has when evaluated alone.
     """
     n = len(weights)
-    # t[i, k, lambda] = Tr[E_1 (rho_lambda x omega_k)], one stacked trace per signal
-    t = np.empty((n, len(SIGNALS), states.shape[1]))
-    for k, omega in enumerate(signals):
-        t[:, k] = np.trace(effects[:, None] @ _tensor_rows(states, omega), axis1=-2, axis2=-1).real
+    # t[i, k, lambda] = Tr[E_1 (rho_lambda x omega_k)]
+    t = np.moveaxis(_signal_traces(effects[None, :, None], states, signals), 0, 1)
     bob = np.stack([t, 1.0 - t], axis=-1).reshape(n, 3, 2, -1, 2)  # b = 1, 0
     # p(lambda) p(a | lambda, j) for a = +1, -1, shared by both signs s
     answers = np.array([[1.0], [-1.0]])
@@ -434,49 +453,25 @@ def _lhs_tables(weights, states, responses, effects, signals) -> np.ndarray:
     return table[..., [1, 0, 3, 2]]
 
 
-@dataclass(frozen=True, eq=False)
-class LhsReduction:
-    """A hidden-state model reduced to effective states on the signal space.
-
-    X_lambda = Tr_B[E_1 (rho_lambda x 1_C)] collapses Bob's side into a
-    positive operator on C; with N = sum_lambda p(lambda) Tr[X_lambda],
-    reweighted distribution q(lambda) and normalised states tau_lambda,
-    the game payoff becomes 2N (sum_j <a_j sigma_j> - r*sqrt(3)) for the
-    calibrated game, manifestly nonpositive for r >= 1.  Terms with
-    Tr[X_lambda] = 0 are dropped.
-    """
-
-    normalization: float
-    q_weights: np.ndarray
-    tau_states: tuple
-    kept_indices: tuple
-
-    def __post_init__(self):
-        q = np.array(self.q_weights, dtype=np.float64)
-        if self.normalization < 0:
-            raise ValueError("normalization must be nonnegative")
-        if q.size and abs(q.sum() - 1.0) > 1e-9:
-            raise ValueError("reduced weights must sum to 1")
-        q.setflags(write=False)
-        object.__setattr__(self, "q_weights", q)
-        object.__setattr__(self, "tau_states", tuple(self.tau_states))
-        object.__setattr__(self, "kept_indices", tuple(self.kept_indices))
-
-
 def _lhs_reductions(weights, states, effects):
-    """The reductions (see :class:`LhsReduction`) of a stack of n models.
+    """Collapse a stack of n hidden-state models onto the signal space.
 
-    Parameters as for :func:`_lhs_tables`.  X_lambda = Tr_B[E_1
-    (rho_lambda x 1_C)] for every model and lambda is one ``matmul``,
-    then the trace over B of the whole stack.  A term is kept when
-    p(lambda) Tr[X_lambda] > 1e-14, and a model whose N is not positive
-    keeps none.  Returns (normalization, kept, q, taus): the (n,) N, 0
-    for a model that keeps nothing; the (n, n_lambda) mask of kept terms;
-    the (n, n_lambda) reduced weights q, read only where kept; and the
-    (n_kept, 2, 2) tau_lambda of the kept terms, model by model in lambda
-    order.  Every tau gets the checks of :class:`DensityOperator`, then
-    every model those of :class:`LhsReduction`, as stacks; the first bad
-    one raises its message.
+    X_lambda = Tr_B[E_1 (rho_lambda x 1_C)] turns Bob's side into a
+    positive operator on C.  With N = sum_lambda p(lambda) Tr[X_lambda],
+    reweighted distribution q(lambda) and normalised states tau_lambda,
+    the payoff in the calibrated game becomes
+    2N (sum_j <a_j sigma_j> - r*sqrt(3)), which is at most 0 for r >= 1.
+
+    Parameters as for :func:`_lhs_tables`.  Every X_lambda of every model
+    is one ``matmul``, then the trace over B of the whole stack.  A term
+    is kept when p(lambda) Tr[X_lambda] > 1e-14, and a model whose N is
+    not positive keeps none.  Returns (normalization, kept, q, taus): the
+    (n,) N, 0 for a model that keeps nothing; the (n, n_lambda) mask of
+    kept terms; the (n, n_lambda) reduced weights q, read only where
+    kept; and the (n_kept, 2, 2) tau_lambda of the kept terms, model by
+    model in lambda order.  Every tau gets the checks of
+    :class:`DensityOperator`, and every model's kept q must sum to 1
+    within 1e-9, as stacks; the first bad one raises its message.
     """
     n, n_lambda, d_b, _ = states.shape
     joint = effects[:, None] @ _tensor_rows(states, np.eye(2, dtype=np.complex128))
@@ -508,21 +503,6 @@ def _as_stack(strategy: LhsStrategy):
     )
 
 
-def lhs_reduction(strategy: LhsStrategy) -> LhsReduction:
-    """Collapse a hidden-state model onto the signal space (see LhsReduction).
-
-    This is :func:`_lhs_reductions` for a stack of one model.
-    """
-    weights, states, _, effects = _as_stack(strategy)
-    normalization, kept, q, taus = _lhs_reductions(weights, states, effects)
-    kept = np.flatnonzero(kept[0]).tolist()
-    if not kept:
-        return LhsReduction(0.0, np.array([]), (), ())
-    return LhsReduction(
-        float(normalization[0]), q[0, kept], tuple(map(DensityOperator, taus)), tuple(kept)
-    )
-
-
 def _require_calibrated_ensemble(spec: games.SteeringGameSpec):
     if not mats_close(spec.delivered_signals(), _IDEAL_SIGNALS, 1e-10):
         raise ValueError("the hidden-state reduction assumes the calibrated signal ensemble")
@@ -535,8 +515,9 @@ def _lhs_routes(spec: games.SteeringGameSpec, weights, states, responses, effect
     reduced payoffs.  The direct route aggregates each model's outcome
     table; the reduced route takes every <sigma_j> of every kept
     tau_lambda of :func:`_lhs_reductions` in one stacked trace, then sums
-    over j and over the kept lambda one step at a time, in order.  A dropped term is masked, not added, so each model rounds as
-    it does alone.
+    over j and over the kept lambda one step at a time, in order.  A
+    dropped term is masked, not added, so each model rounds as it does
+    alone.
     """
     tables = _lhs_tables(weights, states, responses, effects, spec.delivered_signals())
     e_ab, e_b = games._correlations(tables, np.ones(1))

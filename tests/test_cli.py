@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qrgames
-from qrgames.cli import SWEEP_MAX_ROWS, VERIFY_CONFIG_SCHEMA, _validate, main
+from qrgames.cli import SWEEP_MAX_ROWS, VERIFY_CONFIG_SCHEMA, _arange_size, _validate, main
 from qrgames.games import SQRT3, single_axis_ensemble
 from qrgames.oracle import random_lhs_strategy
 from qrgames.serialize import density_to_json, strategy_to_json
@@ -463,6 +463,24 @@ def test_verify_rejects_a_scan_grid_over_the_row_cap(tmp_path, capsys):
     assert main(["verify", "--scan-step", "1e-9", "--out", str(tmp_path)]) == 2
     assert f"exceeds {SWEEP_MAX_ROWS} rows" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
+
+
+def test_arange_size_is_the_length_np_arange_builds():
+    """The grid size is counted without building the grid, and must be the
+    length np.arange(a, b + s/2, s) has, as sweep and verify build it."""
+    rng = np.random.default_rng(6)
+    n = 20_000
+    triples = np.column_stack(
+        [rng.uniform(-2.0, 2.0, n), rng.uniform(-2.0, 2.0, n), 10.0 ** rng.uniform(-4.0, 0.0, n)]
+    ).tolist()
+    # steps that do not divide the range, stop below start, one point
+    triples += [
+        (0.0, 1.0, 0.3), (0.0, 1.0, 0.06), (0.0, 1.0, 0.007), (-1.0 / 3.0, 1.0, 0.01),
+        (1.0, 0.0, 0.1), (0.5, 0.4, 0.3), (2.0, -2.0, 1e-4), (0.5, 0.5, 0.1),
+    ]
+    for a, b, s in triples:
+        stop = b + 0.5 * s
+        assert _arange_size(a, stop, s) == np.arange(a, stop, s).size, (a, b, s)
 
 
 def test_sweep_rejects_an_empty_grid(tmp_path):

@@ -12,6 +12,7 @@ from qrgames.qcore import (
     QuantumChannel,
     _check_density_stack,
     _check_povm_stack,
+    _gram,
     _kron_pair,
     amplitude_damping_channel,
     apply_channel,
@@ -22,7 +23,6 @@ from qrgames.qcore import (
     pauli,
     random_density,
     random_povm,
-    random_positive,
     signal_state,
     singlet_projector,
     tensor,
@@ -341,7 +341,7 @@ def test_random_constructors_produce_valid_objects(rng):
     for dim in (2, 3, 4):
         rho = random_density(rng, dim)
         assert rho.dim == dim
-        pos = random_positive(rng, dim)
+        pos = _gram(rng.standard_normal((2, dim, dim)))
         assert mats_close(pos, pos.conj().T, 1e-10)
         assert np.linalg.eigvalsh(pos)[0] >= -1e-10
         povm = random_povm(rng, dim, 3)

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from qrgames import simulator
+import qrgames
+from qrgames import qcore, simulator
 from qrgames.games import (
     SIGNALS,
     SQRT3,
@@ -22,11 +23,15 @@ from qrgames.games import (
 from qrgames.qcore import (
     BlochVector,
     DensityOperator,
+    amplitude_damping_channel,
     depolarizing_channel,
     identity_channel,
     pauli,
+    random_density,
+    random_povm,
     signal_state,
     singlet_projector,
+    tensor,
     werner_state,
 )
 from qrgames.simulator import (
@@ -314,6 +319,77 @@ def test_noisy_equivalence_check_reports(monkeypatch):
     tight = noisy_equivalence_check(depolarizing_channel(0.3), partial_bell_povm())
     assert not tight          # genuine roundoff beats an impossible tolerance
     assert tight.message != ""
+
+
+def _per_sample_max_deviation(channel, e_bc, rng_seed):
+    """The channel check's deviation, one state, signal and outcome at a time."""
+    modified = modified_povm(channel, e_bc)
+    d_b = e_bc.dim // channel.input_dim
+    rng = np.random.default_rng(rng_seed)
+    max_dev = 0.0
+    for _ in range(simulator._EQUIVALENCE_SAMPLES):
+        rho = random_density(rng, d_b)
+        for (j, s) in SIGNALS:
+            omega = signal_state(j, s)
+            noisy = channel.apply_to_matrix(omega.matrix)
+            for b in range(e_bc.n_outcomes):
+                lhs = np.trace(e_bc[b] @ tensor(rho.matrix, noisy)).real
+                rhs = np.trace(modified[b] @ tensor(rho.matrix, omega.matrix)).real
+                max_dev = max(max_dev, float(abs(lhs - rhs)))
+    return max_dev
+
+
+#: Bob's joint POVMs the channel check is compared on: the partial Bell
+#: measurement, three outcomes on 2 x 2, and two outcomes on 3 x 2.
+_EQUIVALENCE_POVMS = {
+    "bell": partial_bell_povm,
+    "3-outcome-2x2": lambda: random_povm(np.random.default_rng(3), 4, 3),
+    "2-outcome-3x2": lambda: random_povm(np.random.default_rng(4), 6, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [identity_channel(), depolarizing_channel(0.3), amplitude_damping_channel(0.4)],
+    ids=["identity", "depolarizing-0.3", "amplitude-damping-0.4"],
+)
+@pytest.mark.parametrize("povm", list(_EQUIVALENCE_POVMS))
+def test_noisy_equivalence_check_equals_the_per_sample_loop(channel, povm):
+    e_bc = _EQUIVALENCE_POVMS[povm]()
+    for seed in range(10):
+        report = noisy_equivalence_check(channel, e_bc, rng_seed=seed)
+        assert report.max_deviation == _per_sample_max_deviation(channel, e_bc, seed)
+        assert report.passed and report.povm_valid and report.message == ""
+
+
+def test_noisy_equivalence_check_work_does_not_grow_with_the_samples(monkeypatch):
+    """Products and validated states are counted, not timed: a loop over the
+    random states would make both grow with their number."""
+    counts = {"tensor": 0, "states": 0}
+
+    def counted_tensor(*operators):
+        counts["tensor"] += 1
+        return tensor(*operators)
+
+    validate = DensityOperator.__post_init__
+
+    def counted_validate(self):
+        counts["states"] += 1
+        validate(self)
+
+    for module in vars(qrgames).values():
+        if getattr(module, "tensor", None) is tensor:
+            monkeypatch.setattr(module, "tensor", counted_tensor)
+    monkeypatch.setattr(qcore.DensityOperator, "__post_init__", counted_validate)
+    seen = []
+    for samples in (20, 200):
+        monkeypatch.setattr(simulator, "_EQUIVALENCE_SAMPLES", samples)
+        counts.update(tensor=0, states=0)
+        for channel in (depolarizing_channel(0.3), amplitude_damping_channel(0.4)):
+            assert noisy_equivalence_check(channel, partial_bell_povm(), rng_seed=1)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["tensor"] > 0
 
 
 def test_channel_run_equals_modified_povm_run():

@@ -42,12 +42,12 @@ from qrgames.strategies import (
     NoStateCheat,
     _as_stack,
     _clean_distribution,
+    _lhs_reductions,
     _lhs_routes,
     best_estimator,
     discrimination_stats,
     honest_strategy,
     lhs_payoff_routes,
-    lhs_reduction,
     partial_bell_povm,
     programmed_povm,
 )
@@ -353,6 +353,14 @@ def test_hidden_state_b1_probs_are_the_per_lambda_traces(rng, dim, n_lambda):
             assert np.array_equal(table[k, 0], [cleaned[out] for out in OUTCOMES])
 
 
+def _reduction(strategy):
+    """One model's N, kept lambda indices, kept q weights and kept tau
+    matrices, from the stacked reduction of a stack of one."""
+    weights, states, _, effects = _as_stack(strategy)
+    normalization, kept, q, taus = _lhs_reductions(weights, states, effects)
+    return float(normalization[0]), tuple(np.flatnonzero(kept[0]).tolist()), q[0, kept[0]], taus
+
+
 @pytest.mark.parametrize("n_lambda", [1, 4, 8])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_lhs_reduction_is_the_per_lambda_partial_trace_route(rng, ideal_spec, dim, n_lambda):
@@ -366,24 +374,24 @@ def test_lhs_reduction_is_the_per_lambda_partial_trace_route(rng, ideal_spec, di
     weighted = strategy.weights * traces
     kept = tuple(i for i in range(n_lambda) if weighted[i] > 1e-14)
 
-    red = lhs_reduction(strategy)
-    assert red.normalization == float(weighted.sum())
-    assert red.kept_indices == kept
+    normalization, kept_indices, q_weights, taus = _reduction(strategy)
+    assert normalization == float(weighted.sum())
+    assert kept_indices == kept
     assert len(kept) == (n_lambda - 1 if n_lambda > 1 else 1)
-    assert np.array_equal(red.q_weights, weighted[list(kept)] / red.normalization)
+    assert np.array_equal(q_weights, weighted[list(kept)] / normalization)
     for pos, i in enumerate(kept):
-        assert np.array_equal(red.tau_states[pos].matrix, x_ops[i] / traces[i])
+        assert np.array_equal(taus[pos], x_ops[i] / traces[i])
 
     # the reduced route, with one <sigma_j>_tau trace at a time
     total = 0.0
     for pos, lam in enumerate(kept):
         inner = 0.0
         for j in (1, 2, 3):
-            inner += strategy.alice_responses[lam, j - 1] * red.tau_states[
-                pos
-            ].expectation(pauli(j))
-        total += red.q_weights[pos] * inner
-    want = 2.0 * red.normalization * (total - ideal_spec.r * ideal_spec.payoff_bound)
+            inner += strategy.alice_responses[lam, j - 1] * DensityOperator(
+                taus[pos]
+            ).expectation(pauli(j))
+        total += q_weights[pos] * inner
+    want = 2.0 * normalization * (total - ideal_spec.r * ideal_spec.payoff_bound)
     assert lhs_payoff_routes(strategy, ideal_spec)[1] == want
 
 
@@ -402,10 +410,10 @@ def test_lhs_zero_responses_pay_only_the_penalty(rng, ideal_spec):
     strategy = LhsStrategy(
         base.weights, base.hidden_states, np.zeros((4, 3)), base.bob_joint_povm
     )
-    red = lhs_reduction(strategy)
+    normalization = _reduction(strategy)[0]
     payoff, reduced = lhs_payoff_routes(strategy, ideal_spec)
     assert abs(payoff - reduced) <= 1e-10
-    assert payoff == pytest.approx(-2.0 * red.normalization * SQRT3, abs=1e-12)
+    assert payoff == pytest.approx(-2.0 * normalization * SQRT3, abs=1e-12)
 
 
 def test_lhs_saturates_bound_with_trivial_hidden_space(ideal_spec):
@@ -434,9 +442,9 @@ def test_lhs_reduction_drops_zero_trace_terms(ideal_spec):
     strategy = LhsStrategy(
         np.array([0.5, 0.5]), states, np.zeros((2, 3)), povm
     )
-    red = lhs_reduction(strategy)
-    assert red.kept_indices == (0,)
-    assert red.normalization == pytest.approx(0.5)
+    normalization, kept_indices, _, _ = _reduction(strategy)
+    assert kept_indices == (0,)
+    assert normalization == pytest.approx(0.5)
     direct, reduced = lhs_payoff_routes(strategy, ideal_spec)
     assert abs(direct - reduced) < 1e-12
 
@@ -454,12 +462,12 @@ def _tiny_normalization_lhs(dropped):
 def test_lhs_reduction_checks_the_reduced_weights_of_a_tiny_normalization(ideal_spec):
     """A dropped term a tenth the size of N pulls sum q off 1, which raises."""
     good = _tiny_normalization_lhs(0.0)
-    red = lhs_reduction(good)
-    assert red.kept_indices == (0,) and red.q_weights.tolist() == [1.0]
-    assert red.normalization == pytest.approx(1e-13, rel=1e-9)
+    normalization, kept_indices, q_weights, _ = _reduction(good)
+    assert kept_indices == (0,) and q_weights.tolist() == [1.0]
+    assert normalization == pytest.approx(1e-13, rel=1e-9)
     bad = _tiny_normalization_lhs(0.9e-14)
     with pytest.raises(ValueError, match="reduced weights must sum to 1"):
-        lhs_reduction(bad)
+        _reduction(bad)
     with pytest.raises(ValueError, match="reduced weights must sum to 1"):
         lhs_payoff_routes(bad, ideal_spec)
     # the stacked routes check every model, not only the first
