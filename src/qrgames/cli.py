@@ -6,8 +6,10 @@ verdict, ``sweep`` tabulates functionals over Werner/penalty grids for
 plotting, and ``schema`` prints the published JSON schemas.  Exit codes
 are stable: 0 success, 1 runtime or verification failure, 2 invalid
 configuration or arguments.  Options given on the command line override
-the JSON config file.  Only the paths that check input against a schema
-import ``jsonschema``.
+the JSON config file.  Input is checked against the published schemas by
+the package's own draft-07 checker, which the paths that check something
+import on first use; ``run`` never imports :mod:`oracle`, which only
+``verify`` and ``sweep`` need.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle, serialize, simulator
+from . import serialize, simulator
 from .games import (
     SQRT2,
     SQRT3,
@@ -136,11 +138,11 @@ def _read_json(path, what: str):
 
 def _validate(obj, schema, what: str) -> None:
     """Check ``obj`` against a JSON schema; a violation is a one-line config error."""
-    import jsonschema  # deferred: only the paths that validate load it
+    from ._schema_check import SchemaViolation, validate  # deferred: only checking paths
 
     try:
-        jsonschema.validate(obj, schema)
-    except jsonschema.ValidationError as exc:
+        validate(obj, schema)
+    except SchemaViolation as exc:
         raise _ConfigError(
             f"{what} rejected by schema at {exc.json_path}: {exc.message}"
         ) from exc
@@ -266,6 +268,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     cfg = _load_config(args.config, VERIFY_CONFIG_SCHEMA)
     try:
         r = float(_pick(args.r, cfg, "r", 1.0))
@@ -409,6 +413,8 @@ def _arange_size(start: float, stop: float, step: float) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import oracle
+
     cfg = _load_config(args.config, SWEEP_CONFIG_SCHEMA)
     try:
         w_start = float(_pick(args.w_start, cfg, "w_start", 0.0))

@@ -269,8 +269,8 @@ def _draw_lhs(rng: np.random.Generator, hidden_dim: int, n_lambda: int):
 
     Dirichlet weights, then each hidden state's complex Gaussian (real
     part, then imaginary part), then the uniform response biases, then
-    the Gaussians of Bob's two joint-POVM operators: the numbers the
-    one-by-one draws of ``random_density`` and ``random_povm`` consume.
+    the Gaussians of Bob's two joint-POVM operators: the numbers that
+    drawing each state, then the POVM, one object at a time consumes.
     """
     weights = rng.dirichlet(np.ones(n_lambda))
     states = rng.standard_normal((n_lambda, 2, hidden_dim, hidden_dim))

@@ -439,20 +439,3 @@ def _normalized_povm(ops: np.ndarray) -> np.ndarray:
     inv_sqrt = inv_sqrt[..., None, :, :]
     el = inv_sqrt @ ops @ inv_sqrt
     return (el + el.conj().swapaxes(-1, -2)) / 2.0
-
-
-def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
-    """Random full-rank density operator, G^dag G normalised to unit trace."""
-    return DensityOperator(_unit_trace(_gram(rng.standard_normal((2, dim, dim)))))
-
-
-def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int = 2) -> Povm:
-    """Random POVM: positive operators normalised against their sum.
-
-    With S = sum_k A_k the elements are S^{-1/2} A_k S^{-1/2}, which are
-    positive and sum to the identity by construction.
-    """
-    if n_outcomes < 1:
-        raise ValueError("POVM needs at least one outcome")
-    ops = _gram(rng.standard_normal((n_outcomes, 2, dim, dim)))
-    return Povm(tuple(_normalized_povm(ops)))

@@ -12,11 +12,19 @@ Randomness and reproducibility
 A run owns one Philox counter-based stream keyed by ``rng_seed``.  Round
 ``i`` consumes exactly the two 64-bit words ``2i`` and ``2i+1`` of that
 stream: the first word picks the referee's condition (j, s), the second
-picks the outcome pair (a, b).
+picks the outcome pair (a, b).  A word w stands for the uniform draw
+``u = k * 2**-53`` with ``k = w >> 11``, and an index is the number of
+CDF thresholds t with ``u >= t``.  The engine never forms u: ``u >= t``
+holds exactly when ``k >= ceil(t * 2**53)``, so it compares integers.
+A guide table per sampling row, indexed by the top 12 bits of the word,
+holds that count wherever it is the same for every k of the bucket, so
+one gather picks the condition and one the outcome; only the rounds in
+a bucket that straddles a threshold (at most one bucket per threshold)
+are compared exactly.
 
 Streaming
 ---------
-``run_game`` draws the stream in fixed chunks of ``_CHUNK_ROUNDS``
+``run_game`` draws the stream in fixed chunks of ``_CHUNK_ROUNDS = 2**14``
 rounds; consecutive draws continue the stream, so the chunk size never
 shows in the output.  Each round reduces to a one-byte outcome code
 (sampling-table row and outcome pair), and the estimate is computed from
@@ -67,7 +75,82 @@ from .strategies import _signal_traces
 TRANSCRIPT_FIELDS = ("round", "j", "s", "a", "b", "payoff")
 
 #: Rounds sampled per chunk; bounds the working memory of a run.
-_CHUNK_ROUNDS = 1 << 16
+_CHUNK_ROUNDS = 1 << 14
+
+#: A word's guide-table bucket is its top _GUIDE_BITS bits; a guide entry
+#: of _STRADDLE marks a bucket whose rounds are compared exactly.
+_GUIDE_BITS = 12
+_STRADDLE = 255
+
+
+def _limits(thresholds) -> np.ndarray:
+    """``ceil(t * 2**53)`` of each CDF threshold t, clipped to [0, 2**53], as uint64.
+
+    Scaling by a power of two is exact, so ``k * 2**-53 >= t`` holds
+    exactly when ``k >= ceil(t * 2**53)`` for every 53-bit integer k.
+    """
+    scaled = np.ceil(np.asarray(thresholds, dtype=np.float64) * 2.0 ** 53)
+    return np.clip(scaled, 0.0, 2.0 ** 53).astype(np.uint64)
+
+
+def _guide(limits: np.ndarray) -> np.ndarray:
+    """Guide tables of a stack of limit rows: ``(..., n)`` uint64 -> ``(..., 2**12)`` uint8.
+
+    Entry b of a row counts the row's limits <= k for every k = w >> 11
+    whose word w has top bits b, or is ``_STRADDLE`` where that count
+    changes inside the bucket.
+    """
+    width = 53 - _GUIDE_BITS
+    lo = np.arange(1 << _GUIDE_BITS, dtype=np.uint64)[:, None] << np.uint64(width)
+    hi = lo + np.uint64((1 << width) - 1)
+    limits = limits[..., None, :]
+    below_lo = (limits <= lo).sum(axis=-1)
+    below_hi = (limits <= hi).sum(axis=-1)
+    return np.where(below_lo == below_hi, below_lo, _STRADDLE).astype(np.uint8)
+
+
+class _Sampler:
+    """The per-chunk word -> code step of :func:`run_game`.
+
+    ``probs`` is the input distribution in ``SIGNALS`` order and row
+    ``k * n_var + v`` of ``cdf_table`` the outcome CDF of condition k,
+    list variant v.  An index is the number of CDF entries a draw
+    reaches, leaving out the last entry: it is the total probability, so
+    the last index also takes any draw that a rounded-down total leaves.
+    """
+
+    def __init__(self, probs, cdf_table, n_var: int):
+        self.n_var = n_var
+        self.js_limits = _limits(np.cumsum(probs)[:-1])
+        self.js_guide = _guide(self.js_limits)
+        self.out_limits = _limits(cdf_table[:, :-1])
+        # the outcome guide holds the code row * 4 + outcome, rows laid end to end
+        counts = _guide(self.out_limits)
+        codes = counts + 4 * np.arange(len(cdf_table), dtype=np.uint8)[:, None]
+        self.out_guide = np.where(counts == _STRADDLE, _STRADDLE, codes).ravel()
+
+    def codes(self, words: np.ndarray, variants: np.ndarray | None = None) -> np.ndarray:
+        """uint8 codes of the rounds whose word pairs are ``words``.
+
+        ``variants`` holds each round's list variant when ``n_var > 1``.
+        """
+        bucket = (words >> np.uint64(64 - _GUIDE_BITS)).view(np.int64)
+        row = self.js_guide.take(bucket[0::2])
+        exact = np.flatnonzero(row == _STRADDLE)
+        if exact.size:
+            k = words[0::2][exact] >> np.uint64(11)
+            row[exact] = (k[:, None] >= self.js_limits).sum(axis=1)
+        if variants is not None:
+            row = row * self.n_var + variants
+        index = row.astype(np.int64) << _GUIDE_BITS
+        index |= bucket[1::2]
+        codes = self.out_guide.take(index)
+        exact = np.flatnonzero(codes == _STRADDLE)
+        if exact.size:
+            k = words[1::2][exact] >> np.uint64(11)
+            rows = row[exact]
+            codes[exact] = rows * 4 + (k[:, None] >= self.out_limits[rows]).sum(axis=1)
+        return codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,18 +252,15 @@ def run_game(config: RunConfig):
     n_codes = 4 * len(cdf_table)
 
     probs = np.array([spec.input_distribution[sig] for sig in SIGNALS])
-    # A draw u picks the index equal to the number of CDF entries <= u,
-    # leaving out the last entry: it is the total probability, so the
-    # last index also takes any draw that a rounded-down total leaves.
-    js_thresholds = np.cumsum(probs)[:-1]
-    out_thresholds = cdf_table[:, :-1].T.copy()
+    sampler = _Sampler(probs, cdf_table, n_var)
 
     chunk = _CHUNK_ROUNDS
+    variants = None
     if n_var > 1:
         round_list = np.array(config.strategy.round_list)
         period = round_list.size
-        # the variants of rounds i..i+m-1 are variants[i % period:][:m]
-        variants = np.resize((round_list == -1).astype(np.uint8), chunk + period)
+        # the variants of rounds i..i+m-1 are cycle[i % period:][:m]
+        cycle = np.resize((round_list == -1).astype(np.uint8), chunk + period)
 
     # One stream for the whole run: each random_raw call continues where
     # the previous one stopped, so round i still reads words 2i and 2i+1.
@@ -189,17 +269,10 @@ def run_game(config: RunConfig):
     codes = np.empty(n, dtype=np.uint8) if config.keep_transcript else None
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
-        u = (bg.random_raw(2 * m) >> np.uint64(11)) * (2.0 ** -53)
-        u_js, u_out = u[0::2], u[1::2]
-        row = np.zeros(m, dtype=np.uint8)
-        for threshold in js_thresholds:
-            row += u_js >= threshold
         if n_var > 1:
             phase = start % period
-            row = row * n_var + variants[phase:phase + m]
-        chunk_codes = row * 4
-        for column in out_thresholds:
-            chunk_codes += u_out >= column[row]
+            variants = cycle[phase:phase + m]
+        chunk_codes = sampler.codes(bg.random_raw(2 * m), variants)
         code_counts += np.bincount(chunk_codes, minlength=n_codes)
         if codes is not None:
             codes[start:start + m] = chunk_codes
@@ -304,7 +377,7 @@ def noisy_equivalence_check(
         return EquivalenceReport(False, float("nan"), False, f"invalid modified POVM: {exc}")
     d_b = e_bc.dim // channel.input_dim
     rng = np.random.default_rng(rng_seed)
-    # the numbers random_density draws one state at a time
+    # each state is G^dag G at unit trace, G a complex Gaussian (real part, then imaginary)
     rhos = _unit_trace(_gram(rng.standard_normal((_EQUIVALENCE_SAMPLES, 2, d_b, d_b))))
     _check_density_stack(rhos)
     spec = SteeringGameSpec.ideal()

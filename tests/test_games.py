@@ -31,12 +31,13 @@ from qrgames.qcore import (
     DensityOperator,
     mats_close,
     pauli,
-    random_density,
     signal_state,
     tensor,
     werner_state,
 )
 from qrgames.strategies import honest_strategy
+
+from random_draws import random_density
 
 
 def test_signal_ordering_is_canonical():

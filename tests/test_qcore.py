@@ -21,13 +21,13 @@ from qrgames.qcore import (
     mats_close,
     partial_trace,
     pauli,
-    random_density,
-    random_povm,
     signal_state,
     singlet_projector,
     tensor,
     werner_state,
 )
+
+from random_draws import random_density, random_povm
 
 I2 = np.eye(2)
 

@@ -11,8 +11,6 @@ from qrgames.qcore import (
     BlochVector,
     QuantumChannel,
     depolarizing_channel,
-    random_density,
-    random_povm,
     werner_state,
 )
 from qrgames.serialize import (
@@ -36,6 +34,8 @@ from qrgames.strategies import (
     best_estimator,
     honest_strategy,
 )
+
+from random_draws import random_density, random_povm
 
 
 def _round_trip(obj):

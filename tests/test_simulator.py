@@ -27,8 +27,6 @@ from qrgames.qcore import (
     depolarizing_channel,
     identity_channel,
     pauli,
-    random_density,
-    random_povm,
     signal_state,
     singlet_projector,
     tensor,
@@ -53,6 +51,8 @@ from qrgames.strategies import (
     honest_strategy,
     partial_bell_povm,
 )
+
+from random_draws import random_density, random_povm
 
 
 def _honest_config(rounds, seed, w=0.9, r=1.0, **kw):
@@ -146,7 +146,7 @@ _PINNED_TRANSCRIPTS = {
 
 @pytest.mark.parametrize("style", ["honest", "list-cheat"])
 def test_chunking_is_invisible(style, tmp_path, monkeypatch):
-    """Chunk sizes 1, 7, 4096 and the whole run write the same bytes.
+    """Chunk sizes 1, 7, 4096, 2**14 and the whole run write the same bytes.
 
     With 5000 rounds and a 7-entry answer list, 4096-round chunks start
     mid-list, and 7-round chunks split the stream's 4-word Philox blocks.
@@ -158,7 +158,7 @@ def test_chunking_is_invisible(style, tmp_path, monkeypatch):
     else:
         strategy, state = NoStateCheat(best_estimator(), (1, -1, -1, 1, 1, -1, 1)), None
     outputs = set()
-    for chunk in (1, 7, 4096, n):
+    for chunk in (1, 7, 4096, 1 << 14, n):
         monkeypatch.setattr(simulator, "_CHUNK_ROUNDS", chunk)
         config = RunConfig(spec, strategy, n, seed, shared_state=state)
         est, transcript = run_game(config)
@@ -169,6 +169,101 @@ def test_chunking_is_invisible(style, tmp_path, monkeypatch):
     assert len(outputs) == 1
     ((csv_bytes, _),) = outputs
     assert hashlib.sha256(csv_bytes).hexdigest() == _PINNED_TRANSCRIPTS[style]
+
+
+def _float_codes(words, probs, cdf_table, n_var, variants):
+    """The word -> code step as floats: u = (w >> 11) * 2**-53 against the CDFs."""
+    u = (words >> np.uint64(11)) * 2.0 ** -53
+    u_js, u_out = u[0::2], u[1::2]
+    row = np.zeros(u_js.size, dtype=np.int64)
+    for t in np.cumsum(probs)[:-1]:
+        row += u_js >= t
+    if n_var > 1:
+        row = row * n_var + variants
+    codes = row * 4
+    for column in cdf_table[:, :-1].T:
+        codes += u_out >= column[row]
+    return codes
+
+
+def _crafted_ks(thresholds):
+    """k = T-1, T, T+1 for every T = ceil(t * 2**53), both edges of every
+    12-bit bucket, and the extremes 0 and 2**53 - 1."""
+    top = 2 ** 53 - 1
+    ks = {0, top}
+    for t in np.ravel(thresholds):
+        limit = math.ceil(float(t) * 2 ** 53)
+        ks |= {min(max(limit + d, 0), top) for d in (-1, 0, 1)}
+    for b in range(1 << 12):
+        ks |= {b << 41, ((b + 1) << 41) - 1}
+    return np.array(sorted(ks), dtype=np.uint64)
+
+
+def _words(cond_ks, out_ks, low):
+    """Round words (k << 11) | low, each condition k paired with each outcome k."""
+    pairs = np.empty((cond_ks.size, out_ks.size, 2), dtype=np.uint64)
+    pairs[:, :, 0] = cond_ks[:, None]
+    pairs[:, :, 1] = out_ks[None, :]
+    return (pairs.reshape(-1) << np.uint64(11)) | np.uint64(low)
+
+
+_ULP = 2.0 ** -53
+_SAMPLER_TABLES = {
+    # zero-probability outcomes repeat a threshold; certain outcomes sit at 0 and 1
+    "zero-and-certain": (
+        np.full(6, 1 / 6),
+        [[0.25, 0.25, 0.75, 1.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0],
+         [0.0, 0.0, 0.0, 1.0], [0.5, 1.0, 1.0, 1.0], [0.1, 0.3, 0.6, 1.0]],
+        1,
+    ),
+    # CDFs that total 1 - 1 ulp and 1 + 2 ulp, and a threshold of 2**-60
+    "ulp-totals": (
+        np.full(6, 1 / 6),
+        [[0.3, 0.6, 1 - _ULP, 1 - _ULP], [0.3, 0.6, 1 + 2 * _ULP, 1 + 2 * _ULP],
+         [2.0 ** -60, 0.5, 0.5, 1.0], [1 / 3, 2 / 3, 1 - _ULP, 1.0],
+         [0.7, 0.8, 0.9, 1 - _ULP], [0.2, 0.4, 0.6, 1.0]],
+        1,
+    ),
+    # the answer-list path: two variants per condition, under a skewed input
+    "two-variants-skewed-input": (
+        np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]),
+        np.cumsum(np.random.default_rng(5).dirichlet(np.ones(4), size=12), axis=1),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("low", [0, 0x7FF], ids=["low-bits-clear", "low-bits-set"])
+@pytest.mark.parametrize("name", sorted(_SAMPLER_TABLES))
+def test_sampler_equals_the_float_formula(name, low):
+    """Integer guide tables pick the codes the float comparison picks.
+
+    Every condition k meets every crafted outcome k under each variant,
+    so each threshold and each bucket edge of every row is crossed.
+    """
+    probs, cdf_table, n_var = _SAMPLER_TABLES[name]
+    cdf_table = np.asarray(cdf_table, dtype=np.float64)
+    sampler = simulator._Sampler(probs, cdf_table, n_var)
+    cond_ks = _crafted_ks(np.cumsum(probs)[:-1])
+    out_ks = _crafted_ks(cdf_table[:, :-1])
+    # one k per condition, each paired with every crafted outcome k
+    conditions = _float_codes(_words(cond_ks, out_ks[:1], 0), probs, cdf_table, 1, None) // 4
+    _, first = np.unique(conditions, return_index=True)
+    words = np.concatenate(
+        [_words(cond_ks, out_ks[:1], low), _words(cond_ks[first], out_ks, low)]
+    )
+    variants = None
+    if n_var > 1:
+        # every round once under each list variant
+        rounds = words.size // 2
+        words = np.repeat(words.reshape(-1, 2), 2, axis=0).reshape(-1)
+        variants = np.tile(np.arange(2, dtype=np.uint8), rounds)
+    want = _float_codes(words, probs, cdf_table, n_var, variants)
+    assert np.array_equal(sampler.codes(words, variants), want)
+    assert len(np.unique(want)) > 6 * n_var
+    # at most one straddling bucket per threshold
+    assert np.sum(sampler.js_guide == simulator._STRADDLE) <= 5
+    assert np.sum(sampler.out_guide == simulator._STRADDLE) <= 3 * len(cdf_table)
 
 
 def test_single_round_run():

@@ -1,5 +1,5 @@
-"""Fresh-interpreter start-up: which commands load jsonschema, and how the
-validating paths fail.
+"""Fresh-interpreter start-up: no command loads jsonschema, ``run`` never
+loads the oracle, and how the validating paths fail.
 
 Each test runs a child interpreter, because ``sys.modules`` of the test
 process already holds whatever earlier tests imported.
@@ -28,27 +28,46 @@ def _child(args, cwd):
     )
 
 
-def test_commands_that_validate_nothing_never_import_jsonschema(tmp_path):
+def test_no_command_imports_jsonschema_and_run_never_imports_the_oracle(tmp_path):
+    (tmp_path / "strategy.json").write_text(json.dumps(
+        {"type": "no_state_cheat", "estimator": {"m": [0.5, 0.5, 0.5], "mu": 0.5},
+         "alice_rule": {"list": [1, -1]}}
+    ))
+    (tmp_path / "config.json").write_text(json.dumps({"rounds": 100, "werner": 0.9}))
+    (tmp_path / "bad.json").write_text(json.dumps({"rounds": 0}))
     script = textwrap.dedent("""
         import sys
         import qrgames.cli
         from qrgames.cli import main
 
         assert "jsonschema" not in sys.modules, "import qrgames.cli"
-        commands = [
-            ["sweep", "--w-step", "0.25", "--out", "sweep"],
-            ["run", "--strategy", "honest", "--werner", "0.9", "--rounds", "100",
-             "--out", "run"],
-            ["schema"],
+        runs = [
+            (["run", "--strategy", "honest", "--werner", "0.9", "--rounds", "100",
+              "--out", "run"], 0),
+            (["run", "--strategy", "strategy.json", "--rounds", "100", "--out", "a"], 0),
+            (["run", "--config", "config.json", "--channel",
+              '{"kind": "depolarizing", "parameter": 0.3}', "--out", "b"], 0),
+            (["run", "--config", "bad.json", "--out", "c"], 2),
+            (["schema"], 0),
         ]
-        for argv in commands:
+        for argv, code in runs:
+            assert main(argv) == code, argv
+            assert "qrgames.oracle" not in sys.modules, argv
+            assert "jsonschema" not in sys.modules, argv
+        others = [
+            ["sweep", "--w-step", "0.25", "--out", "sweep"],
+            ["verify", "--lhs-trials", "6", "--grid-resolution", "10", "--scan-step", "0.05"],
+        ]
+        for argv in others:
             assert main(argv) == 0, argv
             assert "jsonschema" not in sys.modules, argv
     """)
     proc = _child(["-c", script], tmp_path)
     assert proc.returncode == 0, proc.stderr
+    for out in ("run", "a", "b"):
+        assert (tmp_path / out / "summary.json").exists()
     assert (tmp_path / "sweep" / "sweep.csv").exists()
-    assert (tmp_path / "run" / "summary.json").exists()
+    assert not (tmp_path / "c").exists()
 
 
 @pytest.mark.parametrize(

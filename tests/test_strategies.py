@@ -27,8 +27,6 @@ from qrgames.qcore import (
     mats_close,
     partial_trace,
     pauli,
-    random_density,
-    random_povm,
     signal_state,
     singlet_projector,
     tensor,
@@ -51,6 +49,8 @@ from qrgames.strategies import (
     partial_bell_povm,
     programmed_povm,
 )
+
+from random_draws import random_density, random_povm
 
 M_STAR = np.full(3, 1.0 / SQRT3)
 
