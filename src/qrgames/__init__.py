@@ -5,9 +5,17 @@ that encodes a sign along that axis; the pair tries to certify their
 shared entangled state through the referee's payoff.  This package
 evaluates strategies exactly (honest partial-Bell measurements,
 no-state cheats, hidden-state models, one-way-communication cheats),
-simulates rounds reproducibly, and brute-force verifies that no cheat
-wins an honestly calibrated game.
+simulates rounds reproducibly, and verifies that no cheat wins an
+honestly calibrated game.
 """
+
+import os
+import sys
+
+# every operator here is a qubit or two-qubit matrix, too small for BLAS threads;
+# OpenBLAS reads the variable once, when numpy loads, and a user's setting wins
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .games import (
     SIGNALS,
@@ -64,7 +72,6 @@ from .strategies import (
     LhsStrategy,
     NoStateCheat,
     best_estimator,
-    discrimination_stats,
     honest_strategy,
     partial_bell_povm,
     programmed_povm,
@@ -100,7 +107,6 @@ __all__ = [
     "correlation_table",
     "correlator",
     "depolarizing_channel",
-    "discrimination_stats",
     "honest_strategy",
     "ideal_signal_ensemble",
     "identity_channel",

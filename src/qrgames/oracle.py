@@ -1,11 +1,11 @@
-"""Brute-force and randomized verification of the game's no-win guarantees.
+"""Exact and randomized verification of the game's no-win guarantees.
 
-The cheat grids recompute payoffs from raw traces over explicit operator
-grids, independently of the closed forms the test suite freezes, and
-check their argmax against ``games.qrs_payoff_exact``.  The hidden-state
-suite compares both routes of ``strategies.lhs_payoff_routes``, evaluated
-for a whole group of equally sized models at once; the Werner scan
-evaluates all its states as one stack.
+The cheat certificates bound every no-state and Bob-to-Alice cheat by
+qubit eigenvalue problems; the estimator-grid searches the tests keep
+are their independent cross-check.  The hidden-state suite compares
+both routes of ``strategies.lhs_payoff_routes``, evaluated for a whole
+group of equally sized models at once; the Werner scan evaluates all its
+states as one stack.
 """
 
 from __future__ import annotations
@@ -25,15 +25,12 @@ from .games import (
     _payoffs,
     chsh_value,
     outcome_table,
-    qrs_payoff_exact,
     steering2_value,
     steering3_value,
 )
 from .qcore import (
-    _PAULI,
     _SIGMA_PAIRS,
     _STACK_BLOCK,
-    BlochVector,
     DensityOperator,
     Povm,
     _check_density_stack,
@@ -47,12 +44,9 @@ from .qcore import (
 )
 from .serialize import strategy_to_json
 from .strategies import (
-    ALICE_RULES_BA,
     LhsStrategy,
-    NoStateCheat,
     _as_stack,
     _checked_lhs_weights,
-    _conditional_setting_weights,
     _lhs_routes,
     honest_strategy,
 )
@@ -87,181 +81,72 @@ def enumerate_chsh_deterministic() -> ChshEnumeration:
     return ChshEnumeration(float(best), best_assign, float(worst), n_max)
 
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n near-uniform unit vectors on the sphere (Fibonacci lattice)."""
-    if n < 1:
-        raise ValueError("need at least one direction")
-    idx = np.arange(n)
-    z = 1.0 - 2.0 * (idx + 0.5) / n
-    theta = np.pi * (3.0 - np.sqrt(5.0)) * idx
-    r_xy = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r_xy * np.cos(theta), r_xy * np.sin(theta), z])
+#: Alice's answers (alpha_1, alpha_2, alpha_3) in the order the no-state
+#: certificate tries them; the first maximiser is the one reported.
+_ALPHAS = tuple(product((1, -1), repeat=3))
+
+#: Bob-to-Alice rules in the order the certificate tries them: per guess
+#: of Bob's (+1, then -1), None when he replies b = 0, else Alice's answer
+#: for every setting.
+_BA_RULES = tuple(product((None, 1, -1), repeat=2))
 
 
 @dataclass(frozen=True)
-class GridCheatResult:
-    """Outcome of the estimator grid search for the no-state cheat."""
+class CheatCertificates:
+    """Exact best payoffs of the no-state and the Bob-to-Alice cheats.
 
-    max_payoff: float
-    argmax: BlochVector
-    max_ratio: float
-    grid_cell_size: float
-    n_points: int
-
-
-#: Points per block of the estimator grid: the grid searches hold one
-#: block at a time, about 3.5 MB traced at any resolution.
-_GRID_BLOCK = 8192
-
-
-def _estimator_grid(spec: SteeringGameSpec, grid_resolution: int):
-    """The sphere-and-interior estimator grid both cheat searches sweep.
-
-    Directions come from a Fibonacci lattice (2 R^2 points) and radii
-    are swept in R steps; point i is m_i = radii[i // 2R^2] dirs[i % 2R^2].
-    Returns (blocks, n_points, cell): an iterator over consecutive
-    blocks of at most ``_GRID_BLOCK`` points, the point count 2 R^3 and
-    the grid cell size.  Each block is (m, c, mu_hi, mu_lo): its grid
-    vectors m, c[k, i] = Tr[(1 + m_i . sigma) omega_k] for each signal
-    condition k, and the admissible mu endpoints per point.  No array
-    spans the whole grid.
+    ``alpha`` is Alice's answer per setting at the no-state maximum;
+    ``rule`` gives, for Bob's guesses +1 and -1, Alice's answer when he
+    replies b = 1, or None when he replies b = 0.
     """
-    res = int(grid_resolution)
-    if res < 10:
-        raise ValueError(f"grid resolution must be >= 10, got {grid_resolution!r}")
-    n_dir = 2 * res * res
-    n_points = res * n_dir
-    dirs = fibonacci_sphere(n_dir)
-    radii = np.linspace(1.0 / res, 1.0, res)
+
+    no_state: float
+    alpha: tuple
+    bob_to_alice: float
+    rule: tuple
+
+
+def _positive_trace(z: np.ndarray) -> np.ndarray:
+    """Tr[Z_+], the sum of the positive eigenvalues, of a stack of Hermitian Z."""
+    return np.maximum(np.linalg.eigvalsh(z), 0.0).sum(axis=-1)
+
+
+def cheat_certificates(spec: SteeringGameSpec) -> CheatCertificates:
+    """The largest payoff any no-state or Bob-to-Alice cheat reaches.
+
+    With Z(alpha) = sum_{j,s} (s alpha_j - c) omega_{j,s} over the
+    delivered signals and c = ``spec.penalty_coefficient``, a cheat in
+    which Bob replies b = 1 on the effect 0 <= X <= 1 and Alice answers
+    alpha_j scores 2 Tr[X Z(alpha)], so the no-state certificate is
+    2 max_alpha Tr[Z(alpha)_+].  A Bob-to-Alice cheat sends one of two
+    guesses, on X and 1 - X; per guess Bob stays silent (Z = 0) or
+    replies and Alice answers +1 or -1 for every setting (Z(+,+,+) or
+    Z(-,-,-)), which scores 2 (Tr Z_2 + Tr[X (Z_1 - Z_2)]) and at best
+    2 (Tr Z_2 + Tr[(Z_1 - Z_2)_+]).  These are the rule classes of the
+    estimator-grid searches, whose values lie below them.  Ties go to
+    the first candidate in ``_ALPHAS`` and ``_BA_RULES`` order.
+    """
     signals = spec.delivered_signals()
-
-    def blocks():
-        for start in range(0, n_points, _GRID_BLOCK):
-            idx = np.arange(start, min(start + _GRID_BLOCK, n_points))
-            m = radii[idx // n_dir, None] * dirs[idx % n_dir]
-            m_hat = np.eye(2, dtype=np.complex128)[None, :, :] + np.einsum(
-                "ik,kab->iab", m, _PAULI
-            )
-            c = np.einsum("iab,kba->ki", m_hat, signals).real
-            mu_hi = 1.0 / (1.0 + np.linalg.norm(m, axis=1))
-            yield m, c, mu_hi, mu_hi / res
-
-    cell = float(np.sqrt(4.0 * np.pi / n_dir) + (radii[1] - radii[0]))
-    return blocks(), n_points, cell
-
-
-_SIGNS = np.array([sig[1] for sig in SIGNALS], dtype=np.float64)
-_PLUS_ROWS = [SIGNALS.index((j, 1)) for j in (1, 2, 3)]
-_MINUS_ROWS = [SIGNALS.index((j, -1)) for j in (1, 2, 3)]
-
-
-def _best_rule_point(spec: SteeringGameSpec, blocks, rules):
-    """Best grid estimator for each deterministic reply rule, block by block.
-
-    ``blocks`` are the grid blocks of :func:`_estimator_grid`, consumed
-    in one pass.  ``rules`` lists (bob_rule, alice_map) pairs: Bob replies b = 1 on
-    the guesses listed in ``bob_rule``; Alice answers
-    ``alice_map[guess]``.  Per condition k, with p = mu c[k] the
-    probability of guess +1, e_ab = p a+ g+ + (1 - p) a- g- and e_b
-    likewise, so the payoff is affine in mu: only the admissible
-    endpoints mu_hi and mu_lo matter.
-
-    Returns (best, max_ratio).  ``best[r]`` is (payoff, BlochVector) at
-    the first grid point that maximises rule r, as np.argmax over the
-    whole grid would pick it; ``max_ratio`` is the largest
-    sign-discrimination ratio tp / fp over the grid.
-    """
-    coeff = spec.penalty_coefficient
-    lines = []
-    for bob_rule, alice_map in rules:
-        g_plus = 1.0 if 1 in bob_rule else 0.0
-        g_minus = 1.0 if -1 in bob_rule else 0.0
-        a_plus, a_minus = alice_map[1], alice_map[-1]
-        k1 = _SIGNS * (a_plus * g_plus - a_minus * g_minus) - coeff * (g_plus - g_minus)
-        const = float(np.sum(_SIGNS * a_minus * g_minus - coeff * g_minus))
-        lines.append((k1, const))
-    w_plus = _conditional_setting_weights(spec, 1)
-    w_minus = _conditional_setting_weights(spec, -1)
-
-    best = [None] * len(lines)
-    max_ratio = -np.inf
-    for m, c, mu_hi, mu_lo in blocks:
-        for r, (k1, const) in enumerate(lines):
-            slope = k1 @ c
-            mu = np.where(slope > 0.0, mu_hi, mu_lo)
-            payoff = 2.0 * (mu * slope + const)
-            k = int(np.argmax(payoff))
-            if best[r] is None or payoff[k] > best[r][0]:
-                best[r] = (payoff[k], m[k].copy(), mu[k])
-        tp = w_plus @ c[_PLUS_ROWS]
-        fp = w_minus @ c[_MINUS_ROWS]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(fp > 0.0, tp / np.where(fp > 0.0, fp, 1.0), np.inf)
-        max_ratio = max(max_ratio, float(np.max(ratio)))
-    best = [(float(p), BlochVector(m, float(mu))) for p, m, mu in best]
-    return best, max_ratio
-
-
-def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatResult:
-    """Sweep the full estimator family mu*(1 + m.sigma) on the estimator grid.
-
-    The no-state cheat is the reply rule "b = 1 on guess +1, a = +1",
-    evaluated from raw traces of the grid operator against the spec's
-    actual signal ensemble.  Also tracks the sign-discrimination ratio
-    across the grid.
-    """
-    blocks, n_points, cell = _estimator_grid(spec, grid_resolution)
-    best, max_ratio = _best_rule_point(
-        spec, blocks, [((1,), ALICE_RULES_BA["constant_plus"])]
+    c = spec.penalty_coefficient
+    coeffs = np.array(
+        [[s * alpha[j - 1] - c for j, s in SIGNALS] for alpha in _ALPHAS]
     )
-    ((max_payoff, argmax),) = best
+    z = np.tensordot(coeffs, signals, axes=1)
+    no_state = 2.0 * _positive_trace(z)
+    i = int(np.argmax(no_state))
 
-    exact = qrs_payoff_exact(spec, NoStateCheat(argmax, "constant"))
-    if abs(exact - max_payoff) > 1e-10 * max(1.0, abs(exact)):
-        raise RuntimeError(
-            "grid payoff disagrees with exact cheat evaluation at the argmax: "
-            f"{max_payoff!r} vs {exact!r}"
-        )
-
-    return GridCheatResult(
-        max_payoff=max_payoff,
-        argmax=argmax,
-        max_ratio=max_ratio,
-        grid_cell_size=cell,
-        n_points=n_points,
+    # _ALPHAS runs from (1, 1, 1) to (-1, -1, -1)
+    by_answer = {None: np.zeros_like(z[0]), 1: z[0], -1: z[-1]}
+    z1 = np.stack([by_answer[a1] for a1, _ in _BA_RULES])
+    z2 = np.stack([by_answer[a2] for _, a2 in _BA_RULES])
+    ba = 2.0 * (np.trace(z2, axis1=1, axis2=2).real + _positive_trace(z1 - z2))
+    k = int(np.argmax(ba))
+    return CheatCertificates(
+        no_state=float(no_state[i]),
+        alpha=_ALPHAS[i],
+        bob_to_alice=float(ba[k]),
+        rule=_BA_RULES[k],
     )
-
-
-@dataclass(frozen=True)
-class CommBaGridResult:
-    """Grid search over Bob-to-Alice cheats (estimator x reply rules)."""
-
-    max_payoff: float
-    argmax: BlochVector
-    bob_rule: tuple
-    alice_rule: str
-    n_points: int
-
-
-_BA_BOB_RULES = ((), (1,), (-1,), (1, -1))
-
-
-def grid_max_comm_ba(spec: SteeringGameSpec, grid_resolution: int) -> CommBaGridResult:
-    """Exhaust Bob-to-Alice cheats: estimator grid times all deterministic rules.
-
-    Bob's reply rule maps his guess to b, Alice's rule maps the
-    transmitted guess to a; both are enumerated exactly while the
-    estimator sweeps the same grid as :func:`grid_max_cheat`, all 16
-    rule pairs in one pass.
-    """
-    pairs = [(bob, name) for bob in _BA_BOB_RULES for name in ALICE_RULES_BA]
-    blocks, n_points, _ = _estimator_grid(spec, grid_resolution)
-    best, _ = _best_rule_point(
-        spec, blocks, [(bob, ALICE_RULES_BA[name]) for bob, name in pairs]
-    )
-    # max() keeps the first of equal payoffs, in enumeration order
-    i = max(range(len(pairs)), key=lambda i: best[i][0])
-    return CommBaGridResult(*best[i], *pairs[i], n_points=n_points)
 
 
 def _draw_lhs(rng: np.random.Generator, hidden_dim: int, n_lambda: int):

@@ -440,7 +440,9 @@ def write_transcript_csv(path, transcript: Transcript) -> None:
     low digits from a digit table (block 0 has NUL for the leading
     zeros), and one gather by code fills in the suffixes.  NUL never
     occurs in a row, so deleting it from a block's bytes leaves exactly
-    the rows.
+    the rows.  Blocks reuse one gather buffer and one row buffer, which
+    is replaced only when the row width or the block length changes, so
+    the writer does not fault in fresh block-sized memory per block.
     """
     suffixes = [
         f",{j},{s},{a},{b},{payoff!r}\r\n".encode() for j, s, a, b, payoff in transcript.rows
@@ -456,6 +458,8 @@ def write_transcript_csv(path, transcript: Transcript) -> None:
     first = np.where(low < places, 0, digits).astype(np.uint8)
     first[0, -1] = ord("0")
     codes = transcript.codes
+    suffix = np.empty((block, width), dtype=np.uint8)
+    raw = rows = None
     with open(path, "wb") as fh:
         fh.write((",".join(TRANSCRIPT_FIELDS) + "\r\n").encode())
         for q, start in enumerate(range(0, codes.size, block)):
@@ -463,11 +467,16 @@ def write_transcript_csv(path, transcript: Transcript) -> None:
             m = chunk.size
             prefix = str(q).encode() if q else b""
             p = len(prefix)
-            rows = np.empty((m, p + 4 + width), dtype=np.uint8)
+            if rows is None or rows.shape != (m, p + 4 + width):
+                # the prefix gained a digit, or this is a short last block
+                raw = bytearray(m * (p + 4 + width))
+                rows = np.frombuffer(raw, dtype=np.uint8).reshape(m, -1)
             rows[:, :p] = np.frombuffer(prefix, dtype=np.uint8)
             rows[:, p:p + 4] = (digits if q else first)[:m]
-            rows[:, p + 4:] = table[chunk]
-            fh.write(rows.tobytes().translate(None, b"\0"))
+            # codes index the table, so "clip" clips nothing; it lets take write in place
+            np.take(table, chunk, axis=0, out=suffix[:m], mode="clip")
+            rows[:, p + 4:] = suffix[:m]
+            fh.write(raw.translate(None, b"\0"))
 
 
 def write_summary_json(path, estimate: PayoffEstimate, config: RunConfig) -> None:

@@ -300,52 +300,6 @@ class NoStateCheat:
         return _clean_distribution(table)
 
 
-@dataclass(frozen=True)
-class DiscriminationStats:
-    """Bob's sign-discrimination quality for one estimator.
-
-    ``true_positive`` is the average probability of guessing +1 when
-    s = +1, ``false_positive`` the same when s = -1, averaged over the
-    referee's setting distribution.  Winning as a no-state cheat at
-    r = 1 would require the ratio to exceed (sqrt(3)+1)/(sqrt(3)-1),
-    which no valid estimator reaches against the calibrated ensemble.
-    """
-
-    true_positive: float
-    false_positive: float
-
-    @property
-    def ratio(self) -> float:
-        if self.false_positive <= 0.0:
-            return float("inf")
-        return self.true_positive / self.false_positive
-
-
-def _conditional_setting_weights(spec: games.SteeringGameSpec, s: int) -> np.ndarray:
-    """p(j | s) for j = 1, 2, 3 under the spec's input distribution."""
-    w = np.array([spec.input_distribution[(j, s)] for j in (1, 2, 3)])
-    total = w.sum()
-    if total <= 0:
-        raise ValueError(f"signal distribution assigns no weight to s={s}")
-    return w / total
-
-
-def discrimination_stats(
-    estimator: BlochVector, spec: games.SteeringGameSpec
-) -> DiscriminationStats:
-    """Exact guess probabilities p(+|s) of an estimator against a game's signals."""
-    m_plus = estimator.povm_pair()[0]
-    rates = {}
-    for s in (1, -1):
-        weights = _conditional_setting_weights(spec, s).tolist()
-        rate = 0.0
-        for j in (1, 2, 3):
-            omega = spec.signal_ensemble[(j, s)]
-            rate += weights[j - 1] * float(np.trace(m_plus @ omega.matrix).real)
-        rates[s] = rate
-    return DiscriminationStats(true_positive=rates[1], false_positive=rates[-1])
-
-
 @dataclass(frozen=True, eq=False)
 class LhsStrategy:
     """Local-hidden-state model for Bob's side.

@@ -17,9 +17,8 @@ from qrgames.games import (
     single_axis_ensemble,
 )
 from qrgames.oracle import (
+    cheat_certificates,
     enumerate_chsh_deterministic,
-    grid_max_cheat,
-    grid_max_comm_ba,
     random_lhs_suite,
     threshold_scan,
     werner_columns,
@@ -37,9 +36,10 @@ from qrgames.strategies import (
     HonestStrategy,
     NoStateCheat,
     best_estimator,
-    discrimination_stats,
     honest_strategy,
 )
+
+from cheat_grids import discrimination_stats, grid_max_cheat, grid_max_comm_ba
 
 W_POINTS = (0.0, 0.25, 1 / SQRT3, 0.698, 0.75, 0.98, 1.0)
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
@@ -83,14 +83,16 @@ def test_criterion_03_discrimination_bound():
     grid = grid_max_cheat(spec, 50)
     argmax_gap = float(np.linalg.norm(grid.argmax.m - best_estimator().m))
     ratio = discrimination_stats(best_estimator(), spec).ratio
+    cert = cheat_certificates(spec).no_state
     ok = (
-        grid.max_payoff <= 1e-9
+        cert <= 1e-9
+        and grid.max_payoff <= 1e-9
         and argmax_gap <= grid.grid_cell_size
         and abs(ratio - RATIO_BOUND) <= 1e-6
         and grid.max_ratio <= RATIO_BOUND + 1e-9
     )
-    _report(3, ok, f"grid(50) max payoff {grid.max_payoff:.2e}, argmax within "
-            f"{argmax_gap:.3f} of diagonal (cell {grid.grid_cell_size:.3f}), "
+    _report(3, ok, f"certificate {cert:.2e}, grid(50) max payoff {grid.max_payoff:.2e}, "
+            f"argmax within {argmax_gap:.3f} of diagonal (cell {grid.grid_cell_size:.3f}), "
             f"ratio max {ratio:.9f} vs bound {RATIO_BOUND:.9f}")
 
 
@@ -181,9 +183,10 @@ def test_criterion_09_one_way_communication():
     spec = SteeringGameSpec.ideal()
     ab = qrs_payoff_exact(spec, CommCheat("alice_to_bob"))
     ba = grid_max_comm_ba(spec, 50)
-    ok = abs(ab - 2 * (3 - SQRT3)) <= 1e-12 and ba.max_payoff <= 1e-9
+    cert = cheat_certificates(spec).bob_to_alice
+    ok = abs(ab - 2 * (3 - SQRT3)) <= 1e-12 and ba.max_payoff <= 1e-9 and cert <= 1e-9
     _report(9, ok, f"Alice->Bob cheat {ab:.10f} = 2(3 - sqrt(3)), Bob->Alice "
-            f"grid max {ba.max_payoff:.2e}")
+            f"certificate {cert:.2e}, grid max {ba.max_payoff:.2e}")
 
 
 def test_criterion_10_imperfect_preparation():

@@ -256,7 +256,7 @@ def test_verify_passes_on_defaults(tmp_path, capsys, quick_verify_args):
     assert report["passed"] is True
     names = set(report["checks"])
     assert names == {
-        "chsh_enumeration", "no_state_cheat_grid", "hidden_state_suite",
+        "chsh_enumeration", "cheat_certificates", "hidden_state_suite",
         "channel_equivalence", "threshold_scan",
     }
     assert all(c["passed"] for c in report["checks"].values())
@@ -269,7 +269,10 @@ def test_verify_flags_a_weakened_penalty(capsys, quick_verify_args):
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is False
-    assert not report["checks"]["no_state_cheat_grid"]["passed"]
+    cert = report["checks"]["cheat_certificates"]
+    assert not cert["passed"]
+    assert cert["no_state"]["max_payoff"] == pytest.approx(2 * SQRT3 - 3, abs=1e-12)
+    assert cert["bob_to_alice"]["max_payoff"] == pytest.approx(4 * SQRT3 - 6, abs=1e-12)
     assert not report["checks"]["hidden_state_suite"]["passed"]
 
 
@@ -277,7 +280,7 @@ def test_verify_flags_a_single_axis_referee(capsys, quick_verify_args):
     code = main(["verify", "--preparation", "single_axis", *quick_verify_args])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
-    assert not report["checks"]["no_state_cheat_grid"]["passed"]
+    assert not report["checks"]["cheat_certificates"]["passed"]
     # the hidden-state routes need calibrated signals, so that suite skips,
     # and a skipped check is not a passed one
     suite = report["checks"]["hidden_state_suite"]
@@ -346,7 +349,7 @@ def test_verify_rejects_sizes_above_their_cap(tmp_path, capsys, key, cap):
 
 @pytest.mark.parametrize("flag", ["--r", "--payoff-bound"])
 def test_verify_rejects_payoffs_that_overflow(tmp_path, capsys, flag):
-    # 24 (1 + c) bounds every grid payoff; it must stay a finite float
+    # 24 (1 + c) bounds every value the certificates form; it must stay finite
     assert main(["verify", flag, "1e308", "--out", str(tmp_path)]) == 2
     assert "payoffs overflow a float" in capsys.readouterr().err
     assert not (tmp_path / "verify_report.json").exists()
@@ -430,32 +433,51 @@ def test_sweep_bytes_are_pinned(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, code, digest",
+    "flags, code, digest, rest",
     [
         (
             ["--seed", "1"],
             0,
-            "c9ffbb6c9ab642e6b3852532538c07b0bb3ac84f2eded138fb4fb8b5b6164fd2",
+            "6da72f265d14e022571891be97ed3616dd7e8fd18771b989224be46b242f8a3e",
+            "67a955db40b18759c05c3232974a5aa20e3a3a75b68964b70c5f4078c653dd49",
         ),
         (
             ["--seed", "7", "--preparation", "single_axis"],
             1,
-            "f081001c748e4ebc3625abb6b2a8f67adfd1af3714382ff1ca7c783780a6e0e8",
+            "c86bdaca9c1af8764b1c85d90106dfc2e4331d13ca24a7d1436642c4b18d1d05",
+            "606c51dd8a83ad5f05d2c2ebe89aff4a40b777cca97e0bcf77a22e9afb6063e6",
         ),
         (
             ["--payoff-bound", "1.5"],
             1,
-            "416660e0f027096fa826618d7f01d7b3b23663b6e5d6559b866cc3aa1092b3ae",
+            "d781ad99885cb9285d3d0aa7256093814b2b3be388ee29c217cd1908175bb860",
+            "7015ac58778cbece59731e9312d026539b13c294da595fa25153f154a45e1524",
         ),
     ],
     ids=["seed-1", "seed-7-single-axis", "payoff-bound-1.5"],
 )
-def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest):
-    # sha256 of the reports the per-lambda, per-effect exact engine wrote;
-    # the stacked evaluations must reproduce every bit
+def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest, rest):
     assert main(["verify", *flags, "--out", str(tmp_path)]) == code
     report = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == digest
+    # less its cheat check, each report re-dumps to the bytes the grid-search
+    # report had less its no_state_cheat_grid section, which the stacked
+    # evaluations reproduced bit for bit from the per-lambda, per-effect engine
+    loaded = json.loads(report)
+    del loaded["checks"]["cheat_certificates"]
+    redumped = (json.dumps(loaded, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    assert hashlib.sha256(redumped).hexdigest() == rest
+
+
+def test_verify_grid_resolution_is_accepted_and_unused(tmp_path, capsys):
+    # the flag and config key stay valid for existing callers, echoed in config
+    reports = []
+    for res in ("10", "64"):
+        argv = ["verify", "--grid-resolution", res, "--lhs-trials", "3", "--scan-step", "0.1"]
+        assert main(argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [r["config"].pop("grid_resolution") for r in reports] == [10, 64]
+    assert reports[0] == reports[1]
 
 
 def test_verify_rejects_a_scan_grid_over_the_row_cap(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Verification oracles: exhaustive CHSH scan, cheat grid searches, the
-randomized hidden-state suite, and the Werner threshold scan."""
+"""Verification oracles: exhaustive CHSH scan, the cheat certificates and
+the grid searches that cross-check them, the randomized hidden-state
+suite, and the Werner threshold scan."""
 
 import hashlib
 import json
@@ -23,17 +24,10 @@ from qrgames.games import (
     witness2_value,
 )
 from qrgames.oracle import (
-    _BA_BOB_RULES,
-    _GRID_BLOCK,
     _LHS_DIMS,
     _LHS_LAMBDA_SIZES,
-    _SIGNS,
-    CommBaGridResult,
-    GridCheatResult,
+    cheat_certificates,
     enumerate_chsh_deterministic,
-    fibonacci_sphere,
-    grid_max_cheat,
-    grid_max_comm_ba,
     random_lhs_strategy,
     random_lhs_suite,
     threshold_scan,
@@ -44,13 +38,26 @@ from qrgames.games import qrs_payoff_exact
 from qrgames.qcore import _PAULI, BlochVector, pauli, tensor, werner_state
 from qrgames.strategies import (
     ALICE_RULES_BA,
+    CommCheat,
     HonestStrategy,
-    _conditional_setting_weights,
+    NoStateCheat,
     best_estimator,
     honest_strategy,
     lhs_payoff_routes,
 )
 from qrgames.serialize import strategy_from_json, strategy_to_json
+
+from cheat_grids import (
+    _BA_BOB_RULES,
+    _GRID_BLOCK,
+    _SIGNS,
+    CommBaGridResult,
+    GridCheatResult,
+    _conditional_setting_weights,
+    fibonacci_sphere,
+    grid_max_cheat,
+    grid_max_comm_ba,
+)
 
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
 
@@ -245,6 +252,96 @@ def test_grid_searches_hold_one_block_at_a_time(ideal_spec):
         finally:
             tracemalloc.stop()
         assert peak < 8e6, (search.__name__, peak)
+
+
+_CERT_SPECS = {
+    "ideal": SteeringGameSpec.ideal(),
+    "r-1.081": SteeringGameSpec.ideal(r=1.081),
+    "bound-1.5": SteeringGameSpec.ideal(payoff_bound=1.5),
+    "single-axis": SteeringGameSpec(signal_ensemble=single_axis_ensemble()),
+}
+
+
+@pytest.mark.parametrize(
+    "name, no_state, bob_to_alice",
+    [
+        ("ideal", 0.0, 0.0),
+        ("r-1.081", 0.0, 0.0),
+        ("bound-1.5", 2 * SQRT3 - 3, 4 * SQRT3 - 6),
+        ("single-axis", 6 - 2 * SQRT3, 12 - 4 * SQRT3),
+    ],
+)
+def test_cheat_certificates_match_their_closed_forms(name, no_state, bob_to_alice):
+    cert = cheat_certificates(_CERT_SPECS[name])
+    assert abs(cert.no_state - no_state) <= 1e-12
+    assert abs(cert.bob_to_alice - bob_to_alice) <= 1e-12
+    if no_state > 0.0:
+        # alpha = (-1, -1, -1) and the rule (-1, 1) tie with these; the first wins
+        assert cert.alpha == (1, 1, 1)
+        assert cert.rule == (1, -1)
+
+
+@pytest.mark.parametrize(
+    "name, estimator",
+    [
+        ("bound-1.5", best_estimator()),
+        ("single-axis", BlochVector(np.array([1.0, 0.0, 0.0]), 0.5)),
+    ],
+)
+def test_cheat_certificates_are_reached_by_a_cheat(name, estimator):
+    """A winning certificate is the exact payoff of the cheat it describes."""
+    spec = _CERT_SPECS[name]
+    cert = cheat_certificates(spec)
+    no_state = qrs_payoff_exact(spec, NoStateCheat(estimator, "constant"))
+    comm = CommCheat("bob_to_alice", estimator, (1, -1), "follow_estimate")
+    assert abs(qrs_payoff_exact(spec, comm) - cert.bob_to_alice) <= 1e-12
+    assert abs(no_state - cert.no_state) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(_CERT_SPECS))
+def test_cheat_certificates_bound_random_cheats(name, rng):
+    spec = _CERT_SPECS[name]
+    cert = cheat_certificates(spec)
+    tol = 1e-12 * (1.0 + spec.penalty_coefficient)
+    for _ in range(40):
+        m = rng.normal(size=3)
+        m *= rng.uniform() / np.linalg.norm(m)
+        estimator = BlochVector(m, rng.uniform(0.0, 1.0 / (1.0 + np.linalg.norm(m))))
+        for rule in ("constant", (1, -1, -1)):
+            assert qrs_payoff_exact(spec, NoStateCheat(estimator, rule)) <= cert.no_state + tol
+        for bob_rule in _BA_BOB_RULES:
+            for alice_rule in ALICE_RULES_BA:
+                comm = CommCheat("bob_to_alice", estimator, bob_rule, alice_rule)
+                assert qrs_payoff_exact(spec, comm) <= cert.bob_to_alice + tol
+
+
+@pytest.mark.parametrize(
+    "name, slack",
+    [
+        ("ideal", 2.5e-3),
+        ("bound-1.5", 2.5e-3),
+        ("single-axis", 2.5e-3),
+        # the no-state grid cannot stay silent: its smallest mu is mu_hi / R, and
+        # at r > 1 every reply costs, so its best point sits 7.1e-3 below zero
+        ("r-1.081", 7.5e-3),
+    ],
+)
+def test_grids_sit_just_below_the_certificates(name, slack):
+    spec = _CERT_SPECS[name]
+    cert = cheat_certificates(spec)
+    grid = grid_max_cheat(spec, 40).max_payoff
+    comm = grid_max_comm_ba(spec, 40).max_payoff
+    assert cert.no_state - slack <= grid <= cert.no_state + 1e-12
+    assert cert.bob_to_alice - 2.5e-3 <= comm <= cert.bob_to_alice + 1e-12
+
+
+def test_cheat_certificates_catch_a_win_below_the_grid_resolution():
+    # payoff_bound a hair below sqrt(3): cheats win by 2e-6, which the grid misses
+    spec = SteeringGameSpec.ideal(payoff_bound=SQRT3 - 1e-6)
+    cert = cheat_certificates(spec)
+    assert abs(cert.no_state - 2e-6) <= 1e-12
+    assert abs(cert.bob_to_alice - 4e-6) <= 1e-12
+    assert grid_max_cheat(spec, 40).max_payoff < 0.0
 
 
 def test_random_lhs_suite_passes_on_the_ideal_game():

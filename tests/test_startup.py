@@ -1,5 +1,6 @@
 """Fresh-interpreter start-up: no command loads jsonschema, ``run`` never
-loads the oracle, and how the validating paths fail.
+loads the oracle, importing the package starts no BLAS threads, and how
+the validating paths fail.
 
 Each test runs a child interpreter, because ``sys.modules`` of the test
 process already holds whatever earlier tests imported.
@@ -17,11 +18,14 @@ import pytest
 import qrgames
 
 
-def _child(args, cwd):
+def _child(args, cwd, openblas_threads=None):
+    """Run the interpreter with OPENBLAS_NUM_THREADS unset, or set as given."""
     # the child imports the same qrgames package this test imported
     src = str(Path(qrgames.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=120,
         env=env, cwd=cwd,
@@ -91,3 +95,40 @@ def test_schema_rejections_exit_two_with_one_line(tmp_path, argv, prefix):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(f"config error: {prefix}: ")
     assert not (tmp_path / "out").exists()
+
+
+
+def _printed(script, cwd, openblas_threads=None):
+    proc = _child(["-c", textwrap.dedent(script)], cwd, openblas_threads)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_importing_the_cli_starts_no_blas_threads(tmp_path):
+    out = _printed("""
+        import os
+        import qrgames.cli
+        print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+    """, tmp_path)
+    assert out == ["1", "1"]
+
+
+def test_a_preset_thread_count_is_left_as_it_is(tmp_path):
+    script = """
+        import os
+        import qrgames
+        print(os.environ["OPENBLAS_NUM_THREADS"])
+    """
+    assert _printed(script, tmp_path, openblas_threads="2") == ["2"]
+
+
+def test_numpy_loaded_first_keeps_its_thread_pool(tmp_path):
+    # OpenBLAS read the environment when numpy loaded; setting it later would only mislead
+    out = _printed("""
+        import os
+        import numpy
+        import qrgames
+        print(os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+    """, tmp_path)
+    assert out == ["unset"]

@@ -43,13 +43,13 @@ from qrgames.strategies import (
     _lhs_reductions,
     _lhs_routes,
     best_estimator,
-    discrimination_stats,
     honest_strategy,
     lhs_payoff_routes,
     partial_bell_povm,
     programmed_povm,
 )
 
+from cheat_grids import discrimination_stats
 from random_draws import random_density, random_povm
 
 M_STAR = np.full(3, 1.0 / SQRT3)
