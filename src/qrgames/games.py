@@ -186,6 +186,25 @@ def _payoffs(e_ab: np.ndarray, e_b: np.ndarray, coeff: float) -> np.ndarray:
     return 2.0 * total
 
 
+def _payoff_operators(spec: SteeringGameSpec, alpha) -> np.ndarray:
+    """Z(alpha) = sum_{j,s} (s alpha_j - c) omega_{j,s} over the delivered signals.
+
+    ``alpha`` is a (..., 3) array of Alice's mean answers per setting and
+    c = ``spec.penalty_coefficient``.  When Bob replies b = 1 on the
+    effect X of the signal qubit and Alice's answers average alpha, the
+    pair pays 2 Tr[X Z(alpha)], whatever states the referee sends.
+    Returns the (..., 2, 2) operators.  ``matmul`` takes each block of
+    the last two coefficient axes on its own, so each model of a stack of
+    models gets the bits it gets alone; the coefficients are made complex
+    first, since a mixed-type ``matmul`` buffers its cast.
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    coeffs = np.stack([s * alpha[..., j - 1] for j, s in SIGNALS], axis=-1)
+    coeffs = (coeffs - spec.penalty_coefficient).astype(np.complex128)
+    z = coeffs @ spec.delivered_signals().reshape(len(SIGNALS), -1)
+    return z.reshape(alpha.shape[:-1] + (2, 2))
+
+
 def _check_expectation_range(**values):
     """Each value (or stack of values) must lie in [-1, 1], to 1e-9.
 

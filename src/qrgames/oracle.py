@@ -1,11 +1,13 @@
 """Exact and randomized verification of the game's no-win guarantees.
 
 The cheat certificates bound every no-state and Bob-to-Alice cheat by
-qubit eigenvalue problems; the estimator-grid searches the tests keep
+qubit eigenvalue problems of the payoff operator Z(alpha) of
+``games._payoff_operators``; the estimator-grid searches the tests keep
 are their independent cross-check.  The hidden-state suite compares
-both routes of ``strategies.lhs_payoff_routes``, evaluated for a whole
-group of equally sized models at once; the Werner scan evaluates all its
-states as one stack.
+both routes of ``strategies.lhs_payoff_routes``, the second of which
+reads the same Z, evaluated for a whole group of equally sized models at
+once; it runs under any qubit signal ensemble.  The Werner scan
+evaluates all its states as one stack.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import numpy as np
 
 from .games import (
     _CANONICAL_CHSH_OPERATORS,
-    SIGNALS,
     SteeringGameSpec,
     _check_correlations,
     _correlations,
+    _payoff_operators,
     _payoffs,
     chsh_value,
     outcome_table,
@@ -114,11 +116,10 @@ def _positive_trace(z: np.ndarray) -> np.ndarray:
 def cheat_certificates(spec: SteeringGameSpec) -> CheatCertificates:
     """The largest payoff any no-state or Bob-to-Alice cheat reaches.
 
-    With Z(alpha) = sum_{j,s} (s alpha_j - c) omega_{j,s} over the
-    delivered signals and c = ``spec.penalty_coefficient``, a cheat in
-    which Bob replies b = 1 on the effect 0 <= X <= 1 and Alice answers
-    alpha_j scores 2 Tr[X Z(alpha)], so the no-state certificate is
-    2 max_alpha Tr[Z(alpha)_+].  A Bob-to-Alice cheat sends one of two
+    With Z(alpha) the payoff operator of ``games._payoff_operators``, a
+    cheat in which Bob replies b = 1 on the effect 0 <= X <= 1 and Alice
+    answers alpha_j scores 2 Tr[X Z(alpha)], so the no-state certificate
+    is 2 max_alpha Tr[Z(alpha)_+].  A Bob-to-Alice cheat sends one of two
     guesses, on X and 1 - X; per guess Bob stays silent (Z = 0) or
     replies and Alice answers +1 or -1 for every setting (Z(+,+,+) or
     Z(-,-,-)), which scores 2 (Tr Z_2 + Tr[X (Z_1 - Z_2)]) and at best
@@ -126,12 +127,7 @@ def cheat_certificates(spec: SteeringGameSpec) -> CheatCertificates:
     estimator-grid searches, whose values lie below them.  Ties go to
     the first candidate in ``_ALPHAS`` and ``_BA_RULES`` order.
     """
-    signals = spec.delivered_signals()
-    c = spec.penalty_coefficient
-    coeffs = np.array(
-        [[s * alpha[j - 1] - c for j, s in SIGNALS] for alpha in _ALPHAS]
-    )
-    z = np.tensordot(coeffs, signals, axes=1)
+    z = _payoff_operators(spec, np.array(_ALPHAS))
     no_state = 2.0 * _positive_trace(z)
     i = int(np.argmax(no_state))
 

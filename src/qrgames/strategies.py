@@ -24,9 +24,12 @@ callers: the honest table, over an ``(n, d, d)`` stack of shared states
 in blocks of ``qcore._STACK_BLOCK``; ``_lhs_tables``, over the hidden
 states of n equally sized hidden-state models; and
 ``simulator.noisy_equivalence_check``, over its stack of random states
-on B.  ``_lhs_reductions`` and ``_lhs_routes`` also take n models at
-once.  A single object's call is the n = 1 case of the same kernel, and
-every item of a stack gets the bits it gets on its own.
+on B.  ``_lhs_routes``, which also takes n models at once, checks their
+tables against the collapse of Bob's side onto the signal qubit, paid
+through the payoff operator Z(alpha) of ``games._payoff_operators`` that
+the cheat certificates read too, so it holds for any qubit signal
+ensemble.  A single object's call is the n = 1 case of the same kernel,
+and every item of a stack gets the bits it gets on its own.
 
 Outcome conventions: Alice's POVMs are ordered (a=+1, a=-1); Bob's joint
 POVMs are ordered (b=0, b=1).
@@ -41,14 +44,12 @@ import numpy as np
 from . import games
 from .games import OUTCOMES, SIGNALS
 from .qcore import (
-    _PAULI,
     _STACK_BLOCK,
     BlochVector,
     DensityOperator,
     Povm,
     _check_density_stack,
     _kron_pair,
-    mats_close,
     partial_trace,
     pauli,
     signal_state,
@@ -407,46 +408,6 @@ def _lhs_tables(weights, states, responses, effects, signals) -> np.ndarray:
     return table[..., [1, 0, 3, 2]]
 
 
-def _lhs_reductions(weights, states, effects):
-    """Collapse a stack of n hidden-state models onto the signal space.
-
-    X_lambda = Tr_B[E_1 (rho_lambda x 1_C)] turns Bob's side into a
-    positive operator on C.  With N = sum_lambda p(lambda) Tr[X_lambda],
-    reweighted distribution q(lambda) and normalised states tau_lambda,
-    the payoff in the calibrated game becomes
-    2N (sum_j <a_j sigma_j> - r*sqrt(3)), which is at most 0 for r >= 1.
-
-    Parameters as for :func:`_lhs_tables`.  Every X_lambda of every model
-    is one ``matmul``, then the trace over B of the whole stack.  A term
-    is kept when p(lambda) Tr[X_lambda] > 1e-14, and a model whose N is
-    not positive keeps none.  Returns (normalization, kept, q, taus): the
-    (n,) N, 0 for a model that keeps nothing; the (n, n_lambda) mask of
-    kept terms; the (n, n_lambda) reduced weights q, read only where
-    kept; and the (n_kept, 2, 2) tau_lambda of the kept terms, model by
-    model in lambda order.  Every tau gets the checks of
-    :class:`DensityOperator`, and every model's kept q must sum to 1
-    within 1e-9, as stacks; the first bad one raises its message.
-    """
-    n, n_lambda, d_b, _ = states.shape
-    joint = effects[:, None] @ _tensor_rows(states, np.eye(2, dtype=np.complex128))
-    x_ops = np.trace(joint.reshape(n, n_lambda, d_b, 2, d_b, 2), axis1=2, axis2=4)
-    x_ops = (x_ops + x_ops.conj().swapaxes(-1, -2)) / 2.0
-    traces = np.trace(x_ops, axis1=-2, axis2=-1).real
-    weighted = weights * traces
-    n_const = weighted.sum(axis=-1)
-    kept = weighted > 1e-14
-    valid = (n_const > 0.0) & kept.any(axis=-1)
-    kept &= valid[:, None]
-    normalization = np.where(valid, n_const, 0.0)
-    taus = x_ops[kept] / traces[kept][:, None, None]
-    _check_density_stack(taus)
-    q = weighted / np.where(valid, n_const, 1.0)[:, None]
-    off = valid & ~(np.abs(np.where(kept, q, 0.0).sum(axis=-1) - 1.0) <= 1e-9)
-    if off.any():
-        raise ValueError("reduced weights must sum to 1")
-    return normalization, kept, q, taus
-
-
 def _as_stack(strategy: LhsStrategy):
     """One model's parameters as a stack of one, in :func:`_lhs_tables` order."""
     return (
@@ -457,38 +418,29 @@ def _as_stack(strategy: LhsStrategy):
     )
 
 
-def _require_calibrated_ensemble(spec: games.SteeringGameSpec):
-    if not mats_close(spec.delivered_signals(), _IDEAL_SIGNALS, 1e-10):
-        raise ValueError("the hidden-state reduction assumes the calibrated signal ensemble")
-
-
 def _lhs_routes(spec: games.SteeringGameSpec, weights, states, responses, effects):
     """Both routes of :func:`lhs_payoff_routes` for a stack of n models.
 
     Parameters as for :func:`_lhs_tables`; returns the (n,) direct and
     reduced payoffs.  The direct route aggregates each model's outcome
-    table; the reduced route takes every <sigma_j> of every kept
-    tau_lambda of :func:`_lhs_reductions` in one stacked trace, then sums
-    over j and over the kept lambda one step at a time, in order.  A
-    dropped term is masked, not added, so each model rounds as it does
-    alone.
+    table.  The reduced route collapses Bob's side onto the signal qubit:
+    X_lambda = Tr_B[E_1 (rho_lambda x 1_C)], every X_lambda of every
+    model one ``matmul`` and one trace over B, and the payoff is
+    2 sum_lambda p(lambda) Tr[X_lambda Z(r_lambda)], with Z the payoff
+    operator of ``games._payoff_operators`` at lambda's response biases.
+    Both routes hold for any qubit signal ensemble, and each model rounds
+    as it does alone.
     """
     tables = _lhs_tables(weights, states, responses, effects, spec.delivered_signals())
     e_ab, e_b = games._correlations(tables, np.ones(1))
     games._check_correlations(e_ab, e_b)
     direct = games._payoffs(e_ab, e_b, spec.penalty_coefficient)
-    _require_calibrated_ensemble(spec)
-    normalization, kept, q, taus = _lhs_reductions(weights, states, effects)
-    sigma = np.zeros(kept.shape + (3,))
-    sigma[kept] = np.trace(_PAULI @ taus[:, None], axis1=-2, axis2=-1).real
-    inner = np.zeros(kept.shape)
-    for j in range(3):
-        inner = inner + responses[..., j] * sigma[..., j]
-    total = np.zeros(len(weights))
-    for lam in range(kept.shape[1]):
-        total = np.where(kept[:, lam], total + q[:, lam] * inner[:, lam], total)
-    reduced = 2.0 * normalization * (total - spec.r * spec.payoff_bound)
-    return direct, reduced
+    n, n_lambda, d_b, _ = states.shape
+    joint = effects[:, None] @ _tensor_rows(states, np.eye(2, dtype=np.complex128))
+    x_ops = np.trace(joint.reshape(n, n_lambda, d_b, 2, d_b, 2), axis1=2, axis2=4)
+    z = games._payoff_operators(spec, responses)
+    terms = np.trace(x_ops @ z, axis1=-2, axis2=-1).real
+    return direct, 2.0 * (weights * terms).sum(axis=-1)
 
 
 def lhs_payoff_routes(strategy: LhsStrategy, spec: games.SteeringGameSpec):
@@ -496,8 +448,9 @@ def lhs_payoff_routes(strategy: LhsStrategy, spec: games.SteeringGameSpec):
 
     Route one aggregates the strategy's outcome table directly;
     route two goes through the reduction onto the signal space.  Both
-    are exact, so any disagreement flags an implementation bug.  This is
-    :func:`_lhs_routes` for a stack of one model.
+    are exact under any qubit signal ensemble, so any disagreement flags
+    an implementation bug.  This is :func:`_lhs_routes` for a stack of
+    one model.
     """
     direct, reduced = _lhs_routes(spec, *_as_stack(strategy))
     return float(direct[0]), float(reduced[0])

@@ -3,11 +3,13 @@
 The package draws such objects only as stacks (``oracle._draw_lhs``, the
 channel check of ``simulator``); these are the one-by-one draws that
 consume the same generator numbers, built from the same ``qcore``
-helpers.
+helpers.  ``random_signal_ensemble`` draws an uncalibrated referee from
+the same states.
 """
 
 import numpy as np
 
+from qrgames.games import SIGNALS
 from qrgames.qcore import DensityOperator, Povm, _gram, _normalized_povm, _unit_trace
 
 
@@ -26,3 +28,8 @@ def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int = 2) -> Povm
         raise ValueError("POVM needs at least one outcome")
     ops = _gram(rng.standard_normal((n_outcomes, 2, dim, dim)))
     return Povm(tuple(_normalized_povm(ops)))
+
+
+def random_signal_ensemble(rng: np.random.Generator) -> dict:
+    """An uncalibrated referee: one random full-rank qubit state per (j, s)."""
+    return {sig: random_density(rng, 2) for sig in SIGNALS}

@@ -58,6 +58,7 @@ from cheat_grids import (
     grid_max_cheat,
     grid_max_comm_ba,
 )
+from random_draws import random_signal_ensemble
 
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
 
@@ -463,6 +464,8 @@ _SUITE_SPECS = {
     "r-1e5": SteeringGameSpec.ideal(r=1e5),
     # random models win here, so failing models are serialised
     "payoff-bound-0.01": SteeringGameSpec.ideal(payoff_bound=0.01),
+    # an uncalibrated referee: the probe along sigma_1 wins
+    "single-axis": SteeringGameSpec(signal_ensemble=single_axis_ensemble()),
 }
 
 
@@ -477,19 +480,31 @@ def test_random_lhs_suite_equals_the_one_model_at_a_time_suite(spec, seed):
 
 
 @pytest.mark.parametrize(
-    "seed, spec, n_failures, digest",
+    "seed, spec, n_failures, digest, rest",
     [
         (0, "payoff-bound-0.01", 92,
-         "8b8fbaccf39b5c26d56034d3cbd9b480d54d6388a619db36b9d6cc5442b52abd"),
-        (7, "r-1e5", 0, "b97619e92ac41945dcd1c139a37a13db39c0c17e9d9258b5c95a6912a8b35dc8"),
+         "d1be6b416986b84158e8182fdf5a1cd952e9007229427ed490a8fcf8020cc0fd",
+         "dbe8dd511fbf641c8c69b2f8edab6e672091365764fc36a5ad645bc39735f4e7"),
+        (7, "r-1e5", 0,
+         "114cae94d0cb6ddb0dbadefd462a02eeb48db7d353e183f2a48f2c889d1f4e48",
+         "8f4e3e1c22ef7759b32bbf2bb36cff14e4ab5deed90c163c666ac49a580f6117"),
     ],
+    ids=["seed-0-payoff-bound-0.01", "seed-7-r-1e5"],
 )
-def test_random_lhs_suite_reports_are_pinned(seed, spec, n_failures, digest):
-    """Digests of reports the suite wrote when it evaluated one model at a time."""
+def test_random_lhs_suite_reports_are_pinned(seed, spec, n_failures, digest, rest):
+    """Digests of two suite reports.  Less its route gaps, each report dumps
+    to the bytes it had when the reduced route normalised every reduced
+    state and summed <sigma_j> over the calibrated signals, which matched
+    the one-model-at-a-time suite bit for bit."""
     report = random_lhs_suite(200, rng_seed=seed, spec=_SUITE_SPECS[spec]).to_json()
     assert len(report["failures"]) == n_failures
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    del report["max_route_gap"]
+    for failure in report["failures"]:
+        del failure["route_gap"]
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == rest
 
 
 def test_stacked_suite_and_scan_hold_one_block_at_a_time():
@@ -505,11 +520,34 @@ def test_stacked_suite_and_scan_hold_one_block_at_a_time():
         assert peak < 4e6, peak
 
 
-def test_random_lhs_suite_needs_the_calibrated_ensemble():
-    spec = SteeringGameSpec(signal_ensemble=single_axis_ensemble())
-    for trials in (0, 3):
-        with pytest.raises(ValueError, match="calibrated signal ensemble"):
-            random_lhs_suite(trials, spec=spec)
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *_SUITE_SPECS.values(),
+        SteeringGameSpec.ideal(payoff_bound=1.5),
+        SteeringGameSpec(signal_ensemble=random_signal_ensemble(np.random.default_rng(3))),
+        SteeringGameSpec(signal_ensemble=random_signal_ensemble(np.random.default_rng(4))),
+    ],
+    ids=[*_SUITE_SPECS, "bound-1.5", "random-ensemble-3", "random-ensemble-4"],
+)
+def test_random_lhs_suite_routes_agree_under_any_signal_ensemble(monkeypatch, spec):
+    """Both routes agree on every trial and probe, and no hidden-state model
+    beats the no-state certificate: per lambda, Tr[X Z(r)] is affine in the
+    biases r and X <= 1, so it stays below max_alpha Tr[Z(alpha)_+]."""
+    routes = []
+    original = oracle._lhs_routes
+
+    def recorded(*args):
+        routes.append(original(*args))
+        return routes[-1]
+
+    monkeypatch.setattr(oracle, "_lhs_routes", recorded)
+    report = random_lhs_suite(60, rng_seed=5, spec=spec)
+    direct, reduced = map(np.concatenate, zip(*routes))
+    assert len(direct) == report.trials + report.probes
+    c = spec.penalty_coefficient
+    assert np.all(np.abs(direct - reduced) <= 1e-10 * max(1.0, c))
+    assert np.all(direct <= cheat_certificates(spec).no_state + 1e-12 * (1.0 + c))
 
 
 def test_random_lhs_suite_evaluates_groups_not_models(monkeypatch):

@@ -38,10 +38,7 @@ from qrgames.strategies import (
     HonestStrategy,
     LhsStrategy,
     NoStateCheat,
-    _as_stack,
     _clean_distribution,
-    _lhs_reductions,
-    _lhs_routes,
     best_estimator,
     honest_strategy,
     lhs_payoff_routes,
@@ -50,7 +47,7 @@ from qrgames.strategies import (
 )
 
 from cheat_grids import discrimination_stats
-from random_draws import random_density, random_povm
+from random_draws import random_density, random_povm, random_signal_ensemble
 
 M_STAR = np.full(3, 1.0 / SQRT3)
 
@@ -353,46 +350,48 @@ def test_hidden_state_b1_probs_are_the_per_lambda_traces(rng, dim, n_lambda):
             assert np.array_equal(table[k, 0], [cleaned[out] for out in OUTCOMES])
 
 
-def _reduction(strategy):
-    """One model's N, kept lambda indices, kept q weights and kept tau
-    matrices, from the stacked reduction of a stack of one."""
-    weights, states, _, effects = _as_stack(strategy)
-    normalization, kept, q, taus = _lhs_reductions(weights, states, effects)
-    return float(normalization[0]), tuple(np.flatnonzero(kept[0]).tolist()), q[0, kept[0]], taus
+def _x_ops(strategy):
+    """X_lambda = Tr_B[E_1 (rho_lambda x 1_C)], one hidden state at a time."""
+    e1 = strategy.bob_joint_povm[1]
+    dim = strategy.state_stack.shape[-1]
+    return [
+        partial_trace(e1 @ np.kron(st.matrix, np.eye(2)), [dim, 2], 0)
+        for st in strategy.hidden_states
+    ]
+
+
+def test_payoff_operators_match_the_closed_form(rng):
+    """Under the calibrated ensemble Z(alpha) = sum_j alpha_j sigma_j - 3c 1."""
+    alpha = rng.uniform(-1.0, 1.0, size=(4, 5, 3))
+    for spec in (
+        SteeringGameSpec.ideal(),
+        SteeringGameSpec.ideal(r=1.081),
+        SteeringGameSpec.ideal(payoff_bound=0.01),
+        SteeringGameSpec.ideal(payoff_bound=1.5),
+    ):
+        z = games._payoff_operators(spec, alpha)
+        assert z.shape == (4, 5, 2, 2)
+        want = np.tensordot(alpha, np.stack([pauli(j) for j in (1, 2, 3)]), axes=1)
+        want = want - 3.0 * spec.penalty_coefficient * np.eye(2)
+        assert mats_close(z, want, 1e-15)
 
 
 @pytest.mark.parametrize("n_lambda", [1, 4, 8])
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_lhs_reduction_is_the_per_lambda_partial_trace_route(rng, ideal_spec, dim, n_lambda):
+def test_lhs_reduction_is_the_per_lambda_partial_trace_route(rng, dim, n_lambda):
     strategy = _lhs_with_a_dropped_lambda(rng, dim, n_lambda)
-    e1 = strategy.bob_joint_povm[1]
-    x_ops = []
-    for st in strategy.hidden_states:
-        x = partial_trace(e1 @ np.kron(st.matrix, np.eye(2)), [dim, 2], 0)
-        x_ops.append((x + x.conj().T) / 2.0)
-    traces = np.array([float(np.trace(x).real) for x in x_ops])
-    weighted = strategy.weights * traces
-    kept = tuple(i for i in range(n_lambda) if weighted[i] > 1e-14)
-
-    normalization, kept_indices, q_weights, taus = _reduction(strategy)
-    assert normalization == float(weighted.sum())
-    assert kept_indices == kept
-    assert len(kept) == (n_lambda - 1 if n_lambda > 1 else 1)
-    assert np.array_equal(q_weights, weighted[list(kept)] / normalization)
-    for pos, i in enumerate(kept):
-        assert np.array_equal(taus[pos], x_ops[i] / traces[i])
-
-    # the reduced route, with one <sigma_j>_tau trace at a time
-    total = 0.0
-    for pos, lam in enumerate(kept):
-        inner = 0.0
-        for j in (1, 2, 3):
-            inner += strategy.alice_responses[lam, j - 1] * DensityOperator(
-                taus[pos]
-            ).expectation(pauli(j))
-        total += q_weights[pos] * inner
-    want = 2.0 * normalization * (total - ideal_spec.r * ideal_spec.payoff_bound)
-    assert lhs_payoff_routes(strategy, ideal_spec)[1] == want
+    x_ops = _x_ops(strategy)
+    for spec in (
+        SteeringGameSpec.ideal(r=1.081),
+        SteeringGameSpec(signal_ensemble=single_axis_ensemble()),
+        SteeringGameSpec(signal_ensemble=random_signal_ensemble(rng)),
+    ):
+        want = 0.0
+        for p, x, alpha in zip(strategy.weights, x_ops, strategy.alice_responses):
+            want += p * np.trace(x @ games._payoff_operators(spec, alpha)).real
+        direct, reduced = lhs_payoff_routes(strategy, spec)
+        assert reduced == pytest.approx(2.0 * want, rel=0.0, abs=1e-14)
+        assert abs(direct - reduced) <= 1e-14
 
 
 def test_lhs_routes_agree_and_never_win(rng, ideal_spec):
@@ -410,7 +409,7 @@ def test_lhs_zero_responses_pay_only_the_penalty(rng, ideal_spec):
     strategy = LhsStrategy(
         base.weights, base.hidden_states, np.zeros((4, 3)), base.bob_joint_povm
     )
-    normalization = _reduction(strategy)[0]
+    normalization = float(strategy.weights @ [np.trace(x).real for x in _x_ops(strategy)])
     payoff, reduced = lhs_payoff_routes(strategy, ideal_spec)
     assert abs(payoff - reduced) <= 1e-10
     assert payoff == pytest.approx(-2.0 * normalization * SQRT3, abs=1e-12)
@@ -428,58 +427,6 @@ def test_lhs_saturates_bound_with_trivial_hidden_space(ideal_spec):
     direct, reduced = lhs_payoff_routes(strategy, ideal_spec)
     assert abs(direct) < 1e-12
     assert abs(reduced) < 1e-12
-
-
-def test_lhs_reduction_drops_zero_trace_terms(ideal_spec):
-    """A hidden state that never triggers b=1 is removed from the reduction."""
-    proj_up = signal_state(3, 1).matrix  # |0><0| on C
-    e1 = np.kron(np.diag([1.0, 0.0]), proj_up)  # fires only for hidden |0>
-    povm = Povm((np.eye(4) - e1, e1))
-    states = (
-        DensityOperator(np.diag([1.0, 0.0])),
-        DensityOperator(np.diag([0.0, 1.0])),  # orthogonal: Tr[X] = 0
-    )
-    strategy = LhsStrategy(
-        np.array([0.5, 0.5]), states, np.zeros((2, 3)), povm
-    )
-    normalization, kept_indices, _, _ = _reduction(strategy)
-    assert kept_indices == (0,)
-    assert normalization == pytest.approx(0.5)
-    direct, reduced = lhs_payoff_routes(strategy, ideal_spec)
-    assert abs(direct - reduced) < 1e-12
-
-
-def _tiny_normalization_lhs(dropped):
-    """Two hidden states under E_1 = |0><0| x 1_C whose p(lambda) Tr[X_lambda]
-    are 1e-13 (kept) and ``dropped``."""
-    e1 = np.kron(np.diag([1.0, 0.0]), np.eye(2))
-    states = tuple(DensityOperator(np.diag([a, 1.0 - a])) for a in (1e-13, dropped))
-    return LhsStrategy(
-        np.array([0.5, 0.5]), states, np.zeros((2, 3)), Povm((np.eye(4) - e1, e1))
-    )
-
-
-def test_lhs_reduction_checks_the_reduced_weights_of_a_tiny_normalization(ideal_spec):
-    """A dropped term a tenth the size of N pulls sum q off 1, which raises."""
-    good = _tiny_normalization_lhs(0.0)
-    normalization, kept_indices, q_weights, _ = _reduction(good)
-    assert kept_indices == (0,) and q_weights.tolist() == [1.0]
-    assert normalization == pytest.approx(1e-13, rel=1e-9)
-    bad = _tiny_normalization_lhs(0.9e-14)
-    with pytest.raises(ValueError, match="reduced weights must sum to 1"):
-        _reduction(bad)
-    with pytest.raises(ValueError, match="reduced weights must sum to 1"):
-        lhs_payoff_routes(bad, ideal_spec)
-    # the stacked routes check every model, not only the first
-    stack = [np.concatenate(pair) for pair in zip(_as_stack(good), _as_stack(bad))]
-    with pytest.raises(ValueError, match="reduced weights must sum to 1"):
-        _lhs_routes(ideal_spec, *stack)
-
-
-def test_lhs_requires_calibrated_ensemble(rng):
-    spec = SteeringGameSpec(signal_ensemble=single_axis_ensemble())
-    with pytest.raises(ValueError):
-        lhs_payoff_routes(_random_lhs(rng, 2, 2), spec)
 
 
 def test_comm_cheat_alice_to_bob_breaks_the_game():
