@@ -36,7 +36,6 @@ from .games import (
     single_axis_ensemble,
     steering2_value,
     steering3_value,
-    uniform_input_distribution,
     witness2_value,
 )
 from .qcore import (
@@ -126,7 +125,6 @@ __all__ = [
     "steering2_value",
     "steering3_value",
     "tensor",
-    "uniform_input_distribution",
     "werner_state",
     "witness2_value",
     "write_summary_json",

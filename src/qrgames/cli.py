@@ -281,13 +281,6 @@ def cmd_verify(args) -> int:
         grid_res = int(_pick(args.grid_resolution, cfg, "grid_resolution", 40))
         step = float(_pick(args.scan_step, cfg, "scan_step", 0.005))
         seed = int(_pick(args.seed, cfg, "seed", 0))
-        if not 0.0 < step <= 0.1:
-            raise ValueError(f"scan step must lie in (0, 0.1], got {step}")
-        n_w = _arange_size(0.0, 1.0 + 0.5 * step, step)
-        if n_w > SWEEP_MAX_ROWS:
-            raise ValueError(
-                f"{_grid_count(n_w)}-point Werner scan grid exceeds {SWEEP_MAX_ROWS} rows"
-            )
         resolved = {
             "r": r,
             "payoff_bound": bound,
@@ -297,8 +290,13 @@ def cmd_verify(args) -> int:
             "scan_step": step,
             "seed": seed,
         }
-        # flags must meet the bounds a config file is held to
+        # flags must meet a config file's bounds, a step of 0 failing before the division
         _validate(resolved, VERIFY_CONFIG_SCHEMA, "verify flags")
+        n_w = _arange_size(0.0, 1.0 + 0.5 * step, step)
+        if n_w > SWEEP_MAX_ROWS:
+            raise ValueError(
+                f"{_grid_count(n_w)}-point Werner scan grid exceeds {SWEEP_MAX_ROWS} rows"
+            )
         spec = _build_spec(r, bound, preparation)
         # Tr[Z(alpha)_+] <= sum_k |s alpha_j - c| <= 6 (1 + c), so every value the
         # certificates form stays within 2 (Tr[Z_1+] + Tr[Z_2+]) <= 24 (1 + c)

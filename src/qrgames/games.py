@@ -1,10 +1,10 @@
 """Correlation functionals and exact payoff evaluation for the refereed games.
 
 The quantum-refereed steering game: in each round the referee draws a
-setting j in {1,2,3} and a sign s = +-1, tells Alice j, and hands Bob the
-qubit eigenstate (1/2)(1 + s sigma_j).  Alice replies a = +-1, Bob replies
-b in {0,1}, and the average payoff aggregates the six conditional
-expectations as
+setting j in {1,2,3} and a sign s = +-1, each of the six (j, s) with
+probability 1/6, tells Alice j, and hands Bob the qubit eigenstate
+(1/2)(1 + s sigma_j).  Alice replies a = +-1, Bob replies b in {0,1},
+and the average payoff aggregates the six conditional expectations as
 
     payoff = 2 * sum_{j,s} ( s <ab>_{j,s} - (r/sqrt(3)) <b>_{j,s} ),
 
@@ -61,25 +61,19 @@ def single_axis_ensemble() -> dict:
     return {(j, s): signal_state(1, s) for (j, s) in SIGNALS}
 
 
-def uniform_input_distribution() -> dict:
-    return {sig: 1.0 / 6.0 for sig in SIGNALS}
-
-
 @dataclass(frozen=True, eq=False)
 class SteeringGameSpec:
     """Complete rules of one steering game.
 
-    ``signal_ensemble`` maps (j, s) to the state the referee actually
-    sends; ``input_distribution`` is the sampling distribution over the
-    six conditions; ``r`` scales the penalty term and ``payoff_bound``
-    is the steering bound the penalty is calibrated against (sqrt(3)
-    for the three-axis game; lowering it below sqrt(3) makes the game
-    winnable by hidden-state models, which the verification suite uses
-    to demonstrate tightness).
+    The referee draws the six conditions (j, s) uniformly, whatever the spec.
+    ``signal_ensemble`` maps (j, s) to the state it actually sends; ``r``
+    scales the penalty term and ``payoff_bound`` is the steering bound the
+    penalty is calibrated against (sqrt(3) for the three-axis game; lowering
+    it below sqrt(3) makes the game winnable by hidden-state models, which
+    the verification suite uses to demonstrate tightness).
     """
 
     signal_ensemble: dict = field(default_factory=ideal_signal_ensemble)
-    input_distribution: dict = field(default_factory=uniform_input_distribution)
     r: float = 1.0
     payoff_bound: float = SQRT3
 
@@ -92,13 +86,6 @@ class SteeringGameSpec:
                 raise ValueError(f"signal for {key} must be a DensityOperator")
             if state.dim != 2:
                 raise ValueError("referee signals must be qubit states")
-        dist = {k: float(v) for k, v in dict(self.input_distribution).items()}
-        if set(dist) != set(SIGNALS):
-            raise ValueError("input distribution must cover exactly the six (j, s) pairs")
-        if any(not p >= 0.0 for p in dist.values()):  # NaN fails too
-            raise ValueError("input probabilities must be nonnegative")
-        if abs(sum(dist.values()) - 1.0) > 1e-10:
-            raise ValueError("input probabilities must sum to 1")
         r = float(self.r)
         if not (math.isfinite(r) and r >= 1.0):
             raise ValueError(
@@ -108,7 +95,6 @@ class SteeringGameSpec:
         if not (math.isfinite(bound) and bound > 0.0):
             raise ValueError(f"payoff bound must be finite and positive, got {bound}")
         object.__setattr__(self, "signal_ensemble", ens)
-        object.__setattr__(self, "input_distribution", dist)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "payoff_bound", bound)
 
@@ -374,15 +360,17 @@ def qrs_payoff_exact(
     return correlation_table(spec, strategy, shared_state, channel).payoff(spec)
 
 
+def _round_payoffs(s, a, b, c):
+    """Per-round payoffs 2 / (1/6) * (s a b - c b), elementwise."""
+    return 12.0 * (s * a * b - c * b)
+
+
 def per_round_payoff(
     a: int, b: int, j: int, s: int, r: float = 1.0, payoff_bound: float = SQRT3
 ) -> float:
-    """Single-round payoff 12 (s a b - (r/sqrt(3)) b) under uniform sampling.
+    """Single-round payoff 12 (s a b - (r/sqrt(3)) b), the simulator's own formula.
 
-    With the referee drawing (j, s) uniformly (probability 1/6 each), the
-    expectation of this quantity equals the aggregate average payoff.  It
-    is the uniform-sampling case of the simulator's per-round payoff
-    2/p(j, s) * (s a b - coeff b).
+    Its expectation under the referee's uniform draw is the aggregate payoff.
     """
     if a not in (1, -1):
         raise ValueError(f"Alice's outcome must be +1 or -1, got {a!r}")
@@ -391,4 +379,4 @@ def per_round_payoff(
     if j not in (1, 2, 3) or s not in (1, -1):
         raise ValueError(f"invalid signal condition ({j!r}, {s!r})")
     coeff = float(r) * float(payoff_bound) / 3.0
-    return 12.0 * (s * a * b - coeff * b)
+    return _round_payoffs(s, a, b, coeff)

@@ -422,6 +422,9 @@ def threshold_scan(columns: WernerColumns, r: float = 1.0) -> ThresholdScan:
     ``columns`` are the :class:`WernerColumns` that :func:`werner_columns`
     built from a W grid.  Only ``qrs_payoff`` depends on r, so a sweep
     over r builds the columns once and passes them here for each r.
+
+    It scans the calibrated game, ``SteeringGameSpec.ideal(r=r)``, whose honest
+    payoff crosses 0 at W = r/sqrt(3): only r moves it, not a payoff bound or preparation.
     """
     spec = SteeringGameSpec.ideal(r=r)
     payoffs = _payoffs(columns.e_ab, columns.e_b, spec.penalty_coefficient).tolist()

@@ -11,8 +11,8 @@ Randomness and reproducibility
 ------------------------------
 A run owns one Philox counter-based stream keyed by ``rng_seed``.  Round
 ``i`` consumes exactly the two 64-bit words ``2i`` and ``2i+1`` of that
-stream: the first word picks the referee's condition (j, s), the second
-picks the outcome pair (a, b).  A word w stands for the uniform draw
+stream: the first word picks the referee's condition (j, s) uniformly,
+the second the outcome pair (a, b).  A word w stands for the uniform draw
 ``u = k * 2**-53`` with ``k = w >> 11``, and an index is the number of
 CDF thresholds t with ``u >= t``.  The engine never forms u: ``u >= t``
 holds exactly when ``k >= ceil(t * 2**53)``, so it compares integers.
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize
-from .games import OUTCOMES, SIGNALS, SteeringGameSpec, outcome_table
+from .games import OUTCOMES, SIGNALS, SteeringGameSpec, _round_payoffs, outcome_table
 from .qcore import (
     DensityOperator,
     Povm,
@@ -112,16 +112,17 @@ def _guide(limits: np.ndarray) -> np.ndarray:
 class _Sampler:
     """The per-chunk word -> code step of :func:`run_game`.
 
-    ``probs`` is the input distribution in ``SIGNALS`` order and row
-    ``k * n_var + v`` of ``cdf_table`` the outcome CDF of condition k,
+    Conditions are drawn uniformly, in ``SIGNALS`` order, and row
+    ``k * n_var + v`` of ``cdf_table`` is the outcome CDF of condition k,
     list variant v.  An index is the number of CDF entries a draw
     reaches, leaving out the last entry: it is the total probability, so
     the last index also takes any draw that a rounded-down total leaves.
     """
 
-    def __init__(self, probs, cdf_table, n_var: int):
+    def __init__(self, cdf_table, n_var: int):
         self.n_var = n_var
-        self.js_limits = _limits(np.cumsum(probs)[:-1])
+        # cumulative sums of 1/6, not k/6: the fifth limit differs by one
+        self.js_limits = _limits(np.cumsum(np.full(len(SIGNALS), 1.0 / 6.0))[:-1])
         self.js_guide = _guide(self.js_limits)
         self.out_limits = _limits(cdf_table[:, :-1])
         # the outcome guide holds the code row * 4 + outcome, rows laid end to end
@@ -168,20 +169,11 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.spec, SteeringGameSpec):
             raise ValueError("config needs a SteeringGameSpec")
-        never = [sig for sig in SIGNALS if self.spec.input_distribution[sig] == 0.0]
-        if never:
-            # an unsampled condition would silently drop its payoff term
-            raise ValueError(
-                f"Monte Carlo runs need every condition to have positive "
-                f"probability; {never} never occur"
-            )
         rounds = int(self.rounds)
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds!r}")
         # |payoff| <= P per round, so the variance sums at most rounds * (2P)^2
-        bound = max(2.0 / p for p in self.spec.input_distribution.values()) * (
-            1.0 + self.spec.penalty_coefficient
-        )
+        bound = 12.0 * (1.0 + self.spec.penalty_coefficient)
         if not math.isfinite(rounds * (2.0 * bound) * (2.0 * bound)):
             raise ValueError(
                 f"payoff variance overflows a float: per-round payoffs reach {bound:g}"
@@ -250,9 +242,7 @@ def run_game(config: RunConfig):
     n_var = table.shape[1]
     cdf_table = np.cumsum(table.reshape(-1, 4), axis=1)
     n_codes = 4 * len(cdf_table)
-
-    probs = np.array([spec.input_distribution[sig] for sig in SIGNALS])
-    sampler = _Sampler(probs, cdf_table, n_var)
+    sampler = _Sampler(cdf_table, n_var)
 
     chunk = _CHUNK_ROUNDS
     variants = None
@@ -284,12 +274,7 @@ def run_game(config: RunConfig):
     b = np.array([out[1] for out in OUTCOMES])[ids % 4]
     j_of = np.array([sig[0] for sig in SIGNALS])
     s_of = np.array([sig[1] for sig in SIGNALS])
-    # Inverse-probability weight per condition: the per-round payoff
-    # w * (s a b - coeff * b) is an unbiased estimator of the aggregate
-    # payoff; under the uniform distribution w = 12.
-    weights = 2.0 / probs
-    coeff = spec.penalty_coefficient
-    payoff = weights[k] * (s_of[k] * a * b - coeff * b)
+    payoff = _round_payoffs(s_of[k], a, b, spec.penalty_coefficient)
 
     mean = code_counts @ payoff / n
     var = code_counts @ (payoff - mean) ** 2 / (n - 1) if n > 1 else 0.0
@@ -408,9 +393,7 @@ def config_to_json(config: RunConfig) -> dict:
         "game": {
             "r": spec.r,
             "payoff_bound": spec.payoff_bound,
-            "input_distribution": {
-                _sig_key(sig): spec.input_distribution[sig] for sig in SIGNALS
-            },
+            "input_distribution": {_sig_key(sig): 1.0 / 6.0 for sig in SIGNALS},
             "signal_ensemble": {
                 _sig_key(sig): serialize.density_to_json(spec.signal_ensemble[sig])
                 for sig in SIGNALS

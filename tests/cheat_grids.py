@@ -40,12 +40,8 @@ class DiscriminationStats:
 
 
 def _conditional_setting_weights(spec: SteeringGameSpec, s: int) -> np.ndarray:
-    """p(j | s) for j = 1, 2, 3 under the spec's input distribution."""
-    w = np.array([spec.input_distribution[(j, s)] for j in (1, 2, 3)])
-    total = w.sum()
-    if total <= 0:
-        raise ValueError(f"signal distribution assigns no weight to s={s}")
-    return w / total
+    """p(j | s) for j = 1, 2, 3: the referee draws the conditions uniformly."""
+    return np.full(3, 1.0 / 3.0)
 
 
 def discrimination_stats(

@@ -292,8 +292,15 @@ def test_verify_flags_a_single_axis_referee(capsys, quick_verify_args):
     assert failure["payoff"] == pytest.approx(6 - 2 * SQRT3, abs=1e-12)
 
 
-def test_verify_rejects_bad_scan_step(quick_verify_args):
-    assert main(["verify", "--scan-step", "0.5"]) == 2
+def test_verify_rejects_bad_scan_step(tmp_path, capsys):
+    # the schema rejects a step of 0 before the grid size divides by it
+    for step in ("0.5", "0", "-0.1", "nan"):
+        assert main(["verify", "--scan-step", step, "--out", str(tmp_path)]) == 2, step
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, err
+        if step != "nan":
+            assert "at $.scan_step:" in err, err
+        assert not (tmp_path / "verify_report.json").exists()
 
 
 @pytest.mark.parametrize("step", ["0.06", "0.007"])

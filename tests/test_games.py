@@ -24,7 +24,6 @@ from qrgames.games import (
     single_axis_ensemble,
     steering2_value,
     steering3_value,
-    uniform_input_distribution,
     witness2_value,
 )
 from qrgames.qcore import (
@@ -72,14 +71,6 @@ def test_spec_validation():
             SteeringGameSpec.ideal(r=bad)
         with pytest.raises(ValueError):
             SteeringGameSpec.ideal(payoff_bound=bad)
-    bad_dist = uniform_input_distribution()
-    bad_dist[(1, 1)] = 0.5  # sum != 1
-    with pytest.raises(ValueError):
-        SteeringGameSpec(input_distribution=bad_dist)
-    nan_dist = uniform_input_distribution()
-    nan_dist[(2, -1)] = math.nan
-    with pytest.raises(ValueError, match="nonnegative"):
-        SteeringGameSpec(input_distribution=nan_dist)
     ens = ideal_signal_ensemble()
     del ens[(3, -1)]
     with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from qrgames.games import (
     per_round_payoff,
     qrs_payoff_exact,
     single_axis_ensemble,
-    uniform_input_distribution,
 )
 from qrgames.qcore import (
     BlochVector,
@@ -75,6 +74,10 @@ def _word_to_uniform(word):
     return float((int(word) >> 11) * 2.0 ** -53)
 
 
+#: The thresholds of the uniform condition draw, as the sampler forms them.
+_CONDITION_CDF = np.cumsum(np.full(6, 1.0 / 6.0))[:-1]
+
+
 def test_runs_are_deterministic(tmp_path):
     config = _honest_config(500, 99)
     est_a, tr_a = run_game(config)
@@ -95,15 +98,20 @@ def test_seed_changes_the_transcript():
     assert not np.array_equal(tr_a.codes, tr_b.codes)
 
 
-@pytest.mark.parametrize("style", ["honest", "list-cheat"])
-def test_word_rule_replay(style):
+@pytest.mark.parametrize(
+    "style, bound",
+    [("honest", SQRT3), ("list-cheat", SQRT3), ("honest", 1.5)],
+    ids=["honest", "list-cheat", "honest-bound-1.5"],
+)
+def test_word_rule_replay(style, bound):
     """Round i is fully determined by stream words 2i (inputs) and 2i+1 (outcomes).
 
     Replays the engine from the raw Philox stream and the strategies'
-    exact conditional distributions; every transcript field must match.
+    exact conditional distributions; every transcript field must match,
+    the payoff through ``per_round_payoff`` at the game's own bound.
     """
     n, seed = 300, 20240818
-    spec = SteeringGameSpec.ideal(r=1.081)
+    spec = SteeringGameSpec.ideal(r=1.081, payoff_bound=bound)
     if style == "honest":
         strategy, state = honest_strategy(), werner_state(0.85)
     else:
@@ -112,15 +120,13 @@ def test_word_rule_replay(style):
     _, transcript = run_game(config)
     col = {name: transcript.column(name).tolist() for name in TRANSCRIPT_FIELDS}
 
-    probs = np.array([spec.input_distribution[sig] for sig in SIGNALS])
-    cdf = np.cumsum(probs)
     words = _stream_words(seed, 2 * n)
     round_list = strategy.round_list
     table = strategy.outcome_distribution(spec.delivered_signals(), state)
     for i in range(n):
         u_js = _word_to_uniform(words[2 * i])
         u_out = _word_to_uniform(words[2 * i + 1])
-        j, s = SIGNALS[int(np.searchsorted(cdf, u_js, side="right"))]
+        j, s = SIGNALS[int(np.searchsorted(_CONDITION_CDF, u_js, side="right"))]
         assert (col["j"][i], col["s"][i]) == (j, s)
         # list variant 0 answers +1, variant 1 answers -1
         variant = 0 if round_list is None else int(round_list[i % len(round_list)] == -1)
@@ -133,7 +139,9 @@ def test_word_rule_replay(style):
                 break
         assert (col["a"][i], col["b"][i]) == picked
         assert col["round"][i] == i
-        assert col["payoff"][i] == per_round_payoff(col["a"][i], col["b"][i], j, s, r=spec.r)
+        assert col["payoff"][i] == per_round_payoff(
+            col["a"][i], col["b"][i], j, s, r=spec.r, payoff_bound=spec.payoff_bound
+        )
 
 
 #: sha256 of transcript.csv for the two runs of test_chunking_is_invisible,
@@ -171,12 +179,12 @@ def test_chunking_is_invisible(style, tmp_path, monkeypatch):
     assert hashlib.sha256(csv_bytes).hexdigest() == _PINNED_TRANSCRIPTS[style]
 
 
-def _float_codes(words, probs, cdf_table, n_var, variants):
+def _float_codes(words, cdf_table, n_var, variants):
     """The word -> code step as floats: u = (w >> 11) * 2**-53 against the CDFs."""
     u = (words >> np.uint64(11)) * 2.0 ** -53
     u_js, u_out = u[0::2], u[1::2]
     row = np.zeros(u_js.size, dtype=np.int64)
-    for t in np.cumsum(probs)[:-1]:
+    for t in _CONDITION_CDF:
         row += u_js >= t
     if n_var > 1:
         row = row * n_var + variants
@@ -211,22 +219,19 @@ _ULP = 2.0 ** -53
 _SAMPLER_TABLES = {
     # zero-probability outcomes repeat a threshold; certain outcomes sit at 0 and 1
     "zero-and-certain": (
-        np.full(6, 1 / 6),
         [[0.25, 0.25, 0.75, 1.0], [0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0],
          [0.0, 0.0, 0.0, 1.0], [0.5, 1.0, 1.0, 1.0], [0.1, 0.3, 0.6, 1.0]],
         1,
     ),
     # CDFs that total 1 - 1 ulp and 1 + 2 ulp, and a threshold of 2**-60
     "ulp-totals": (
-        np.full(6, 1 / 6),
         [[0.3, 0.6, 1 - _ULP, 1 - _ULP], [0.3, 0.6, 1 + 2 * _ULP, 1 + 2 * _ULP],
          [2.0 ** -60, 0.5, 0.5, 1.0], [1 / 3, 2 / 3, 1 - _ULP, 1.0],
          [0.7, 0.8, 0.9, 1 - _ULP], [0.2, 0.4, 0.6, 1.0]],
         1,
     ),
-    # the answer-list path: two variants per condition, under a skewed input
-    "two-variants-skewed-input": (
-        np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]),
+    # the answer-list path: two variants per condition
+    "two-variants": (
         np.cumsum(np.random.default_rng(5).dirichlet(np.ones(4), size=12), axis=1),
         2,
     ),
@@ -241,13 +246,13 @@ def test_sampler_equals_the_float_formula(name, low):
     Every condition k meets every crafted outcome k under each variant,
     so each threshold and each bucket edge of every row is crossed.
     """
-    probs, cdf_table, n_var = _SAMPLER_TABLES[name]
+    cdf_table, n_var = _SAMPLER_TABLES[name]
     cdf_table = np.asarray(cdf_table, dtype=np.float64)
-    sampler = simulator._Sampler(probs, cdf_table, n_var)
-    cond_ks = _crafted_ks(np.cumsum(probs)[:-1])
+    sampler = simulator._Sampler(cdf_table, n_var)
+    cond_ks = _crafted_ks(_CONDITION_CDF)
     out_ks = _crafted_ks(cdf_table[:, :-1])
     # one k per condition, each paired with every crafted outcome k
-    conditions = _float_codes(_words(cond_ks, out_ks[:1], 0), probs, cdf_table, 1, None) // 4
+    conditions = _float_codes(_words(cond_ks, out_ks[:1], 0), cdf_table, 1, None) // 4
     _, first = np.unique(conditions, return_index=True)
     words = np.concatenate(
         [_words(cond_ks, out_ks[:1], low), _words(cond_ks[first], out_ks, low)]
@@ -258,7 +263,7 @@ def test_sampler_equals_the_float_formula(name, low):
         rounds = words.size // 2
         words = np.repeat(words.reshape(-1, 2), 2, axis=0).reshape(-1)
         variants = np.tile(np.arange(2, dtype=np.uint8), rounds)
-    want = _float_codes(words, probs, cdf_table, n_var, variants)
+    want = _float_codes(words, cdf_table, n_var, variants)
     assert np.array_equal(sampler.codes(words, variants), want)
     assert len(np.unique(want)) > 6 * n_var
     # at most one straddling bucket per threshold
@@ -363,16 +368,6 @@ def test_config_validation(ideal_spec):
             ideal_spec, NoStateCheat(best_estimator(), "constant"), 10, 0,
             shared_state=state,
         )
-
-
-def test_config_rejects_a_never_drawn_condition():
-    """A zero-probability condition would drop its payoff term from the estimate."""
-    dist = uniform_input_distribution()
-    dist[(3, -1)] = 0.0
-    dist[(3, 1)] = 2.0 / 6.0
-    spec = SteeringGameSpec(input_distribution=dist)
-    with pytest.raises(ValueError, match="positive probability"):
-        RunConfig(spec, honest_strategy(), 10, 0, shared_state=werner_state(0.9))
 
 
 def test_adversarial_preparation_run():
