@@ -410,8 +410,16 @@ def cmd_sweep(args) -> int:
         r_start = float(_pick(args.r_start, cfg, "r_start", 1.0))
         r_stop = float(_pick(args.r_stop, cfg, "r_stop", r_start))
         r_step = float(_pick(args.r_step, cfg, "r_step", 0.01))
-        if w_step <= 0.0 or r_step <= 0.0:
-            raise ValueError("grid steps must be positive")
+        resolved = {
+            "w_start": w_start,
+            "w_stop": w_stop,
+            "w_step": w_step,
+            "r_start": r_start,
+            "r_stop": r_stop,
+            "r_step": r_step,
+        }
+        # flags must meet a config file's bounds, a step of 0 failing before the division
+        _validate(resolved, SWEEP_CONFIG_SCHEMA, "sweep flags")
         n_w = _arange_size(w_start, w_stop + 0.5 * w_step, w_step)
         n_r = _arange_size(r_start, r_stop + 0.5 * r_step, r_step)
         if n_w == 0 or n_r == 0:
@@ -425,21 +433,11 @@ def cmd_sweep(args) -> int:
         r_grid = np.arange(r_start, r_stop + 0.5 * r_step, r_step)
         if w_grid[0] < -1.0 / 3.0 - 1e-12 or w_grid[-1] > 1.0 + 1e-12:
             raise ValueError("Werner grid must stay inside [-1/3, 1]")
-        if r_grid[0] < 1.0:
-            raise ValueError("penalty grid must start at r >= 1")
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
 
-    resolved = {
-        "w_start": w_start,
-        "w_stop": w_stop,
-        "w_step": w_step,
-        "r_start": r_start,
-        "r_stop": r_stop,
-        "r_step": r_step,
-        "n_w": int(w_grid.size),
-        "n_r": int(r_grid.size),
-    }
+    resolved["n_w"] = int(w_grid.size)
+    resolved["n_r"] = int(r_grid.size)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "sweep.csv"

@@ -61,6 +61,20 @@ def single_axis_ensemble() -> dict:
     return {(j, s): signal_state(1, s) for (j, s) in SIGNALS}
 
 
+def _penalty_coefficient(r, payoff_bound) -> float:
+    """The <b> coefficient r * payoff_bound / 3, once r is checked finite
+    and >= 1 and the bound finite and positive."""
+    r = float(r)
+    if not (math.isfinite(r) and r >= 1.0):
+        raise ValueError(
+            f"preparation-quality parameter r must be finite and >= 1, got {r}"
+        )
+    bound = float(payoff_bound)
+    if not (math.isfinite(bound) and bound > 0.0):
+        raise ValueError(f"payoff bound must be finite and positive, got {bound}")
+    return r * bound / 3.0
+
+
 @dataclass(frozen=True, eq=False)
 class SteeringGameSpec:
     """Complete rules of one steering game.
@@ -86,17 +100,10 @@ class SteeringGameSpec:
                 raise ValueError(f"signal for {key} must be a DensityOperator")
             if state.dim != 2:
                 raise ValueError("referee signals must be qubit states")
-        r = float(self.r)
-        if not (math.isfinite(r) and r >= 1.0):
-            raise ValueError(
-                f"preparation-quality parameter r must be finite and >= 1, got {r}"
-            )
-        bound = float(self.payoff_bound)
-        if not (math.isfinite(bound) and bound > 0.0):
-            raise ValueError(f"payoff bound must be finite and positive, got {bound}")
+        _penalty_coefficient(self.r, self.payoff_bound)
         object.__setattr__(self, "signal_ensemble", ens)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "payoff_bound", bound)
+        object.__setattr__(self, "r", float(self.r))
+        object.__setattr__(self, "payoff_bound", float(self.payoff_bound))
 
     @classmethod
     def ideal(cls, r: float = 1.0, payoff_bound: float = SQRT3) -> "SteeringGameSpec":
@@ -105,7 +112,7 @@ class SteeringGameSpec:
     @property
     def penalty_coefficient(self) -> float:
         """Coefficient of the <b> term: r * payoff_bound / 3 (= r/sqrt(3) by default)."""
-        return self.r * self.payoff_bound / 3.0
+        return _penalty_coefficient(self.r, self.payoff_bound)
 
     def delivered_signals(self, channel: QuantumChannel | None = None) -> np.ndarray:
         """The (6, 2, 2) stack of states Bob receives, in ``SIGNALS`` order,
@@ -378,5 +385,4 @@ def per_round_payoff(
         raise ValueError(f"Bob's outcome must be 0 or 1, got {b!r}")
     if j not in (1, 2, 3) or s not in (1, -1):
         raise ValueError(f"invalid signal condition ({j!r}, {s!r})")
-    coeff = float(r) * float(payoff_bound) / 3.0
-    return _round_payoffs(s, a, b, coeff)
+    return _round_payoffs(s, a, b, _penalty_coefficient(r, payoff_bound))

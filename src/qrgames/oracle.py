@@ -175,14 +175,6 @@ def _lhs_strategy(weights, states, responses, elements) -> LhsStrategy:
     )
 
 
-def random_lhs_strategy(
-    rng: np.random.Generator, hidden_dim: int, n_lambda: int
-) -> LhsStrategy:
-    """Draw a random hidden-state model (Dirichlet weights, G^dag G states,
-    uniform response biases, sum-normalised random joint POVM)."""
-    return _lhs_strategy(*_lhs_parameters(*_draw_lhs(rng, hidden_dim, n_lambda)))
-
-
 def _extremal_lhs_strategy(direction) -> LhsStrategy:
     """Boundary probe: a deterministic model steering along one direction.
 

@@ -177,7 +177,7 @@ class HonestStrategy:
 
     alice_povms: dict
     bob_joint_povm: Povm
-    joint_effects: dict = field(init=False, repr=False)
+    joint_effects: np.ndarray = field(init=False, repr=False)
 
     needs_shared_state = True
     required_communication = None

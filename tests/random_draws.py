@@ -1,16 +1,19 @@
-"""Random states and POVMs drawn one at a time, as the tests use them.
+"""Random states, POVMs and hidden-state models drawn one at a time, as
+the tests use them.
 
 The package draws such objects only as stacks (``oracle._draw_lhs``, the
 channel check of ``simulator``); these are the one-by-one draws that
-consume the same generator numbers, built from the same ``qcore``
-helpers.  ``random_signal_ensemble`` draws an uncalibrated referee from
-the same states.
+consume the same generator numbers, built from the same ``qcore`` and
+``oracle`` helpers.  ``random_signal_ensemble`` draws an uncalibrated
+referee from the same states.
 """
 
 import numpy as np
 
 from qrgames.games import SIGNALS
+from qrgames.oracle import _draw_lhs, _lhs_parameters, _lhs_strategy
 from qrgames.qcore import DensityOperator, Povm, _gram, _normalized_povm, _unit_trace
+from qrgames.strategies import LhsStrategy
 
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
@@ -33,3 +36,11 @@ def random_povm(rng: np.random.Generator, dim: int, n_outcomes: int = 2) -> Povm
 def random_signal_ensemble(rng: np.random.Generator) -> dict:
     """An uncalibrated referee: one random full-rank qubit state per (j, s)."""
     return {sig: random_density(rng, 2) for sig in SIGNALS}
+
+
+def random_lhs_strategy(
+    rng: np.random.Generator, hidden_dim: int, n_lambda: int
+) -> LhsStrategy:
+    """Draw a random hidden-state model (Dirichlet weights, G^dag G states,
+    uniform response biases, sum-normalised random joint POVM)."""
+    return _lhs_strategy(*_lhs_parameters(*_draw_lhs(rng, hidden_dim, n_lambda)))

@@ -5,7 +5,6 @@ Every tolerance here is part of the package contract; do not loosen.
 """
 
 import numpy as np
-import pytest
 
 from qrgames.games import (
     SQRT2,

@@ -15,9 +15,10 @@ import pytest
 import qrgames
 from qrgames.cli import SWEEP_MAX_ROWS, VERIFY_CONFIG_SCHEMA, _arange_size, _validate, main
 from qrgames.games import SQRT3, single_axis_ensemble
-from qrgames.oracle import random_lhs_strategy
 from qrgames.serialize import density_to_json, strategy_to_json
 from qrgames.strategies import NoStateCheat, best_estimator
+
+from random_draws import random_lhs_strategy
 
 
 def _run_summary(tmp_path):
@@ -547,6 +548,27 @@ def test_sweep_rejects_a_grid_over_the_row_cap(tmp_path, capsys):
 )
 def test_sweep_rejects_non_finite_bounds(tmp_path, flag):
     assert main(["sweep", *flag, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("w_step", "0"), ("r_step", "-0.01"), ("r_start", "0.5"), ("r_stop", "0.5")],
+)
+def test_sweep_checks_flags_against_its_schema(tmp_path, capsys, key, value):
+    # a bad flag and the same value from a config file name the same key; the
+    # r grid is given an end, since r_stop defaults to r_start
+    argv = ["sweep", "--" + key.replace("_", "-"), value, "--out", str(tmp_path)]
+    if key == "r_start":
+        argv += ["--r-stop", "1.0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: sweep flags rejected by schema at $.{key}:"), err
+    assert err.count("\n") == 1, err
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({key: float(value)}))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert f"config file rejected by schema at $.{key}:" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 

@@ -12,7 +12,6 @@ from qrgames.games import (
     SQRT3,
     CorrelationTable,
     SteeringGameSpec,
-    canonical_chsh_settings,
     chsh_from_state,
     chsh_value,
     classical_witness_payoff,
@@ -253,6 +252,19 @@ def test_per_round_payoff_label_validation():
         per_round_payoff(1, 1, 4, 1)
     with pytest.raises(ValueError):
         per_round_payoff(1, 1, 1, 0)
+    # the game parameters are checked as the spec checks them
+    for params, message in [
+        ({"r": 0.5}, "preparation-quality parameter r must be finite and >= 1, got 0.5"),
+        ({"r": math.nan}, "preparation-quality parameter r must be finite and >= 1, got nan"),
+        ({"r": math.inf}, "preparation-quality parameter r must be finite and >= 1, got inf"),
+        ({"payoff_bound": 0}, "payoff bound must be finite and positive, got 0.0"),
+        ({"payoff_bound": -1}, "payoff bound must be finite and positive, got -1.0"),
+    ]:
+        with pytest.raises(ValueError) as per_round:
+            per_round_payoff(1, 1, 1, 1, **params)
+        with pytest.raises(ValueError) as spec:
+            SteeringGameSpec.ideal(**params)
+        assert str(per_round.value) == str(spec.value) == message
 
 
 def test_per_round_expectation_matches_aggregate():

@@ -28,14 +28,13 @@ from qrgames.oracle import (
     _LHS_LAMBDA_SIZES,
     cheat_certificates,
     enumerate_chsh_deterministic,
-    random_lhs_strategy,
     random_lhs_suite,
     threshold_scan,
     werner_columns,
 )
 from qrgames.cli import main
 from qrgames.games import qrs_payoff_exact
-from qrgames.qcore import _PAULI, BlochVector, pauli, tensor, werner_state
+from qrgames.qcore import BlochVector, pauli, tensor, werner_state
 from qrgames.strategies import (
     ALICE_RULES_BA,
     CommCheat,
@@ -49,16 +48,11 @@ from qrgames.serialize import strategy_from_json, strategy_to_json
 
 from cheat_grids import (
     _BA_BOB_RULES,
-    _GRID_BLOCK,
-    _SIGNS,
-    CommBaGridResult,
-    GridCheatResult,
-    _conditional_setting_weights,
     fibonacci_sphere,
     grid_max_cheat,
     grid_max_comm_ba,
 )
-from random_draws import random_signal_ensemble
+from random_draws import random_lhs_strategy, random_signal_ensemble
 
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
 
@@ -148,107 +142,6 @@ def test_grid_searches_are_pinned(spec, no_state, max_ratio, comm_ba, bob_rule, 
     assert (ba.max_payoff, ba.bob_rule, ba.alice_rule) == (comm_ba, bob_rule, alice_rule)
     if comm_ba == 0.0:  # staying silent: the smallest admissible mu on the grid
         assert ba.argmax.mu == 0.047619047619047616
-
-
-def _one_shot_grid(spec, res):
-    """Reference: the whole estimator grid as one operator stack."""
-    n_dir = 2 * res * res
-    dirs = fibonacci_sphere(n_dir)
-    radii = np.linspace(1.0 / res, 1.0, res)
-    m = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-    norms = np.linalg.norm(m, axis=1)
-    m_hat = np.eye(2, dtype=np.complex128)[None, :, :] + np.einsum(
-        "ik,kab->iab", m, _PAULI
-    )
-    c = np.einsum("iab,kba->ki", m_hat, spec.delivered_signals()).real
-    mu_hi = 1.0 / (1.0 + norms)
-    cell = float(np.sqrt(4.0 * np.pi / n_dir) + (radii[1] - radii[0]))
-    return m, c, mu_hi, mu_hi / res, cell
-
-
-def _one_shot_rule_point(spec, grid, bob_rule, alice_map):
-    m, c, mu_hi, mu_lo, _ = grid
-    coeff = spec.penalty_coefficient
-    g_plus = 1.0 if 1 in bob_rule else 0.0
-    g_minus = 1.0 if -1 in bob_rule else 0.0
-    a_plus, a_minus = alice_map[1], alice_map[-1]
-    k1 = _SIGNS * (a_plus * g_plus - a_minus * g_minus) - coeff * (g_plus - g_minus)
-    const = float(np.sum(_SIGNS * a_minus * g_minus - coeff * g_minus))
-    slope = k1 @ c
-    mu = np.where(slope > 0.0, mu_hi, mu_lo)
-    payoff = 2.0 * (mu * slope + const)
-    k_best = int(np.argmax(payoff))
-    return float(payoff[k_best]), BlochVector(m[k_best], float(mu[k_best]))
-
-
-def _one_shot_cheat(spec, res):
-    grid = _one_shot_grid(spec, res)
-    m, c, _, _, cell = grid
-    max_payoff, argmax = _one_shot_rule_point(
-        spec, grid, (1,), ALICE_RULES_BA["constant_plus"]
-    )
-    tp = _conditional_setting_weights(spec, 1) @ c[[0, 2, 4]]
-    fp = _conditional_setting_weights(spec, -1) @ c[[1, 3, 5]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(fp > 0.0, tp / np.where(fp > 0.0, fp, 1.0), np.inf)
-    return GridCheatResult(max_payoff, argmax, float(np.max(ratio)), cell, m.shape[0])
-
-
-def _one_shot_comm_ba(spec, res):
-    grid = _one_shot_grid(spec, res)
-    best = None
-    for bob_rule in _BA_BOB_RULES:
-        for rule_name, amap in ALICE_RULES_BA.items():
-            payoff, estimator = _one_shot_rule_point(spec, grid, bob_rule, amap)
-            if best is None or payoff > best[0]:
-                best = (payoff, estimator, bob_rule, rule_name)
-    return CommBaGridResult(*best, n_points=grid[0].shape[0])
-
-
-def _fields(result):
-    """Every field of a grid result, with the argmax as plain floats."""
-    out = dict(vars(result))
-    estimator = out.pop("argmax")
-    return out, tuple(estimator.m), estimator.mu
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        SteeringGameSpec.ideal(),
-        SteeringGameSpec.ideal(r=1.3),
-        SteeringGameSpec.ideal(payoff_bound=1.5),
-        SteeringGameSpec(signal_ensemble=single_axis_ensemble()),
-    ],
-    ids=["ideal", "r-1.3", "bound-1.5", "single-axis"],
-)
-@pytest.mark.parametrize("res", [10, 33, 40, 64])
-def test_blocked_grids_equal_the_one_shot_grid(spec, res):
-    """Block by block, both searches reproduce the whole-grid formula bit for bit.
-
-    R = 10 is one partial block, R = 33 ends inside a block, R = 40 is
-    the verify default and 2 R^3 = 64 _GRID_BLOCK at R = 64.
-    """
-    assert _fields(grid_max_cheat(spec, res)) == _fields(_one_shot_cheat(spec, res))
-    assert _fields(grid_max_comm_ba(spec, res)) == _fields(_one_shot_comm_ba(spec, res))
-
-
-def test_grid_block_sizes_cover_the_edge_cases():
-    assert 2 * 10 ** 3 < _GRID_BLOCK
-    assert (2 * 33 ** 3) % _GRID_BLOCK != 0
-    assert (2 * 64 ** 3) % _GRID_BLOCK == 0
-
-
-def test_grid_searches_hold_one_block_at_a_time(ideal_spec):
-    """The one-shot grid peaked at 109 MB (R = 64) and 26.7 MB (R = 40)."""
-    for search, res in ((grid_max_cheat, 64), (grid_max_comm_ba, 40)):
-        tracemalloc.start()
-        try:
-            search(ideal_spec, res)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6, (search.__name__, peak)
 
 
 _CERT_SPECS = {

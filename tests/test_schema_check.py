@@ -17,7 +17,6 @@ import pytest
 
 from qrgames._schema_check import SchemaViolation, validate
 from qrgames.cli import CONFIG_SCHEMAS, _CHANNEL_CONFIG_SCHEMA
-from qrgames.oracle import random_lhs_strategy
 from qrgames.serialize import STRATEGY_SCHEMA, strategy_to_json
 from qrgames.strategies import (
     CommCheat,
@@ -27,7 +26,7 @@ from qrgames.strategies import (
     honest_strategy,
 )
 
-from random_draws import random_povm
+from random_draws import random_lhs_strategy, random_povm
 
 SCHEMAS = {
     "run": CONFIG_SCHEMAS["run"],

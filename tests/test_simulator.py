@@ -17,7 +17,6 @@ from qrgames.games import (
     SteeringGameSpec,
     per_round_payoff,
     qrs_payoff_exact,
-    single_axis_ensemble,
 )
 from qrgames.qcore import (
     BlochVector,
@@ -25,16 +24,13 @@ from qrgames.qcore import (
     amplitude_damping_channel,
     depolarizing_channel,
     identity_channel,
-    pauli,
     signal_state,
-    singlet_projector,
     tensor,
     werner_state,
 )
 from qrgames.simulator import (
     OUTCOMES,
     TRANSCRIPT_FIELDS,
-    PayoffEstimate,
     RunConfig,
     modified_povm,
     noisy_equivalence_check,

@@ -17,7 +17,6 @@ from qrgames.games import (
     qrs_payoff_exact,
     single_axis_ensemble,
 )
-from qrgames.oracle import random_lhs_strategy
 from qrgames.qcore import (
     BlochVector,
     DensityOperator,
@@ -47,7 +46,12 @@ from qrgames.strategies import (
 )
 
 from cheat_grids import discrimination_stats
-from random_draws import random_density, random_povm, random_signal_ensemble
+from random_draws import (
+    random_density,
+    random_lhs_strategy,
+    random_povm,
+    random_signal_ensemble,
+)
 
 M_STAR = np.full(3, 1.0 / SQRT3)
 
