@@ -38,8 +38,9 @@ Channel check
 -------------
 :func:`modified_povm` pulls a transmission channel into Bob's joint
 POVM through its dual map, and :func:`noisy_equivalence_check` confirms
-the identity numerically: it draws its random states on B as one
-validated stack and evaluates both orders with the Born-rule kernel of
+the identity numerically.  The identity is linear in the state on B, so
+it checks a fixed basis of d_B**2 density operators, which decides it
+completely, and evaluates both orders with the Born-rule kernel of
 :mod:`strategies`, one call each, with no per-state loop.
 
 Communication discipline
@@ -56,6 +57,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -65,8 +67,6 @@ from .qcore import (
     DensityOperator,
     Povm,
     QuantumChannel,
-    _check_density_stack,
-    _gram,
     _unit_trace,
     tensor,
 )
@@ -335,38 +335,41 @@ class EquivalenceReport:
         return self.passed
 
 
-#: Random states on B that :func:`noisy_equivalence_check` draws, and the
-#: largest deviation between the two evaluation orders it accepts.
-_EQUIVALENCE_SAMPLES = 20
+#: The largest deviation between the two evaluation orders that
+#: :func:`noisy_equivalence_check` accepts.
 _EQUIVALENCE_TOL = 1e-12
 
 
-def noisy_equivalence_check(
-    channel: QuantumChannel,
-    e_bc: Povm,
-    rng_seed: int = 0,
-) -> EquivalenceReport:
+def _state_basis(d: int) -> np.ndarray:
+    """d**2 density operators whose real span is every d x d Hermitian matrix.
+
+    The projectors on |i>, (|i> + |k>)/sqrt(2) and (|i> + i|k>)/sqrt(2),
+    i < k, as a (d**2, d, d) stack; every entry is exact.
+    """
+    eye = np.eye(d, dtype=np.complex128)
+    pairs = combinations(range(d), 2)
+    kets = np.array([*eye, *(eye[i] + ph * eye[k] for i, k in pairs for ph in (1, 1j))])
+    return _unit_trace(kets[:, :, None] * kets[:, None, :].conj())
+
+
+def noisy_equivalence_check(channel: QuantumChannel, e_bc: Povm) -> EquivalenceReport:
     """Verify the dual-map identity behind :func:`modified_povm` numerically.
 
     Checks that the modified POVM is valid and that both evaluation
-    orders agree, to ``_EQUIVALENCE_TOL``, on ``_EQUIVALENCE_SAMPLES``
-    random states on B (drawn from ``rng_seed`` as one validated stack)
-    against all six calibrated signals: ``E`` against the signals behind
-    the channel, and the modified POVM against the clean signals, one
-    call of the Born-rule kernel each.
+    orders agree, to ``_EQUIVALENCE_TOL``, against all six calibrated
+    signals on the d_B**2 states of :func:`_state_basis`: ``E`` against
+    the signals behind the channel, and the modified POVM against the
+    clean signals, one call of the Born-rule kernel each.  Both sides are
+    linear in the state on B and the basis spans every state, so the
+    identity holds on all of them exactly when it holds on these.
     Never raises on failure; inspect the report.
     """
     try:
         modified = modified_povm(channel, e_bc)
     except ValueError as exc:
         return EquivalenceReport(False, float("nan"), False, f"invalid modified POVM: {exc}")
-    d_b = e_bc.dim // channel.input_dim
-    rng = np.random.default_rng(rng_seed)
-    # each state is G^dag G at unit trace, G a complex Gaussian (real part, then imaginary)
-    rhos = _unit_trace(_gram(rng.standard_normal((_EQUIVALENCE_SAMPLES, 2, d_b, d_b))))
-    _check_density_stack(rhos)
+    states = _state_basis(e_bc.dim // channel.input_dim)[:, None]
     spec = SteeringGameSpec.ideal()
-    states = rhos[:, None]
     # (signal, state, outcome): E behind the channel, E~ against the clean signals
     lhs = _signal_traces(np.stack(e_bc.elements)[None], states, spec.delivered_signals(channel))
     rhs = _signal_traces(np.stack(modified.elements)[None], states, spec.delivered_signals())

@@ -23,8 +23,8 @@ on the signal omega_k the referee sent, and one private kernel,
 callers: the honest table, over an ``(n, d, d)`` stack of shared states
 in blocks of ``qcore._STACK_BLOCK``; ``_lhs_tables``, over the hidden
 states of n equally sized hidden-state models; and
-``simulator.noisy_equivalence_check``, over its stack of random states
-on B.  ``_lhs_routes``, which also takes n models at once, checks their
+``simulator.noisy_equivalence_check``, over its basis of states on B.
+``_lhs_routes``, which also takes n models at once, checks their
 tables against the collapse of Bob's side onto the signal qubit, paid
 through the payoff operator Z(alpha) of ``games._payoff_operators`` that
 the cheat certificates read too, so it holds for any qubit signal

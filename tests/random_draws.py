@@ -1,10 +1,9 @@
 """Random states, POVMs and hidden-state models drawn one at a time, as
 the tests use them.
 
-The package draws such objects only as stacks (``oracle._draw_lhs``, the
-channel check of ``simulator``); these are the one-by-one draws that
-consume the same generator numbers, built from the same ``qcore`` and
-``oracle`` helpers.  ``random_signal_ensemble`` draws an uncalibrated
+The package draws such objects only as stacks (``oracle._draw_lhs``);
+these are the one-by-one draws that consume the same generator numbers,
+built from the same ``qcore`` and ``oracle`` helpers.  ``random_signal_ensemble`` draws an uncalibrated
 referee from the same states.
 """
 

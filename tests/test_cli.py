@@ -332,8 +332,7 @@ def test_verify_scans_steps_that_do_not_divide_one(tmp_path, capsys, monkeypatch
     ["--grid-resolution", "5"],
     ["--seed", "-3"],
     ["--lhs-trials", "-1"],
-    ["--lhs-trials", "0"],
-], ids=["grid-resolution-5", "seed-minus-3", "lhs-trials-minus-1", "lhs-trials-0"])
+], ids=["grid-resolution-5", "seed-minus-3", "lhs-trials-minus-1"])
 def test_verify_flags_obey_the_config_schema(tmp_path, capsys, flags):
     # flags are held to the bounds VERIFY_CONFIG_SCHEMA sets for config files
     assert main(["verify", *flags, "--out", str(tmp_path)]) == 2
@@ -449,20 +448,20 @@ def test_sweep_bytes_are_pinned(tmp_path):
         (
             ["--seed", "1"],
             0,
-            "6830293db639d9400e08fad265a5755100db07d544fd78d407d9f8d5eaf21355",
-            "b39993fd50b986f4f7a050cb54938e23dab8224dac3b013fc378c0185945d427",
+            "e3c4fac5abd493b72d86adab3aee13cc1b02a9c22f3bd0c099296882e583671d",
+            "8d9058a8aaf79d4fb21d1801b224f865430fc5c396f3b40703ad5794c0d9cb92",
         ),
         (
             ["--seed", "7", "--preparation", "single_axis"],
             1,
-            "795a3884eee781c575cd86fcc4749240dffc52df5c8df81ab0685457a5e8a422",
-            "3c25e99c40a7b1a4a5307b09c5db9cef828bcc0004b0eda397b60d536bcbe813",
+            "314df1a403dc416dce97c8d294ac0040c9ed8cc53b7beae6544d9e5d350d1b87",
+            "64a9382318cd0a4f6e48ca3830dde59f5591a615a7c2111d3007b16f0e7487c2",
         ),
         (
             ["--payoff-bound", "1.5"],
             1,
-            "b4af5d4f548721d382021ec368547b6363ed3e2d86b8093388a61b9ac0fc4474",
-            "797576151ef019237cd15d20f13e8697d5cb7d9eb0f11429b4e3a66f54047a3e",
+            "ca4f231dc65fb54c15e37bd23ebb50020ccb755f3e7fb7078bb637e76fff6a14",
+            "d18aa3d9d2f1654e224b5d49f1f2ee177c41a459ca444d29453417b2485646d0",
         ),
     ],
     ids=["seed-1", "seed-7-single-axis", "payoff-bound-1.5"],
@@ -471,19 +470,70 @@ def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest, rest):
     assert main(["verify", *flags, "--out", str(tmp_path)]) == code
     report = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == digest
-    # less its route gaps, each report re-dumps to the bytes it had when the
-    # reduced route summed <sigma_j> over the calibrated signals, cheat
-    # certificates included; the single-axis report had no suite to compare
+    # less the hidden-state suite (200 trials by default before), the channel
+    # deviations (20 random states before, the basis now) and the Bob-to-Alice
+    # certificate (a trace difference before, the eigenbasis sum now), each
+    # report re-dumps to the bytes the earlier reports pinned as 6830293d...,
+    # 795a3884... and b4af5d4f... re-dump to
     loaded = json.loads(report)
-    suite = loaded["checks"]["hidden_state_suite"]
-    if "single_axis" in flags:
-        del loaded["checks"]["hidden_state_suite"]
-    else:
-        del suite["max_route_gap"]
-        for failure in suite["failures"]:
-            del failure["route_gap"]
+    del loaded["checks"]["hidden_state_suite"]
+    del loaded["config"]["lhs_trials"]
+    for channel in loaded["checks"]["channel_equivalence"]["channels"].values():
+        del channel["max_deviation"]
+    del loaded["checks"]["cheat_certificates"]["bob_to_alice"]
     redumped = (json.dumps(loaded, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
     assert hashlib.sha256(redumped).hexdigest() == rest
+
+
+def test_verify_opt_in_trials_are_the_former_default_draws(tmp_path):
+    # --lhs-trials 200 was the default: less the channel deviations and the
+    # Bob-to-Alice certificate, the report re-dumps to the bytes that the
+    # former default report, pinned as 6830293d..., re-dumps to
+    assert main(["verify", "--seed", "1", "--lhs-trials", "200", "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "verify_report.json").read_bytes()
+    digest = hashlib.sha256(report).hexdigest()
+    assert digest == "86c5864696bf5847e7421aa0ee29bdd7b6826db4bd1b90ea0dc0119336a4706b"
+    loaded = json.loads(report)
+    assert loaded["checks"]["hidden_state_suite"]["trials"] == 200
+    for channel in loaded["checks"]["channel_equivalence"]["channels"].values():
+        del channel["max_deviation"]
+    del loaded["checks"]["cheat_certificates"]["bob_to_alice"]
+    redumped = (json.dumps(loaded, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    digest = hashlib.sha256(redumped).hexdigest()
+    assert digest == "79a1660e1366e53caedb7c939fe79c8b070b7c796ba5e015dbeb026562b5dbb1"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--r", "1.081"],
+        ["--r", "1e5"],
+        ["--payoff-bound", "1.5"],
+        ["--payoff-bound", repr(SQRT3 - 1e-6)],
+        ["--preparation", "single_axis"],
+    ],
+    ids=["ideal", "r-1.081", "r-1e5", "payoff-bound-1.5", "payoff-bound-below-sqrt3",
+         "single-axis"],
+)
+def test_verify_verdicts_do_not_depend_on_the_random_trials(capsys, flags):
+    # the certificate bounds every hidden-state model, so 200 random models
+    # change neither the exit code nor any check's verdict
+    verdicts = []
+    for trials in ("0", "200"):
+        code = main(["verify", *flags, "--lhs-trials", trials, "--scan-step", "0.05"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        verdicts.append((code, {name: check["passed"] for name, check in checks.items()}))
+    assert verdicts[0] == verdicts[1]
+
+
+@pytest.mark.parametrize("r", ["1644980.7043718076", "57464349.68715974"])
+def test_verify_passes_where_the_trace_difference_rounded_above_the_bound(tmp_path, r):
+    # Tr Z_2 + Tr[(-Z_2)_+] read 1.9e-9 and 6.0e-8 here: two terms of about
+    # -6c and +6c that cancel only to one ulp of 6c
+    assert main(["verify", "--r", r, "--scan-step", "0.1", "--out", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
+    assert cert["cheat_certificates"]["bob_to_alice"]["max_payoff"] <= 0.0
 
 
 def test_verify_grid_resolution_is_accepted_and_unused(tmp_path, capsys):
@@ -556,11 +606,9 @@ def test_sweep_rejects_non_finite_bounds(tmp_path, flag):
     [("w_step", "0"), ("r_step", "-0.01"), ("r_start", "0.5"), ("r_stop", "0.5")],
 )
 def test_sweep_checks_flags_against_its_schema(tmp_path, capsys, key, value):
-    # a bad flag and the same value from a config file name the same key; the
-    # r grid is given an end, since r_stop defaults to r_start
+    # a bad flag and the same value from a config file name the same key; a
+    # bad --r-start alone is named, not the r_stop filled from it
     argv = ["sweep", "--" + key.replace("_", "-"), value, "--out", str(tmp_path)]
-    if key == "r_start":
-        argv += ["--r-stop", "1.0"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: sweep flags rejected by schema at $.{key}:"), err
@@ -586,11 +634,18 @@ def test_schema_bytes_are_pinned(capsys):
     assert main(["schema"]) == 0
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "4ddf4a8b2e64d70f05c85fac5dd0c549fc3460edca5af441f219357bcacf80e4"
+    # with lhs_trials' minimum back at 1, the bytes are those printed while
+    # verify ran 200 random hidden-state models by default
+    schemas = json.loads(out)
+    verify = schemas["config"]["verify"]["properties"]
+    assert verify["lhs_trials"]["minimum"] == 0
+    verify["lhs_trials"]["minimum"] = 1
+    old = (json.dumps(schemas, indent=2, sort_keys=True) + "\n").encode()
+    digest = hashlib.sha256(old).hexdigest()
     assert digest == "9d2e4c22b3324e324ef1e27eb10ff93276649123bc36698dcea8d57d42979d02"
     # less the caps on verify's lhs_trials and grid_resolution, the bytes
     # are those printed before the caps were added
-    schemas = json.loads(out)
-    verify = schemas["config"]["verify"]["properties"]
     del verify["lhs_trials"]["maximum"]
     del verify["grid_resolution"]["maximum"]
     uncapped = (json.dumps(schemas, indent=2, sort_keys=True) + "\n").encode()

@@ -47,7 +47,7 @@ from qrgames.strategies import (
     partial_bell_povm,
 )
 
-from random_draws import random_density, random_povm
+from random_draws import random_povm
 
 
 def _honest_config(rounds, seed, w=0.9, r=1.0, **kw):
@@ -407,14 +407,36 @@ def test_noisy_equivalence_check_reports(monkeypatch):
     assert tight.message != ""
 
 
-def _per_sample_max_deviation(channel, e_bc, rng_seed):
-    """The channel check's deviation, one state, signal and outcome at a time."""
+def _basis_states(d):
+    """|i>, then (|i> + |k>)/sqrt(2) and (|i> + i|k>)/sqrt(2) for i < k."""
+    states = [np.outer(ket, ket) for ket in np.eye(d, dtype=complex)]
+    for i in range(d):
+        for k in range(i + 1, d):
+            for phase in (1, 1j):
+                ket = np.zeros(d, dtype=complex)
+                ket[i], ket[k] = 1, phase
+                states.append(np.outer(ket, ket.conj()) / 2)  # exact, unlike (ket/sqrt 2)^2
+    return [DensityOperator(m) for m in states]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_channel_check_states_span_every_hermitian_matrix(d):
+    # both sides of the dual-map identity are linear in the state on B, so
+    # agreement on a spanning set is agreement on every state
+    basis = simulator._state_basis(d)
+    assert basis.shape == (d * d, d, d)
+    for got, want in zip(basis, _basis_states(d)):
+        assert np.array_equal(got, want.matrix)
+    real = np.concatenate([basis.real, basis.imag], axis=-1).reshape(d * d, -1)
+    assert np.linalg.matrix_rank(real) == d * d
+
+
+def _per_sample_max_deviation(channel, e_bc):
+    """The channel check's deviation, one basis state, signal and outcome at a time."""
     modified = modified_povm(channel, e_bc)
     d_b = e_bc.dim // channel.input_dim
-    rng = np.random.default_rng(rng_seed)
     max_dev = 0.0
-    for _ in range(simulator._EQUIVALENCE_SAMPLES):
-        rho = random_density(rng, d_b)
+    for rho in _basis_states(d_b):
         for (j, s) in SIGNALS:
             omega = signal_state(j, s)
             noisy = channel.apply_to_matrix(omega.matrix)
@@ -442,15 +464,33 @@ _EQUIVALENCE_POVMS = {
 @pytest.mark.parametrize("povm", list(_EQUIVALENCE_POVMS))
 def test_noisy_equivalence_check_equals_the_per_sample_loop(channel, povm):
     e_bc = _EQUIVALENCE_POVMS[povm]()
-    for seed in range(10):
-        report = noisy_equivalence_check(channel, e_bc, rng_seed=seed)
-        assert report.max_deviation == _per_sample_max_deviation(channel, e_bc, seed)
-        assert report.passed and report.povm_valid and report.message == ""
+    report = noisy_equivalence_check(channel, e_bc)
+    assert report.max_deviation == _per_sample_max_deviation(channel, e_bc)
+    assert report.passed and report.povm_valid and report.message == ""
+
+
+def test_noisy_equivalence_check_catches_a_wrong_dual(monkeypatch):
+    right = modified_povm(depolarizing_channel(0.3), partial_bell_povm())
+    y = tensor(qcore.pauli(2), np.eye(2))
+    wrong = {
+        # a valid POVM, but the dual of the other channel
+        "other-channel": modified_povm(amplitude_damping_channel(0.4), partial_bell_povm()),
+        # off by eps (sigma_2 x 1): Tr[sigma_2 rho] = 0 on every real state on
+        # B, so only (|0> + i|1>)/sqrt(2) sees it
+        "sigma-2": qcore.Povm((right[0] - 1e-3 * y, right[1] + 1e-3 * y)),
+    }
+    for name, povm in wrong.items():
+        monkeypatch.setattr(simulator, "modified_povm", lambda channel, e_bc: povm)
+        report = noisy_equivalence_check(depolarizing_channel(0.3), partial_bell_povm())
+        assert not report and report.povm_valid, name
+        assert report.max_deviation > 1e-4, name
+    assert report.max_deviation == pytest.approx(1e-3, abs=1e-15)
 
 
 def test_noisy_equivalence_check_work_does_not_grow_with_the_samples(monkeypatch):
     """Products and validated states are counted, not timed: a loop over the
-    random states would make both grow with their number."""
+    basis states would make both grow with their number, d_B**2."""
+    povms = [partial_bell_povm(), _EQUIVALENCE_POVMS["2-outcome-3x2"]()]
     counts = {"tensor": 0, "states": 0}
 
     def counted_tensor(*operators):
@@ -468,11 +508,10 @@ def test_noisy_equivalence_check_work_does_not_grow_with_the_samples(monkeypatch
             monkeypatch.setattr(module, "tensor", counted_tensor)
     monkeypatch.setattr(qcore.DensityOperator, "__post_init__", counted_validate)
     seen = []
-    for samples in (20, 200):
-        monkeypatch.setattr(simulator, "_EQUIVALENCE_SAMPLES", samples)
+    for e_bc in povms:  # 4 and 9 basis states on B, both with two outcomes
         counts.update(tensor=0, states=0)
         for channel in (depolarizing_channel(0.3), amplitude_damping_channel(0.4)):
-            assert noisy_equivalence_check(channel, partial_bell_povm(), rng_seed=1)
+            assert noisy_equivalence_check(channel, e_bc)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["tensor"] > 0

@@ -1,6 +1,7 @@
 """Fresh-interpreter start-up: no command loads jsonschema, ``run`` never
-loads the oracle, importing the package starts no BLAS threads, and how
-the validating paths fail.
+loads the oracle, ``verify`` at its defaults and ``sweep`` never load
+numpy.random, importing the package starts no BLAS threads, and how the
+validating paths fail.
 
 Each test runs a child interpreter, because ``sys.modules`` of the test
 process already holds whatever earlier tests imported.
@@ -74,13 +75,37 @@ def test_no_command_imports_jsonschema_and_run_never_imports_the_oracle(tmp_path
     assert not (tmp_path / "c").exists()
 
 
+def test_verify_at_its_defaults_and_sweep_never_load_numpy_random(tmp_path):
+    # verify bounds every hidden-state model by the certificate and checks the
+    # channels on a fixed basis; only run's Philox stream needs numpy.random
+    proc = _child(["-c", textwrap.dedent("""
+        import sys
+        import numpy
+        if "numpy.random" in sys.modules:
+            sys.exit("numpy loads numpy.random itself")
+        from qrgames.cli import main
+
+        for argv in (["verify", "--out", "v"], ["sweep", "--w-step", "0.25", "--out", "s"]):
+            assert main(argv) == 0, argv
+            assert "numpy.random" not in sys.modules, argv
+        assert main(["run", "--werner", "0.9", "--rounds", "100", "--out", "r"]) == 0
+        assert "numpy.random" in sys.modules
+    """)], tmp_path)
+    if proc.stderr.strip() == "numpy loads numpy.random itself":
+        pytest.skip(proc.stderr.strip())  # numpy 1.x imports it eagerly
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+    assert report["passed"] is True
+    assert report["checks"]["hidden_state_suite"]["trials"] == 0
+
+
 @pytest.mark.parametrize(
     "argv, prefix",
     [
         (["run", "--config", "config.json"], "config file rejected by schema at $.rounds"),
         (["run", "--strategy", "strategy.json"], "strategy rejected by schema at $"),
         (["run", "--werner", "0.9", "--channel", "[1]"], "--channel rejected by schema at $"),
-        (["verify", "--lhs-trials", "0"], "verify flags rejected by schema at $.lhs_trials"),
+        (["verify", "--lhs-trials", "-1"], "verify flags rejected by schema at $.lhs_trials"),
     ],
     ids=["config", "strategy-file", "channel", "verify-flags"],
 )
