@@ -192,6 +192,8 @@ def _resolve_channel(obj):
         return None
     kind = obj["kind"]
     if kind == "identity":
+        if "parameter" in obj:
+            raise _ConfigError("channel kind 'identity' takes no 'parameter'")
         return identity_channel()
     if "parameter" not in obj:
         raise _ConfigError(f"channel kind {kind!r} needs a 'parameter'")
@@ -298,8 +300,8 @@ def cmd_verify(args) -> int:
                 f"{_grid_count(n_w)}-point Werner scan grid exceeds {SWEEP_MAX_ROWS} rows"
             )
         spec = _build_spec(r, bound, preparation)
-        # Tr[Z(alpha)_+] <= sum_k |s alpha_j - c| <= 6 (1 + c), so every value the
-        # certificates form stays within 2 (Tr[Z_1+] + Tr[Z_2+]) <= 24 (1 + c)
+        # every eigenvalue of Z(alpha) has |lambda| <= sum_k |s alpha_j - c| <= 6 (1 + c),
+        # so 4 |lambda| and the no-state value 2 Tr[Z_+] stay within 24 (1 + c)
         if not math.isfinite(24.0 * (1.0 + spec.penalty_coefficient)):
             raise ValueError(f"payoffs overflow a float: c = {spec.penalty_coefficient:g}")
     except ValueError as exc:
@@ -316,9 +318,10 @@ def cmd_verify(args) -> int:
 
     cert = oracle.cheat_certificates(spec)
     checks["cheat_certificates"] = {
-        "passed": cert.no_state <= 1e-9 and cert.bob_to_alice <= 1e-9,
+        # 4 max(lambda*, 0) bounds the payoff of every cheat without a quantum state
+        "passed": 4.0 * cert.lambda_max <= 1e-9,
+        "lambda_max": cert.lambda_max,
         "no_state": {"max_payoff": cert.no_state, "alpha": list(cert.alpha)},
-        "bob_to_alice": {"max_payoff": cert.bob_to_alice, "rule": list(cert.rule)},
     }
 
     suite = oracle.random_lhs_suite(trials, rng_seed=seed, spec=spec)

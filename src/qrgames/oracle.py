@@ -1,13 +1,14 @@
 """Exact and randomized verification of the game's no-win guarantees.
 
-The cheat certificates bound every no-state and Bob-to-Alice cheat by
-qubit eigenvalue problems of the payoff operator Z(alpha) of
-``games._payoff_operators``; the estimator-grid searches the tests keep
-are their independent cross-check.  The hidden-state suite compares
-both routes of ``strategies.lhs_payoff_routes``, the second of which
-reads the same Z, evaluated for a whole group of equally sized models at
-once; it runs under any qubit signal ensemble.  The Werner scan
-evaluates all its states as one stack.
+One eigenvalue problem decides every cheat check: lambda*, the largest
+eigenvalue of the payoff operator Z(alpha) of
+``games._payoff_operators`` over Alice's eight answer vertices, bounds
+every no-state cheat, hidden-state model and Bob-to-Alice cheat; the
+estimator-grid searches the tests keep are its independent cross-check.
+The hidden-state suite compares both routes of
+``strategies._lhs_routes``, the second of which reads the same Z, for a
+whole group of equally sized models at once; it runs under any qubit
+signal ensemble.  The Werner scan evaluates all its states as one stack.
 """
 
 from __future__ import annotations
@@ -87,67 +88,43 @@ def enumerate_chsh_deterministic() -> ChshEnumeration:
 #: certificate tries them; the first maximiser is the one reported.
 _ALPHAS = tuple(product((1, -1), repeat=3))
 
-#: Bob-to-Alice rules in the order the certificate tries them: per guess
-#: of Bob's (+1, then -1), None when he replies b = 0, else Alice's answer
-#: for every setting.
-_BA_RULES = tuple(product((None, 1, -1), repeat=2))
-
 
 @dataclass(frozen=True)
 class CheatCertificates:
-    """Exact best payoffs of the no-state and the Bob-to-Alice cheats.
+    """The safety number lambda* and the best payoff of the no-state cheats.
 
-    ``alpha`` is Alice's answer per setting at the no-state maximum;
-    ``rule`` gives, for Bob's guesses +1 and -1, Alice's answer when he
-    replies b = 1, or None when he replies b = 0.
+    ``lambda_max`` is lambda* = max_alpha lambda_max(Z(alpha)); ``alpha``
+    is Alice's answer per setting at the no-state maximum ``no_state``.
     """
 
+    lambda_max: float
     no_state: float
     alpha: tuple
-    bob_to_alice: float
-    rule: tuple
-
-
-def _positive_trace(z: np.ndarray) -> np.ndarray:
-    """Tr[Z_+], the sum of the positive eigenvalues, of a stack of Hermitian Z."""
-    return np.maximum(np.linalg.eigvalsh(z), 0.0).sum(axis=-1)
 
 
 def cheat_certificates(spec: SteeringGameSpec) -> CheatCertificates:
-    """The largest payoff any no-state or Bob-to-Alice cheat reaches.
+    """lambda*, which bounds every cheat without a quantum state, and the
+    best no-state payoff.
 
     With Z(alpha) the payoff operator of ``games._payoff_operators``, a
-    cheat in which Bob replies b = 1 on the effect 0 <= X <= 1 and Alice
-    answers alpha_j scores 2 Tr[X Z(alpha)], so the no-state certificate
-    is 2 max_alpha Tr[Z(alpha)_+].  A Bob-to-Alice cheat sends one of two
-    guesses, on X and 1 - X; per guess Bob stays silent (Z = 0) or
-    replies and Alice answers +1 or -1 for every setting (Z(+,+,+) or
-    Z(-,-,-)), which scores 2 (Tr Z_2 + Tr[X (Z_1 - Z_2)]) and at best
-    2 (Tr Z_2 + Tr[(Z_1 - Z_2)_+]).  With {v_i, mu_i} the eigenpairs of
-    Z_1 - Z_2 that is 2 sum_i <v_i|Z_{1 if mu_i > 0 else 2}|v_i>, the
-    form computed: it has no difference of traces, which at large c
-    cancel only to about one ulp of 6c.  These are the rule classes of
-    the estimator-grid searches, whose values lie below them.  Ties go
-    to the first candidate in ``_ALPHAS`` and ``_BA_RULES`` order.
+    no-state cheat, a hidden-state model and a Bob-to-Alice cheat (any
+    message alphabet, Alice's answer any function of j and the message)
+    each pay 2 sum_k p_k Tr[X_k Z(alpha^k)] with sum_k p_k X_k <= 1, so
+    at most 2 Tr[1] max(lambda*, 0) = 4 max(lambda*, 0).  lambda_max is
+    convex and Z affine in alpha, so lambda* is reached at one of the
+    eight vertices alpha in {+-1}^3, and when lambda* > 0 the no-state
+    cheat replying on the positive eigenspace wins.  The no-state
+    certificate is 2 max_alpha Tr[Z(alpha)_+], ties going to the first
+    alpha in ``_ALPHAS`` order; the estimator-grid searches the tests
+    keep lie below both.
     """
-    z = _payoff_operators(spec, np.array(_ALPHAS))
-    no_state = 2.0 * _positive_trace(z)
+    eig = np.linalg.eigvalsh(_payoff_operators(spec, np.array(_ALPHAS)))
+    no_state = 2.0 * np.maximum(eig, 0.0).sum(axis=-1)
     i = int(np.argmax(no_state))
-
-    # _ALPHAS runs from (1, 1, 1) to (-1, -1, -1)
-    by_answer = {None: np.zeros_like(z[0]), 1: z[0], -1: z[-1]}
-    z1 = np.stack([by_answer[a1] for a1, _ in _BA_RULES])
-    z2 = np.stack([by_answer[a2] for _, a2 in _BA_RULES])
-    mu, v = np.linalg.eigh(z1 - z2)
-    # <v_i|Z|v_i> for every rule and eigenvector i (a column of v), of Z_1 and of Z_2
-    z1_v, z2_v = ((v.conj() * (z @ v)).sum(axis=-2).real for z in (z1, z2))
-    ba = 2.0 * np.where(mu > 0.0, z1_v, z2_v).sum(axis=-1)
-    k = int(np.argmax(ba))
     return CheatCertificates(
+        lambda_max=float(eig[:, -1].max()),
         no_state=float(no_state[i]),
         alpha=_ALPHAS[i],
-        bob_to_alice=float(ba[k]),
-        rule=_BA_RULES[k],
     )
 
 

@@ -26,10 +26,11 @@ states of n equally sized hidden-state models; and
 ``simulator.noisy_equivalence_check``, over its basis of states on B.
 ``_lhs_routes``, which also takes n models at once, checks their
 tables against the collapse of Bob's side onto the signal qubit, paid
-through the payoff operator Z(alpha) of ``games._payoff_operators`` that
-the cheat certificates read too, so it holds for any qubit signal
-ensemble.  A single object's call is the n = 1 case of the same kernel,
-and every item of a stack gets the bits it gets on its own.
+through the payoff operator Z(alpha) of ``games._payoff_operators``
+whose largest eigenvalue lambda* bounds every hidden-state model in the
+cheat certificates, so it holds for any qubit signal ensemble.  A
+single object's call is the n = 1 case of the same kernel, and every
+item of a stack gets the bits it gets on its own.
 
 Outcome conventions: Alice's POVMs are ordered (a=+1, a=-1); Bob's joint
 POVMs are ordered (b=0, b=1).
@@ -419,17 +420,18 @@ def _as_stack(strategy: LhsStrategy):
 
 
 def _lhs_routes(spec: games.SteeringGameSpec, weights, states, responses, effects):
-    """Both routes of :func:`lhs_payoff_routes` for a stack of n models.
+    """Exact payoffs of a stack of n hidden-state models by two independent routes.
 
     Parameters as for :func:`_lhs_tables`; returns the (n,) direct and
-    reduced payoffs.  The direct route aggregates each model's outcome
-    table.  The reduced route collapses Bob's side onto the signal qubit:
+    reduced payoffs, whose disagreement would flag an implementation bug.
+    The direct route aggregates each model's outcome table.  The reduced
+    route collapses Bob's side onto the signal qubit:
     X_lambda = Tr_B[E_1 (rho_lambda x 1_C)], every X_lambda of every
     model one ``matmul`` and one trace over B, and the payoff is
     2 sum_lambda p(lambda) Tr[X_lambda Z(r_lambda)], with Z the payoff
     operator of ``games._payoff_operators`` at lambda's response biases.
     Both routes hold for any qubit signal ensemble, and each model rounds
-    as it does alone.
+    as it does alone; one model is the stack ``_as_stack(model)``.
     """
     tables = _lhs_tables(weights, states, responses, effects, spec.delivered_signals())
     e_ab, e_b = games._correlations(tables, np.ones(1))
@@ -441,19 +443,6 @@ def _lhs_routes(spec: games.SteeringGameSpec, weights, states, responses, effect
     z = games._payoff_operators(spec, responses)
     terms = np.trace(x_ops @ z, axis1=-2, axis2=-1).real
     return direct, 2.0 * (weights * terms).sum(axis=-1)
-
-
-def lhs_payoff_routes(strategy: LhsStrategy, spec: games.SteeringGameSpec):
-    """Exact hidden-state payoff by two independent routes.
-
-    Route one aggregates the strategy's outcome table directly;
-    route two goes through the reduction onto the signal space.  Both
-    are exact under any qubit signal ensemble, so any disagreement flags
-    an implementation bug.  This is :func:`_lhs_routes` for a stack of
-    one model.
-    """
-    direct, reduced = _lhs_routes(spec, *_as_stack(strategy))
-    return float(direct[0]), float(reduced[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -182,10 +182,10 @@ def test_criterion_09_one_way_communication():
     spec = SteeringGameSpec.ideal()
     ab = qrs_payoff_exact(spec, CommCheat("alice_to_bob"))
     ba = grid_max_comm_ba(spec, 50)
-    cert = cheat_certificates(spec).bob_to_alice
+    cert = 4 * max(cheat_certificates(spec).lambda_max, 0.0)
     ok = abs(ab - 2 * (3 - SQRT3)) <= 1e-12 and ba.max_payoff <= 1e-9 and cert <= 1e-9
     _report(9, ok, f"Alice->Bob cheat {ab:.10f} = 2(3 - sqrt(3)), Bob->Alice "
-            f"certificate {cert:.2e}, grid max {ba.max_payoff:.2e}")
+            f"bound 4 max(lambda*, 0) {cert:.2e}, grid max {ba.max_payoff:.2e}")
 
 
 def test_criterion_10_imperfect_preparation():

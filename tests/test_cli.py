@@ -14,9 +14,9 @@ import pytest
 
 import qrgames
 from qrgames.cli import SWEEP_MAX_ROWS, VERIFY_CONFIG_SCHEMA, _arange_size, _validate, main
-from qrgames.games import SQRT3, single_axis_ensemble
+from qrgames.games import SQRT3, SteeringGameSpec, qrs_payoff_exact, single_axis_ensemble
 from qrgames.serialize import density_to_json, strategy_to_json
-from qrgames.strategies import NoStateCheat, best_estimator
+from qrgames.strategies import CommCheat, NoStateCheat, best_estimator
 
 from random_draws import random_lhs_strategy
 
@@ -222,6 +222,30 @@ def test_run_rejects_bad_channel_specs(tmp_path):
     assert main(base + ["--channel", '{"kind": "depolarizing", "parameter": 2.0}']) == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_rejects_a_parameter_on_the_identity_channel(tmp_path, capsys, source):
+    # the identity channel has no parameter; one would be dropped unrecorded
+    channel = {"kind": "identity", "parameter": 0.5}
+    argv = ["run", "--strategy", "honest", "--werner", "0.9", "--rounds", "50"]
+    if source == "flag":
+        argv += ["--channel", json.dumps(channel)]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"channel": channel}))
+        argv += ["--config", str(cfg)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "channel kind 'identity' takes no 'parameter'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()
+    # without the parameter the identity channel runs
+    del channel["parameter"]
+    if source == "flag":
+        argv[-1] = json.dumps(channel)
+    else:
+        cfg.write_text(json.dumps({"channel": channel}))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
 def test_run_config_file_with_flag_overrides(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -273,7 +297,7 @@ def test_verify_flags_a_weakened_penalty(capsys, quick_verify_args):
     cert = report["checks"]["cheat_certificates"]
     assert not cert["passed"]
     assert cert["no_state"]["max_payoff"] == pytest.approx(2 * SQRT3 - 3, abs=1e-12)
-    assert cert["bob_to_alice"]["max_payoff"] == pytest.approx(4 * SQRT3 - 6, abs=1e-12)
+    assert 4 * max(cert["lambda_max"], 0.0) == pytest.approx(4 * SQRT3 - 6, abs=1e-12)
     assert not report["checks"]["hidden_state_suite"]["passed"]
 
 
@@ -442,65 +466,80 @@ def test_sweep_bytes_are_pinned(tmp_path):
     assert digest == "8f0dbaf1a0a2aefcf3224ad66d18d04c706e1819b908593764a7c2dbfc909381"
 
 
+def _redump_digest(report: dict) -> str:
+    """sha256 of a report dumped as ``verify`` writes it."""
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
-    "flags, code, digest, rest",
+    "flags, code, digest, rest, former",
     [
         (
             ["--seed", "1"],
             0,
-            "e3c4fac5abd493b72d86adab3aee13cc1b02a9c22f3bd0c099296882e583671d",
+            "fb4ed936b35fac48a7e1a670973ff89a5f483920a2615d7cfce80f89cd4ed413",
+            "5f22d1c8ad8f9fc5212004d9b8ee05257bcc9e75726dee407b935503bfc31d55",
             "8d9058a8aaf79d4fb21d1801b224f865430fc5c396f3b40703ad5794c0d9cb92",
         ),
         (
             ["--seed", "7", "--preparation", "single_axis"],
             1,
-            "314df1a403dc416dce97c8d294ac0040c9ed8cc53b7beae6544d9e5d350d1b87",
+            "493a68c0910a29a2d2e7f737d62b5024d9cf39461ccfea6addafe844dde23dde",
+            "442853b0847a749b3f36aca316ad4b897f889baf63e068c8574476e6c75a1555",
             "64a9382318cd0a4f6e48ca3830dde59f5591a615a7c2111d3007b16f0e7487c2",
         ),
         (
             ["--payoff-bound", "1.5"],
             1,
-            "ca4f231dc65fb54c15e37bd23ebb50020ccb755f3e7fb7078bb637e76fff6a14",
+            "00ac632a2c97d2af516c4061ebd6c112fe74a35d26f32e2c565978b055c16e13",
+            "f5314f376d617897407f43d942a5b1bdf1209042a2820026ebaa0a6d57803910",
             "d18aa3d9d2f1654e224b5d49f1f2ee177c41a459ca444d29453417b2485646d0",
         ),
     ],
     ids=["seed-1", "seed-7-single-axis", "payoff-bound-1.5"],
 )
-def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest, rest):
+def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest, rest, former):
     assert main(["verify", *flags, "--out", str(tmp_path)]) == code
     report = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == digest
-    # less the hidden-state suite (200 trials by default before), the channel
-    # deviations (20 random states before, the basis now) and the Bob-to-Alice
-    # certificate (a trace difference before, the eigenbasis sum now), each
-    # report re-dumps to the bytes the earlier reports pinned as 6830293d...,
-    # 795a3884... and b4af5d4f... re-dump to
+    # less lambda_max, each report re-dumps to the bytes that the report of
+    # the Bob-to-Alice certificate (fields bob_to_alice, rule) re-dumps to
+    # less that certificate: no other bit moved
     loaded = json.loads(report)
+    del loaded["checks"]["cheat_certificates"]["lambda_max"]
+    assert _redump_digest(loaded) == rest
+    # less also the hidden-state suite (200 trials by default before) and the
+    # channel deviations (20 random states before, the basis now), each report
+    # re-dumps to the bytes the earlier reports pinned as 6830293d...,
+    # 795a3884... and b4af5d4f... re-dump to
     del loaded["checks"]["hidden_state_suite"]
     del loaded["config"]["lhs_trials"]
     for channel in loaded["checks"]["channel_equivalence"]["channels"].values():
         del channel["max_deviation"]
-    del loaded["checks"]["cheat_certificates"]["bob_to_alice"]
-    redumped = (json.dumps(loaded, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
-    assert hashlib.sha256(redumped).hexdigest() == rest
+    assert _redump_digest(loaded) == former
 
 
 def test_verify_opt_in_trials_are_the_former_default_draws(tmp_path):
-    # --lhs-trials 200 was the default: less the channel deviations and the
-    # Bob-to-Alice certificate, the report re-dumps to the bytes that the
-    # former default report, pinned as 6830293d..., re-dumps to
+    # --lhs-trials 200 was the default: less lambda_max the report re-dumps to
+    # the bytes that the Bob-to-Alice certificate's report re-dumps to less
+    # that certificate, and less also the channel deviations to the bytes that
+    # the former default report, pinned as 6830293d..., re-dumps to
     assert main(["verify", "--seed", "1", "--lhs-trials", "200", "--out", str(tmp_path)]) == 0
     report = (tmp_path / "verify_report.json").read_bytes()
     digest = hashlib.sha256(report).hexdigest()
-    assert digest == "86c5864696bf5847e7421aa0ee29bdd7b6826db4bd1b90ea0dc0119336a4706b"
+    assert digest == "8ce470cb962d5a20d8e4009b708a0a48bb1f601536ab93c41a495f4866b6f694"
     loaded = json.loads(report)
     assert loaded["checks"]["hidden_state_suite"]["trials"] == 200
+    del loaded["checks"]["cheat_certificates"]["lambda_max"]
+    assert _redump_digest(loaded) == (
+        "efe50983942b884f79eabc87fc18fddcb03a4d19c0e1e1f7b27b1c84293423bf"
+    )
     for channel in loaded["checks"]["channel_equivalence"]["channels"].values():
         del channel["max_deviation"]
-    del loaded["checks"]["cheat_certificates"]["bob_to_alice"]
-    redumped = (json.dumps(loaded, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
-    digest = hashlib.sha256(redumped).hexdigest()
-    assert digest == "79a1660e1366e53caedb7c939fe79c8b070b7c796ba5e015dbeb026562b5dbb1"
+    assert _redump_digest(loaded) == (
+        "79a1660e1366e53caedb7c939fe79c8b070b7c796ba5e015dbeb026562b5dbb1"
+    )
 
 
 @pytest.mark.parametrize(
@@ -529,11 +568,27 @@ def test_verify_verdicts_do_not_depend_on_the_random_trials(capsys, flags):
 
 @pytest.mark.parametrize("r", ["1644980.7043718076", "57464349.68715974"])
 def test_verify_passes_where_the_trace_difference_rounded_above_the_bound(tmp_path, r):
-    # Tr Z_2 + Tr[(-Z_2)_+] read 1.9e-9 and 6.0e-8 here: two terms of about
-    # -6c and +6c that cancel only to one ulp of 6c
+    # a Bob-to-Alice value computed as Tr Z_2 + Tr[(-Z_2)_+] read 1.9e-9 and
+    # 6.0e-8 here: two terms of about -6c and +6c that cancel only to one ulp
+    # of 6c.  lambda* forms no difference of traces
     assert main(["verify", "--r", r, "--scan-step", "0.1", "--out", str(tmp_path)]) == 0
     cert = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
-    assert cert["cheat_certificates"]["bob_to_alice"]["max_payoff"] <= 0.0
+    assert 4 * max(cert["cheat_certificates"]["lambda_max"], 0.0) <= 0.0
+
+
+def test_verify_applies_the_payoff_tolerance_to_the_bound_on_every_cheat(tmp_path):
+    # lambda* = 3e-10: the best no-state cheat pays 6e-10, inside the 1e-9
+    # tolerance, but a Bob-to-Alice cheat pays 4 lambda* = 1.2e-9 and wins
+    bound = SQRT3 - 3e-10
+    argv = ["verify", "--payoff-bound", repr(bound), "--scan-step", "0.1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    cert = json.loads((tmp_path / "verify_report.json").read_text())["checks"]
+    cert = cert["cheat_certificates"]
+    assert not cert["passed"]
+    assert cert["no_state"]["max_payoff"] <= 1e-9 < 4 * cert["lambda_max"]
+    spec = SteeringGameSpec.ideal(payoff_bound=bound)
+    comm = CommCheat("bob_to_alice", best_estimator(), (1, -1), "follow_estimate")
+    assert qrs_payoff_exact(spec, comm) > 1e-9
 
 
 def test_verify_grid_resolution_is_accepted_and_unused(tmp_path, capsys):

@@ -6,18 +6,22 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from qrgames import oracle
 from qrgames.games import (
+    OUTCOMES,
     SIGNALS,
     SQRT2,
     SQRT3,
     SteeringGameSpec,
+    _payoff_operators,
     chsh_from_state,
     correlation_table,
+    ideal_signal_ensemble,
     single_axis_ensemble,
     steering2_value,
     steering3_value,
@@ -34,15 +38,16 @@ from qrgames.oracle import (
 )
 from qrgames.cli import main
 from qrgames.games import qrs_payoff_exact
-from qrgames.qcore import BlochVector, pauli, tensor, werner_state
+from qrgames.qcore import BlochVector, DensityOperator, Povm, pauli, tensor, werner_state
 from qrgames.strategies import (
     ALICE_RULES_BA,
     CommCheat,
     HonestStrategy,
     NoStateCheat,
+    _as_stack,
+    _lhs_routes,
     best_estimator,
     honest_strategy,
-    lhs_payoff_routes,
 )
 from qrgames.serialize import strategy_from_json, strategy_to_json
 
@@ -52,7 +57,7 @@ from cheat_grids import (
     grid_max_cheat,
     grid_max_comm_ba,
 )
-from random_draws import random_lhs_strategy, random_signal_ensemble
+from random_draws import random_lhs_strategy, random_povm, random_signal_ensemble
 
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
 
@@ -152,6 +157,11 @@ _CERT_SPECS = {
 }
 
 
+def _cheat_bound(cert):
+    """4 max(lambda*, 0), the bound on every cheat without a quantum state."""
+    return 4 * max(cert.lambda_max, 0.0)
+
+
 @pytest.mark.parametrize(
     "name, no_state, bob_to_alice",
     [
@@ -164,19 +174,19 @@ _CERT_SPECS = {
 def test_cheat_certificates_match_their_closed_forms(name, no_state, bob_to_alice):
     cert = cheat_certificates(_CERT_SPECS[name])
     assert abs(cert.no_state - no_state) <= 1e-12
-    assert abs(cert.bob_to_alice - bob_to_alice) <= 1e-12
+    # the Bob-to-Alice cheats of these games reach the bound
+    assert abs(_cheat_bound(cert) - bob_to_alice) <= 1e-12
     if no_state > 0.0:
-        # alpha = (-1, -1, -1) and the rule (-1, 1) tie with these; the first wins
+        # alpha = (-1, -1, -1) ties with (1, 1, 1); the first wins
         assert cert.alpha == (1, 1, 1)
-        assert cert.rule == (1, -1)
 
 
 def test_cheat_certificates_stay_safe_at_every_penalty():
-    # the ideal game is safe at every r >= 1; the Bob-to-Alice value once
-    # failed 44 of 20,000 such r through a difference of traces near 6c
+    # the ideal game is safe at every r >= 1; a Bob-to-Alice value computed
+    # as a difference of traces near 6c once failed 44 of 20,000 such r
     for r in np.geomspace(1.0, 1e9, 2000):
         cert = cheat_certificates(SteeringGameSpec.ideal(r=float(r)))
-        assert cert.no_state <= 1e-9 and cert.bob_to_alice <= 1e-9, r
+        assert cert.no_state <= 1e-9 and _cheat_bound(cert) <= 1e-9, r
 
 
 @pytest.mark.parametrize(
@@ -187,12 +197,12 @@ def test_cheat_certificates_stay_safe_at_every_penalty():
     ],
 )
 def test_cheat_certificates_are_reached_by_a_cheat(name, estimator):
-    """A winning certificate is the exact payoff of the cheat it describes."""
+    """A winning bound is the exact payoff of a cheat that reaches it."""
     spec = _CERT_SPECS[name]
     cert = cheat_certificates(spec)
     no_state = qrs_payoff_exact(spec, NoStateCheat(estimator, "constant"))
     comm = CommCheat("bob_to_alice", estimator, (1, -1), "follow_estimate")
-    assert abs(qrs_payoff_exact(spec, comm) - cert.bob_to_alice) <= 1e-12
+    assert abs(qrs_payoff_exact(spec, comm) - _cheat_bound(cert)) <= 1e-12
     assert abs(no_state - cert.no_state) <= 1e-12
 
 
@@ -210,7 +220,7 @@ def test_cheat_certificates_bound_random_cheats(name, rng):
         for bob_rule in _BA_BOB_RULES:
             for alice_rule in ALICE_RULES_BA:
                 comm = CommCheat("bob_to_alice", estimator, bob_rule, alice_rule)
-                assert qrs_payoff_exact(spec, comm) <= cert.bob_to_alice + tol
+                assert qrs_payoff_exact(spec, comm) <= _cheat_bound(cert) + tol
 
 
 @pytest.mark.parametrize(
@@ -230,7 +240,7 @@ def test_grids_sit_just_below_the_certificates(name, slack):
     grid = grid_max_cheat(spec, 40).max_payoff
     comm = grid_max_comm_ba(spec, 40).max_payoff
     assert cert.no_state - slack <= grid <= cert.no_state + 1e-12
-    assert cert.bob_to_alice - 2.5e-3 <= comm <= cert.bob_to_alice + 1e-12
+    assert _cheat_bound(cert) - 2.5e-3 <= comm <= _cheat_bound(cert) + 1e-12
 
 
 def test_cheat_certificates_catch_a_win_below_the_grid_resolution():
@@ -238,8 +248,115 @@ def test_cheat_certificates_catch_a_win_below_the_grid_resolution():
     spec = SteeringGameSpec.ideal(payoff_bound=SQRT3 - 1e-6)
     cert = cheat_certificates(spec)
     assert abs(cert.no_state - 2e-6) <= 1e-12
-    assert abs(cert.bob_to_alice - 4e-6) <= 1e-12
+    assert abs(_cheat_bound(cert) - 4e-6) <= 1e-12
     assert grid_max_cheat(spec, 40).max_payoff < 0.0
+
+
+@pytest.mark.parametrize("payoff_bound", [0.01, 1.5, SQRT3, 2.0])
+@pytest.mark.parametrize("r", [1.0, 1.081, 2.0, 1e3, 1e6])
+def test_lambda_max_matches_its_closed_forms(r, payoff_bound):
+    """Every signal pair sums to 1, so Z(alpha) = sum_j alpha_j sigma_j - r b 1
+    under the ideal referee and (sum_j alpha_j) sigma_1 - r b 1 under the
+    single-axis one, b the payoff bound."""
+    for ensemble, top in ((ideal_signal_ensemble(), SQRT3), (single_axis_ensemble(), 3.0)):
+        spec = SteeringGameSpec(signal_ensemble=ensemble, r=r, payoff_bound=payoff_bound)
+        c = spec.penalty_coefficient
+        lam = cheat_certificates(spec).lambda_max
+        assert abs(lam - (top - r * payoff_bound)) <= 1e-12 * (1.0 + c)
+
+
+def _bloch_matrix(v):
+    """(1 + v . sigma) / 2, a state for |v| <= 1 and a projector for |v| = 1."""
+    return (np.eye(2) + sum(x * pauli(k) for k, x in enumerate(v, start=1))) / 2.0
+
+
+def _tilted_ensemble(theta, eta):
+    """A referee whose axis j leans by theta towards axis j + 1 (cyclically),
+    each signal's Bloch vector shrunk to length eta."""
+    ensemble = {}
+    for j, s in SIGNALS:
+        n = np.cos(theta) * np.eye(3)[j - 1] + np.sin(theta) * np.eye(3)[j % 3]
+        ensemble[(j, s)] = DensityOperator(_bloch_matrix(s * eta * n))
+    return ensemble
+
+
+@dataclass(frozen=True, eq=False)
+class _MessageCheat:
+    """A Bob-to-Alice cheat whose answers depend on the setting.
+
+    Bob measures ``povm`` on the signal, sends the outcome m to Alice and
+    replies ``replies[m]``; Alice answers ``answers[j - 1][m]``.  It shares
+    no state and is evaluated by the exact engine from its outcome table.
+    """
+
+    povm: Povm
+    replies: tuple
+    answers: tuple
+
+    needs_shared_state = False
+    round_list = None
+
+    def outcome_distribution(self, signals, shared_state=None):
+        elements = np.stack(self.povm.elements)
+        p = np.trace(elements[None] @ signals[:, None], axis1=-2, axis2=-1).real
+        table = np.zeros((len(SIGNALS), 1, len(OUTCOMES)))
+        for k, (j, _) in enumerate(SIGNALS):
+            for m, b in enumerate(self.replies):
+                table[k, 0, OUTCOMES.index((self.answers[j - 1][m], b))] += p[k, m]
+        return table
+
+
+def _best_replies(spec, povm):
+    """Per message, Alice's answers and Bob's reply that pay the most."""
+    z = _payoff_operators(spec, np.array(oracle._ALPHAS))
+    answers, replies = [], []
+    for element in povm.elements:
+        gains = np.trace(element @ z, axis1=-2, axis2=-1).real
+        i = int(np.argmax(gains))
+        answers.append(oracle._ALPHAS[i])
+        replies.append(int(gains[i] > 0.0))
+    return tuple(zip(*answers)), tuple(replies)
+
+
+_MESSAGE_SPECS = {
+    "ideal": SteeringGameSpec.ideal(),
+    "bound-1.5": SteeringGameSpec.ideal(payoff_bound=1.5),
+    "r-1e5": SteeringGameSpec.ideal(r=1e5),
+    "tilted": SteeringGameSpec(signal_ensemble=_tilted_ensemble(0.3, 0.97)),
+    "tilted-r-1.5": SteeringGameSpec(signal_ensemble=_tilted_ensemble(0.3, 0.97), r=1.5),
+    "tilted-bound-1.2": SteeringGameSpec(
+        signal_ensemble=_tilted_ensemble(0.5, 0.9), payoff_bound=1.2
+    ),
+    "single-axis": SteeringGameSpec(signal_ensemble=single_axis_ensemble()),
+}
+
+
+@pytest.mark.parametrize("name", list(_MESSAGE_SPECS))
+def test_setting_dependent_bob_to_alice_cheats_stay_below_the_bound(name, rng):
+    """Up to four messages, a reply per message and Alice's answer any function
+    of (j, message): each pays 2 sum_m Tr[M_m Z(alpha^m)] b_m <= 4 max(lambda*, 0)."""
+    spec = _MESSAGE_SPECS[name]
+    bound = _cheat_bound(cheat_certificates(spec))
+    tol = 1e-12 * (1.0 + spec.penalty_coefficient)
+    best = -np.inf
+    for t in range(60):
+        n_messages = t % 4 + 1
+        if n_messages == 2:  # a projective measurement along a random axis
+            u = rng.normal(size=3)
+            proj = _bloch_matrix(u / np.linalg.norm(u))
+            povm = Povm((proj, np.eye(2) - proj))
+        else:
+            povm = random_povm(rng, 2, n_messages)
+        drawn = (
+            tuple(tuple(int(a) for a in row) for row in rng.choice([1, -1], (3, n_messages))),
+            tuple(int(b) for b in rng.integers(0, 2, n_messages)),
+        )
+        for answers, replies in (_best_replies(spec, povm), drawn):
+            payoff = qrs_payoff_exact(spec, _MessageCheat(povm, replies, answers))
+            assert payoff <= bound + tol, (t, payoff, bound)
+            best = max(best, payoff)
+    # the best responses pay at least what staying silent pays
+    assert best >= -tol
 
 
 def test_random_lhs_suite_passes_on_the_ideal_game():
@@ -296,7 +413,7 @@ def test_random_lhs_suite_catches_a_weakened_penalty():
     assert probe["payoff"] == pytest.approx(2 * (SQRT3 - 1.5), abs=1e-12)
     # failing strategies are serialized well enough to replay the win
     replayed = strategy_from_json(probe["strategy"])
-    direct, reduced = lhs_payoff_routes(replayed, weak)
+    (direct,), (reduced,) = _lhs_routes(weak, *_as_stack(replayed))
     assert abs(direct - reduced) <= 1e-10
     assert direct == pytest.approx(probe["payoff"], abs=1e-10)
 
@@ -333,7 +450,7 @@ def _suite_one_model_at_a_time(trials, seed, spec):
         models.append((f"probe-{i}", oracle._extremal_lhs_strategy(direction)))
     max_payoff, max_gap, failures = -np.inf, 0.0, []
     for label, model in models:
-        direct, reduced = lhs_payoff_routes(model, spec)
+        (direct,), (reduced,) = _lhs_routes(spec, *_as_stack(model))
         gap = abs(direct - reduced)
         max_payoff = max(max_payoff, direct)
         max_gap = max(max_gap, gap)
@@ -430,7 +547,8 @@ def test_stacked_suite_and_scan_hold_one_block_at_a_time():
 def test_random_lhs_suite_routes_agree_under_any_signal_ensemble(monkeypatch, spec):
     """Both routes agree on every trial and probe, and no hidden-state model
     beats the no-state certificate: per lambda, Tr[X Z(r)] is affine in the
-    biases r and X <= 1, so it stays below max_alpha Tr[Z(alpha)_+]."""
+    biases r and X <= 1, so it stays below max_alpha Tr[Z(alpha)_+], and
+    so below the bound 4 max(lambda*, 0) that verify checks."""
     routes = []
     original = oracle._lhs_routes
 
@@ -444,7 +562,9 @@ def test_random_lhs_suite_routes_agree_under_any_signal_ensemble(monkeypatch, sp
     assert len(direct) == report.trials + report.probes
     c = spec.penalty_coefficient
     assert np.all(np.abs(direct - reduced) <= 1e-10 * max(1.0, c))
-    assert np.all(direct <= cheat_certificates(spec).no_state + 1e-12 * (1.0 + c))
+    cert = cheat_certificates(spec)
+    assert np.all(direct <= cert.no_state + 1e-12 * (1.0 + c))
+    assert np.all(direct <= _cheat_bound(cert) + 1e-12 * (1.0 + c))
 
 
 def test_random_lhs_suite_evaluates_groups_not_models(monkeypatch):

@@ -37,10 +37,11 @@ from qrgames.strategies import (
     HonestStrategy,
     LhsStrategy,
     NoStateCheat,
+    _as_stack,
     _clean_distribution,
+    _lhs_routes,
     best_estimator,
     honest_strategy,
-    lhs_payoff_routes,
     partial_bell_povm,
     programmed_povm,
 )
@@ -393,7 +394,7 @@ def test_lhs_reduction_is_the_per_lambda_partial_trace_route(rng, dim, n_lambda)
         want = 0.0
         for p, x, alpha in zip(strategy.weights, x_ops, strategy.alice_responses):
             want += p * np.trace(x @ games._payoff_operators(spec, alpha)).real
-        direct, reduced = lhs_payoff_routes(strategy, spec)
+        (direct,), (reduced,) = _lhs_routes(spec, *_as_stack(strategy))
         assert reduced == pytest.approx(2.0 * want, rel=0.0, abs=1e-14)
         assert abs(direct - reduced) <= 1e-14
 
@@ -401,7 +402,7 @@ def test_lhs_reduction_is_the_per_lambda_partial_trace_route(rng, dim, n_lambda)
 def test_lhs_routes_agree_and_never_win(rng, ideal_spec):
     for t in range(25):
         strategy = _random_lhs(rng, (t % 3) + 2, (t % 4) + 1)
-        direct, reduced = lhs_payoff_routes(strategy, ideal_spec)
+        (direct,), (reduced,) = _lhs_routes(ideal_spec, *_as_stack(strategy))
         assert abs(direct - reduced) < 1e-10
         assert direct <= 1e-9
         assert qrs_payoff_exact(ideal_spec, strategy) == direct
@@ -414,7 +415,7 @@ def test_lhs_zero_responses_pay_only_the_penalty(rng, ideal_spec):
         base.weights, base.hidden_states, np.zeros((4, 3)), base.bob_joint_povm
     )
     normalization = float(strategy.weights @ [np.trace(x).real for x in _x_ops(strategy)])
-    payoff, reduced = lhs_payoff_routes(strategy, ideal_spec)
+    (payoff,), (reduced,) = _lhs_routes(ideal_spec, *_as_stack(strategy))
     assert abs(payoff - reduced) <= 1e-10
     assert payoff == pytest.approx(-2.0 * normalization * SQRT3, abs=1e-12)
 
@@ -428,7 +429,7 @@ def test_lhs_saturates_bound_with_trivial_hidden_space(ideal_spec):
         np.ones((1, 3)),
         Povm((np.eye(2) - proj, proj)),
     )
-    direct, reduced = lhs_payoff_routes(strategy, ideal_spec)
+    (direct,), (reduced,) = _lhs_routes(ideal_spec, *_as_stack(strategy))
     assert abs(direct) < 1e-12
     assert abs(reduced) < 1e-12
 
