@@ -5,8 +5,9 @@ It implements only the keywords they use: ``type``, ``properties``,
 ``required``, ``additionalProperties: false``, ``items``, ``minItems``,
 ``maxItems``, ``enum``, ``const``, ``oneOf``, ``minimum``, ``maximum``
 and ``exclusiveMinimum``, with one type name per ``type`` and scalar
-``enum`` and ``const`` values.  It skips ``$schema``, ``title`` and
-``description`` and raises ``ValueError`` on any other keyword.  A bool
+``enum`` and ``const`` values.  It skips the annotations ``$schema``,
+``title``, ``description`` and ``default`` and raises ``ValueError`` on
+any other keyword.  A bool
 is never a number, an integral float is an integer, and ``enum`` and
 ``const`` tell ``True`` from ``1``.  Of the violations it picks the one
 ``jsonschema`` reports (its ``best_match``), with the same message and
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numbers
 import re
 
-_SKIPPED = frozenset(("$schema", "title", "description"))
+_SKIPPED = frozenset(("$schema", "title", "description", "default"))
 _PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")
 _CLASSES = {"array": list, "boolean": bool, "null": type(None), "object": dict, "string": str}
 

@@ -6,10 +6,12 @@ verdict, ``sweep`` tabulates functionals over Werner/penalty grids for
 plotting, and ``schema`` prints the published JSON schemas.  Exit codes
 are stable: 0 success, 1 runtime or verification failure, 2 invalid
 configuration or arguments.  Options given on the command line override
-the JSON config file.  Input is checked against the published schemas by
-the package's own draft-07 checker, which the paths that check something
-import on first use; ``run`` never imports :mod:`oracle`, which only
-``verify`` and ``sweep`` need.
+the JSON config file, which overrides the defaults of the command's
+published schema.  That schema declares each setting once: its flag (one
+per number, integer or enum key), its bounds, its default and its help.
+A command's flags and its config file are checked against it by the
+package's own draft-07 checker, imported on first use; ``run`` never
+imports :mod:`oracle`, which only ``verify`` and ``sweep`` need.
 """
 
 from __future__ import annotations
@@ -64,15 +66,26 @@ RUN_CONFIG_SCHEMA = {
             "oneOf": [{"type": "string"}, serialize.STRATEGY_SCHEMA],
             "description": "a built-in name, a path to a strategy JSON file, "
             "or an inline strategy document",
+            "default": "honest",
         },
-        "werner": {"type": "number", "minimum": -1.0 / 3.0, "maximum": 1.0},
-        "r": {"type": "number", "minimum": 1.0},
-        "payoff_bound": {"type": "number", "exclusiveMinimum": 0.0},
-        "rounds": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 18446744073709551615},
+        "werner": {
+            "type": "number",
+            "minimum": -1.0 / 3.0,
+            "maximum": 1.0,
+            "description": "Werner weight of the shared state",
+        },
+        "r": {
+            "type": "number",
+            "minimum": 1.0,
+            "description": "preparation-quality penalty factor (>= 1)",
+            "default": 1.0,
+        },
+        "payoff_bound": {"type": "number", "exclusiveMinimum": 0.0, "default": SQRT3},
+        "rounds": {"type": "integer", "minimum": 1, "default": 100_000},
+        "seed": {"type": "integer", "minimum": 0, "maximum": 18446744073709551615, "default": 0},
         "channel": _CHANNEL_CONFIG_SCHEMA,
-        "preparation": {"enum": ["ideal", "single_axis"]},
-        "keep_transcript": {"type": "boolean"},
+        "preparation": {"enum": ["ideal", "single_axis"], "default": "ideal"},
+        "keep_transcript": {"type": "boolean", "default": True},
     },
     "additionalProperties": False,
 }
@@ -82,17 +95,29 @@ VERIFY_CONFIG_SCHEMA = {
     "title": "qrgames verify configuration",
     "type": "object",
     "properties": {
-        "r": {"type": "number", "minimum": 1.0},
-        "payoff_bound": {"type": "number", "exclusiveMinimum": 0.0},
-        "preparation": {"enum": ["ideal", "single_axis"]},
-        # opt-in random hidden-state models; every failing one is serialised
-        "lhs_trials": {"type": "integer", "minimum": 0, "maximum": 10000},
-        # accepted and echoed for existing configs, but it drives nothing: the
-        # certificates need no grid.  bench/workloads.py's verify smoke run
-        # passes --grid-resolution, so the key stays until that run drops it
-        "grid_resolution": {"type": "integer", "minimum": 10, "maximum": 64},
-        "scan_step": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 0.1},
-        "seed": {"type": "integer", "minimum": 0},
+        "r": {"type": "number", "minimum": 1.0, "default": 1.0},
+        "payoff_bound": {"type": "number", "exclusiveMinimum": 0.0, "default": SQRT3},
+        "preparation": {"enum": ["ideal", "single_axis"], "default": "ideal"},
+        "lhs_trials": {
+            "type": "integer",
+            "minimum": 0,
+            "maximum": 10000,
+            "description": "random hidden-state models to try beside the five probes, "
+            "each failing one reported; opt-in, as lambda* already bounds every such model",
+            "default": 0,
+        },
+        # bench/workloads.py's verify smoke run passes --grid-resolution, so the
+        # key stays until that run drops it
+        "grid_resolution": {
+            "type": "integer",
+            "minimum": 10,
+            "maximum": 64,
+            "description": "accepted and echoed in the report's config, but unused: "
+            "the cheat checks are exact certificates, not a grid search",
+            "default": 40,
+        },
+        "scan_step": {"type": "number", "exclusiveMinimum": 0.0, "maximum": 0.1, "default": 0.005},
+        "seed": {"type": "integer", "minimum": 0, "default": 0},
     },
     "additionalProperties": False,
 }
@@ -102,12 +127,14 @@ SWEEP_CONFIG_SCHEMA = {
     "title": "qrgames sweep configuration",
     "type": "object",
     "properties": {
-        "w_start": {"type": "number"},
-        "w_stop": {"type": "number"},
-        "w_step": {"type": "number", "exclusiveMinimum": 0.0},
-        "r_start": {"type": "number", "minimum": 1.0},
+        "w_start": {"type": "number", "default": 0.0},
+        "w_stop": {"type": "number", "default": 1.0},
+        "w_step": {"type": "number", "exclusiveMinimum": 0.0, "default": 0.01},
+        "r_start": {"type": "number", "minimum": 1.0, "default": 1.0},
+        # no default: sweep fills it from r_start after checking the keys set, so
+        # a bad --r-start alone is named, not the r_stop filled from it
         "r_stop": {"type": "number", "minimum": 1.0},
-        "r_step": {"type": "number", "exclusiveMinimum": 0.0},
+        "r_step": {"type": "number", "exclusiveMinimum": 0.0, "default": 0.01},
     },
     "additionalProperties": False,
 }
@@ -150,18 +177,30 @@ def _validate(obj, schema, what: str) -> None:
         ) from exc
 
 
-def _load_config(path, schema) -> dict:
-    if path is None:
-        return {}
-    obj = _read_json(path, "config file")
-    _validate(obj, schema, "config file")
-    return obj
+_CASTS = {"number": float, "integer": int}
 
 
-def _pick(flag_value, cfg: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    return cfg.get(key, default)
+def _settings(args) -> dict:
+    """A command's settings: its flags over its ``--config`` file over the
+    defaults of its schema, each checked against that schema and cast by the
+    type the schema declares."""
+    schema = CONFIG_SCHEMAS[args.command]
+    properties = schema["properties"]
+    settings = {key: sub["default"] for key, sub in properties.items() if "default" in sub}
+    if args.config is not None:
+        cfg = _read_json(args.config, "config file")
+        _validate(cfg, schema, "config file")
+        settings.update(cfg)
+    given = vars(args)
+    flags = {key: given[key] for key in properties if given.get(key) is not None}
+    # flags must meet a config file's bounds, a step of 0 failing before any division
+    _validate(flags, schema, f"{args.command} flags")
+    settings.update(flags)
+    for key, value in settings.items():
+        cast = _CASTS.get(properties[key].get("type"))
+        if cast is not None:
+            settings[key] = cast(value)
+    return settings
 
 
 def _resolve_strategy(value):
@@ -210,44 +249,34 @@ def _build_spec(r, payoff_bound, preparation) -> SteeringGameSpec:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config, RUN_CONFIG_SCHEMA)
+    # parsed first, under its own name in any error, then resolved as any flag is
+    if args.channel is not None:
+        try:
+            args.channel = json.loads(args.channel)
+        except json.JSONDecodeError as exc:
+            raise _ConfigError(f"--channel is not valid JSON: {exc}") from exc
+        _validate(args.channel, _CHANNEL_CONFIG_SCHEMA, "--channel")
+    settings = _settings(args)
     try:
-        strategy_value = _pick(args.strategy, cfg, "strategy", "honest")
-        strategy = _resolve_strategy(strategy_value)
-        r = float(_pick(args.r, cfg, "r", 1.0))
-        bound = float(_pick(args.payoff_bound, cfg, "payoff_bound", SQRT3))
-        rounds = int(_pick(args.rounds, cfg, "rounds", 100_000))
-        seed = int(_pick(args.seed, cfg, "seed", 0))
-        preparation = _pick(args.preparation, cfg, "preparation", "ideal")
-        werner = _pick(args.werner, cfg, "werner", None)
-        keep_transcript = (
-            False if args.no_transcript else bool(cfg.get("keep_transcript", True))
-        )
-        channel_cfg = cfg.get("channel")
-        if args.channel is not None:
-            try:
-                channel_cfg = json.loads(args.channel)
-            except json.JSONDecodeError as exc:
-                raise _ConfigError(f"--channel is not valid JSON: {exc}") from exc
-            _validate(channel_cfg, _CHANNEL_CONFIG_SCHEMA, "--channel")
-        channel = _resolve_channel(channel_cfg)
-
+        strategy = _resolve_strategy(settings["strategy"])
+        channel = _resolve_channel(settings.get("channel"))
+        werner = settings.get("werner")
         needs_state = strategy.needs_shared_state
         if needs_state and werner is None:
             raise _ConfigError("this strategy needs a shared state; pass --werner")
         if not needs_state and werner is not None:
             raise _ConfigError("this strategy does not take a Werner state")
-        shared = werner_state(float(werner)) if needs_state else None
+        shared = werner_state(werner) if needs_state else None
 
-        spec = _build_spec(r, bound, preparation)
+        spec = _build_spec(settings["r"], settings["payoff_bound"], settings["preparation"])
         run_config = simulator.RunConfig(
             spec=spec,
             strategy=strategy,
-            rounds=rounds,
-            rng_seed=seed,
+            rounds=settings["rounds"],
+            rng_seed=settings["seed"],
             shared_state=shared,
             channel=channel,
-            keep_transcript=keep_transcript,
+            keep_transcript=settings["keep_transcript"],
         )
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
@@ -274,32 +303,15 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     from . import oracle
 
-    cfg = _load_config(args.config, VERIFY_CONFIG_SCHEMA)
+    settings = _settings(args)
+    r, step = settings["r"], settings["scan_step"]
     try:
-        r = float(_pick(args.r, cfg, "r", 1.0))
-        bound = float(_pick(args.payoff_bound, cfg, "payoff_bound", SQRT3))
-        preparation = _pick(args.preparation, cfg, "preparation", "ideal")
-        trials = int(_pick(args.lhs_trials, cfg, "lhs_trials", 0))
-        grid_res = int(_pick(args.grid_resolution, cfg, "grid_resolution", 40))
-        step = float(_pick(args.scan_step, cfg, "scan_step", 0.005))
-        seed = int(_pick(args.seed, cfg, "seed", 0))
-        resolved = {
-            "r": r,
-            "payoff_bound": bound,
-            "preparation": preparation,
-            "lhs_trials": trials,
-            "grid_resolution": grid_res,
-            "scan_step": step,
-            "seed": seed,
-        }
-        # flags must meet a config file's bounds, a step of 0 failing before the division
-        _validate(resolved, VERIFY_CONFIG_SCHEMA, "verify flags")
         n_w = _arange_size(0.0, 1.0 + 0.5 * step, step)
         if n_w > SWEEP_MAX_ROWS:
             raise ValueError(
                 f"{_grid_count(n_w)}-point Werner scan grid exceeds {SWEEP_MAX_ROWS} rows"
             )
-        spec = _build_spec(r, bound, preparation)
+        spec = _build_spec(r, settings["payoff_bound"], settings["preparation"])
         # every eigenvalue of Z(alpha) has |lambda| <= sum_k |s alpha_j - c| <= 6 (1 + c),
         # so 4 |lambda| and the no-state value 2 Tr[Z_+] stay within 24 (1 + c)
         if not math.isfinite(24.0 * (1.0 + spec.penalty_coefficient)):
@@ -324,8 +336,8 @@ def cmd_verify(args) -> int:
         "no_state": {"max_payoff": cert.no_state, "alpha": list(cert.alpha)},
     }
 
-    suite = oracle.random_lhs_suite(trials, rng_seed=seed, spec=spec)
-    checks["hidden_state_suite"] = {"passed": suite.passed, **suite.to_json()}
+    suite = oracle.random_lhs_suite(settings["lhs_trials"], rng_seed=settings["seed"], spec=spec)
+    checks["hidden_state_suite"] = suite.to_json()
 
     bell = partial_bell_povm()
     channel_reports = {}
@@ -374,7 +386,7 @@ def cmd_verify(args) -> int:
     passed = all(c["passed"] for c in checks.values())
     report = {
         "passed": passed,
-        "config": resolved,
+        "config": settings,
         "checks": checks,
     }
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
@@ -402,32 +414,29 @@ def _arange_size(start: float, stop: float, step: float) -> int:
     return max(0, math.ceil(length))
 
 
+def _grid_size(start: float, stop: float, step: float) -> int:
+    """The length of the grid :func:`_grid` builds, without building it."""
+    n = _arange_size(start, stop + 0.5 * step, step)
+    return 1 if n == 0 and stop >= start else n
+
+
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """``np.arange(start, stop + step/2, step)``, or ``[start]`` where that is empty
+    although ``stop >= start``, because ``stop + step/2`` rounds back to ``stop``
+    (at a step of 0.01, from 2**46, about 7e13).  The caller refuses ``stop < start``."""
+    grid = np.arange(start, stop + 0.5 * step, step)
+    return grid if grid.size else np.array([start])
+
+
 def cmd_sweep(args) -> int:
     from . import oracle
 
-    cfg = _load_config(args.config, SWEEP_CONFIG_SCHEMA)
+    settings = _settings(args)
+    settings.setdefault("r_stop", settings["r_start"])
     try:
-        w_start = float(_pick(args.w_start, cfg, "w_start", 0.0))
-        w_stop = float(_pick(args.w_stop, cfg, "w_stop", 1.0))
-        w_step = float(_pick(args.w_step, cfg, "w_step", 0.01))
-        r_start = float(_pick(args.r_start, cfg, "r_start", 1.0))
-        r_stop = _pick(args.r_stop, cfg, "r_stop", None)
-        r_step = float(_pick(args.r_step, cfg, "r_step", 0.01))
-        resolved = {
-            "w_start": w_start,
-            "w_stop": w_stop,
-            "w_step": w_step,
-            "r_start": r_start,
-            "r_step": r_step,
-        }
-        if r_stop is not None:
-            resolved["r_stop"] = float(r_stop)
-        # flags must meet a config file's bounds, a step of 0 failing before the
-        # division; r_stop is filled from r_start only after, so an error names a key set
-        _validate(resolved, SWEEP_CONFIG_SCHEMA, "sweep flags")
-        r_stop = resolved.setdefault("r_stop", r_start)
-        n_w = _arange_size(w_start, w_stop + 0.5 * w_step, w_step)
-        n_r = _arange_size(r_start, r_stop + 0.5 * r_step, r_step)
+        w_axis = (settings["w_start"], settings["w_stop"], settings["w_step"])
+        r_axis = (settings["r_start"], settings["r_stop"], settings["r_step"])
+        n_w, n_r = _grid_size(*w_axis), _grid_size(*r_axis)
         if n_w == 0 or n_r == 0:
             raise ValueError("empty sweep grid")
         if n_w * n_r > SWEEP_MAX_ROWS:
@@ -435,15 +444,14 @@ def cmd_sweep(args) -> int:
                 f"{_grid_count(n_w)} W x {_grid_count(n_r)} r sweep grid "
                 f"exceeds {SWEEP_MAX_ROWS} rows"
             )
-        w_grid = np.arange(w_start, w_stop + 0.5 * w_step, w_step)
-        r_grid = np.arange(r_start, r_stop + 0.5 * r_step, r_step)
+        w_grid, r_grid = _grid(*w_axis), _grid(*r_axis)
         if w_grid[0] < -1.0 / 3.0 - 1e-12 or w_grid[-1] > 1.0 + 1e-12:
             raise ValueError("Werner grid must stay inside [-1/3, 1]")
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
 
-    resolved["n_w"] = int(w_grid.size)
-    resolved["n_r"] = int(r_grid.size)
+    settings["n_w"] = int(w_grid.size)
+    settings["n_r"] = int(r_grid.size)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "sweep.csv"
@@ -462,7 +470,7 @@ def cmd_sweep(args) -> int:
                 )
                 n_rows += 1
     (outdir / "sweep_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        json.dumps(settings, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
     print(f"wrote {csv_path} ({n_rows} rows)")
     return 0
@@ -479,6 +487,18 @@ def cmd_schema(args) -> int:
     return 0
 
 
+def _add_schema_flags(parser, schema: dict) -> None:
+    """One flag per number, integer or enum setting of ``schema``."""
+    for key, sub in schema["properties"].items():
+        if sub.get("type") in _CASTS or "enum" in sub:
+            parser.add_argument(
+                "--" + key.replace("_", "-"),
+                type=_CASTS.get(sub.get("type")),
+                choices=sub.get("enum"),
+                help=sub.get("description"),
+            )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrgames",
@@ -492,53 +512,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy",
         help="honest | cheat-nostate | cheat-comm-ab | cheat-comm-ba | strategy JSON file",
     )
-    run.add_argument("--werner", type=float, help="Werner weight of the shared state")
-    run.add_argument("--r", type=float, help="preparation-quality penalty factor (>= 1)")
-    run.add_argument("--payoff-bound", type=float, dest="payoff_bound")
-    run.add_argument("--rounds", type=int)
-    run.add_argument("--seed", type=int)
+    _add_schema_flags(run, RUN_CONFIG_SCHEMA)
     run.add_argument(
         "--channel", help='inline JSON, e.g. \'{"kind": "depolarizing", "parameter": 0.3}\''
     )
-    run.add_argument("--preparation", choices=["ideal", "single_axis"])
     run.add_argument(
-        "--no-transcript", action="store_true", help="skip writing transcript.csv"
+        "--no-transcript",
+        dest="keep_transcript",
+        action="store_const",
+        const=False,
+        help="skip writing transcript.csv",
     )
     run.add_argument("--out", default=".", help="output directory (default: .)")
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="run the oracle suites and report")
     verify.add_argument("--config")
-    verify.add_argument("--r", type=float)
-    verify.add_argument("--payoff-bound", type=float, dest="payoff_bound")
-    verify.add_argument("--preparation", choices=["ideal", "single_axis"])
-    verify.add_argument(
-        "--lhs-trials",
-        type=int,
-        dest="lhs_trials",
-        help="random hidden-state models to try beside the five probes (default 0: "
-        "the no-state certificate already bounds every such model)",
-    )
-    verify.add_argument(
-        "--grid-resolution",
-        type=int,
-        dest="grid_resolution",
-        help="accepted (10-64) and echoed in the report's config, but unused: "
-        "the cheat checks are exact certificates, not a grid search",
-    )
-    verify.add_argument("--scan-step", type=float, dest="scan_step")
-    verify.add_argument("--seed", type=int)
+    _add_schema_flags(verify, VERIFY_CONFIG_SCHEMA)
     verify.add_argument("--out", help="also write verify_report.json here")
     verify.set_defaults(func=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="tabulate functionals over (W, r) grids")
     sweep.add_argument("--config")
-    sweep.add_argument("--w-start", type=float, dest="w_start")
-    sweep.add_argument("--w-stop", type=float, dest="w_stop")
-    sweep.add_argument("--w-step", type=float, dest="w_step")
-    sweep.add_argument("--r-start", type=float, dest="r_start")
-    sweep.add_argument("--r-stop", type=float, dest="r_stop")
-    sweep.add_argument("--r-step", type=float, dest="r_step")
+    _add_schema_flags(sweep, SWEEP_CONFIG_SCHEMA)
     sweep.add_argument("--out", default=".", help="output directory (default: .)")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import qrgames
-from qrgames.cli import SWEEP_MAX_ROWS, VERIFY_CONFIG_SCHEMA, _arange_size, _validate, main
+from qrgames.cli import (
+    CONFIG_SCHEMAS,
+    SWEEP_MAX_ROWS,
+    VERIFY_CONFIG_SCHEMA,
+    _arange_size,
+    _validate,
+    main,
+)
 from qrgames.games import SQRT3, SteeringGameSpec, qrs_payoff_exact, single_axis_ensemble
 from qrgames.serialize import density_to_json, strategy_to_json
 from qrgames.strategies import CommCheat, NoStateCheat, best_estimator
@@ -267,6 +274,63 @@ def test_run_rejects_malformed_configs(tmp_path):
     bad.write_text(json.dumps({"strategy": "honest", "rounds": "many"}))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("rounds", "0"),
+        ("seed", "18446744073709551616"),
+        ("werner", "1.5"),
+        ("r", "0.5"),
+        ("payoff_bound", "0"),
+    ],
+)
+def test_run_checks_flags_against_its_schema(tmp_path, capsys, key, value):
+    # a bad flag and the same value from a config file name the same key
+    strategy = ["--strategy", "honest" if key == "werner" else "cheat-nostate"]
+    flag = ["--" + key.replace("_", "-"), value]
+    assert main(["run", *strategy, *flag, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: run flags rejected by schema at $.{key}:"), err
+    assert err.count("\n") == 1, err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: json.loads(value)}))
+    assert main(["run", *strategy, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file rejected by schema at $.{key}:"), err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--r", "preparation-quality parameter r must be finite and >= 1, got nan"),
+        ("--payoff-bound", "payoff bound must be finite and positive, got nan"),
+    ],
+)
+def test_run_leaves_a_nan_flag_to_the_spec(tmp_path, capsys, flag, message):
+    # no schema bound rejects NaN; the game spec's own check names it
+    argv = ["run", "--strategy", "cheat-nostate", flag, "nan", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
+def _defaults(command: str) -> dict:
+    properties = CONFIG_SCHEMAS[command]["properties"]
+    return {key: sub["default"] for key, sub in properties.items() if "default" in sub}
+
+
+def test_run_without_setting_flags_uses_the_published_defaults(tmp_path):
+    assert main(["run", "--strategy", "cheat-nostate", "--out", str(tmp_path)]) == 0
+    summary = _run_summary(tmp_path)
+    config, defaults = summary["config"], _defaults("run")
+    assert summary["rounds"] == config["rounds"] == defaults["rounds"]
+    assert config["rng_seed"] == defaults["seed"]
+    assert config["game"]["r"] == defaults["r"]
+    assert config["game"]["payoff_bound"] == defaults["payoff_bound"]
+    assert config["keep_transcript"] is defaults["keep_transcript"]
 
 
 @pytest.fixture
@@ -591,6 +655,11 @@ def test_verify_applies_the_payoff_tolerance_to_the_bound_on_every_cheat(tmp_pat
     assert qrs_payoff_exact(spec, comm) > 1e-9
 
 
+def test_verify_without_setting_flags_uses_the_published_defaults(capsys):
+    assert main(["verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == _defaults("verify")
+
+
 def test_verify_grid_resolution_is_accepted_and_unused(tmp_path, capsys):
     # the flag and config key stay valid for existing callers, echoed in config
     reports = []
@@ -675,6 +744,26 @@ def test_sweep_checks_flags_against_its_schema(tmp_path, capsys, key, value):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_without_setting_flags_uses_the_published_defaults(tmp_path):
+    assert main(["sweep", "--out", str(tmp_path)]) == 0
+    sidecar = json.loads((tmp_path / "sweep_config.json").read_text())
+    defaults = _defaults("sweep")
+    assert "r_stop" not in defaults
+    assert sidecar == {**defaults, "r_stop": defaults["r_start"], "n_w": 101, "n_r": 1}
+
+
+@pytest.mark.parametrize("r", ["1e14", "1e300"])
+def test_sweep_at_one_large_r_is_a_one_value_grid(tmp_path, r):
+    # r_step / 2 is below the spacing of doubles near r, so r_stop + r_step / 2
+    # rounds back to r and np.arange alone would build no r value
+    assert main(["sweep", "--r-start", r, "--w-step", "0.25", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["r"]) for row in rows] == [float(r)] * 5
+    sidecar = json.loads((tmp_path / "sweep_config.json").read_text())
+    assert (sidecar["r_stop"], sidecar["n_w"], sidecar["n_r"]) == (float(r), 5, 1)
+
+
 def test_schema_prints_machine_readable_json(capsys):
     assert main(["schema"]) == 0
     blob = json.loads(capsys.readouterr().out)
@@ -689,10 +778,22 @@ def test_schema_bytes_are_pinned(capsys):
     assert main(["schema"]) == 0
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "cadd04f51f0e32b853cafa8f82c848711abd1a3f018cd26bccd254414d54c236"
+    # less every default and the descriptions that were flag help texts, the
+    # bytes are those printed while each default was written in the code
+    schemas = json.loads(out)
+    for schema in schemas["config"].values():
+        for sub in schema["properties"].values():
+            sub.pop("default", None)
+    for command, key in [
+        ("run", "werner"), ("run", "r"), ("verify", "lhs_trials"), ("verify", "grid_resolution"),
+    ]:
+        del schemas["config"][command]["properties"][key]["description"]
+    rest = (json.dumps(schemas, indent=2, sort_keys=True) + "\n").encode()
+    digest = hashlib.sha256(rest).hexdigest()
     assert digest == "4ddf4a8b2e64d70f05c85fac5dd0c549fc3460edca5af441f219357bcacf80e4"
     # with lhs_trials' minimum back at 1, the bytes are those printed while
     # verify ran 200 random hidden-state models by default
-    schemas = json.loads(out)
     verify = schemas["config"]["verify"]["properties"]
     assert verify["lhs_trials"]["minimum"] == 0
     verify["lhs_trials"]["minimum"] = 1

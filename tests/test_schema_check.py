@@ -40,7 +40,7 @@ IMPLEMENTED = {
     "type", "properties", "required", "additionalProperties", "items", "minItems",
     "maxItems", "enum", "const", "oneOf", "minimum", "maximum", "exclusiveMinimum",
 }
-SKIPPED = {"$schema", "title", "description"}
+SKIPPED = {"$schema", "title", "description", "default"}
 
 
 def _subschemas(schema):
@@ -244,6 +244,18 @@ def test_published_schemas_use_only_implemented_keywords():
             assert isinstance(sub.get("type", ""), str)
             values = sub.get("enum", []) + [sub.get("const")]
             assert all(isinstance(v, (str, int, float, type(None))) for v in values), name
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_SCHEMAS))
+def test_published_defaults_meet_their_own_property(command):
+    properties = CONFIG_SCHEMAS[command]["properties"]
+    # only the Werner weight, the channel and sweep's r_stop go without one
+    without = {key for key, sub in properties.items() if "default" not in sub}
+    assert without == {"run": {"werner", "channel"}, "verify": set(), "sweep": {"r_stop"}}[command]
+    for key, sub in properties.items():
+        if "default" in sub:
+            validate(sub["default"], sub)
+            jsonschema.Draft7Validator(sub).validate(sub["default"])
 
 
 def test_other_keywords_raise():
