@@ -241,11 +241,12 @@ def _resolve_channel(obj):
     return amplitude_damping_channel(obj["parameter"])
 
 
-def _build_spec(r, payoff_bound, preparation) -> SteeringGameSpec:
-    ensemble = (
-        single_axis_ensemble() if preparation == "single_axis" else ideal_signal_ensemble()
-    )
-    return SteeringGameSpec(signal_ensemble=ensemble, r=r, payoff_bound=payoff_bound)
+def _build_spec(settings) -> SteeringGameSpec:
+    """The referee a command's settings describe: preparation, line and penalty."""
+    single_axis = settings["preparation"] == "single_axis"
+    ensemble = single_axis_ensemble() if single_axis else ideal_signal_ensemble()
+    channel = _resolve_channel(settings.get("channel"))
+    return SteeringGameSpec(ensemble, settings["r"], settings["payoff_bound"], channel)
 
 
 def cmd_run(args) -> int:
@@ -259,7 +260,7 @@ def cmd_run(args) -> int:
     settings = _settings(args)
     try:
         strategy = _resolve_strategy(settings["strategy"])
-        channel = _resolve_channel(settings.get("channel"))
+        spec = _build_spec(settings)
         werner = settings.get("werner")
         needs_state = strategy.needs_shared_state
         if needs_state and werner is None:
@@ -268,20 +269,19 @@ def cmd_run(args) -> int:
             raise _ConfigError("this strategy does not take a Werner state")
         shared = werner_state(werner) if needs_state else None
 
-        spec = _build_spec(settings["r"], settings["payoff_bound"], settings["preparation"])
         run_config = simulator.RunConfig(
             spec=spec,
             strategy=strategy,
             rounds=settings["rounds"],
             rng_seed=settings["seed"],
             shared_state=shared,
-            channel=channel,
             keep_transcript=settings["keep_transcript"],
         )
+        # the outcome table, built first, refuses a strategy that does not fit the state
+        estimate, transcript = simulator.run_game(run_config)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
 
-    estimate, transcript = simulator.run_game(run_config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     summary_path = outdir / "summary.json"
@@ -306,12 +306,12 @@ def cmd_verify(args) -> int:
     settings = _settings(args)
     r, step = settings["r"], settings["scan_step"]
     try:
-        n_w = _arange_size(0.0, 1.0 + 0.5 * step, step)
+        n_w = _grid_size(0.0, 1.0, step)
         if n_w > SWEEP_MAX_ROWS:
             raise ValueError(
                 f"{_grid_count(n_w)}-point Werner scan grid exceeds {SWEEP_MAX_ROWS} rows"
             )
-        spec = _build_spec(r, settings["payoff_bound"], settings["preparation"])
+        spec = _build_spec(settings)
         # every eigenvalue of Z(alpha) has |lambda| <= sum_k |s alpha_j - c| <= 6 (1 + c),
         # so 4 |lambda| and the no-state value 2 Tr[Z_+] stay within 24 (1 + c)
         if not math.isfinite(24.0 * (1.0 + spec.penalty_coefficient)):
@@ -355,7 +355,7 @@ def cmd_verify(args) -> int:
         "channels": channel_reports,
     }
 
-    w_grid = np.arange(0.0, 1.0 + 0.5 * step, step)
+    w_grid = _grid(0.0, 1.0, step)
     # a step that does not divide 1 overshoots it; werner_state would reject those points
     columns = oracle.werner_columns(w_grid[w_grid <= 1.0 + 1e-12])
     scan = oracle.threshold_scan(columns, r=r)
@@ -447,6 +447,10 @@ def cmd_sweep(args) -> int:
         w_grid, r_grid = _grid(*w_axis), _grid(*r_axis)
         if w_grid[0] < -1.0 / 3.0 - 1e-12 or w_grid[-1] > 1.0 + 1e-12:
             raise ValueError("Werner grid must stay inside [-1/3, 1]")
+        # |qrs_payoff| <= 12 (1 + c), and c is largest at the last r
+        r_max = float(r_grid[-1])
+        if not math.isfinite(12.0 * (1.0 + SteeringGameSpec.ideal(r=r_max).penalty_coefficient)):
+            raise ValueError(f"payoffs overflow a float at r = {r_max!r}")
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
 

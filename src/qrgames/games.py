@@ -11,6 +11,9 @@ and the average payoff aggregates the six conditional expectations as
 where r >= 1 scales the penalty term (r = 1 for a perfectly calibrated
 referee).  The game is won when the payoff is strictly positive.
 
+:class:`SteeringGameSpec` is the one model of the referee, its line to Bob
+included: every evaluation reads the states Bob receives from the spec.
+
 This module knows nothing about how strategies are parameterised; exact
 evaluation only requires each strategy to return its whole outcome table
 from the stack of delivered signals (duck-typed ``outcome_distribution``)
@@ -30,7 +33,7 @@ from .qcore import (
     _SIGMA_PAIRS,
     DensityOperator,
     QuantumChannel,
-    apply_channel,
+    _check_density_stack,
     pauli,
     signal_state,
     tensor,
@@ -46,9 +49,13 @@ SIGNALS = ((1, 1), (1, -1), (2, 1), (2, -1), (3, 1), (3, -1))
 OUTCOMES = ((1, 0), (1, 1), (-1, 0), (-1, 1))
 
 
+#: The calibrated signal states (1/2)(1 + s sigma_j), built once and shared (read-only).
+_SIGNAL_STATES = {(j, s): signal_state(j, s) for (j, s) in SIGNALS}
+
+
 def ideal_signal_ensemble() -> dict:
     """The calibrated signal table {(j, s): (1/2)(1 + s sigma_j)}."""
-    return {(j, s): signal_state(j, s) for (j, s) in SIGNALS}
+    return dict(_SIGNAL_STATES)
 
 
 def single_axis_ensemble() -> dict:
@@ -58,7 +65,7 @@ def single_axis_ensemble() -> dict:
     eigenstate with the announced sign.  Against such a referee the
     no-state cheat discriminates the sign perfectly.
     """
-    return {(j, s): signal_state(1, s) for (j, s) in SIGNALS}
+    return {(j, s): _SIGNAL_STATES[(1, s)] for (j, s) in SIGNALS}
 
 
 def _penalty_coefficient(r, payoff_bound) -> float:
@@ -80,16 +87,22 @@ class SteeringGameSpec:
     """Complete rules of one steering game.
 
     The referee draws the six conditions (j, s) uniformly, whatever the spec.
-    ``signal_ensemble`` maps (j, s) to the state it actually sends; ``r``
-    scales the penalty term and ``payoff_bound`` is the steering bound the
-    penalty is calibrated against (sqrt(3) for the three-axis game; lowering
-    it below sqrt(3) makes the game winnable by hidden-state models, which
-    the verification suite uses to demonstrate tightness).
+    ``signal_ensemble`` maps (j, s) to the state it actually prepares and the
+    optional ``channel`` is its line to Bob; ``r`` scales the penalty term and
+    ``payoff_bound`` is the steering bound the penalty is calibrated against
+    (sqrt(3) for the three-axis game; lowering it below sqrt(3) makes the
+    game winnable by hidden-state models, which the verification suite uses
+    to demonstrate tightness).  Construction builds ``delivered_signals``,
+    the read-only (6, 2, 2) stack of states Bob receives in ``SIGNALS``
+    order, and ``penalty_coefficient``, r * payoff_bound / 3.
     """
 
     signal_ensemble: dict = field(default_factory=ideal_signal_ensemble)
     r: float = 1.0
     payoff_bound: float = SQRT3
+    channel: QuantumChannel | None = None
+    delivered_signals: np.ndarray = field(init=False, repr=False)
+    penalty_coefficient: float = field(init=False, repr=False)
 
     def __post_init__(self):
         ens = dict(self.signal_ensemble)
@@ -100,27 +113,24 @@ class SteeringGameSpec:
                 raise ValueError(f"signal for {key} must be a DensityOperator")
             if state.dim != 2:
                 raise ValueError("referee signals must be qubit states")
-        _penalty_coefficient(self.r, self.payoff_bound)
+        coeff = _penalty_coefficient(self.r, self.payoff_bound)
+        signals = np.stack([ens[sig].matrix for sig in SIGNALS])
+        line = self.channel
+        if line is not None:
+            if not isinstance(line, QuantumChannel) or {line.input_dim, line.output_dim} != {2}:
+                raise ValueError("signal channel must be a QuantumChannel from qubits to qubits")
+            signals = np.stack([line.apply_to_matrix(omega) for omega in signals])
+            _check_density_stack(signals)
+        signals.setflags(write=False)
         object.__setattr__(self, "signal_ensemble", ens)
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "payoff_bound", float(self.payoff_bound))
+        object.__setattr__(self, "delivered_signals", signals)
+        object.__setattr__(self, "penalty_coefficient", coeff)
 
     @classmethod
     def ideal(cls, r: float = 1.0, payoff_bound: float = SQRT3) -> "SteeringGameSpec":
         return cls(r=r, payoff_bound=payoff_bound)
-
-    @property
-    def penalty_coefficient(self) -> float:
-        """Coefficient of the <b> term: r * payoff_bound / 3 (= r/sqrt(3) by default)."""
-        return _penalty_coefficient(self.r, self.payoff_bound)
-
-    def delivered_signals(self, channel: QuantumChannel | None = None) -> np.ndarray:
-        """The (6, 2, 2) stack of states Bob receives, in ``SIGNALS`` order,
-        after an optional channel."""
-        states = [self.signal_ensemble[sig] for sig in SIGNALS]
-        if channel is not None:
-            states = [apply_channel(channel, omega) for omega in states]
-        return np.stack([omega.matrix for omega in states])
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +204,7 @@ def _payoff_operators(spec: SteeringGameSpec, alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=np.float64)
     coeffs = np.stack([s * alpha[..., j - 1] for j, s in SIGNALS], axis=-1)
     coeffs = (coeffs - spec.penalty_coefficient).astype(np.complex128)
-    z = coeffs @ spec.delivered_signals().reshape(len(SIGNALS), -1)
+    z = coeffs @ spec.delivered_signals.reshape(len(SIGNALS), -1)
     return z.reshape(alpha.shape[:-1] + (2, 2))
 
 
@@ -309,16 +319,13 @@ def _list_weights(strategy) -> np.ndarray:
 
 
 def outcome_table(
-    spec: SteeringGameSpec,
-    strategy,
-    shared_state: DensityOperator | np.ndarray | None = None,
-    channel: QuantumChannel | None = None,
+    spec: SteeringGameSpec, strategy, shared_state: DensityOperator | np.ndarray | None = None
 ) -> np.ndarray:
     """Exact outcome probabilities of a strategy under a game spec.
 
     ``table[k, v, o]`` is the probability of outcome pair ``OUTCOMES[o]``
     in condition ``SIGNALS[k]`` and list variant v: the strategy's
-    ``outcome_distribution`` of the delivered signal stack.  A strategy
+    ``outcome_distribution`` of the spec's ``delivered_signals``.  A strategy
     without an answer list has one variant; one with a list has two, for
     the list values +1 and -1.  A strategy that needs a shared state also
     takes an ``(n, d, d)`` stack of state matrices, which it validates,
@@ -326,7 +333,7 @@ def outcome_table(
     """
     if strategy.needs_shared_state and shared_state is None:
         raise ValueError("this strategy requires a shared state")
-    return strategy.outcome_distribution(spec.delivered_signals(channel), shared_state)
+    return strategy.outcome_distribution(spec.delivered_signals, shared_state)
 
 
 def _correlations(tables: np.ndarray, list_weights: np.ndarray):
@@ -342,29 +349,23 @@ def _correlations(tables: np.ndarray, list_weights: np.ndarray):
 
 
 def correlation_table(
-    spec: SteeringGameSpec,
-    strategy,
-    shared_state: DensityOperator | None = None,
-    channel: QuantumChannel | None = None,
+    spec: SteeringGameSpec, strategy, shared_state: DensityOperator | None = None
 ) -> CorrelationTable:
     """Exact per-condition expectations <ab> and <b> from the outcome table.
 
     List variants are averaged with the weights of their share of the
     strategy's answer list.
     """
-    table = outcome_table(spec, strategy, shared_state, channel)
+    table = outcome_table(spec, strategy, shared_state)
     e_ab, e_b = _correlations(table, _list_weights(strategy))
     return CorrelationTable(dict(zip(SIGNALS, e_ab)), dict(zip(SIGNALS, e_b)))
 
 
 def qrs_payoff_exact(
-    spec: SteeringGameSpec,
-    strategy,
-    shared_state: DensityOperator | None = None,
-    channel: QuantumChannel | None = None,
+    spec: SteeringGameSpec, strategy, shared_state: DensityOperator | None = None
 ) -> float:
     """Exact average payoff of a strategy in the quantum-refereed steering game."""
-    return correlation_table(spec, strategy, shared_state, channel).payoff(spec)
+    return correlation_table(spec, strategy, shared_state).payoff(spec)
 
 
 def _round_payoffs(s, a, b, c):

@@ -7,8 +7,9 @@ every no-state cheat, hidden-state model and Bob-to-Alice cheat; the
 estimator-grid searches the tests keep are its independent cross-check.
 The hidden-state suite compares both routes of
 ``strategies._lhs_routes``, the second of which reads the same Z, for a
-whole group of equally sized models at once; it runs under any qubit
-signal ensemble.  The Werner scan evaluates all its states as one stack.
+whole group of equally sized models at once; both hold for any referee,
+channel included, that a spec describes.  The Werner scan evaluates all
+its states as one stack.
 """
 
 from __future__ import annotations

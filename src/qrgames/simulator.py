@@ -3,9 +3,9 @@
 Outcomes are sampled from the strategy's exact outcome table
 (:func:`games.outcome_table`, the one exact evaluation reads) — there is
 no trajectory-level simulation — so a finite run is an unbiased Monte
-Carlo estimate of the exact payoff.  The referee's signals, imperfect
-or not, come from the spec's ``signal_ensemble``, and an optional
-``channel`` models the transmission line.
+Carlo estimate of the exact payoff.  The referee, imperfect or not, and
+its line to Bob are the spec's: its ``delivered_signals`` are its
+``signal_ensemble`` after its optional ``channel``.
 
 Randomness and reproducibility
 ------------------------------
@@ -163,7 +163,6 @@ class RunConfig:
     rounds: int
     rng_seed: int
     shared_state: DensityOperator | None = None
-    channel: QuantumChannel | None = None
     keep_transcript: bool = True
 
     def __post_init__(self):
@@ -237,7 +236,7 @@ def run_game(config: RunConfig):
     """
     spec = config.spec
     n = config.rounds
-    table = outcome_table(spec, config.strategy, config.shared_state, config.channel)
+    table = outcome_table(spec, config.strategy, config.shared_state)
     # row k * n_var + v is the outcome CDF of condition k, list variant v
     n_var = table.shape[1]
     cdf_table = np.cumsum(table.reshape(-1, 4), axis=1)
@@ -369,10 +368,11 @@ def noisy_equivalence_check(channel: QuantumChannel, e_bc: Povm) -> EquivalenceR
     except ValueError as exc:
         return EquivalenceReport(False, float("nan"), False, f"invalid modified POVM: {exc}")
     states = _state_basis(e_bc.dim // channel.input_dim)[:, None]
-    spec = SteeringGameSpec.ideal()
+    noisy = SteeringGameSpec(channel=channel).delivered_signals
+    clean = SteeringGameSpec().delivered_signals
     # (signal, state, outcome): E behind the channel, E~ against the clean signals
-    lhs = _signal_traces(np.stack(e_bc.elements)[None], states, spec.delivered_signals(channel))
-    rhs = _signal_traces(np.stack(modified.elements)[None], states, spec.delivered_signals())
+    lhs = _signal_traces(np.stack(e_bc.elements)[None], states, noisy)
+    rhs = _signal_traces(np.stack(modified.elements)[None], states, clean)
     max_dev = float(np.max(np.abs(lhs - rhs)))
     tol = _EQUIVALENCE_TOL
     passed = max_dev <= tol
@@ -388,7 +388,7 @@ def _sig_key(sig) -> str:
 def config_to_json(config: RunConfig) -> dict:
     """Self-describing echo of a run config (matrices included)."""
     spec = config.spec
-    out = {
+    return {
         "rounds": config.rounds,
         "rng_seed": config.rng_seed,
         "communication": config.strategy.required_communication,
@@ -408,11 +408,8 @@ def config_to_json(config: RunConfig) -> dict:
             if config.shared_state is None
             else serialize.density_to_json(config.shared_state)
         ),
-        "channel": (
-            None if config.channel is None else serialize.channel_to_json(config.channel)
-        ),
+        "channel": None if spec.channel is None else serialize.channel_to_json(spec.channel),
     }
-    return out
 
 
 def write_transcript_csv(path, transcript: Transcript) -> None:

@@ -6,11 +6,11 @@ Each strategy class describes its behaviour once, through
     the strategy's whole outcome table: a ``(6, V, 4)`` array whose
     entry ``[k, v, o]`` is the probability of the pair
     ``games.OUTCOMES[o]`` in condition ``games.SIGNALS[k]`` and list
-    variant v.  ``signals`` is the ``(6, 2, 2)`` stack of delivered
-    signal states in ``games.SIGNALS`` order; condition k announces the
-    setting j of ``SIGNALS[k]`` to Alice, and no strategy reads the
-    referee's sign s.  A strategy without an answer list has V = 1; one
-    with a list has V = 2, for the list values +1 and -1.
+    variant v.  ``signals`` is a spec's ``delivered_signals``, the (6, 2, 2)
+    stack of signal states in ``games.SIGNALS`` order; condition k announces
+    the setting j of ``SIGNALS[k]`` to Alice, and no strategy reads the
+    referee's sign s.  A strategy without an answer list has V = 1; one with
+    a list has V = 2, for the list values +1 and -1.
 
 Each class also declares ``needs_shared_state``,
 ``required_communication`` and ``round_list``.
@@ -28,7 +28,7 @@ states of n equally sized hidden-state models; and
 tables against the collapse of Bob's side onto the signal qubit, paid
 through the payoff operator Z(alpha) of ``games._payoff_operators``
 whose largest eigenvalue lambda* bounds every hidden-state model in the
-cheat certificates, so it holds for any qubit signal ensemble.  A
+cheat certificates, so it holds for any referee a spec describes.  A
 single object's call is the n = 1 case of the same kernel, and every
 item of a stack gets the bits it gets on its own.
 
@@ -53,7 +53,6 @@ from .qcore import (
     _kron_pair,
     partial_trace,
     pauli,
-    signal_state,
     singlet_projector,
     tensor,
 )
@@ -67,10 +66,8 @@ ALICE_RULES_BA = {
 }
 
 
-#: The calibrated referee's six signal matrices (1/2)(1 + s sigma_j), in
-#: ``SIGNALS`` order, as one read-only (6, 2, 2) stack.
-_IDEAL_SIGNALS = np.stack([signal_state(j, s).matrix for (j, s) in SIGNALS])
-_IDEAL_SIGNALS.setflags(write=False)
+#: The calibrated referee's read-only (6, 2, 2) signal stack, in ``SIGNALS`` order.
+_IDEAL_SIGNALS = games.SteeringGameSpec().delivered_signals
 
 
 def _clean_distribution(table: np.ndarray) -> np.ndarray:
@@ -433,7 +430,7 @@ def _lhs_routes(spec: games.SteeringGameSpec, weights, states, responses, effect
     Both routes hold for any qubit signal ensemble, and each model rounds
     as it does alone; one model is the stack ``_as_stack(model)``.
     """
-    tables = _lhs_tables(weights, states, responses, effects, spec.delivered_signals())
+    tables = _lhs_tables(weights, states, responses, effects, spec.delivered_signals)
     e_ab, e_b = games._correlations(tables, np.ones(1))
     games._check_correlations(e_ab, e_b)
     direct = games._payoffs(e_ab, e_b, spec.penalty_coefficient)

@@ -102,7 +102,7 @@ def _estimator_grid(spec: SteeringGameSpec, grid_resolution: int):
     m_hat = np.eye(2, dtype=np.complex128)[None, :, :] + np.einsum(
         "ik,kab->iab", m, _PAULI
     )
-    c = np.einsum("iab,kba->ki", m_hat, spec.delivered_signals()).real
+    c = np.einsum("iab,kba->ki", m_hat, spec.delivered_signals).real
     mu_hi = 1.0 / (1.0 + np.linalg.norm(m, axis=1))
     cell = float(np.sqrt(4.0 * np.pi / n_dir) + (radii[1] - radii[0]))
     return m, c, mu_hi, mu_hi / res, cell

@@ -170,7 +170,7 @@ def test_criterion_08_channel_robustness():
         absorbed = HonestStrategy(
             honest.alice_povms, modified_povm(channel, honest.bob_joint_povm)
         )
-        noisy = qrs_payoff_exact(spec, honest, state, channel=channel)
+        noisy = qrs_payoff_exact(SteeringGameSpec(channel=channel), honest, state)
         clean = qrs_payoff_exact(spec, absorbed, state)
         max_gap = max(max_gap, abs(noisy - clean))
     ok = max_dev <= 1e-12 and max_gap <= 1e-10

@@ -4,6 +4,7 @@ artifact layout."""
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,8 @@ from qrgames.cli import (
 )
 from qrgames.games import SQRT3, SteeringGameSpec, qrs_payoff_exact, single_axis_ensemble
 from qrgames.serialize import density_to_json, strategy_to_json
-from qrgames.strategies import CommCheat, NoStateCheat, best_estimator
+from qrgames.qcore import Povm
+from qrgames.strategies import CommCheat, HonestStrategy, NoStateCheat, best_estimator
 
 from random_draws import random_lhs_strategy
 
@@ -251,6 +253,27 @@ def test_run_rejects_a_parameter_on_the_identity_channel(tmp_path, capsys, sourc
         cfg.write_text(json.dumps({"channel": channel}))
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "alice_dim, bob_dim, expected",
+    [(3, 4, "expected 3*2"), (2, 6, "expected 2*3")],
+    ids=["qutrit-alice", "six-dim-bob"],
+)
+def test_run_refuses_a_strategy_that_does_not_fit_the_werner_state(
+    tmp_path, capsys, alice_dim, bob_dim, expected
+):
+    # the two-qubit Werner state has dimension 4; these honest pairs need 6
+    proj = np.diag([1.0] + [0.0] * (alice_dim - 1))
+    alice = {j: Povm((proj, np.eye(alice_dim) - proj)) for j in (1, 2, 3)}
+    bob = Povm((np.eye(bob_dim) / 2, np.eye(bob_dim) / 2))
+    path = tmp_path / "honest.json"
+    path.write_text(json.dumps(strategy_to_json(HonestStrategy(alice, bob))))
+    argv = ["run", "--strategy", str(path), "--werner", "0.9", "--rounds", "100"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: shared state has dimension 4, {expected} for this strategy"]
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_run_config_file_with_flag_overrides(tmp_path):
@@ -760,8 +783,26 @@ def test_sweep_at_one_large_r_is_a_one_value_grid(tmp_path, r):
     with open(tmp_path / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(row["r"]) for row in rows] == [float(r)] * 5
+    assert all(math.isfinite(float(row["qrs_payoff"])) for row in rows)
     sidecar = json.loads((tmp_path / "sweep_config.json").read_text())
     assert (sidecar["r_stop"], sidecar["n_w"], sidecar["n_r"]) == (float(r), 5, 1)
+
+
+@pytest.mark.parametrize(
+    "r_axis, r_max",
+    [
+        (["--r-start", "1.05e308"], "1.05e+308"),
+        # the payoffs at r = 2e307 are finite, those at the last r are not
+        (["--r-start", "2e307", "--r-stop", "3e307", "--r-step", "1e307"], "3e+307"),
+    ],
+    ids=["one-r", "last-r"],
+)
+def test_sweep_refuses_r_whose_payoffs_overflow(tmp_path, capsys, r_axis, r_max):
+    # 12 (1 + r sqrt(3)/3) is no finite float there: the payoff column would read -inf
+    assert main(["sweep", *r_axis, "--w-step", "0.5", "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: payoffs overflow a float at r = {r_max}"]
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_schema_prints_machine_readable_json(capsys):

@@ -27,6 +27,7 @@ from qrgames.games import (
 )
 from qrgames.qcore import (
     DensityOperator,
+    QuantumChannel,
     mats_close,
     pauli,
     signal_state,
@@ -88,15 +89,50 @@ def test_delivered_signal_applies_channel():
     from qrgames.qcore import depolarizing_channel
 
     spec = SteeringGameSpec.ideal()
-    stack = spec.delivered_signals()
+    stack = spec.delivered_signals
     assert stack.shape == (6, 2, 2)
     for k, (j, s) in enumerate(SIGNALS):
         assert np.array_equal(stack[k], signal_state(j, s).matrix)
-    noisy = spec.delivered_signals(depolarizing_channel(1.0))
+    noisy = SteeringGameSpec(channel=depolarizing_channel(1.0)).delivered_signals
     assert mats_close(noisy, np.broadcast_to(np.eye(2) / 2, (6, 2, 2)), 1e-12)
     sloppy = SteeringGameSpec(signal_ensemble=single_axis_ensemble())
-    omega = sloppy.delivered_signals()[SIGNALS.index((3, 1))]
+    omega = sloppy.delivered_signals[SIGNALS.index((3, 1))]
     assert mats_close(omega, signal_state(1, 1).matrix, 1e-15)
+
+
+def test_delivered_signals_are_read_only():
+    from qrgames.qcore import depolarizing_channel
+
+    for spec in (SteeringGameSpec(), SteeringGameSpec(channel=depolarizing_channel(0.3))):
+        with pytest.raises(ValueError, match="read-only"):
+            spec.delivered_signals[0, 0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            spec.delivered_signals = np.zeros((6, 2, 2))
+
+
+def test_the_calibrated_signal_states_are_built_once():
+    ideal, sloppy = ideal_signal_ensemble(), single_axis_ensemble()
+    for j, s in SIGNALS:
+        assert ideal[(j, s)] is ideal_signal_ensemble()[(j, s)]
+        assert sloppy[(j, s)] is ideal[(1, s)]
+        assert np.array_equal(ideal[(j, s)].matrix, signal_state(j, s).matrix)
+    ideal.clear()  # each call returns its own dict
+    assert len(ideal_signal_ensemble()) == 6
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        "depolarizing",
+        # the identity on a qutrit, and an isometry from a qubit into a qutrit
+        QuantumChannel((np.eye(3),)),
+        QuantumChannel((np.eye(3, 2),)),
+    ],
+    ids=["not-a-channel", "qutrit", "qubit-to-qutrit"],
+)
+def test_a_channel_off_the_qubit_line_is_refused_when_the_spec_is_built(channel):
+    with pytest.raises(ValueError, match="signal channel must"):
+        SteeringGameSpec(channel=channel)
 
 
 def test_correlation_table_validation():
@@ -273,7 +309,7 @@ def test_per_round_expectation_matches_aggregate():
     spec = SteeringGameSpec.ideal(r=1.081)
     strategy = honest_strategy()
     state = werner_state(0.9)
-    table = strategy.outcome_distribution(spec.delivered_signals(), state)
+    table = strategy.outcome_distribution(spec.delivered_signals, state)
     assert table.shape == (6, 1, 4)
     total = 0.0
     for k, (j, s) in enumerate(SIGNALS):

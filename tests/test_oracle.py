@@ -38,7 +38,17 @@ from qrgames.oracle import (
 )
 from qrgames.cli import main
 from qrgames.games import qrs_payoff_exact
-from qrgames.qcore import BlochVector, DensityOperator, Povm, pauli, tensor, werner_state
+from qrgames.qcore import (
+    BlochVector,
+    DensityOperator,
+    Povm,
+    amplitude_damping_channel,
+    apply_channel,
+    depolarizing_channel,
+    pauli,
+    tensor,
+    werner_state,
+)
 from qrgames.strategies import (
     ALICE_RULES_BA,
     CommCheat,
@@ -719,3 +729,22 @@ def test_sweep_evaluates_each_werner_state_once(tmp_path, monkeypatch, r_stop):
     # one outcome table per W value, whatever the number of r values, all
     # from one call over the stack of W states
     assert calls == [5]
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [depolarizing_channel(0.3), amplitude_damping_channel(0.4)],
+    ids=["depolarizing", "amplitude_damping"],
+)
+def test_certificates_and_suite_honour_the_channel_on_the_spec(channel):
+    """A channel on the spec is the referee sending the states it delivers."""
+    received = {sig: apply_channel(channel, st) for sig, st in ideal_signal_ensemble().items()}
+    for r, bound in ((1.0, SQRT3), (1.3, 1.5)):
+        line = SteeringGameSpec(r=r, payoff_bound=bound, channel=channel)
+        sent = SteeringGameSpec(signal_ensemble=received, r=r, payoff_bound=bound)
+        assert np.array_equal(line.delivered_signals, sent.delivered_signals)
+        assert cheat_certificates(line) == cheat_certificates(sent)
+        assert random_lhs_suite(6, 2, line).to_json() == random_lhs_suite(6, 2, sent).to_json()
+    # the line changes the game: depolarized or damped signals move lambda*
+    clean = SteeringGameSpec(r=1.3, payoff_bound=1.5)
+    assert cheat_certificates(line) != cheat_certificates(clean)

@@ -118,7 +118,7 @@ def test_word_rule_replay(style, bound):
 
     words = _stream_words(seed, 2 * n)
     round_list = strategy.round_list
-    table = strategy.outcome_distribution(spec.delivered_signals(), state)
+    table = strategy.outcome_distribution(spec.delivered_signals, state)
     for i in range(n):
         u_js = _word_to_uniform(words[2 * i])
         u_out = _word_to_uniform(words[2 * i + 1])
@@ -526,8 +526,7 @@ def test_channel_run_equals_modified_povm_run():
     )
     shared = werner_state(0.92)
     noisy_cfg = RunConfig(
-        SteeringGameSpec.ideal(), honest, 20_000, 7,
-        shared_state=shared, channel=channel,
+        SteeringGameSpec(channel=channel), honest, 20_000, 7, shared_state=shared
     )
     clean_cfg = RunConfig(
         SteeringGameSpec.ideal(), absorbed, 20_000, 7, shared_state=shared

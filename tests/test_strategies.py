@@ -57,8 +57,8 @@ from random_draws import (
 M_STAR = np.full(3, 1.0 / SQRT3)
 
 #: The delivered signal stacks of the calibrated and the single-axis referee.
-IDEAL_SIGNALS = SteeringGameSpec.ideal().delivered_signals()
-SINGLE_AXIS_SIGNALS = SteeringGameSpec(signal_ensemble=single_axis_ensemble()).delivered_signals()
+IDEAL_SIGNALS = SteeringGameSpec.ideal().delivered_signals
+SINGLE_AXIS_SIGNALS = SteeringGameSpec(signal_ensemble=single_axis_ensemble()).delivered_signals
 
 
 def _random_lhs(rng, dim, n_lambda):
@@ -486,7 +486,7 @@ def test_comm_cheat_validation():
 
 def test_comm_cheat_expectations_consistent(ideal_spec):
     cheat = CommCheat("bob_to_alice", best_estimator(), (1, -1), "negate_estimate")
-    dists = cheat.outcome_distribution(ideal_spec.delivered_signals())
+    dists = cheat.outcome_distribution(ideal_spec.delivered_signals)
     table = correlation_table(ideal_spec, cheat)
     for k, (j, s) in enumerate(SIGNALS):
         dist = dists[k, 0]
@@ -591,14 +591,12 @@ def test_comm_cheat_table_matches_the_closed_form(spec_name):
             assert abs(table.e_b[(j, s)] - e_b) < 1e-12
 
 
-_IDEAL = SteeringGameSpec.ideal()
-
-#: The specs and channels the outcome tables are pinned under.
+#: The specs the outcome tables are pinned under, two with a channel on the line.
 _TABLE_GAMES = {
-    "ideal": (_IDEAL, None),
-    "single_axis": (SteeringGameSpec(signal_ensemble=single_axis_ensemble(), r=1.3), None),
-    "depolarizing": (_IDEAL, depolarizing_channel(0.3)),
-    "amplitude_damping": (_IDEAL, amplitude_damping_channel(0.4)),
+    "ideal": SteeringGameSpec.ideal(),
+    "single_axis": SteeringGameSpec(signal_ensemble=single_axis_ensemble(), r=1.3),
+    "depolarizing": SteeringGameSpec(channel=depolarizing_channel(0.3)),
+    "amplitude_damping": SteeringGameSpec(channel=amplitude_damping_channel(0.4)),
 }
 
 #: sha256 over the bytes of every table of _pinned_table_cases, in order,
@@ -629,8 +627,8 @@ def _pinned_table_cases():
 
 @pytest.mark.parametrize("game", sorted(_TABLE_GAMES))
 def test_outcome_tables_are_pinned(game):
-    spec, channel = _TABLE_GAMES[game]
+    spec = _TABLE_GAMES[game]
     digest = hashlib.sha256()
     for strategy, state in _pinned_table_cases():
-        digest.update(outcome_table(spec, strategy, state, channel).tobytes())
+        digest.update(outcome_table(spec, strategy, state).tobytes())
     assert digest.hexdigest() == _PINNED_TABLES[game]
