@@ -4,9 +4,9 @@ A referee announces a measurement axis to Alice and sends Bob a qubit
 that encodes a sign along that axis; the pair tries to certify their
 shared entangled state through the referee's payoff.  This package
 evaluates strategies exactly (honest partial-Bell measurements,
-no-state cheats, hidden-state models, one-way-communication cheats),
-simulates rounds reproducibly, and verifies that no cheat wins an
-honestly calibrated game.
+hidden-state models, and one class for the classical cheats, silent or
+with one-way communication), simulates rounds reproducibly, and verifies
+that no cheat wins an honestly calibrated game.
 """
 
 import os
@@ -66,10 +66,9 @@ from .simulator import (
     write_transcript_csv,
 )
 from .strategies import (
-    CommCheat,
+    ClassicalCheat,
     HonestStrategy,
     LhsStrategy,
-    NoStateCheat,
     best_estimator,
     honest_strategy,
     partial_bell_povm,
@@ -83,12 +82,11 @@ __all__ = [
     "SQRT2",
     "SQRT3",
     "BlochVector",
-    "CommCheat",
+    "ClassicalCheat",
     "CorrelationTable",
     "DensityOperator",
     "HonestStrategy",
     "LhsStrategy",
-    "NoStateCheat",
     "PayoffEstimate",
     "Povm",
     "QuantumChannel",

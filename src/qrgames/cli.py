@@ -40,8 +40,7 @@ from .qcore import (
     werner_state,
 )
 from .strategies import (
-    CommCheat,
-    NoStateCheat,
+    ClassicalCheat,
     best_estimator,
     honest_strategy,
     partial_bell_povm,
@@ -145,7 +144,13 @@ CONFIG_SCHEMAS = {
     "sweep": SWEEP_CONFIG_SCHEMA,
 }
 
-_STRATEGY_NAMES = ("honest", "cheat-nostate", "cheat-comm-ab", "cheat-comm-ba")
+#: The strategies ``run --strategy`` builds by name.
+_BUILT_IN_STRATEGIES = {
+    "honest": honest_strategy,
+    "cheat-nostate": lambda: ClassicalCheat(best_estimator()),
+    "cheat-comm-ab": lambda: ClassicalCheat(direction="alice_to_bob"),
+    "cheat-comm-ba": lambda: ClassicalCheat(best_estimator(), "bob_to_alice"),
+}
 
 #: Largest (W, r) grid ``sweep`` accepts, in rows of sweep.csv; also the
 #: largest Werner grid ``verify`` scans.
@@ -207,18 +212,12 @@ def _resolve_strategy(value):
     """A built-in name, a path to a strategy JSON file, or an inline document."""
     if not isinstance(value, dict):
         name = str(value)
-        if name == "honest":
-            return honest_strategy()
-        if name == "cheat-nostate":
-            return NoStateCheat(best_estimator(), "constant")
-        if name == "cheat-comm-ab":
-            return CommCheat("alice_to_bob")
-        if name == "cheat-comm-ba":
-            return CommCheat("bob_to_alice", best_estimator())
+        if name in _BUILT_IN_STRATEGIES:
+            return _BUILT_IN_STRATEGIES[name]()
         path = Path(name)
         if not (path.suffix == ".json" or path.exists()):
             raise _ConfigError(
-                f"unknown strategy {name!r}; use one of {', '.join(_STRATEGY_NAMES)} "
+                f"unknown strategy {name!r}; use one of {', '.join(_BUILT_IN_STRATEGIES)} "
                 "or a path to a strategy JSON file"
             )
         value = _read_json(path, "strategy file")
@@ -277,10 +276,9 @@ def cmd_run(args) -> int:
             shared_state=shared,
             keep_transcript=settings["keep_transcript"],
         )
-        # the outcome table, built first, refuses a strategy that does not fit the state
-        estimate, transcript = simulator.run_game(run_config)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
+    estimate, transcript = simulator.run_game(run_config)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -514,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="JSON config file (flags override it)")
     run.add_argument(
         "--strategy",
-        help="honest | cheat-nostate | cheat-comm-ab | cheat-comm-ba | strategy JSON file",
+        help=" | ".join([*_BUILT_IN_STRATEGIES, "strategy JSON file"]),
     )
     _add_schema_flags(run, RUN_CONFIG_SCHEMA)
     run.add_argument(

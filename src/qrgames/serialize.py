@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .qcore import BlochVector, DensityOperator, Povm, QuantumChannel
-from .strategies import CommCheat, HonestStrategy, LhsStrategy, NoStateCheat
+from .strategies import _ALICE_ANSWERS, ClassicalCheat, HonestStrategy, LhsStrategy
 
 
 def matrix_to_json(matrix) -> dict:
@@ -64,17 +64,6 @@ def strategy_to_json(strategy) -> dict:
             "alice_povms": {str(j): povm_to_json(strategy.alice_povms[j]) for j in (1, 2, 3)},
             "bob_joint_povm": povm_to_json(strategy.bob_joint_povm),
         }
-    if isinstance(strategy, NoStateCheat):
-        rule = (
-            "constant"
-            if strategy.alice_rule == "constant"
-            else {"list": list(strategy.alice_rule)}
-        )
-        return {
-            "type": "no_state_cheat",
-            "estimator": bloch_to_json(strategy.estimator),
-            "alice_rule": rule,
-        }
     if isinstance(strategy, LhsStrategy):
         return {
             "type": "lhs",
@@ -83,7 +72,14 @@ def strategy_to_json(strategy) -> dict:
             "alice_responses": strategy.alice_responses.tolist(),
             "bob_joint_povm": povm_to_json(strategy.bob_joint_povm),
         }
-    if isinstance(strategy, CommCheat):
+    if isinstance(strategy, ClassicalCheat):
+        if strategy.direction is None:
+            answers = strategy.answer_list
+            return {
+                "type": "no_state_cheat",
+                "estimator": bloch_to_json(strategy.estimator),
+                "alice_rule": "constant" if answers is None else {"list": list(answers)},
+            }
         out = {
             "type": "comm_cheat",
             "direction": strategy.direction,
@@ -105,9 +101,8 @@ def strategy_from_json(obj) -> object:
         )
     if kind == "no_state_cheat":
         rule = obj.get("alice_rule", "constant")
-        if isinstance(rule, dict):
-            rule = tuple(rule["list"])
-        return NoStateCheat(estimator=bloch_from_json(obj["estimator"]), alice_rule=rule)
+        answers = rule["list"] if isinstance(rule, dict) else None if rule == "constant" else rule
+        return ClassicalCheat(bloch_from_json(obj["estimator"]), answer_list=answers)
     if kind == "lhs":
         return LhsStrategy(
             weights=np.asarray(obj["weights"], dtype=np.float64),
@@ -117,9 +112,11 @@ def strategy_from_json(obj) -> object:
         )
     if kind == "comm_cheat":
         est = obj.get("estimator")
-        return CommCheat(
-            direction=obj["direction"],
+        if obj["direction"] is None:  # no direction is what no_state_cheat documents hold
+            raise ValueError("unknown communication direction None")
+        return ClassicalCheat(
             estimator=None if est is None else bloch_from_json(est),
+            direction=obj["direction"],
             bob_outputs_one_when=tuple(obj.get("bob_outputs_one_when", (1,))),
             alice_rule=obj.get("alice_rule", "follow_estimate"),
         )
@@ -244,14 +241,7 @@ STRATEGY_SCHEMA = {
                     "items": {"enum": [1, -1]},
                     "maxItems": 2,
                 },
-                "alice_rule": {
-                    "enum": [
-                        "follow_estimate",
-                        "negate_estimate",
-                        "constant_plus",
-                        "constant_minus",
-                    ]
-                },
+                "alice_rule": {"enum": list(_ALICE_ANSWERS)},
             },
             "required": ["type", "direction"],
             "additionalProperties": False,

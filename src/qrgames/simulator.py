@@ -45,18 +45,18 @@ completely, and evaluates both orders with the Born-rule kernel of
 
 Communication discipline
 ------------------------
-A run opens the one-way channel its strategy declares
-(``required_communication``, echoed in the config) and no other.
-Strategies are never passed the referee's sign s: Alice's reply can
-depend only on her setting j and — for a Bob-to-Alice cheat — on Bob's
-transmitted message, and Bob's only on the signal state he receives.
+A run opens the one-way channel its strategy declares (a ClassicalCheat's
+``direction`` as ``required_communication``, echoed in the config) and no
+other.  No strategy is passed the referee's sign s: Alice's reply can depend
+only on her setting j, a preagreed list and a guess Bob sends, and Bob's
+only on the signal state he receives and a setting Alice sends.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -156,7 +156,9 @@ class _Sampler:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Everything a simulation run depends on."""
+    """Everything a simulation run depends on, and the outcome table it
+    samples, built once into the read-only ``table``: a strategy that does
+    not fit its shared state is refused here, not in :func:`run_game`."""
 
     spec: SteeringGameSpec
     strategy: object
@@ -164,6 +166,7 @@ class RunConfig:
     rng_seed: int
     shared_state: DensityOperator | None = None
     keep_transcript: bool = True
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.spec, SteeringGameSpec):
@@ -180,13 +183,14 @@ class RunConfig:
         seed = int(self.rng_seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError("rng_seed must be a 64-bit unsigned integer")
-        if self.strategy.needs_shared_state:
-            if self.shared_state is None:
-                raise ValueError("this strategy requires a shared state")
-        elif self.shared_state is not None:
+        if not self.strategy.needs_shared_state and self.shared_state is not None:
             raise ValueError("this strategy does not consume a shared state")
+        # refuses a missing state, or one that does not fit the strategy
+        table = outcome_table(self.spec, self.strategy, self.shared_state)
+        table.setflags(write=False)
         object.__setattr__(self, "rounds", rounds)
         object.__setattr__(self, "rng_seed", seed)
+        object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,10 +240,9 @@ def run_game(config: RunConfig):
     """
     spec = config.spec
     n = config.rounds
-    table = outcome_table(spec, config.strategy, config.shared_state)
     # row k * n_var + v is the outcome CDF of condition k, list variant v
-    n_var = table.shape[1]
-    cdf_table = np.cumsum(table.reshape(-1, 4), axis=1)
+    n_var = config.table.shape[1]
+    cdf_table = np.cumsum(config.table.reshape(-1, 4), axis=1)
     n_codes = 4 * len(cdf_table)
     sampler = _Sampler(cdf_table, n_var)
 
@@ -363,12 +366,15 @@ def noisy_equivalence_check(channel: QuantumChannel, e_bc: Povm) -> EquivalenceR
     identity holds on all of them exactly when it holds on these.
     Never raises on failure; inspect the report.
     """
+    modified = None
     try:
         modified = modified_povm(channel, e_bc)
+        noisy = SteeringGameSpec(channel=channel).delivered_signals
     except ValueError as exc:
-        return EquivalenceReport(False, float("nan"), False, f"invalid modified POVM: {exc}")
+        valid = modified is not None
+        stage = "signal channel" if valid else "modified POVM"
+        return EquivalenceReport(False, float("nan"), valid, f"invalid {stage}: {exc}")
     states = _state_basis(e_bc.dim // channel.input_dim)[:, None]
-    noisy = SteeringGameSpec(channel=channel).delivered_signals
     clean = SteeringGameSpec().delivered_signals
     # (signal, state, outcome): E behind the channel, E~ against the clean signals
     lhs = _signal_traces(np.stack(e_bc.elements)[None], states, noisy)

@@ -1,4 +1,5 @@
-"""Everything Alice and Bob can do: honest play, cheats, hidden-state models.
+"""Everything Alice and Bob can do: honest play, hidden-state models and
+:class:`ClassicalCheat`, the one class of every cheat without a shared state.
 
 Each strategy class describes its behaviour once, through
 
@@ -56,15 +57,6 @@ from .qcore import (
     singlet_projector,
     tensor,
 )
-
-#: Alice's answer a to each guess Bob transmits, per Bob-to-Alice rule.
-ALICE_RULES_BA = {
-    "follow_estimate": {1: 1, -1: -1},
-    "negate_estimate": {1: -1, -1: 1},
-    "constant_plus": {1: 1, -1: 1},
-    "constant_minus": {1: -1, -1: -1},
-}
-
 
 #: The calibrated referee's read-only (6, 2, 2) signal stack, in ``SIGNALS`` order.
 _IDEAL_SIGNALS = games.SteeringGameSpec().delivered_signals
@@ -252,50 +244,92 @@ def honest_strategy() -> HonestStrategy:
     return HonestStrategy(alice_povms=alice, bob_joint_povm=partial_bell_povm())
 
 
-@dataclass(frozen=True, eq=False)
-class NoStateCheat:
-    """Cheat without any shared state.
+#: Alice's answers to Bob's guesses +1 and -1 per rule; the keys, in this order,
+#: are the ``alice_rule`` names that ``serialize.STRATEGY_SCHEMA`` publishes.
+_ALICE_ANSWERS = {"follow_estimate": (1, -1), "negate_estimate": (-1, 1),
+                  "constant_plus": (1, 1), "constant_minus": (-1, -1)}
 
-    Bob guesses the referee's sign s with the two-outcome estimator
-    M_plus = mu (1 + m . sigma), M_minus = 1 - M_plus, and returns b = 1
-    exactly when his guess matches Alice's answer.  Alice answers +1
-    every round (``alice_rule="constant"``) or follows a preagreed
-    +-1 list (``alice_rule=(1, -1, ...)``), which changes nothing at
-    mu = 1/2.  No estimator wins: the payoff tops out at exactly zero,
-    at m = (1,1,1)/sqrt(3).
+
+@dataclass(frozen=True, eq=False)
+class ClassicalCheat:
+    """Cheat without a shared state: Bob guesses s, replies b, Alice answers a.
+
+    ``direction`` is the one-way message they send.  ``None``: none; Bob
+    guesses with the Bloch ``estimator`` M_plus = mu (1 + m . sigma), Alice
+    answers +1 or each round's value of a preagreed +-1 ``answer_list``, and
+    Bob replies b = 1 when his guess matches her answer.  No estimator wins:
+    the payoff tops out at exactly zero, at m = (1,1,1)/sqrt(3).
+    ``"alice_to_bob"``: Alice sends j and answers +1; Bob measures sigma_j
+    and replies b = 1 on guess +1, scoring 2(3 - r sqrt(3)) against a
+    calibrated referee.  ``"bob_to_alice"``: Bob sends his guess, replies
+    b = 1 on the guesses in ``bob_outputs_one_when``, and Alice answers by
+    ``alice_rule``: she follows or negates the guess (``follow_estimate``,
+    ``negate_estimate``) or ignores it (``constant_plus``,
+    ``constant_minus``); nothing scores above zero.  Without Bob's message
+    those two fields keep their defaults.
+
+    One play gives every table: in a round whose list value is v (+1 without
+    a list) Bob's guess g is read as g' = v g and Alice answers v times her
+    answer to g'.  g' = +1 has probability p_plus = Tr[M_plus omega] for
+    v = +1 and 1 - p_plus for v = -1, and g' = -1 has 1 minus that.
     """
 
-    estimator: BlochVector
-    alice_rule: object = "constant"
+    estimator: BlochVector | None = None
+    direction: str | None = None
+    bob_outputs_one_when: tuple = (1,)
+    alice_rule: str = "follow_estimate"
+    answer_list: tuple | None = None
 
     needs_shared_state = False
-    required_communication = None
 
     def __post_init__(self):
-        if not isinstance(self.estimator, BlochVector):
+        direction, rule, answers = self.direction, self.alice_rule, self.answer_list
+        if direction not in (None, "alice_to_bob", "bob_to_alice"):
+            raise ValueError(f"unknown communication direction {direction!r}")
+        ones = tuple(sorted(set(int(v) for v in self.bob_outputs_one_when), reverse=True))
+        if any(v not in (1, -1) for v in ones):
+            raise ValueError("bob_outputs_one_when must list values from {+1, -1}")
+        if rule not in _ALICE_ANSWERS:
+            raise ValueError(f"unknown alice_rule {rule!r}")
+        if direction != "bob_to_alice" and (ones, rule) != ((1,), "follow_estimate"):
+            raise ValueError(f"direction {direction!r} sends no guess for the two rules to read")
+        if answers is not None:
+            answers = tuple(int(v) for v in answers)
+            if direction is not None or not answers or any(v not in (1, -1) for v in answers):
+                raise ValueError("answer list must be a nonempty +-1 sequence, without a message")
+        if direction == "alice_to_bob":
+            if self.estimator is not None:
+                raise ValueError("an alice_to_bob cheat measures sigma_j and takes no estimator")
+            # Bob measures sigma_j: (1/2)(1 + sigma_j) is the s = +1 signal of setting j
+            plus = np.repeat(_IDEAL_SIGNALS[::2], 2, axis=0)
+        elif isinstance(self.estimator, BlochVector):
+            plus = self.estimator.povm_pair()[0]  # raises if either element is not PSD
+        else:
             raise ValueError("estimator must be a BlochVector")
-        povm = self.estimator.povm_pair()  # raises if either element is not PSD
-        rule = self.alice_rule
-        if rule != "constant":
-            rule = tuple(int(v) for v in rule)
-            if not rule or any(v not in (1, -1) for v in rule):
-                raise ValueError("answer list must be a nonempty sequence of +-1")
-        object.__setattr__(self, "alice_rule", rule)
-        object.__setattr__(self, "_m_plus", povm[0])
+        # without Bob's guess Alice answers +1 (times the list value) to either g'
+        answer = _ALICE_ANSWERS[rule if direction == "bob_to_alice" else "constant_plus"]
+        object.__setattr__(self, "bob_outputs_one_when", ones)
+        object.__setattr__(self, "answer_list", answers)
+        object.__setattr__(self, "_m_plus", plus)
+        object.__setattr__(self, "_plays", tuple(zip(answer, (int(1 in ones), int(-1 in ones)))))
 
     @property
-    def round_list(self):
-        return None if self.alice_rule == "constant" else self.alice_rule
+    def required_communication(self) -> str | None:
+        return self.direction
+
+    @property
+    def round_list(self) -> tuple | None:
+        return self.answer_list
 
     def outcome_distribution(self, signals, shared_state=None):
         p_plus = np.trace(self._m_plus @ signals, axis1=1, axis2=2).real
-        p_minus = 1.0 - p_plus
-        zero = np.zeros_like(p_plus)
-        # b = 1 exactly when Bob's guess matches Alice's answer, in OUTCOMES order
-        variants = [(p_minus, p_plus, zero, zero)]  # a = +1
-        if self.round_list is not None:
-            variants.append((zero, zero, 1.0 - p_minus, p_minus))  # a = -1
-        table = np.stack([np.stack(v, axis=-1) for v in variants], axis=1)
+        values = (1,) if self.answer_list is None else (1, -1)
+        table = np.zeros((len(SIGNALS), len(values), len(OUTCOMES)))
+        for i, v in enumerate(values):
+            p = p_plus if v == 1 else 1.0 - p_plus
+            # Alice's answer and Bob's reply to the guesses g' = +1, -1
+            for (a, b), q in zip(self._plays, (p, 1.0 - p)):
+                table[:, i, OUTCOMES.index((v * a, b))] += q
         return _clean_distribution(table)
 
 
@@ -440,67 +474,6 @@ def _lhs_routes(spec: games.SteeringGameSpec, weights, states, responses, effect
     z = games._payoff_operators(spec, responses)
     terms = np.trace(x_ops @ z, axis1=-2, axis2=-1).real
     return direct, 2.0 * (weights * terms).sum(axis=-1)
-
-
-@dataclass(frozen=True, eq=False)
-class CommCheat:
-    """Cheat with one-way classical communication and no shared state.
-
-    ``alice_to_bob``: Alice forwards the announced setting j; Bob then
-    measures sigma_j on the signal, learns s exactly against a
-    calibrated referee, and the pair scores 2(3 - r*sqrt(3)) — one-way
-    communication in this direction breaks the game.
-
-    ``bob_to_alice``: Bob estimates s with a Bloch estimator, sends his
-    guess (and his reply b) to Alice, who answers as a function of the
-    message alone.  ``bob_outputs_one_when`` lists the guesses for
-    which Bob replies b=1; ``alice_rule`` names one of the maps in
-    ``ALICE_RULES_BA``.  No choice of estimator and post-processing
-    scores above zero.
-    """
-
-    direction: str
-    estimator: BlochVector | None = None
-    bob_outputs_one_when: tuple = (1,)
-    alice_rule: str = "follow_estimate"
-
-    needs_shared_state = False
-    round_list = None
-
-    def __post_init__(self):
-        if self.direction not in ("alice_to_bob", "bob_to_alice"):
-            raise ValueError(f"unknown communication direction {self.direction!r}")
-        ones = tuple(sorted(set(int(v) for v in self.bob_outputs_one_when), reverse=True))
-        if any(v not in (1, -1) for v in ones):
-            raise ValueError("bob_outputs_one_when must list values from {+1, -1}")
-        if self.direction == "bob_to_alice":
-            if not isinstance(self.estimator, BlochVector):
-                raise ValueError("bob_to_alice cheat requires a Bloch estimator")
-            plus = self.estimator.povm_pair()[0]  # raises if either element is not PSD
-            if self.alice_rule not in ALICE_RULES_BA:
-                raise ValueError(f"unknown alice_rule {self.alice_rule!r}")
-        else:
-            # Bob knows j and measures sigma_j projectively: (1/2)(1 + sigma_j),
-            # the s = +1 signal of each condition's setting
-            plus = np.repeat(_IDEAL_SIGNALS[::2], 2, axis=0)
-        object.__setattr__(self, "bob_outputs_one_when", ones)
-        object.__setattr__(self, "_m_plus", plus)
-
-    @property
-    def required_communication(self) -> str:
-        return self.direction
-
-    def outcome_distribution(self, signals, shared_state=None):
-        p_plus = np.trace(self._m_plus @ signals, axis1=1, axis2=2).real
-        table = np.zeros((len(SIGNALS), 1, len(OUTCOMES)))
-        for guess, p in ((1, p_plus), (-1, 1.0 - p_plus)):
-            if self.direction == "alice_to_bob":
-                a, b = 1, (1 if guess == 1 else 0)
-            else:
-                b = 1 if guess in self.bob_outputs_one_when else 0
-                a = ALICE_RULES_BA[self.alice_rule][guess]
-            table[:, 0, OUTCOMES.index((a, b))] += p
-        return _clean_distribution(table)
 
 
 def best_estimator() -> BlochVector:

@@ -17,7 +17,9 @@ import numpy as np
 
 from qrgames.games import SIGNALS, SteeringGameSpec, qrs_payoff_exact
 from qrgames.qcore import _PAULI, BlochVector
-from qrgames.strategies import ALICE_RULES_BA, NoStateCheat
+from qrgames.strategies import ClassicalCheat
+
+from reference_cheats import ALICE_RULES
 
 
 @dataclass(frozen=True)
@@ -149,14 +151,14 @@ def grid_max_cheat(spec: SteeringGameSpec, grid_resolution: int) -> GridCheatRes
     grid = _estimator_grid(spec, grid_resolution)
     m, c, _, _, cell = grid
     max_payoff, argmax = _best_rule_point(
-        spec, grid, (1,), ALICE_RULES_BA["constant_plus"]
+        spec, grid, (1,), ALICE_RULES["constant_plus"]
     )
     tp = _SETTING_WEIGHTS @ c[_PLUS_ROWS]
     fp = _SETTING_WEIGHTS @ c[_MINUS_ROWS]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(fp > 0.0, tp / np.where(fp > 0.0, fp, 1.0), np.inf)
 
-    exact = qrs_payoff_exact(spec, NoStateCheat(argmax, "constant"))
+    exact = qrs_payoff_exact(spec, ClassicalCheat(argmax))
     if abs(exact - max_payoff) > 1e-10 * max(1.0, abs(exact)):
         raise RuntimeError(
             "grid payoff disagrees with exact cheat evaluation at the argmax: "
@@ -193,9 +195,9 @@ def grid_max_comm_ba(spec: SteeringGameSpec, grid_resolution: int) -> CommBaGrid
     transmitted guess to a; both are enumerated exactly while the
     estimator sweeps the same grid as :func:`grid_max_cheat`.
     """
-    pairs = [(bob, name) for bob in _BA_BOB_RULES for name in ALICE_RULES_BA]
+    pairs = [(bob, name) for bob in _BA_BOB_RULES for name in ALICE_RULES]
     grid = _estimator_grid(spec, grid_resolution)
-    best = [_best_rule_point(spec, grid, bob, ALICE_RULES_BA[name]) for bob, name in pairs]
+    best = [_best_rule_point(spec, grid, bob, ALICE_RULES[name]) for bob, name in pairs]
     # max() keeps the first of equal payoffs, in enumeration order
     i = max(range(len(pairs)), key=lambda i: best[i][0])
     return CommBaGridResult(*best[i], *pairs[i], n_points=len(grid[0]))

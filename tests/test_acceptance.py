@@ -31,9 +31,8 @@ from qrgames.qcore import (
 )
 from qrgames.simulator import RunConfig, modified_povm, noisy_equivalence_check, run_game
 from qrgames.strategies import (
-    CommCheat,
+    ClassicalCheat,
     HonestStrategy,
-    NoStateCheat,
     best_estimator,
     honest_strategy,
 )
@@ -144,7 +143,7 @@ def test_criterion_06_hierarchy_thresholds():
 
 def test_criterion_07_classical_referee_cheat():
     classical = classical_witness_payoff(1.0, 1.0)
-    cheat = NoStateCheat(best_estimator(), (1, -1, -1, 1))
+    cheat = ClassicalCheat(best_estimator(), answer_list=(1, -1, -1, 1))
     quantum = qrs_payoff_exact(SteeringGameSpec.ideal(), cheat)
     ok = classical == 1.0 and quantum <= 1e-9
     _report(7, ok, f"identical-list classical payoff {classical} (exact +1), same "
@@ -180,7 +179,7 @@ def test_criterion_08_channel_robustness():
 
 def test_criterion_09_one_way_communication():
     spec = SteeringGameSpec.ideal()
-    ab = qrs_payoff_exact(spec, CommCheat("alice_to_bob"))
+    ab = qrs_payoff_exact(spec, ClassicalCheat(direction="alice_to_bob"))
     ba = grid_max_comm_ba(spec, 50)
     cert = 4 * max(cheat_certificates(spec).lambda_max, 0.0)
     ok = abs(ab - 2 * (3 - SQRT3)) <= 1e-12 and ba.max_payoff <= 1e-9 and cert <= 1e-9
@@ -190,7 +189,7 @@ def test_criterion_09_one_way_communication():
 
 def test_criterion_10_imperfect_preparation():
     adversarial = SteeringGameSpec(signal_ensemble=single_axis_ensemble(), r=1.0)
-    axis_cheat = NoStateCheat(BlochVector(np.array([1.0, 0.0, 0.0]), 0.5), "constant")
+    axis_cheat = ClassicalCheat(BlochVector(np.array([1.0, 0.0, 0.0]), 0.5))
     win = qrs_payoff_exact(adversarial, axis_cheat)
     cheat_ok = abs(win - 2 * (3 - SQRT3)) <= 1e-10
 

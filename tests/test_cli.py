@@ -25,7 +25,7 @@ from qrgames.cli import (
 from qrgames.games import SQRT3, SteeringGameSpec, qrs_payoff_exact, single_axis_ensemble
 from qrgames.serialize import density_to_json, strategy_to_json
 from qrgames.qcore import Povm
-from qrgames.strategies import CommCheat, HonestStrategy, NoStateCheat, best_estimator
+from qrgames.strategies import ClassicalCheat, HonestStrategy, best_estimator
 
 from random_draws import random_lhs_strategy
 
@@ -152,7 +152,7 @@ def test_run_accepts_a_large_penalty_with_a_finite_variance(tmp_path):
 
 
 def test_run_accepts_a_strategy_file(tmp_path):
-    blob = strategy_to_json(NoStateCheat(best_estimator(), "constant"))
+    blob = strategy_to_json(ClassicalCheat(best_estimator()))
     path = tmp_path / "cheat.json"
     path.write_text(json.dumps(blob))
     code = main([
@@ -674,7 +674,7 @@ def test_verify_applies_the_payoff_tolerance_to_the_bound_on_every_cheat(tmp_pat
     assert not cert["passed"]
     assert cert["no_state"]["max_payoff"] <= 1e-9 < 4 * cert["lambda_max"]
     spec = SteeringGameSpec.ideal(payoff_bound=bound)
-    comm = CommCheat("bob_to_alice", best_estimator(), (1, -1), "follow_estimate")
+    comm = ClassicalCheat(best_estimator(), "bob_to_alice", (1, -1), "follow_estimate")
     assert qrs_payoff_exact(spec, comm) > 1e-9
 
 

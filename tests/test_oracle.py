@@ -50,10 +50,8 @@ from qrgames.qcore import (
     werner_state,
 )
 from qrgames.strategies import (
-    ALICE_RULES_BA,
-    CommCheat,
+    ClassicalCheat,
     HonestStrategy,
-    NoStateCheat,
     _as_stack,
     _lhs_routes,
     best_estimator,
@@ -68,6 +66,7 @@ from cheat_grids import (
     grid_max_comm_ba,
 )
 from random_draws import random_lhs_strategy, random_povm, random_signal_ensemble
+from reference_cheats import ALICE_RULES
 
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
 
@@ -210,8 +209,8 @@ def test_cheat_certificates_are_reached_by_a_cheat(name, estimator):
     """A winning bound is the exact payoff of a cheat that reaches it."""
     spec = _CERT_SPECS[name]
     cert = cheat_certificates(spec)
-    no_state = qrs_payoff_exact(spec, NoStateCheat(estimator, "constant"))
-    comm = CommCheat("bob_to_alice", estimator, (1, -1), "follow_estimate")
+    no_state = qrs_payoff_exact(spec, ClassicalCheat(estimator))
+    comm = ClassicalCheat(estimator, "bob_to_alice", (1, -1), "follow_estimate")
     assert abs(qrs_payoff_exact(spec, comm) - _cheat_bound(cert)) <= 1e-12
     assert abs(no_state - cert.no_state) <= 1e-12
 
@@ -225,11 +224,12 @@ def test_cheat_certificates_bound_random_cheats(name, rng):
         m = rng.normal(size=3)
         m *= rng.uniform() / np.linalg.norm(m)
         estimator = BlochVector(m, rng.uniform(0.0, 1.0 / (1.0 + np.linalg.norm(m))))
-        for rule in ("constant", (1, -1, -1)):
-            assert qrs_payoff_exact(spec, NoStateCheat(estimator, rule)) <= cert.no_state + tol
+        for answers in (None, (1, -1, -1)):
+            cheat = ClassicalCheat(estimator, answer_list=answers)
+            assert qrs_payoff_exact(spec, cheat) <= cert.no_state + tol
         for bob_rule in _BA_BOB_RULES:
-            for alice_rule in ALICE_RULES_BA:
-                comm = CommCheat("bob_to_alice", estimator, bob_rule, alice_rule)
+            for alice_rule in ALICE_RULES:
+                comm = ClassicalCheat(estimator, "bob_to_alice", bob_rule, alice_rule)
                 assert qrs_payoff_exact(spec, comm) <= _cheat_bound(cert) + tol
 
 

@@ -19,9 +19,8 @@ from qrgames._schema_check import SchemaViolation, validate
 from qrgames.cli import CONFIG_SCHEMAS, _CHANNEL_CONFIG_SCHEMA
 from qrgames.serialize import STRATEGY_SCHEMA, strategy_to_json
 from qrgames.strategies import (
-    CommCheat,
+    ClassicalCheat,
     HonestStrategy,
-    NoStateCheat,
     best_estimator,
     honest_strategy,
 )
@@ -58,11 +57,11 @@ def _strategy_docs():
     strategies = [
         honest_strategy(),
         HonestStrategy({j: random_povm(rng, 2) for j in (1, 2, 3)}, random_povm(rng, 4)),
-        NoStateCheat(best_estimator(), "constant"),
-        NoStateCheat(best_estimator(), (1, -1, -1, 1)),
+        ClassicalCheat(best_estimator()),
+        ClassicalCheat(best_estimator(), answer_list=(1, -1, -1, 1)),
         random_lhs_strategy(rng, 2, 3),
-        CommCheat("alice_to_bob"),
-        CommCheat("bob_to_alice", best_estimator(), (1, -1), "negate_estimate"),
+        ClassicalCheat(direction="alice_to_bob"),
+        ClassicalCheat(best_estimator(), "bob_to_alice", (1, -1), "negate_estimate"),
     ]
     return [json.loads(json.dumps(strategy_to_json(s))) for s in strategies]
 

@@ -28,9 +28,8 @@ from qrgames.serialize import (
     strategy_to_json,
 )
 from qrgames.strategies import (
-    CommCheat,
+    ClassicalCheat,
     LhsStrategy,
-    NoStateCheat,
     best_estimator,
     honest_strategy,
 )
@@ -89,10 +88,10 @@ def test_density_round_trip():
     "strategy",
     [
         honest_strategy(),
-        NoStateCheat(best_estimator(), "constant"),
-        NoStateCheat(BlochVector(np.array([0.4, -0.2, 0.1]), 0.3), (1, -1, 1)),
-        CommCheat("alice_to_bob"),
-        CommCheat("bob_to_alice", best_estimator(), (1, -1), "negate_estimate"),
+        ClassicalCheat(best_estimator()),
+        ClassicalCheat(BlochVector(np.array([0.4, -0.2, 0.1]), 0.3), answer_list=(1, -1, 1)),
+        ClassicalCheat(direction="alice_to_bob"),
+        ClassicalCheat(best_estimator(), "bob_to_alice", (1, -1), "negate_estimate"),
     ],
     ids=["honest", "cheat-const", "cheat-list", "comm-ab", "comm-ba"],
 )
@@ -102,10 +101,31 @@ def test_strategy_round_trip_preserves_payoff(strategy):
     jsonschema.validate(blob, STRATEGY_SCHEMA)
     back = strategy_from_json(blob)
     assert type(back) is type(strategy)
+    assert strategy_to_json(back) == blob
     state = werner_state(0.9) if strategy.needs_shared_state else None
     assert qrs_payoff_exact(spec, back, shared_state=state) == pytest.approx(
         qrs_payoff_exact(spec, strategy, shared_state=state), abs=1e-14
     )
+
+
+def test_alice_to_bob_documents_load_only_with_the_default_fields():
+    written = strategy_to_json(ClassicalCheat(direction="alice_to_bob"))
+    assert written == {
+        "type": "comm_cheat",
+        "direction": "alice_to_bob",
+        "bob_outputs_one_when": [1],
+        "alice_rule": "follow_estimate",
+    }
+    for doc in (written, {"type": "comm_cheat", "direction": "alice_to_bob"}):
+        assert strategy_to_json(strategy_from_json(doc)) == written
+    for key, value in (
+        ("alice_rule", "negate_estimate"),
+        ("bob_outputs_one_when", [-1]),
+        ("estimator", bloch_to_json(best_estimator())),
+    ):
+        jsonschema.validate({**written, key: value}, STRATEGY_SCHEMA)
+        with pytest.raises(ValueError):
+            strategy_from_json({**written, key: value})
 
 
 def test_lhs_strategy_round_trip(rng):
@@ -127,7 +147,7 @@ def test_strategy_schema_rejects_malformed():
         jsonschema.validate({"type": "honest"}, STRATEGY_SCHEMA)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"type": "warp-drive"}, STRATEGY_SCHEMA)
-    blob = strategy_to_json(NoStateCheat(best_estimator(), "constant"))
+    blob = strategy_to_json(ClassicalCheat(best_estimator()))
     blob["estimator"]["mu"] = "half"
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(blob, STRATEGY_SCHEMA)
@@ -138,8 +158,20 @@ def test_strategy_from_json_rejects_unknown_type():
         strategy_from_json({"type": "warp-drive"})
 
 
+def test_strategy_from_json_refuses_malformed_cheat_documents():
+    estimator = bloch_to_json(best_estimator())
+    for doc in (
+        {"type": "no_state_cheat", "estimator": estimator, "alice_rule": "alternate"},
+        {"type": "comm_cheat", "direction": None, "estimator": estimator},
+    ):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, STRATEGY_SCHEMA)
+        with pytest.raises(ValueError):
+            strategy_from_json(doc)
+
+
 def test_serialized_strategies_are_plain_json():
     """No numpy scalars sneak into the emitted documents."""
-    for strategy in (honest_strategy(), NoStateCheat(best_estimator(), "constant")):
+    for strategy in (honest_strategy(), ClassicalCheat(best_estimator())):
         text = json.dumps(strategy_to_json(strategy))
         assert isinstance(text, str) and len(text) > 2

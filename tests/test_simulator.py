@@ -15,12 +15,15 @@ from qrgames.games import (
     SIGNALS,
     SQRT3,
     SteeringGameSpec,
+    outcome_table,
     per_round_payoff,
     qrs_payoff_exact,
 )
 from qrgames.qcore import (
     BlochVector,
     DensityOperator,
+    Povm,
+    QuantumChannel,
     amplitude_damping_channel,
     depolarizing_channel,
     identity_channel,
@@ -39,9 +42,8 @@ from qrgames.simulator import (
     write_transcript_csv,
 )
 from qrgames.strategies import (
-    CommCheat,
+    ClassicalCheat,
     HonestStrategy,
-    NoStateCheat,
     best_estimator,
     honest_strategy,
     partial_bell_povm,
@@ -111,7 +113,7 @@ def test_word_rule_replay(style, bound):
     if style == "honest":
         strategy, state = honest_strategy(), werner_state(0.85)
     else:
-        strategy, state = NoStateCheat(best_estimator(), (1, -1, 1)), None
+        strategy, state = ClassicalCheat(best_estimator(), answer_list=(1, -1, 1)), None
     config = RunConfig(spec, strategy, n, seed, shared_state=state)
     _, transcript = run_game(config)
     col = {name: transcript.column(name).tolist() for name in TRANSCRIPT_FIELDS}
@@ -160,7 +162,8 @@ def test_chunking_is_invisible(style, tmp_path, monkeypatch):
     if style == "honest":
         strategy, state = honest_strategy(), werner_state(0.85)
     else:
-        strategy, state = NoStateCheat(best_estimator(), (1, -1, -1, 1, 1, -1, 1)), None
+        answers = (1, -1, -1, 1, 1, -1, 1)
+        strategy, state = ClassicalCheat(best_estimator(), answer_list=answers), None
     outputs = set()
     for chunk in (1, 7, 4096, 1 << 14, n):
         monkeypatch.setattr(simulator, "_CHUNK_ROUNDS", chunk)
@@ -330,7 +333,7 @@ def test_honest_runs_track_the_closed_form():
 def test_optimal_cheat_run_hovers_at_zero(ideal_spec):
     config = RunConfig(
         ideal_spec,
-        NoStateCheat(best_estimator(), "constant"),
+        ClassicalCheat(best_estimator()),
         50_000,
         23,
         keep_transcript=False,
@@ -342,7 +345,7 @@ def test_optimal_cheat_run_hovers_at_zero(ideal_spec):
 def test_communication_cheat_run(ideal_spec):
     config = RunConfig(
         ideal_spec,
-        CommCheat("alice_to_bob"),
+        ClassicalCheat(direction="alice_to_bob"),
         50_000,
         29,
         keep_transcript=False,
@@ -361,15 +364,29 @@ def test_config_validation(ideal_spec):
         RunConfig(ideal_spec, honest_strategy(), 10, 0)
     with pytest.raises(ValueError):  # no-state cheat must not get one
         RunConfig(
-            ideal_spec, NoStateCheat(best_estimator(), "constant"), 10, 0,
+            ideal_spec, ClassicalCheat(best_estimator()), 10, 0,
             shared_state=state,
         )
+
+
+def test_config_builds_the_table_and_refuses_a_strategy_that_does_not_fit(ideal_spec):
+    state = werner_state(0.9)
+    config = RunConfig(ideal_spec, honest_strategy(), 10, 0, shared_state=state)
+    assert not config.table.flags.writeable
+    want = outcome_table(ideal_spec, honest_strategy(), state)
+    assert config.table.tobytes() == want.tobytes()
+    # a qutrit Alice needs a 6-dimensional state, not the two-qubit Werner state
+    proj = np.diag([1.0, 0.0, 0.0])
+    qutrit = HonestStrategy({j: Povm((proj, np.eye(3) - proj)) for j in (1, 2, 3)},
+                            partial_bell_povm())
+    with pytest.raises(ValueError, match=r"expected 3\*2"):
+        RunConfig(ideal_spec, qutrit, 10, 0, shared_state=state)
 
 
 def test_adversarial_preparation_run():
     """All-sigma_1 referee: the matched single-axis cheat wins 2(3 - sqrt(3))."""
     table = {sig: signal_state(1, sig[1]) for sig in SIGNALS}
-    cheat = NoStateCheat(BlochVector(np.array([1.0, 0, 0]), 0.5), "constant")
+    cheat = ClassicalCheat(BlochVector(np.array([1.0, 0, 0]), 0.5))
     config = RunConfig(
         SteeringGameSpec(signal_ensemble=table), cheat, 50_000, 31, keep_transcript=False
     )
@@ -469,6 +486,15 @@ def test_noisy_equivalence_check_equals_the_per_sample_loop(channel, povm):
     assert report.passed and report.povm_valid and report.message == ""
 
 
+def test_noisy_equivalence_check_reports_a_channel_the_signals_cannot_pass():
+    """A qutrit channel fits a 6x6 POVM but carries no qubit signal: a failed
+    report, not an exception."""
+    qutrit = QuantumChannel((np.eye(3, dtype=np.complex128),))
+    report = noisy_equivalence_check(qutrit, Povm((np.eye(6) / 2, np.eye(6) / 2)))
+    assert not report and report.povm_valid and math.isnan(report.max_deviation)
+    assert report.message.startswith("invalid signal channel: signal channel must be")
+
+
 def test_noisy_equivalence_check_catches_a_wrong_dual(monkeypatch):
     right = modified_povm(depolarizing_channel(0.3), partial_bell_povm())
     y = tensor(qcore.pauli(2), np.eye(2))
@@ -566,10 +592,11 @@ def _reference_csv(transcript):
     # the answer list doubles the sampling-table rows
     (RunConfig(
         SteeringGameSpec.ideal(r=1.081),
-        NoStateCheat(best_estimator(), (1, -1, -1, 1, 1, -1, 1)), 100_001, 43,
+        ClassicalCheat(best_estimator(), answer_list=(1, -1, -1, 1, 1, -1, 1)), 100_001, 43,
     ), 48),
     # payoffs in exponent form, e.g. -6.928203230275508e+150
-    (RunConfig(SteeringGameSpec.ideal(r=1e150), NoStateCheat(best_estimator()), 100_001, 47), 24),
+    (RunConfig(SteeringGameSpec.ideal(r=1e150), ClassicalCheat(best_estimator()), 100_001, 47),
+     24),
 ], ids=["honest", "list-cheat", "huge-penalty"])
 def test_transcript_csv_matches_the_reference_formula(config, n_codes, tmp_path):
     """Run lengths cross every digit-width edge of the round index and

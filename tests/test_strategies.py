@@ -5,6 +5,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qrgames import games
 from qrgames.games import (
@@ -22,6 +24,7 @@ from qrgames.qcore import (
     DensityOperator,
     Povm,
     amplitude_damping_channel,
+    bloch_operator,
     depolarizing_channel,
     mats_close,
     partial_trace,
@@ -32,11 +35,9 @@ from qrgames.qcore import (
     werner_state,
 )
 from qrgames.strategies import (
-    ALICE_RULES_BA,
-    CommCheat,
+    ClassicalCheat,
     HonestStrategy,
     LhsStrategy,
-    NoStateCheat,
     _as_stack,
     _clean_distribution,
     _lhs_routes,
@@ -47,6 +48,7 @@ from qrgames.strategies import (
 )
 
 from cheat_grids import discrimination_stats
+from reference_cheats import ALICE_RULES, comm_table, no_state_table
 from random_draws import (
     random_density,
     random_lhs_strategy,
@@ -197,16 +199,16 @@ def test_no_state_cheat_closed_form(rng):
             m = rng.uniform(-1, 1, 3)
             m = m / max(1.0, np.linalg.norm(m) + 1e-9)
             mu = rng.uniform(0.05, 1.0 / (1.0 + np.linalg.norm(m)))
-            cheat = NoStateCheat(BlochVector(m, mu), "constant")
+            cheat = ClassicalCheat(BlochVector(m, mu))
             want = 4.0 * mu * (m.sum() - r * SQRT3)
             assert abs(qrs_payoff_exact(spec, cheat) - want) < 1e-10
 
 
 def test_no_state_cheat_tops_out_at_zero(ideal_spec):
-    best = NoStateCheat(best_estimator(), "constant")
+    best = ClassicalCheat(best_estimator())
     assert abs(qrs_payoff_exact(ideal_spec, best)) < 1e-12
     # an uninformative estimator just pays the penalty term
-    blind = NoStateCheat(BlochVector(np.zeros(3), 0.35), "constant")
+    blind = ClassicalCheat(BlochVector(np.zeros(3), 0.35))
     assert qrs_payoff_exact(ideal_spec, blind) == pytest.approx(
         -4 * 0.35 * SQRT3, abs=1e-12
     )
@@ -215,17 +217,17 @@ def test_no_state_cheat_tops_out_at_zero(ideal_spec):
 def test_no_state_cheat_list_rule(ideal_spec):
     """A balanced answer list changes nothing at mu=1/2 and hurts otherwise."""
     est = best_estimator()
-    const = qrs_payoff_exact(ideal_spec, NoStateCheat(est, "constant"))
-    listed = qrs_payoff_exact(ideal_spec, NoStateCheat(est, (1, -1)))
+    const = qrs_payoff_exact(ideal_spec, ClassicalCheat(est))
+    listed = qrs_payoff_exact(ideal_spec, ClassicalCheat(est, answer_list=(1, -1)))
     assert abs(const - listed) < 1e-12
     small = BlochVector(M_STAR * 0.9, 0.3)
-    p_const = qrs_payoff_exact(ideal_spec, NoStateCheat(small, "constant"))
-    p_list = qrs_payoff_exact(ideal_spec, NoStateCheat(small, (1, -1)))
+    p_const = qrs_payoff_exact(ideal_spec, ClassicalCheat(small))
+    p_list = qrs_payoff_exact(ideal_spec, ClassicalCheat(small, answer_list=(1, -1)))
     assert p_list < p_const  # the -1 rounds turn the mismatch term against them
 
 
 def test_no_state_cheat_list_plumbing():
-    cheat = NoStateCheat(best_estimator(), (1, -1, -1))
+    cheat = ClassicalCheat(best_estimator(), answer_list=(1, -1, -1))
     assert cheat.round_list == (1, -1, -1)
     weights = games._list_weights(cheat)
     assert weights.shape == (2,)
@@ -237,12 +239,12 @@ def test_no_state_cheat_list_plumbing():
     minus = [OUTCOMES.index(out) for out in ((-1, 0), (-1, 1))]
     assert np.all(table[:, 0, minus] == 0.0) and np.all(table[:, 0, plus] > 0.0)
     assert np.all(table[:, 1, plus] == 0.0) and np.all(table[:, 1, minus] > 0.0)
-    constant = NoStateCheat(best_estimator(), "constant").outcome_distribution(IDEAL_SIGNALS)
+    constant = ClassicalCheat(best_estimator()).outcome_distribution(IDEAL_SIGNALS)
     assert np.array_equal(constant, table[:, :1])
     with pytest.raises(ValueError):
-        NoStateCheat(best_estimator(), (1, 0))
+        ClassicalCheat(best_estimator(), answer_list=(1, 0))
     with pytest.raises(ValueError):
-        NoStateCheat(best_estimator(), ())
+        ClassicalCheat(best_estimator(), answer_list=())
 
 
 def test_discrimination_ratio_values(ideal_spec):
@@ -305,9 +307,9 @@ def test_lhs_strategy_rejects_non_finite_entries(rng, value):
     "make",
     [
         honest_strategy,
-        lambda: NoStateCheat(best_estimator(), (1, -1)),
+        lambda: ClassicalCheat(best_estimator(), answer_list=(1, -1)),
         lambda: random_lhs_strategy(np.random.default_rng(0), 2, 2),
-        lambda: CommCheat("bob_to_alice", best_estimator()),
+        lambda: ClassicalCheat(best_estimator(), "bob_to_alice"),
     ],
     ids=["honest", "no-state", "lhs", "comm"],
 )
@@ -438,22 +440,22 @@ def test_comm_cheat_alice_to_bob_breaks_the_game():
     """Perfect sign knowledge scores 2(3 - r sqrt(3)) = 6 - 2 r sqrt(3)."""
     for r in (1.0, 1.081, 1.5):
         spec = SteeringGameSpec.ideal(r=r)
-        payoff = qrs_payoff_exact(spec, CommCheat("alice_to_bob"))
+        payoff = qrs_payoff_exact(spec, ClassicalCheat(direction="alice_to_bob"))
         assert payoff == pytest.approx(2 * (3 - r * SQRT3), abs=1e-12)
     # positive below r = sqrt(3), negative above
     assert qrs_payoff_exact(
-        SteeringGameSpec.ideal(r=1.7), CommCheat("alice_to_bob")
+        SteeringGameSpec.ideal(r=1.7), ClassicalCheat(direction="alice_to_bob")
     ) > 0
     assert qrs_payoff_exact(
-        SteeringGameSpec.ideal(r=1.75), CommCheat("alice_to_bob")
+        SteeringGameSpec.ideal(r=1.75), ClassicalCheat(direction="alice_to_bob")
     ) < 0
 
 
 def test_comm_cheat_bob_to_alice_capped_at_zero(ideal_spec):
     """No reply rule beats the trivial b = 0 strategy, which scores exactly 0."""
-    silent = CommCheat("bob_to_alice", best_estimator(), bob_outputs_one_when=())
+    silent = ClassicalCheat(best_estimator(), "bob_to_alice", bob_outputs_one_when=())
     assert qrs_payoff_exact(ideal_spec, silent) == 0.0
-    follow = CommCheat("bob_to_alice", best_estimator())
+    follow = ClassicalCheat(best_estimator(), "bob_to_alice")
     assert qrs_payoff_exact(ideal_spec, follow) <= 1e-12
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -468,24 +470,51 @@ def test_comm_cheat_bob_to_alice_capped_at_zero(ideal_spec):
                 "constant_plus",
                 "constant_minus",
             ):
-                cheat = CommCheat("bob_to_alice", est, ones, rule)
+                cheat = ClassicalCheat(est, "bob_to_alice", ones, rule)
                 assert qrs_payoff_exact(ideal_spec, cheat) <= 1e-9
 
 
 def test_comm_cheat_validation():
     with pytest.raises(ValueError):
-        CommCheat("sideways")
+        ClassicalCheat(best_estimator(), "sideways")
     with pytest.raises(ValueError):
-        CommCheat("bob_to_alice")  # needs an estimator
+        ClassicalCheat(direction="bob_to_alice")  # needs an estimator
     with pytest.raises(ValueError):
-        CommCheat("bob_to_alice", best_estimator(), alice_rule="psychic")
+        ClassicalCheat(best_estimator(), "bob_to_alice", alice_rule="psychic")
     with pytest.raises(ValueError):
-        CommCheat("bob_to_alice", best_estimator(), bob_outputs_one_when=(2,))
-    assert CommCheat("alice_to_bob").required_communication == "alice_to_bob"
+        ClassicalCheat(best_estimator(), "bob_to_alice", bob_outputs_one_when=(2,))
+    assert ClassicalCheat(direction="alice_to_bob").required_communication == "alice_to_bob"
+    with pytest.raises(ValueError, match="no estimator"):
+        ClassicalCheat(best_estimator(), "alice_to_bob")
+    with pytest.raises(ValueError, match="without a message"):
+        ClassicalCheat(best_estimator(), "bob_to_alice", answer_list=(1, -1))
+
+
+@pytest.mark.parametrize("direction", [None, "alice_to_bob"])
+def test_cheats_without_bobs_message_refuse_the_rules_that_read_it(direction):
+    """Without Bob's guess, his reply rule and Alice's rule would do nothing."""
+    est = None if direction else best_estimator()
+    fields = (
+        {"bob_outputs_one_when": (-1,)},
+        {"bob_outputs_one_when": (1, -1)},
+        {"alice_rule": "negate_estimate"},
+        {"alice_rule": "constant_plus"},
+        {"alice_rule": "psychic", "bob_outputs_one_when": (-1,)},
+    )
+    for extra in fields:
+        with pytest.raises(ValueError):
+            ClassicalCheat(est, direction, **extra)
+    # the defaults, spelled out, are accepted
+    spelled = ClassicalCheat(est, direction, [1], "follow_estimate")
+    assert spelled.bob_outputs_one_when == (1,)
+    default = ClassicalCheat(est, direction)
+    assert qrs_payoff_exact(SteeringGameSpec.ideal(), spelled) == qrs_payoff_exact(
+        SteeringGameSpec.ideal(), default
+    )
 
 
 def test_comm_cheat_expectations_consistent(ideal_spec):
-    cheat = CommCheat("bob_to_alice", best_estimator(), (1, -1), "negate_estimate")
+    cheat = ClassicalCheat(best_estimator(), "bob_to_alice", (1, -1), "negate_estimate")
     dists = cheat.outcome_distribution(ideal_spec.delivered_signals)
     table = correlation_table(ideal_spec, cheat)
     for k, (j, s) in enumerate(SIGNALS):
@@ -518,7 +547,8 @@ def test_no_state_table_matches_the_list_closed_form(spec_name, rule):
         BlochVector(np.array([0.2, -0.5, 0.4]), 0.55),
     )
     for est in estimators:
-        table = correlation_table(spec, NoStateCheat(est, rule))
+        answers = None if rule == "constant" else rule
+        table = correlation_table(spec, ClassicalCheat(est, answer_list=answers))
         m_plus = est.povm_pair()[0]
         for sig in SIGNALS:
             p = float(np.trace(m_plus @ spec.signal_ensemble[sig].matrix).real)
@@ -571,12 +601,13 @@ def test_comm_cheat_table_matches_the_closed_form(spec_name):
     (1 - p) a(-) b(-) and <b> = p b(+) + (1 - p) b(-)."""
     spec = _SPECS[spec_name]
     # alice_to_bob: Bob measures sigma_j, the estimator m = e_j, mu = 1/2
-    cases = [(CommCheat("alice_to_bob"), None, {1: 1, -1: 1}, {1: 1, -1: 0})]
+    cases = [(ClassicalCheat(direction="alice_to_bob"), None, {1: 1, -1: 1}, {1: 1, -1: 0})]
     for est in _ESTIMATORS:
         for ones in _BOB_RULES:
-            for rule, answers in ALICE_RULES_BA.items():
+            for rule, answers in ALICE_RULES.items():
                 replies = {g: int(g in ones) for g in (1, -1)}
-                cases.append((CommCheat("bob_to_alice", est, ones, rule), est, answers, replies))
+                cheat = ClassicalCheat(est, "bob_to_alice", ones, rule)
+                cases.append((cheat, est, answers, replies))
     for cheat, est, answers, replies in cases:
         table = correlation_table(spec, cheat)
         for (j, s) in SIGNALS:
@@ -589,6 +620,63 @@ def test_comm_cheat_table_matches_the_closed_form(spec_name):
             e_b = p * replies[1] + (1 - p) * replies[-1]
             assert abs(table.e_ab[(j, s)] - e_ab) < 1e-12
             assert abs(table.e_b[(j, s)] - e_b) < 1e-12
+
+
+def _tilted_spec(theta, eta):
+    """A referee whose axis j leans by theta towards axis j + 1 (cyclically),
+    each signal's Bloch vector shrunk to length eta."""
+    axes = np.cos(theta) * np.eye(3) + np.sin(theta) * np.roll(np.eye(3), 1, axis=1)
+    ensemble = {
+        (j, s): DensityOperator(bloch_operator(BlochVector(s * eta * axes[j - 1], 0.5)))
+        for j, s in SIGNALS
+    }
+    return SteeringGameSpec(signal_ensemble=ensemble)
+
+
+@st.composite
+def _cheat_plays(draw):
+    """(estimator, direction, bob_outputs_one_when, alice_rule, answer_list) of a
+    valid classical cheat; small mu gives p_plus < 1/2 on every signal."""
+    direction = draw(st.sampled_from([None, "alice_to_bob", "bob_to_alice"]))
+    if direction == "alice_to_bob":
+        return None, direction, (1,), "follow_estimate", None
+    m = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    m *= draw(st.floats(0.0, 1.0)) / max(1.0, np.linalg.norm(m))
+    est = BlochVector(m, draw(st.floats(0.01, 1.0)) / (1.0 + np.linalg.norm(m)))
+    if direction is None:
+        signs = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=8).map(tuple)
+        return est, None, (1,), "follow_estimate", draw(st.none() | signs)
+    ones = draw(st.lists(st.sampled_from([1, -1]), max_size=2).map(tuple))
+    return est, direction, ones, draw(st.sampled_from(list(ALICE_RULES))), None
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    spec=st.sampled_from([
+        SteeringGameSpec.ideal(),
+        _tilted_spec(0.3, 0.97),
+        SteeringGameSpec(channel=depolarizing_channel(0.3)),
+        SteeringGameSpec(channel=amplitude_damping_channel(0.4)),
+    ]),
+    play=_cheat_plays(),
+)
+# p_plus = 0.2113 on the s = -1 signals, where 1 - (1 - p_plus) != p_plus
+@example(
+    spec=SteeringGameSpec.ideal(),
+    play=(best_estimator(), None, (1,), "follow_estimate", (1, -1)),
+)
+def test_classical_cheat_tables_equal_the_reference_formulas(spec, play):
+    """One class, bit for bit the two formulas it replaced."""
+    est, direction, ones, rule, answers = play
+    signals = spec.delivered_signals
+    if direction is None:
+        cheat = ClassicalCheat(est, answer_list=answers)
+        want = no_state_table(est, answers, signals)
+    else:
+        cheat = ClassicalCheat(est, direction, ones, rule)
+        want = comm_table(direction, est, ones, rule, signals)
+    got = outcome_table(spec, cheat)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 #: The specs the outcome tables are pinned under, two with a channel on the line.
@@ -610,15 +698,15 @@ _PINNED_TABLES = {
 
 
 def _pinned_table_cases():
-    """(strategy, shared state) pairs covering all four strategy classes."""
+    """(strategy, shared state) pairs covering every strategy class and cheat direction."""
     cases = [(honest_strategy(), werner_state(w)) for w in (0.98, 0.6)]
-    for rule in ("constant", (1, -1, -1, 1, 1, -1, 1), (-1,)):
-        cases.append((NoStateCheat(best_estimator(), rule), None))
+    for answers in (None, (1, -1, -1, 1, 1, -1, 1), (-1,)):
+        cases.append((ClassicalCheat(best_estimator(), answer_list=answers), None))
     est = _ESTIMATORS[-1]
     for ones in _BOB_RULES:
-        for rule in ALICE_RULES_BA:
-            cases.append((CommCheat("bob_to_alice", est, ones, rule), None))
-    cases.append((CommCheat("alice_to_bob"), None))
+        for rule in ALICE_RULES:
+            cases.append((ClassicalCheat(est, "bob_to_alice", ones, rule), None))
+    cases.append((ClassicalCheat(direction="alice_to_bob"), None))
     for t in range(9):
         rng = np.random.default_rng([11, t])
         cases.append((random_lhs_strategy(rng, t % 3 + 2, (1, 4, 8)[t // 3]), None))
