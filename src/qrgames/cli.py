@@ -261,13 +261,7 @@ def cmd_run(args) -> int:
         strategy = _resolve_strategy(settings["strategy"])
         spec = _build_spec(settings)
         werner = settings.get("werner")
-        needs_state = strategy.needs_shared_state
-        if needs_state and werner is None:
-            raise _ConfigError("this strategy needs a shared state; pass --werner")
-        if not needs_state and werner is not None:
-            raise _ConfigError("this strategy does not take a Werner state")
-        shared = werner_state(werner) if needs_state else None
-
+        shared = None if werner is None else werner_state(werner)
         run_config = simulator.RunConfig(
             spec=spec,
             strategy=strategy,

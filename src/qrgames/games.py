@@ -14,12 +14,12 @@ referee).  The game is won when the payoff is strictly positive.
 :class:`SteeringGameSpec` is the one model of the referee, its line to Bob
 included: every evaluation reads the states Bob receives from the spec.
 
-This module knows nothing about how strategies are parameterised; exact
-evaluation only requires each strategy to return its whole outcome table
-from the stack of delivered signals (duck-typed ``outcome_distribution``)
-and to declare ``needs_shared_state`` and ``round_list``.
-:func:`outcome_table` makes that one call; its array is what both
-:func:`correlation_table` and the simulator's sampler read.
+This module knows nothing about how strategies are parameterised.  A
+strategy has two members, ``needs_shared_state`` and
+``outcome_distribution``, its whole outcome table from the stack of
+delivered signals.  :func:`outcome_table` makes that one call and is the
+one check that a shared state comes exactly when one is needed;
+:func:`_expectations` reduces every table to the six <ab> and <b>.
 """
 
 from __future__ import annotations
@@ -150,12 +150,6 @@ class CorrelationTable:
         )
         object.__setattr__(self, "e_ab", e_ab)
         object.__setattr__(self, "e_b", e_b)
-
-    def payoff(self, spec: SteeringGameSpec) -> float:
-        """Aggregate the table into the game's average payoff."""
-        e_ab = np.array([self.e_ab[sig] for sig in SIGNALS])
-        e_b = np.array([self.e_b[sig] for sig in SIGNALS])
-        return float(_payoffs(e_ab, e_b, spec.penalty_coefficient))
 
 
 def _check_correlations(e_ab: np.ndarray, e_b: np.ndarray) -> None:
@@ -304,18 +298,18 @@ def chsh_from_state(state: DensityOperator, settings=None) -> float:
     return chsh_value(*(state.expectation(op) for op in operators))
 
 
-def _list_weights(strategy) -> np.ndarray:
+def _list_weights(strategy, table: np.ndarray) -> np.ndarray:
     """The weights of an outcome table's list variants.
 
-    A strategy without an answer list has one variant, of weight 1; one
-    with a list has the variants +1 then -1, each weighted by its share
-    of the list.
+    A table with one variant has weight 1; one with two variants, +1 then
+    -1, weights each by its share of the strategy's ``answer_list``,
+    which only then is read.
     """
-    round_list = strategy.round_list
-    if round_list is None:
+    if table.shape[-2] == 1:
         return np.ones(1)
-    n = len(round_list)
-    return np.array([round_list.count(1) / n, round_list.count(-1) / n])
+    answers = strategy.answer_list
+    n = len(answers)
+    return np.array([answers.count(1) / n, answers.count(-1) / n])
 
 
 def outcome_table(
@@ -327,25 +321,30 @@ def outcome_table(
     in condition ``SIGNALS[k]`` and list variant v: the strategy's
     ``outcome_distribution`` of the spec's ``delivered_signals``.  A strategy
     without an answer list has one variant; one with a list has two, for
-    the list values +1 and -1.  A strategy that needs a shared state also
-    takes an ``(n, d, d)`` stack of state matrices, which it validates,
-    and then returns the ``(n, 6, V, 4)`` stack of their tables.
+    the list values +1 and -1.  The one check of the shared state: a
+    strategy that needs one is refused without it, one that takes none
+    with it.  A strategy that needs a shared state also takes an
+    ``(n, d, d)`` stack of state matrices, which it validates, and then
+    returns the ``(n, 6, V, 4)`` stack of their tables.
     """
-    if strategy.needs_shared_state and shared_state is None:
-        raise ValueError("this strategy requires a shared state")
+    if strategy.needs_shared_state == (shared_state is None):
+        need = "needs a" if strategy.needs_shared_state else "takes no"
+        raise ValueError(f"this strategy {need} shared state")
     return strategy.outcome_distribution(spec.delivered_signals, shared_state)
 
 
-def _correlations(tables: np.ndarray, list_weights: np.ndarray):
-    """<ab> and <b> per condition of stacked (..., 6, V, 4) outcome tables.
+def _expectations(tables: np.ndarray, list_weights: np.ndarray):
+    """Checked <ab> and <b> per condition of stacked (..., 6, V, 4) outcome tables.
 
     The list variants are averaged with ``list_weights``; returns two
-    (..., 6) arrays in ``SIGNALS`` order.
+    (..., 6) arrays in ``SIGNALS`` order, checked by :func:`_check_correlations`.
     """
     probs = (tables * list_weights[:, None]).sum(axis=-2)
     a = np.array([out[0] for out in OUTCOMES])
     b = np.array([out[1] for out in OUTCOMES])
-    return probs @ (a * b), probs @ b
+    e_ab, e_b = probs @ (a * b), probs @ b
+    _check_correlations(e_ab, e_b)
+    return e_ab, e_b
 
 
 def correlation_table(
@@ -357,7 +356,7 @@ def correlation_table(
     strategy's answer list.
     """
     table = outcome_table(spec, strategy, shared_state)
-    e_ab, e_b = _correlations(table, _list_weights(strategy))
+    e_ab, e_b = _expectations(table, _list_weights(strategy, table))
     return CorrelationTable(dict(zip(SIGNALS, e_ab)), dict(zip(SIGNALS, e_b)))
 
 
@@ -365,7 +364,9 @@ def qrs_payoff_exact(
     spec: SteeringGameSpec, strategy, shared_state: DensityOperator | None = None
 ) -> float:
     """Exact average payoff of a strategy in the quantum-refereed steering game."""
-    return correlation_table(spec, strategy, shared_state).payoff(spec)
+    table = outcome_table(spec, strategy, shared_state)
+    e_ab, e_b = _expectations(table, _list_weights(strategy, table))
+    return float(_payoffs(e_ab, e_b, spec.penalty_coefficient))
 
 
 def _round_payoffs(s, a, b, c):

@@ -23,8 +23,7 @@ import numpy as np
 from .games import (
     _CANONICAL_CHSH_OPERATORS,
     SteeringGameSpec,
-    _check_correlations,
-    _correlations,
+    _expectations,
     _payoff_operators,
     _payoffs,
     chsh_value,
@@ -386,8 +385,7 @@ def werner_columns(w_grid) -> WernerColumns:
         {"w": w, **dict(zip(columns, values))}
         for w, values in zip(grid, zip(*(v.tolist() for v in columns.values())))
     ]
-    e_ab, e_b = _correlations(tables, np.ones(1))
-    _check_correlations(e_ab, e_b)
+    e_ab, e_b = _expectations(tables, np.ones(1))
     return WernerColumns(rows=tuple(rows), e_ab=e_ab, e_b=e_b)
 
 

@@ -45,11 +45,12 @@ completely, and evaluates both orders with the Born-rule kernel of
 
 Communication discipline
 ------------------------
-A run opens the one-way channel its strategy declares (a ClassicalCheat's
-``direction`` as ``required_communication``, echoed in the config) and no
-other.  No strategy is passed the referee's sign s: Alice's reply can depend
-only on her setting j, a preagreed list and a guess Bob sends, and Bob's
-only on the signal state he receives and a setting Alice sends.
+A run opens the one-way channel its strategy declares and no other; the
+config echo reads it from the ``direction`` of the strategy document it
+writes, null for a document without one.  No strategy is passed the
+referee's sign s: Alice's reply can depend only on her setting j, a
+preagreed list and a guess Bob sends, and Bob's only on the signal state
+he receives and a setting Alice sends.
 """
 
 from __future__ import annotations
@@ -183,9 +184,7 @@ class RunConfig:
         seed = int(self.rng_seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError("rng_seed must be a 64-bit unsigned integer")
-        if not self.strategy.needs_shared_state and self.shared_state is not None:
-            raise ValueError("this strategy does not consume a shared state")
-        # refuses a missing state, or one that does not fit the strategy
+        # refuses a missing or unwanted state, or one that does not fit the strategy
         table = outcome_table(self.spec, self.strategy, self.shared_state)
         table.setflags(write=False)
         object.__setattr__(self, "rounds", rounds)
@@ -249,10 +248,10 @@ def run_game(config: RunConfig):
     chunk = _CHUNK_ROUNDS
     variants = None
     if n_var > 1:
-        round_list = np.array(config.strategy.round_list)
-        period = round_list.size
+        answers = np.array(config.strategy.answer_list)
+        period = answers.size
         # the variants of rounds i..i+m-1 are cycle[i % period:][:m]
-        cycle = np.resize((round_list == -1).astype(np.uint8), chunk + period)
+        cycle = np.resize((answers == -1).astype(np.uint8), chunk + period)
 
     # One stream for the whole run: each random_raw call continues where
     # the previous one stopped, so round i still reads words 2i and 2i+1.
@@ -394,10 +393,11 @@ def _sig_key(sig) -> str:
 def config_to_json(config: RunConfig) -> dict:
     """Self-describing echo of a run config (matrices included)."""
     spec = config.spec
+    strategy = serialize.strategy_to_json(config.strategy)
     return {
         "rounds": config.rounds,
         "rng_seed": config.rng_seed,
-        "communication": config.strategy.required_communication,
+        "communication": strategy.get("direction"),
         "keep_transcript": config.keep_transcript,
         "game": {
             "r": spec.r,
@@ -408,7 +408,7 @@ def config_to_json(config: RunConfig) -> dict:
                 for sig in SIGNALS
             },
         },
-        "strategy": serialize.strategy_to_json(config.strategy),
+        "strategy": strategy,
         "shared_state": (
             None
             if config.shared_state is None

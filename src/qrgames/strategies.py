@@ -1,9 +1,11 @@
 """Everything Alice and Bob can do: honest play, hidden-state models and
 :class:`ClassicalCheat`, the one class of every cheat without a shared state.
 
-Each strategy class describes its behaviour once, through
+Each strategy class describes its behaviour once, through two members:
 
-``outcome_distribution(signals, shared_state=None)``
+``needs_shared_state``
+    whether the pair plays on a shared state.
+``outcome_distribution(signals, shared_state)``
     the strategy's whole outcome table: a ``(6, V, 4)`` array whose
     entry ``[k, v, o]`` is the probability of the pair
     ``games.OUTCOMES[o]`` in condition ``games.SIGNALS[k]`` and list
@@ -11,12 +13,12 @@ Each strategy class describes its behaviour once, through
     stack of signal states in ``games.SIGNALS`` order; condition k announces
     the setting j of ``SIGNALS[k]`` to Alice, and no strategy reads the
     referee's sign s.  A strategy without an answer list has V = 1; one with
-    a list has V = 2, for the list values +1 and -1.
+    a list has V = 2, for the list values +1 and -1, and keeps the list in
+    ``answer_list``.
 
-Each class also declares ``needs_shared_state``,
-``required_communication`` and ``round_list``.
-:func:`games.outcome_table` hands a strategy the delivered signals and
-returns its table, which exact evaluation and the simulator both read.
+:func:`games.outcome_table` hands a strategy the delivered signals, and a
+shared state exactly when it needs one, which is checked there and
+nowhere else; its table is what exact evaluation and the simulator read.
 
 Every probability on Bob's side is the Born rule Tr[E (rho x omega_k)]
 on the signal omega_k the referee sent, and one private kernel,
@@ -170,8 +172,6 @@ class HonestStrategy:
     joint_effects: np.ndarray = field(init=False, repr=False)
 
     needs_shared_state = True
-    required_communication = None
-    round_list = None
 
     def __post_init__(self):
         povms = dict(self.alice_povms)
@@ -199,13 +199,11 @@ class HonestStrategy:
     def alice_dim(self) -> int:
         return self.alice_povms[1].dim
 
-    def outcome_distribution(self, signals, shared_state=None):
+    def outcome_distribution(self, signals, shared_state):
         """The ``(6, 1, 4)`` table of one :class:`DensityOperator`, or the
         ``(n, 6, 1, 4)`` tables of an ``(n, d, d)`` stack of state
         matrices, each validated as a :class:`DensityOperator` would be;
         one state is the stack of one."""
-        if shared_state is None:
-            raise ValueError("honest strategy requires a shared state")
         single = isinstance(shared_state, DensityOperator)
         if single:
             states = shared_state.matrix[None]
@@ -313,14 +311,6 @@ class ClassicalCheat:
         object.__setattr__(self, "_m_plus", plus)
         object.__setattr__(self, "_plays", tuple(zip(answer, (int(1 in ones), int(-1 in ones)))))
 
-    @property
-    def required_communication(self) -> str | None:
-        return self.direction
-
-    @property
-    def round_list(self) -> tuple | None:
-        return self.answer_list
-
     def outcome_distribution(self, signals, shared_state=None):
         p_plus = np.trace(self._m_plus @ signals, axis1=1, axis2=2).real
         values = (1,) if self.answer_list is None else (1, -1)
@@ -356,8 +346,6 @@ class LhsStrategy:
     state_stack: np.ndarray = field(init=False, repr=False)
 
     needs_shared_state = False
-    required_communication = None
-    round_list = None
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64)
@@ -465,8 +453,7 @@ def _lhs_routes(spec: games.SteeringGameSpec, weights, states, responses, effect
     as it does alone; one model is the stack ``_as_stack(model)``.
     """
     tables = _lhs_tables(weights, states, responses, effects, spec.delivered_signals)
-    e_ab, e_b = games._correlations(tables, np.ones(1))
-    games._check_correlations(e_ab, e_b)
+    e_ab, e_b = games._expectations(tables, np.ones(1))
     direct = games._payoffs(e_ab, e_b, spec.penalty_coefficient)
     n, n_lambda, d_b, _ = states.shape
     joint = effects[:, None] @ _tensor_rows(states, np.eye(2, dtype=np.complex128))

@@ -106,14 +106,18 @@ def test_run_records_the_signals_a_sloppy_referee_sent(tmp_path):
     assert digest == "748373d9ea85791d27cc3b7a9d790ab532a64551dee5a22e0e66e09beaad0802"
 
 
-def test_run_exit_codes_for_bad_requests(tmp_path):
-    # honest play needs a shared state
-    assert main(["run", "--strategy", "honest", "--out", str(tmp_path)]) == 2
-    # the no-state cheat must not be handed one
-    assert main([
-        "run", "--strategy", "cheat-nostate", "--werner", "0.9",
-        "--out", str(tmp_path),
-    ]) == 2
+def test_run_exit_codes_for_bad_requests(tmp_path, capsys):
+    # honest play needs a shared state, and the no-state cheat must not be handed one
+    for argv, message in (
+        (["--strategy", "honest"], "this strategy needs a shared state"),
+        (
+            ["--strategy", "cheat-nostate", "--werner", "0.9"],
+            "this strategy takes no shared state",
+        ),
+    ):
+        assert main(["run", *argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "summary.json").exists()
     assert main(["run", "--strategy", "warp-drive", "--out", str(tmp_path)]) == 2
     assert main([
         "run", "--strategy", "honest", "--werner", "0.9", "--r", "0.5",

@@ -12,12 +12,14 @@ from qrgames.games import (
     SQRT3,
     CorrelationTable,
     SteeringGameSpec,
+    _payoffs,
     chsh_from_state,
     chsh_value,
     classical_witness_payoff,
     correlation_table,
     correlator,
     ideal_signal_ensemble,
+    outcome_table,
     per_round_payoff,
     qrs_payoff_exact,
     single_axis_ensemble,
@@ -34,7 +36,8 @@ from qrgames.qcore import (
     tensor,
     werner_state,
 )
-from qrgames.strategies import honest_strategy
+from qrgames.oracle import _extremal_lhs_strategy
+from qrgames.strategies import ClassicalCheat, best_estimator, honest_strategy
 
 from random_draws import random_density
 
@@ -156,10 +159,15 @@ def test_payoff_functional_definition(rng):
         e_b = {sig: rng.uniform(0.0, 1.0) for sig in SIGNALS}
         e_ab = {sig: rng.uniform(-e_b[sig], e_b[sig]) for sig in SIGNALS}
         table = CorrelationTable(e_ab, e_b)
+        payoff = _payoffs(
+            np.array([table.e_ab[sig] for sig in SIGNALS]),
+            np.array([table.e_b[sig] for sig in SIGNALS]),
+            spec.penalty_coefficient,
+        )
         by_hand = 2.0 * sum(
             s * e_ab[(j, s)] - (r / SQRT3) * e_b[(j, s)] for (j, s) in SIGNALS
         )
-        assert abs(table.payoff(spec) - by_hand) < 1e-12
+        assert abs(payoff - by_hand) < 1e-12
 
 
 @pytest.mark.parametrize("w", [0.0, 0.3, 1 / SQRT3, 0.698, 0.9, 1.0])
@@ -264,6 +272,19 @@ def test_correlation_table_rejects_missing_shared_state():
     spec = SteeringGameSpec.ideal()
     with pytest.raises(ValueError):
         correlation_table(spec, honest_strategy(), None)
+
+
+@pytest.mark.parametrize(
+    "evaluate", [outcome_table, correlation_table, qrs_payoff_exact],
+    ids=["outcome_table", "correlation_table", "qrs_payoff_exact"],
+)
+@pytest.mark.parametrize(
+    "make", [lambda: ClassicalCheat(best_estimator()), lambda: _extremal_lhs_strategy((1, 1, 1))],
+    ids=["cheat", "lhs-probe"],
+)
+def test_a_strategy_without_a_shared_state_refuses_one(evaluate, make):
+    with pytest.raises(ValueError, match="^this strategy takes no shared state$"):
+        evaluate(SteeringGameSpec.ideal(), make(), werner_state(0.9))
 
 
 def test_per_round_payoff_support():

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrgames import oracle
 from qrgames.games import (
@@ -198,6 +200,19 @@ def test_cheat_certificates_stay_safe_at_every_penalty():
         assert cert.no_state <= 1e-9 and _cheat_bound(cert) <= 1e-9, r
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(log_r=st.floats(0.0, 12.0), b=st.floats(0.0, 10.0, exclude_min=True))
+def test_ideal_lambda_star_is_sqrt3_minus_the_penalty(log_r, b):
+    """For the ideal referee lambda* = sqrt(3) - r b, b the payoff bound, so the
+    verdict 4 lambda* <= 1e-9 holds exactly when r b >= sqrt(3)."""
+    r = 10.0 ** log_r
+    lam = cheat_certificates(SteeringGameSpec.ideal(r=r, payoff_bound=b)).lambda_max
+    rb = r * b
+    assert abs(lam - (SQRT3 - rb)) <= 1e-12 * (1.0 + rb)
+    if abs(rb - SQRT3) > 1e-9:  # within 1e-9 of the boundary the verdict may go either way
+        assert (4.0 * lam <= 1e-9) == (rb >= SQRT3)
+
+
 @pytest.mark.parametrize(
     "name, estimator",
     [
@@ -304,7 +319,6 @@ class _MessageCheat:
     answers: tuple
 
     needs_shared_state = False
-    round_list = None
 
     def outcome_distribution(self, signals, shared_state=None):
         elements = np.stack(self.povm.elements)
@@ -669,7 +683,8 @@ def test_werner_columns_equal_the_per_state_evaluation(grid):
         assert columns.e_ab[i].tolist() == [table.e_ab[sig] for sig in SIGNALS]
         assert columns.e_b[i].tolist() == [table.e_b[sig] for sig in SIGNALS]
         for r, rows in scans.items():
-            assert rows[i]["qrs_payoff"] == table.payoff(SteeringGameSpec.ideal(r=r))
+            spec = SteeringGameSpec.ideal(r=r)
+            assert rows[i]["qrs_payoff"] == qrs_payoff_exact(spec, honest, state)
 
 
 def test_werner_columns_reject_a_parameter_out_of_range():

@@ -119,7 +119,7 @@ def test_word_rule_replay(style, bound):
     col = {name: transcript.column(name).tolist() for name in TRANSCRIPT_FIELDS}
 
     words = _stream_words(seed, 2 * n)
-    round_list = strategy.round_list
+    answers = getattr(strategy, "answer_list", None)
     table = strategy.outcome_distribution(spec.delivered_signals, state)
     for i in range(n):
         u_js = _word_to_uniform(words[2 * i])
@@ -127,7 +127,7 @@ def test_word_rule_replay(style, bound):
         j, s = SIGNALS[int(np.searchsorted(_CONDITION_CDF, u_js, side="right"))]
         assert (col["j"][i], col["s"][i]) == (j, s)
         # list variant 0 answers +1, variant 1 answers -1
-        variant = 0 if round_list is None else int(round_list[i % len(round_list)] == -1)
+        variant = 0 if answers is None else int(answers[i % len(answers)] == -1)
         dist = table[SIGNALS.index((j, s)), variant]
         acc, picked = 0.0, OUTCOMES[-1]
         for out, p in zip(OUTCOMES, dist):
@@ -352,6 +352,25 @@ def test_communication_cheat_run(ideal_spec):
     )
     est, _ = run_game(config)
     assert abs(est.mean - 2 * (3 - SQRT3)) < 5 * est.std_error
+
+
+@pytest.mark.parametrize(
+    "strategy, state, message",
+    [
+        (honest_strategy(), None, "this strategy needs a shared state"),
+        (
+            ClassicalCheat(best_estimator()), werner_state(0.9),
+            "this strategy takes no shared state",
+        ),
+    ],
+    ids=["missing", "unwanted"],
+)
+def test_config_refuses_a_shared_state_as_outcome_table_does(ideal_spec, strategy, state, message):
+    with pytest.raises(ValueError) as table:
+        outcome_table(ideal_spec, strategy, state)
+    with pytest.raises(ValueError) as config:
+        RunConfig(ideal_spec, strategy, 10, 0, shared_state=state)
+    assert str(table.value) == str(config.value) == message
 
 
 def test_config_validation(ideal_spec):

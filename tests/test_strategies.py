@@ -49,6 +49,7 @@ from qrgames.strategies import (
 
 from cheat_grids import discrimination_stats
 from reference_cheats import ALICE_RULES, comm_table, no_state_table
+from reference_payoff import round_trip_payoff
 from random_draws import (
     random_density,
     random_lhs_strategy,
@@ -110,7 +111,6 @@ def test_honest_strategy_components():
         assert mats_close(povm[1], (np.eye(2) - pauli(j)) / 2.0, 1e-15)
     assert mats_close(h.bob_joint_povm[1], singlet_projector(), 1e-15)
     assert h.needs_shared_state
-    assert h.required_communication is None
 
 
 def test_honest_strategy_validation():
@@ -122,8 +122,8 @@ def test_honest_strategy_validation():
     # shared state of the wrong dimension is rejected at evaluation time
     with pytest.raises(ValueError):
         good.outcome_distribution(IDEAL_SIGNALS, DensityOperator(np.eye(2) / 2))
-    with pytest.raises(ValueError):
-        good.outcome_distribution(IDEAL_SIGNALS)
+    with pytest.raises(ValueError, match="needs a shared state"):
+        outcome_table(SteeringGameSpec.ideal(), good)
 
 
 def test_honest_effects_are_built_once_and_read_only(rng):
@@ -228,8 +228,8 @@ def test_no_state_cheat_list_rule(ideal_spec):
 
 def test_no_state_cheat_list_plumbing():
     cheat = ClassicalCheat(best_estimator(), answer_list=(1, -1, -1))
-    assert cheat.round_list == (1, -1, -1)
-    weights = games._list_weights(cheat)
+    assert cheat.answer_list == (1, -1, -1)
+    weights = games._list_weights(cheat, outcome_table(SteeringGameSpec.ideal(), cheat))
     assert weights.shape == (2,)
     assert weights[0] == pytest.approx(1 / 3)
     assert outcome_table(SteeringGameSpec.ideal(), cheat).shape == (6, 2, 4)
@@ -315,7 +315,7 @@ def test_lhs_strategy_rejects_non_finite_entries(rng, value):
 )
 def test_strategies_declare_what_a_run_reads(make):
     strategy = make()
-    for name in ("needs_shared_state", "required_communication", "round_list"):
+    for name in ("needs_shared_state", "outcome_distribution"):
         assert hasattr(strategy, name), name
 
 
@@ -483,7 +483,7 @@ def test_comm_cheat_validation():
         ClassicalCheat(best_estimator(), "bob_to_alice", alice_rule="psychic")
     with pytest.raises(ValueError):
         ClassicalCheat(best_estimator(), "bob_to_alice", bob_outputs_one_when=(2,))
-    assert ClassicalCheat(direction="alice_to_bob").required_communication == "alice_to_bob"
+    assert ClassicalCheat(direction="alice_to_bob").direction == "alice_to_bob"
     with pytest.raises(ValueError, match="no estimator"):
         ClassicalCheat(best_estimator(), "alice_to_bob")
     with pytest.raises(ValueError, match="without a message"):
@@ -650,16 +650,17 @@ def _cheat_plays(draw):
     return est, direction, ones, draw(st.sampled_from(list(ALICE_RULES))), None
 
 
+#: The referees the properties draw from: ideal, tilted, and two channels on the line.
+_REFEREES = [
+    SteeringGameSpec.ideal(),
+    _tilted_spec(0.3, 0.97),
+    SteeringGameSpec(channel=depolarizing_channel(0.3)),
+    SteeringGameSpec(channel=amplitude_damping_channel(0.4)),
+]
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(
-    spec=st.sampled_from([
-        SteeringGameSpec.ideal(),
-        _tilted_spec(0.3, 0.97),
-        SteeringGameSpec(channel=depolarizing_channel(0.3)),
-        SteeringGameSpec(channel=amplitude_damping_channel(0.4)),
-    ]),
-    play=_cheat_plays(),
-)
+@given(spec=st.sampled_from(_REFEREES), play=_cheat_plays())
 # p_plus = 0.2113 on the s = -1 signals, where 1 - (1 - p_plus) != p_plus
 @example(
     spec=SteeringGameSpec.ideal(),
@@ -677,6 +678,33 @@ def test_classical_cheat_tables_equal_the_reference_formulas(spec, play):
         want = comm_table(direction, est, ones, rule, signals)
     got = outcome_table(spec, cheat)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _payoff_cases(draw):
+    """(strategy, shared state): a classical cheat, a random hidden-state
+    model, or honest play on a Werner state of random weight."""
+    kind = draw(st.sampled_from(["cheat", "lhs", "honest"]))
+    if kind == "cheat":
+        # a play's fields are ClassicalCheat's, in order
+        return ClassicalCheat(*draw(_cheat_plays())), None
+    if kind == "lhs":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        dim, n_lambda = draw(st.integers(2, 4)), draw(st.sampled_from([1, 4, 8]))
+        return random_lhs_strategy(rng, dim, n_lambda), None
+    return honest_strategy(), werner_state(draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(spec=st.sampled_from(_REFEREES), case=_payoff_cases())
+@example(spec=_REFEREES[0], case=(ClassicalCheat(best_estimator(), answer_list=(1, -1, -1)), None))
+@example(spec=_REFEREES[1], case=(ClassicalCheat(direction="alice_to_bob"), None))
+def test_exact_payoff_equals_the_dict_round_trip(spec, case):
+    """One reduction from table to payoff, bit for bit the dict round trip it replaced."""
+    strategy, state = case
+    got = qrs_payoff_exact(spec, strategy, state)
+    want = round_trip_payoff(spec, strategy, state)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 #: The specs the outcome tables are pinned under, two with a channel on the line.
