@@ -17,7 +17,6 @@ imports :mod:`oracle`, which only ``verify`` and ``sweep`` need.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -30,6 +29,7 @@ from .games import (
     SQRT2,
     SQRT3,
     SteeringGameSpec,
+    _penalty_coefficient,
     ideal_signal_ensemble,
     single_axis_ensemble,
 )
@@ -271,7 +271,10 @@ def cmd_run(args) -> int:
             keep_transcript=settings["keep_transcript"],
         )
     except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
+        message = str(exc)
+        if message.endswith(" shared state"):  # outcome_table's refusals name no setting
+            message += ", set by werner (--werner or the config key)"
+        raise _ConfigError(message) from exc
     estimate, transcript = simulator.run_game(run_config)
 
     outdir = Path(args.out)
@@ -361,7 +364,7 @@ def cmd_verify(args) -> int:
     crossing_checks = {}
     scan_ok = True
     for name, want in expected.items():
-        if want > scan.rows[-1]["w"]:
+        if want > scan.rows[-1, 0]:
             want = None
         got = scan.crossings[name]
         ok = (got is None and want is None) or (
@@ -388,9 +391,6 @@ def cmd_verify(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "verify_report.json").write_text(text + "\n")
     return 0 if passed else 1
-
-
-_SWEEP_FIELDS = ("w", "r", "witness2", "steering2", "steering3", "chsh", "qrs_payoff")
 
 
 def _grid_count(n: int) -> str:
@@ -441,7 +441,7 @@ def cmd_sweep(args) -> int:
             raise ValueError("Werner grid must stay inside [-1/3, 1]")
         # |qrs_payoff| <= 12 (1 + c), and c is largest at the last r
         r_max = float(r_grid[-1])
-        if not math.isfinite(12.0 * (1.0 + SteeringGameSpec.ideal(r=r_max).penalty_coefficient)):
+        if not math.isfinite(12.0 * (1.0 + _penalty_coefficient(r_max, SQRT3))):
             raise ValueError(f"payoffs overflow a float at r = {r_max!r}")
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
@@ -451,24 +451,19 @@ def cmd_sweep(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "sweep.csv"
-    # the W-dependent work, built once and reused for every r
+    # the W-dependent fields, computed and formatted once and reused for every r
     columns = oracle.werner_columns(w_grid)
-    n_rows = 0
+    texts = [(repr(w), ",".join(map(repr, rest))) for w, *rest in columns.rows.tolist()]
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SWEEP_FIELDS)
-        for r in r_grid:
-            scan = oracle.threshold_scan(columns, r=float(r))
-            for row in scan.rows:
-                writer.writerow(
-                    [repr(row["w"]), repr(float(r))]
-                    + [repr(row[name]) for name in _SWEEP_FIELDS[2:]]
-                )
-                n_rows += 1
+        fh.write(",".join(("w", "r", *oracle.SCAN_FIELDS[1:])) + "\r\n")
+        for r in r_grid.tolist():
+            payoffs = oracle.threshold_scan(columns, r=r).rows[:, -1].tolist()
+            r_text = repr(r)
+            fh.writelines(f"{w},{r_text},{x},{p!r}\r\n" for (w, x), p in zip(texts, payoffs))
     (outdir / "sweep_config.json").write_text(
         json.dumps(settings, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
-    print(f"wrote {csv_path} ({n_rows} rows)")
+    print(f"wrote {csv_path} ({w_grid.size * r_grid.size} rows)")
     return 0
 
 

@@ -9,7 +9,7 @@ The hidden-state suite compares both routes of
 ``strategies._lhs_routes``, the second of which reads the same Z, for a
 whole group of equally sized models at once; both hold for any referee,
 channel included, that a spec describes.  The Werner scan evaluates all
-its states as one stack.
+its states as one stack into one float table, columns in ``SCAN_FIELDS``.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ import numpy as np
 
 from .games import (
     _CANONICAL_CHSH_OPERATORS,
+    SQRT3,
     SteeringGameSpec,
     _expectations,
     _payoff_operators,
     _payoffs,
+    _penalty_coefficient,
     chsh_value,
     outcome_table,
     steering2_value,
@@ -307,11 +309,21 @@ def random_lhs_suite(
     )
 
 
-@dataclass(frozen=True)
-class ThresholdScan:
-    """Werner-family sweep of every functional against its bound."""
+#: The columns of a scan table; :func:`werner_columns` holds the first
+#: five, which do not depend on r.
+SCAN_FIELDS = ("w", "witness2", "steering2", "steering3", "chsh", "qrs_payoff")
 
-    rows: list
+#: The bound of each functional column, ``SCAN_FIELDS[1:]`` in order.
+_SCAN_BOUNDS = np.array([1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0, 0.0])
+
+
+@dataclass(frozen=True, eq=False)
+class ThresholdScan:
+    """Werner-family sweep of every functional against its bound: ``rows`` is
+    an (n, 6) float array, and ``crossings`` maps each functional to the
+    first W strictly above its bound, or ``None`` (NaN never crosses)."""
+
+    rows: np.ndarray
     crossings: dict
 
 
@@ -319,24 +331,15 @@ class ThresholdScan:
 class WernerColumns:
     """The r-independent part of a threshold scan, one entry per W.
 
-    ``rows[i]`` holds ``w`` and the witness2, steering2, steering3 and
-    chsh values of ``werner_state(w)``; ``e_ab[i]`` and ``e_b[i]`` are the
-    honest strategy's <ab> and <b> on that state under the ideal signal
-    ensemble, in ``SIGNALS`` order, which do not depend on r.
+    ``rows`` is a read-only (n, 5) float array: ``w`` and the witness2,
+    steering2, steering3 and chsh values of ``werner_state(w)``;
+    ``e_ab[i]`` and ``e_b[i]`` are the honest strategy's <ab> and <b> on
+    that state under the ideal signal ensemble, in ``SIGNALS`` order.
     """
 
-    rows: tuple
+    rows: np.ndarray
     e_ab: np.ndarray
     e_b: np.ndarray
-
-
-_SCAN_BOUNDS = {
-    "witness2": 1.0,
-    "steering2": np.sqrt(2.0),
-    "steering3": np.sqrt(3.0),
-    "chsh": 2.0,
-    "qrs_payoff": 0.0,
-}
 
 
 #: The operators whose expectations a scan row needs, as one read-only
@@ -375,18 +378,16 @@ def werner_columns(w_grid) -> WernerColumns:
         block = slice(start, start + _STACK_BLOCK)
         x[block] = np.trace(_SCAN_OPERATORS @ states[block, None], axis1=-2, axis2=-1).real
     c1, c2, c3 = x[:, 0], x[:, 1], x[:, 2]
-    columns = {
-        "witness2": abs(x[:, 3] + x[:, 4]),  # witness2_value's sum
-        "steering2": steering2_value(c1, c2),
-        "steering3": steering3_value(c1, c2, c3),
-        "chsh": chsh_value(*x[:, 5:].T),
-    }
-    rows = [
-        {"w": w, **dict(zip(columns, values))}
-        for w, values in zip(grid, zip(*(v.tolist() for v in columns.values())))
-    ]
+    rows = np.column_stack([
+        grid,
+        abs(x[:, 3] + x[:, 4]),  # witness2_value's sum
+        steering2_value(c1, c2),
+        steering3_value(c1, c2, c3),
+        chsh_value(*x[:, 5:].T),
+    ])
+    rows.setflags(write=False)
     e_ab, e_b = _expectations(tables, np.ones(1))
-    return WernerColumns(rows=tuple(rows), e_ab=e_ab, e_b=e_b)
+    return WernerColumns(rows=rows, e_ab=e_ab, e_b=e_b)
 
 
 def threshold_scan(columns: WernerColumns, r: float = 1.0) -> ThresholdScan:
@@ -397,18 +398,14 @@ def threshold_scan(columns: WernerColumns, r: float = 1.0) -> ThresholdScan:
     built from a W grid.  Only ``qrs_payoff`` depends on r, so a sweep
     over r builds the columns once and passes them here for each r.
 
-    It scans the calibrated game, ``SteeringGameSpec.ideal(r=r)``, whose honest
+    It scans the calibrated game, penalty coefficient r sqrt(3)/3, whose honest
     payoff crosses 0 at W = r/sqrt(3): only r moves it, not a payoff bound or preparation.
     """
-    spec = SteeringGameSpec.ideal(r=r)
-    payoffs = _payoffs(columns.e_ab, columns.e_b, spec.penalty_coefficient).tolist()
-    rows = [{**base, "qrs_payoff": p} for base, p in zip(columns.rows, payoffs)]
-    crossings = {}
-    for name, bound in _SCAN_BOUNDS.items():
-        crossing = None
-        for row in rows:
-            if row[name] > bound:
-                crossing = row["w"]
-                break
-        crossings[name] = crossing
+    payoffs = _payoffs(columns.e_ab, columns.e_b, _penalty_coefficient(r, SQRT3))
+    rows = np.column_stack([columns.rows, payoffs])
+    above = rows[:, 1:] > _SCAN_BOUNDS
+    crossings = {
+        name: float(rows[hit.argmax(), 0]) if hit.any() else None
+        for name, hit in zip(SCAN_FIELDS[1:], above.T)
+    }
     return ThresholdScan(rows=rows, crossings=crossings)

@@ -1,17 +1,22 @@
 """Command-line interface: subcommands, config handling, exit codes,
 artifact layout."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrgames
 from qrgames.cli import (
@@ -109,10 +114,13 @@ def test_run_records_the_signals_a_sloppy_referee_sent(tmp_path):
 def test_run_exit_codes_for_bad_requests(tmp_path, capsys):
     # honest play needs a shared state, and the no-state cheat must not be handed one
     for argv, message in (
-        (["--strategy", "honest"], "this strategy needs a shared state"),
+        (
+            ["--strategy", "honest"],
+            "this strategy needs a shared state, set by werner (--werner or the config key)",
+        ),
         (
             ["--strategy", "cheat-nostate", "--werner", "0.9"],
-            "this strategy takes no shared state",
+            "this strategy takes no shared state, set by werner (--werner or the config key)",
         ),
     ):
         assert main(["run", *argv, "--out", str(tmp_path)]) == 2
@@ -878,3 +886,53 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     json.loads(proc.stdout)
+
+
+#: Flag values at the edges of a float and past an unsigned 64-bit integer.
+_EXTREME_NUMBERS = (
+    "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "-0.0",
+    str(2**64 + 1), str(2**70), str(-(2**64 + 1)),
+)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+@st.composite
+def _extreme_requests(draw):
+    """A sweep or verify whose number and integer flags take extreme values,
+    each passed as --flag=value, since a bare -inf parses as an option."""
+    command = draw(st.sampled_from(["sweep", "verify"]))
+    keys = [
+        key for key, sub in CONFIG_SCHEMAS[command]["properties"].items()
+        if sub.get("type") in ("number", "integer")
+    ]
+    flags = draw(st.dictionaries(
+        st.sampled_from(keys), st.sampled_from(_EXTREME_NUMBERS), min_size=1, max_size=3
+    ))
+    return command, [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(request=_extreme_requests())
+def test_sweep_and_verify_keep_their_exit_contract_on_extreme_numbers(request):
+    """Exit 0, 1 (a failed verify check only) or 2; an exit of 2 writes no
+    artifact, and every JSON written or printed is finite."""
+    command, flags = request
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, *flags, "--out", out])
+        written = {path.name: path.read_text() for path in Path(out).iterdir()}
+    assert code in ((0, 1, 2) if command == "verify" else (0, 2))
+    if code == 2:
+        assert written == {}
+        return
+    for name, text in written.items():
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=_refuse_constant)
+    if command == "verify":
+        report = json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
+        assert report["passed"] is (code == 0)
+        assert written["verify_report.json"] == stdout.getvalue()

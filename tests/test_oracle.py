@@ -2,15 +2,19 @@
 the grid searches that cross-check them, the randomized hidden-state
 suite, and the Werner threshold scan."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrgames import oracle
@@ -32,13 +36,14 @@ from qrgames.games import (
 from qrgames.oracle import (
     _LHS_DIMS,
     _LHS_LAMBDA_SIZES,
+    SCAN_FIELDS,
     cheat_certificates,
     enumerate_chsh_deterministic,
     random_lhs_suite,
     threshold_scan,
     werner_columns,
 )
-from qrgames.cli import main
+from qrgames.cli import _grid, main
 from qrgames.games import qrs_payoff_exact
 from qrgames.qcore import (
     BlochVector,
@@ -69,6 +74,7 @@ from cheat_grids import (
 )
 from random_draws import random_lhs_strategy, random_povm, random_signal_ensemble
 from reference_cheats import ALICE_RULES
+from reference_scan import csv_writer_sweep, dict_crossings, dict_rows
 
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
 
@@ -630,7 +636,7 @@ def test_threshold_scan_locates_all_crossings():
         got = scan.crossings[name]
         assert got is not None
         assert w_star < got <= w_star + 0.005 + 1e-9
-    row_end = scan.rows[-1]
+    row_end = dict(zip(SCAN_FIELDS, scan.rows[-1].tolist()))
     assert row_end["w"] == pytest.approx(1.0)
     assert row_end["chsh"] == pytest.approx(2 * SQRT2, abs=1e-10)
     assert row_end["steering3"] == pytest.approx(3.0, abs=1e-10)
@@ -666,13 +672,15 @@ _WERNER_GRIDS = {
 def test_werner_columns_equal_the_per_state_evaluation(grid):
     columns = werner_columns(grid)
     assert len(columns.rows) == len(grid)
+    assert columns.rows.shape == (len(grid), len(SCAN_FIELDS) - 1)
+    assert not columns.rows.flags.writeable
     honest = honest_strategy()
     steering = [tensor(-pauli(j), pauli(j)) for j in (1, 2, 3)]
     scans = {r: threshold_scan(columns, r=r).rows for r in (1.0, 1.081)}
     for i, w in enumerate(grid):
         state = werner_state(float(w))
         c = [state.expectation(op) for op in steering]
-        assert columns.rows[i] == {
+        assert dict(zip(SCAN_FIELDS, columns.rows[i].tolist())) == {
             "w": float(w),
             "witness2": witness2_value(state),
             "steering2": steering2_value(c[0], c[1]),
@@ -684,7 +692,7 @@ def test_werner_columns_equal_the_per_state_evaluation(grid):
         assert columns.e_b[i].tolist() == [table.e_b[sig] for sig in SIGNALS]
         for r, rows in scans.items():
             spec = SteeringGameSpec.ideal(r=r)
-            assert rows[i]["qrs_payoff"] == qrs_payoff_exact(spec, honest, state)
+            assert rows[i, SCAN_FIELDS.index("qrs_payoff")] == qrs_payoff_exact(spec, honest, state)
 
 
 def test_werner_columns_reject_a_parameter_out_of_range():
@@ -718,7 +726,7 @@ def test_threshold_scan_payoff_is_the_exact_engine(r):
     scan = threshold_scan(werner_columns(_HOIST_GRID), r=r)
     spec = SteeringGameSpec.ideal(r=r)
     for w, row in zip(_HOIST_GRID, scan.rows):
-        assert row["qrs_payoff"] == qrs_payoff_exact(
+        assert row[SCAN_FIELDS.index("qrs_payoff")] == qrs_payoff_exact(
             spec, honest_strategy(), werner_state(float(w))
         )
 
@@ -744,6 +752,45 @@ def test_sweep_evaluates_each_werner_state_once(tmp_path, monkeypatch, r_stop):
     # one outcome table per W value, whatever the number of r values, all
     # from one call over the stack of W states
     assert calls == [5]
+
+
+@st.composite
+def _sweep_axes(draw):
+    """(w_start, w_stop, w_step), (r_start, r_stop, r_step) of a sweep whose W
+    grid stays inside [-1/3, 1], of 1 to 134 W and 1 to 5 r values in [1, 1e6]."""
+    w_step = draw(st.floats(0.01, 0.1) | st.floats(0.1, 1.5))
+    w_start = draw(st.floats(-1.0 / 3.0, 1.0))
+    # the last grid point lies below w_stop + w_step/2
+    w_room = max(0.0, 1.0 - 0.5 * w_step - 1e-9 - w_start)
+    w_stop = w_start + draw(st.floats(0.0, 1.0)) * w_room
+    r_step = draw(st.floats(1e-3, 1e5))
+    r_start = draw(st.floats(1.0, 1e6))
+    r_room = max(0.0, min(1e6 - r_start, 4.0 * r_step))
+    r_stop = r_start + draw(st.floats(0.0, 1.0)) * r_room
+    return (w_start, w_stop, w_step), (r_start, r_stop, r_step)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(axes=_sweep_axes())
+@example(axes=((0.0, 1.0, 0.01), (1.0, 1.2, 0.01)))
+@example(axes=((-1.0 / 3.0, 1.0, 0.07), (1e5, 1.0001e5, 2.5)))
+@example(axes=((0.7, 0.7, 0.01), (1.0, 1.0, 0.01)))
+def test_sweep_and_crossings_equal_the_dict_rows(axes):
+    """``sweep.csv`` and every crossing, bit for bit the dict rows and
+    ``csv.writer`` loop they replaced."""
+    (w_axis, r_axis), names = axes, ("start", "stop", "step")
+    argv = ["sweep"]
+    for axis, values in (("w", w_axis), ("r", r_axis)):
+        argv += [f"--{axis}-{name}={value!r}" for name, value in zip(names, values)]
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", out]) == 0
+        written = Path(out, "sweep.csv").read_bytes()
+    w_grid, r_grid = _grid(*w_axis), _grid(*r_axis)
+    assert written == csv_writer_sweep(w_grid, r_grid)
+    columns = werner_columns(w_grid)
+    for r in r_grid.tolist():
+        assert threshold_scan(columns, r).crossings == dict_crossings(dict_rows(columns, r))
 
 
 @pytest.mark.parametrize(
