@@ -58,7 +58,6 @@ from .qcore import (
 from .simulator import (
     PayoffEstimate,
     RunConfig,
-    Transcript,
     modified_povm,
     noisy_equivalence_check,
     run_game,
@@ -92,7 +91,6 @@ __all__ = [
     "QuantumChannel",
     "RunConfig",
     "SteeringGameSpec",
-    "Transcript",
     "amplitude_damping_channel",
     "apply_channel",
     "best_estimator",

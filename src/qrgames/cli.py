@@ -275,18 +275,17 @@ def cmd_run(args) -> int:
         if message.endswith(" shared state"):  # outcome_table's refusals name no setting
             message += ", set by werner (--werner or the config key)"
         raise _ConfigError(message) from exc
-    estimate, transcript = simulator.run_game(run_config)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    summary_path = outdir / "summary.json"
-    simulator.write_summary_json(summary_path, estimate, run_config)
     transcript_path = outdir / "transcript.csv"
-    if transcript is not None:
-        simulator.write_transcript_csv(transcript_path, transcript)
-    else:
+    if not run_config.keep_transcript:
         # a transcript of an earlier run would not match this summary
         transcript_path.unlink(missing_ok=True)
+        transcript_path = None
+    estimate = simulator.run_game(run_config, transcript_path)
+    summary_path = outdir / "summary.json"
+    simulator.write_summary_json(summary_path, estimate, run_config)
     print(
         f"rounds={estimate.rounds} mean={estimate.mean:.6f} "
         f"std_error={estimate.std_error:.6f} seed={estimate.seed}"

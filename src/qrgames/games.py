@@ -333,17 +333,19 @@ def outcome_table(
     return strategy.outcome_distribution(spec.delivered_signals, shared_state)
 
 
-def _expectations(tables: np.ndarray, list_weights: np.ndarray):
-    """Checked <ab> and <b> per condition of stacked (..., 6, V, 4) outcome tables.
+def _expectations(tables: np.ndarray, list_weights: np.ndarray, check: bool = True):
+    """<ab> and <b> per condition of stacked (..., 6, V, 4) outcome tables.
 
     The list variants are averaged with ``list_weights``; returns two
-    (..., 6) arrays in ``SIGNALS`` order, checked by :func:`_check_correlations`.
+    (..., 6) arrays in ``SIGNALS`` order, checked by :func:`_check_correlations`
+    unless ``check`` is false.
     """
     probs = (tables * list_weights[:, None]).sum(axis=-2)
     a = np.array([out[0] for out in OUTCOMES])
     b = np.array([out[1] for out in OUTCOMES])
     e_ab, e_b = probs @ (a * b), probs @ b
-    _check_correlations(e_ab, e_b)
+    if check:
+        _check_correlations(e_ab, e_b)
     return e_ab, e_b
 
 
@@ -356,7 +358,8 @@ def correlation_table(
     strategy's answer list.
     """
     table = outcome_table(spec, strategy, shared_state)
-    e_ab, e_b = _expectations(table, _list_weights(strategy, table))
+    # CorrelationTable checks them
+    e_ab, e_b = _expectations(table, _list_weights(strategy, table), check=False)
     return CorrelationTable(dict(zip(SIGNALS, e_ab)), dict(zip(SIGNALS, e_b)))
 
 

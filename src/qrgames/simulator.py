@@ -24,15 +24,13 @@ are compared exactly.
 
 Streaming
 ---------
-``run_game`` draws the stream in fixed chunks of ``_CHUNK_ROUNDS = 2**14``
-rounds; consecutive draws continue the stream, so the chunk size never
-shows in the output.  Each round reduces to a one-byte outcome code
-(sampling-table row and outcome pair), and the estimate is computed from
-the histogram of codes.  Without a transcript a run therefore holds
-O(chunk) memory whatever its length; with one it keeps one byte per
-round, read-only.  :func:`write_transcript_csv` expands the codes in
-blocks of 10**4 rounds, gathering each round's row bytes from a table of
-the encoded rows of every code.
+A run is one loop over chunks of ``_CHUNK_ROUNDS = 10**4`` rounds: a
+chunk is drawn, sampled to one-byte outcome codes (sampling-table row
+and outcome pair), added to the histogram of codes the estimate comes
+from and, when a transcript is asked for, written by
+:func:`write_transcript_csv`, before the next chunk is drawn.
+Consecutive draws continue the stream, so the chunk size never shows in
+the output, and a run holds one chunk's memory whatever its length.
 
 Channel check
 -------------
@@ -75,8 +73,8 @@ from .strategies import _signal_traces
 
 TRANSCRIPT_FIELDS = ("round", "j", "s", "a", "b", "payoff")
 
-#: Rounds sampled per chunk; bounds the working memory of a run.
-_CHUNK_ROUNDS = 1 << 14
+#: Rounds sampled per chunk, one transcript block; bounds a run's memory.
+_CHUNK_ROUNDS = 10 ** 4
 
 #: A word's guide-table bucket is its top _GUIDE_BITS bits; a guide entry
 #: of _STRADDLE marks a bucket whose rounds are compared exactly.
@@ -193,26 +191,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Transcript:
-    """The rounds of a run, one outcome code per round.
-
-    ``codes[i]`` (uint8) indexes ``rows``, which holds the
-    (j, s, a, b, payoff) of every code, so round i's transcript row is
-    ``(i, *rows[codes[i]])``.
-    """
-
-    codes: np.ndarray
-    rows: tuple
-
-    def column(self, name: str) -> np.ndarray:
-        """One column, named as in ``TRANSCRIPT_FIELDS``, for every round."""
-        if name == "round":
-            return np.arange(self.codes.size)
-        k = TRANSCRIPT_FIELDS.index(name) - 1
-        return np.array([row[k] for row in self.rows])[self.codes]
-
-
-@dataclass(frozen=True, eq=False)
 class PayoffEstimate:
     """Monte Carlo aggregate of a run.
 
@@ -231,11 +209,12 @@ class PayoffEstimate:
     e_b: dict
 
 
-def run_game(config: RunConfig):
-    """Simulate a run; returns (PayoffEstimate, Transcript or None).
+def run_game(config: RunConfig, transcript_path=None) -> PayoffEstimate:
+    """Simulate a run and return its estimate.
 
-    The transcript is None when ``keep_transcript`` is false; the
-    estimate is the same either way.
+    With ``transcript_path``, :func:`write_transcript_csv` writes the
+    run's transcript there while the rounds are sampled, each chunk
+    before the next is drawn; the estimate is the same either way.
     """
     spec = config.spec
     n = config.rounds
@@ -244,29 +223,28 @@ def run_game(config: RunConfig):
     cdf_table = np.cumsum(config.table.reshape(-1, 4), axis=1)
     n_codes = 4 * len(cdf_table)
     sampler = _Sampler(cdf_table, n_var)
-
-    chunk = _CHUNK_ROUNDS
-    variants = None
-    if n_var > 1:
-        answers = np.array(config.strategy.answer_list)
-        period = answers.size
-        # the variants of rounds i..i+m-1 are cycle[i % period:][:m]
-        cycle = np.resize((answers == -1).astype(np.uint8), chunk + period)
-
-    # One stream for the whole run: each random_raw call continues where
-    # the previous one stopped, so round i still reads words 2i and 2i+1.
-    bg = np.random.Philox(key=config.rng_seed)
     code_counts = np.zeros(n_codes, dtype=np.int64)
-    codes = np.empty(n, dtype=np.uint8) if config.keep_transcript else None
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
+
+    def chunks():
+        """The run's codes chunk by chunk, each counted as it is yielded."""
+        chunk = _CHUNK_ROUNDS
+        variants = None
         if n_var > 1:
-            phase = start % period
-            variants = cycle[phase:phase + m]
-        chunk_codes = sampler.codes(bg.random_raw(2 * m), variants)
-        code_counts += np.bincount(chunk_codes, minlength=n_codes)
-        if codes is not None:
-            codes[start:start + m] = chunk_codes
+            answers = np.array(config.strategy.answer_list)
+            period = answers.size
+            # the variants of rounds i..i+m-1 are cycle[i % period:][:m]
+            cycle = np.resize((answers == -1).astype(np.uint8), chunk + period)
+        # One stream for the whole run: each random_raw call continues where
+        # the previous one stopped, so round i still reads words 2i and 2i+1.
+        bg = np.random.Philox(key=config.rng_seed)
+        for start in range(0, n, chunk):
+            m = min(chunk, n - start)
+            if n_var > 1:
+                phase = start % period
+                variants = cycle[phase:phase + m]
+            codes = sampler.codes(bg.random_raw(2 * m), variants)
+            code_counts[:] += np.bincount(codes, minlength=n_codes)
+            yield codes
 
     # code = (condition * n_var + variant) * 4 + outcome
     ids = np.arange(n_codes)
@@ -276,6 +254,12 @@ def run_game(config: RunConfig):
     j_of = np.array([sig[0] for sig in SIGNALS])
     s_of = np.array([sig[1] for sig in SIGNALS])
     payoff = _round_payoffs(s_of[k], a, b, spec.penalty_coefficient)
+    if transcript_path is None:
+        for _ in chunks():
+            pass
+    else:
+        rows = zip(j_of[k].tolist(), s_of[k].tolist(), a.tolist(), b.tolist(), payoff.tolist())
+        write_transcript_csv(transcript_path, rows, chunks())
 
     mean = code_counts @ payoff / n
     var = code_counts @ (payoff - mean) ** 2 / (n - 1) if n > 1 else 0.0
@@ -283,7 +267,7 @@ def run_game(config: RunConfig):
     sum_ab = (code_counts * a * b).reshape(6, -1).sum(axis=1)
     sum_b = (code_counts * b).reshape(6, -1).sum(axis=1)
     safe = np.where(counts > 0, counts, 1)
-    estimate = PayoffEstimate(
+    return PayoffEstimate(
         mean=float(mean),
         std_error=float(np.sqrt(var) / np.sqrt(n)),
         rounds=n,
@@ -292,12 +276,6 @@ def run_game(config: RunConfig):
         e_ab={sig: float(sum_ab[i] / safe[i]) for i, sig in enumerate(SIGNALS)},
         e_b={sig: float(sum_b[i] / safe[i]) for i, sig in enumerate(SIGNALS)},
     )
-    if codes is None:
-        return estimate, None
-    # frozen like the arrays of qcore: a code is an index into rows
-    codes.setflags(write=False)
-    rows = zip(j_of[k].tolist(), s_of[k].tolist(), a.tolist(), b.tolist(), payoff.tolist())
-    return estimate, Transcript(codes, tuple(rows))
 
 
 def modified_povm(channel: QuantumChannel, e_bc: Povm) -> Povm:
@@ -418,24 +396,42 @@ def config_to_json(config: RunConfig) -> dict:
     }
 
 
-def write_transcript_csv(path, transcript: Transcript) -> None:
+def _blocks(chunks, size: int):
+    """The codes of ``chunks`` regrouped into arrays of ``size``, the last
+    one shorter, staged in one reused buffer."""
+    staged = np.empty(size, dtype=np.uint8)
+    filled = 0
+    for codes in chunks:
+        while codes.size:
+            take = min(size - filled, codes.size)
+            staged[filled:filled + take], codes = codes[:take], codes[take:]
+            filled = (filled + take) % size
+            if not filled:
+                yield staged
+    if filled:
+        yield staged[:filled]
+
+
+def write_transcript_csv(path, rows, chunks) -> None:
     """Write transcript rows with the fixed header round,j,s,a,b,payoff.
 
+    ``rows`` holds the (j, s, a, b, payoff) of every outcome code and
+    ``chunks`` yields the run's uint8 codes, consecutive rounds in arrays
+    of any length; round i's row is ``(i, *rows[code of round i])``.
     Rows end in ``\\r\\n`` as CSV prescribes; payoffs are written with
     ``repr`` so they read back exactly.  Rows are assembled as bytes:
     each code's ``,j,s,a,b,payoff`` suffix is encoded once, NUL-padded to
-    a common width, and the rounds go out in blocks of 10**4.  In block
-    q >= 1 every round index is ``str(q)`` followed by four zero-padded
-    low digits from a digit table (block 0 has NUL for the leading
-    zeros), and one gather by code fills in the suffixes.  NUL never
-    occurs in a row, so deleting it from a block's bytes leaves exactly
-    the rows.  Blocks reuse one gather buffer and one row buffer, which
-    is replaced only when the row width or the block length changes, so
-    the writer does not fault in fresh block-sized memory per block.
+    a common width, and the rounds, staged from the chunks as they
+    arrive, go out in blocks of 10**4.  In block q >= 1 every round index
+    is ``str(q)`` followed by four zero-padded low digits from a digit
+    table (block 0 has NUL for the leading zeros), and one gather by code
+    fills in the suffixes.  NUL never occurs in a row, so deleting it
+    from a block's bytes leaves exactly the rows.  Blocks reuse one
+    gather buffer and one row buffer, which is replaced only when the row
+    width or the block length changes, so the writer does not fault in
+    fresh block-sized memory per block.
     """
-    suffixes = [
-        f",{j},{s},{a},{b},{payoff!r}\r\n".encode() for j, s, a, b, payoff in transcript.rows
-    ]
+    suffixes = [f",{j},{s},{a},{b},{payoff!r}\r\n".encode() for j, s, a, b, payoff in rows]
     width = max(map(len, suffixes))
     padded = b"".join(suffix.ljust(width, b"\0") for suffix in suffixes)
     table = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
@@ -446,25 +442,23 @@ def write_transcript_csv(path, transcript: Transcript) -> None:
     # block 0 has no prefix, so its leading zeros go; round 0 keeps its "0"
     first = np.where(low < places, 0, digits).astype(np.uint8)
     first[0, -1] = ord("0")
-    codes = transcript.codes
     suffix = np.empty((block, width), dtype=np.uint8)
-    raw = rows = None
+    raw = out = None
     with open(path, "wb") as fh:
         fh.write((",".join(TRANSCRIPT_FIELDS) + "\r\n").encode())
-        for q, start in enumerate(range(0, codes.size, block)):
-            chunk = codes[start:start + block]
-            m = chunk.size
+        for q, codes in enumerate(_blocks(chunks, block)):
+            m = codes.size
             prefix = str(q).encode() if q else b""
             p = len(prefix)
-            if rows is None or rows.shape != (m, p + 4 + width):
+            if out is None or out.shape != (m, p + 4 + width):
                 # the prefix gained a digit, or this is a short last block
                 raw = bytearray(m * (p + 4 + width))
-                rows = np.frombuffer(raw, dtype=np.uint8).reshape(m, -1)
-            rows[:, :p] = np.frombuffer(prefix, dtype=np.uint8)
-            rows[:, p:p + 4] = (digits if q else first)[:m]
+                out = np.frombuffer(raw, dtype=np.uint8).reshape(m, -1)
+            out[:, :p] = np.frombuffer(prefix, dtype=np.uint8)
+            out[:, p:p + 4] = (digits if q else first)[:m]
             # codes index the table, so "clip" clips nothing; it lets take write in place
-            np.take(table, chunk, axis=0, out=suffix[:m], mode="clip")
-            rows[:, p + 4:] = suffix[:m]
+            np.take(table, codes, axis=0, out=suffix[:m], mode="clip")
+            out[:, p + 4:] = suffix[:m]
             fh.write(raw.translate(None, b"\0"))
 
 

@@ -70,7 +70,7 @@ def test_criterion_02_monte_carlo_consistency():
         shared_state=werner_state(0.98),
         keep_transcript=False,
     )
-    est, _ = run_game(config)
+    est = run_game(config)
     ok = abs(est.mean - 1.0678) < 5 * est.std_error and est.std_error < 0.02
     _report(2, ok, f"10^6 rounds at W=0.98, r=1.081: mean {est.mean:.6f}, "
             f"std_error {est.std_error:.6f}, target 1.0678")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qrgames import games
 from qrgames.games import (
     OUTCOMES,
     SIGNALS,
@@ -150,6 +151,19 @@ def test_correlation_table_validation():
         CorrelationTable(e_ab, {sig: 1.2 for sig in SIGNALS})
     with pytest.raises(ValueError):
         CorrelationTable({(1, 1): 0.0}, e_b)
+
+
+def test_correlation_table_checks_each_expectation_once(monkeypatch):
+    calls = []
+    check = games._check_correlations
+
+    def counted(e_ab, e_b):
+        calls.append(e_ab.shape)
+        check(e_ab, e_b)
+
+    monkeypatch.setattr(games, "_check_correlations", counted)
+    correlation_table(SteeringGameSpec.ideal(), honest_strategy(), werner_state(0.9))
+    assert calls == [(6,)]
 
 
 def test_payoff_functional_definition(rng):

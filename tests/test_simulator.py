@@ -2,12 +2,18 @@
 artifacts, and the noisy-referee equivalence machinery."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qrgames
 from qrgames import qcore, simulator
@@ -39,7 +45,6 @@ from qrgames.simulator import (
     noisy_equivalence_check,
     run_game,
     write_summary_json,
-    write_transcript_csv,
 )
 from qrgames.strategies import (
     ClassicalCheat,
@@ -68,6 +73,18 @@ def _stream_words(seed, count):
     return np.random.Philox(key=int(seed)).random_raw(count)
 
 
+def _transcript_columns(path):
+    """Each transcript.csv column by name, one entry per round, read back
+    from the file: the payoff as floats, the rest as ints."""
+    with open(path, newline="") as fh:
+        header, *records = csv.reader(fh)
+    assert tuple(header) == TRANSCRIPT_FIELDS
+    return {
+        name: np.array([float(x) if name == "payoff" else int(x) for x in column])
+        for name, column in zip(TRANSCRIPT_FIELDS, zip(*records))
+    }
+
+
 def _word_to_uniform(word):
     return float((int(word) >> 11) * 2.0 ** -53)
 
@@ -77,23 +94,19 @@ _CONDITION_CDF = np.cumsum(np.full(6, 1.0 / 6.0))[:-1]
 
 
 def test_runs_are_deterministic(tmp_path):
-    config = _honest_config(500, 99)
-    est_a, tr_a = run_game(config)
-    est_b, tr_b = run_game(_honest_config(500, 99))
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    est_a = run_game(_honest_config(500, 99), p1)
+    est_b = run_game(_honest_config(500, 99), p2)
     assert est_a.mean == est_b.mean
     assert est_a.std_error == est_b.std_error
-    assert np.array_equal(tr_a.codes, tr_b.codes)
-    assert tr_a.rows == tr_b.rows
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_transcript_csv(p1, tr_a)
-    write_transcript_csv(p2, tr_b)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_seed_changes_the_transcript():
-    _, tr_a = run_game(_honest_config(200, 1))
-    _, tr_b = run_game(_honest_config(200, 2))
-    assert not np.array_equal(tr_a.codes, tr_b.codes)
+def test_seed_changes_the_transcript(tmp_path):
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    run_game(_honest_config(200, 1), p1)
+    run_game(_honest_config(200, 2), p2)
+    assert p1.read_bytes() != p2.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -101,7 +114,7 @@ def test_seed_changes_the_transcript():
     [("honest", SQRT3), ("list-cheat", SQRT3), ("honest", 1.5)],
     ids=["honest", "list-cheat", "honest-bound-1.5"],
 )
-def test_word_rule_replay(style, bound):
+def test_word_rule_replay(style, bound, tmp_path):
     """Round i is fully determined by stream words 2i (inputs) and 2i+1 (outcomes).
 
     Replays the engine from the raw Philox stream and the strategies'
@@ -115,8 +128,9 @@ def test_word_rule_replay(style, bound):
     else:
         strategy, state = ClassicalCheat(best_estimator(), answer_list=(1, -1, 1)), None
     config = RunConfig(spec, strategy, n, seed, shared_state=state)
-    _, transcript = run_game(config)
-    col = {name: transcript.column(name).tolist() for name in TRANSCRIPT_FIELDS}
+    path = tmp_path / "transcript.csv"
+    run_game(config, path)
+    col = {name: column.tolist() for name, column in _transcript_columns(path).items()}
 
     words = _stream_words(seed, 2 * n)
     answers = getattr(strategy, "answer_list", None)
@@ -168,9 +182,8 @@ def test_chunking_is_invisible(style, tmp_path, monkeypatch):
     for chunk in (1, 7, 4096, 1 << 14, n):
         monkeypatch.setattr(simulator, "_CHUNK_ROUNDS", chunk)
         config = RunConfig(spec, strategy, n, seed, shared_state=state)
-        est, transcript = run_game(config)
         csv_path, summary_path = tmp_path / "transcript.csv", tmp_path / "summary.json"
-        write_transcript_csv(csv_path, transcript)
+        est = run_game(config, csv_path)
         write_summary_json(summary_path, est, config)
         outputs.add((csv_path.read_bytes(), summary_path.read_bytes()))
     assert len(outputs) == 1
@@ -270,32 +283,36 @@ def test_sampler_equals_the_float_formula(name, low):
     assert np.sum(sampler.out_guide == simulator._STRADDLE) <= 3 * len(cdf_table)
 
 
-def test_single_round_run():
-    est, transcript = run_game(_honest_config(1, 0))
+def test_single_round_run(tmp_path):
+    path = tmp_path / "transcript.csv"
+    est = run_game(_honest_config(1, 0), path)
     assert est.rounds == 1
-    assert transcript.codes.size == 1
+    assert _transcript_columns(path)["round"].tolist() == [0]
     assert est.std_error == 0.0 or math.isnan(est.std_error) is False
 
 
-def test_round_payoffs_live_on_the_three_point_support():
+def test_round_payoffs_live_on_the_three_point_support(tmp_path):
     r = 1.081
     support = {
         0.0,
         12.0 * (1 - r / SQRT3),
         -12.0 * (1 + r / SQRT3),
     }
-    _, transcript = run_game(_honest_config(2000, 5, w=0.98, r=r))
-    assert set(transcript.column("payoff").tolist()) <= support
+    path = tmp_path / "transcript.csv"
+    run_game(_honest_config(2000, 5, w=0.98, r=r), path)
+    assert set(_transcript_columns(path)["payoff"].tolist()) <= support
 
 
-def test_estimate_matches_transcript():
-    est, transcript = run_game(_honest_config(4000, 11))
-    payoffs = transcript.column("payoff")
+def test_estimate_matches_transcript(tmp_path):
+    path = tmp_path / "transcript.csv"
+    est = run_game(_honest_config(4000, 11), path)
+    columns = _transcript_columns(path)
+    payoffs = columns["payoff"]
     assert est.mean == pytest.approx(payoffs.mean(), abs=1e-12)
     assert est.std_error == pytest.approx(
         payoffs.std(ddof=1) / math.sqrt(len(payoffs)), abs=1e-12
     )
-    j, s, a, b = (transcript.column(name) for name in ("j", "s", "a", "b"))
+    j, s, a, b = (columns[name] for name in ("j", "s", "a", "b"))
     for sig in SIGNALS:
         rows = (j == sig[0]) & (s == sig[1])
         assert est.counts[sig] == rows.sum()
@@ -304,10 +321,11 @@ def test_estimate_matches_transcript():
             assert est.e_b[sig] == pytest.approx(np.mean(b[rows]), abs=1e-12)
 
 
-def test_dropping_the_transcript_keeps_the_estimate():
-    kept, _ = run_game(_honest_config(3000, 17))
-    slim, none = run_game(_honest_config(3000, 17, keep_transcript=False))
-    assert none is None
+def test_dropping_the_transcript_keeps_the_estimate(tmp_path):
+    kept = run_game(_honest_config(3000, 17), tmp_path / "transcript.csv")
+    slim = run_game(_honest_config(3000, 17, keep_transcript=False))
+    assert isinstance(slim, simulator.PayoffEstimate)
+    assert [path.name for path in tmp_path.iterdir()] == ["transcript.csv"]
     assert slim.mean == kept.mean
     assert slim.std_error == kept.std_error
     assert slim.counts == kept.counts
@@ -326,7 +344,7 @@ def test_honest_runs_track_the_closed_form():
             shared_state=werner_state(0.98),
             keep_transcript=False,
         )
-        est, _ = run_game(config)
+        est = run_game(config)
         assert abs(est.mean - target) < 5 * est.std_error
 
 
@@ -338,7 +356,7 @@ def test_optimal_cheat_run_hovers_at_zero(ideal_spec):
         23,
         keep_transcript=False,
     )
-    est, _ = run_game(config)
+    est = run_game(config)
     assert abs(est.mean) < 5 * est.std_error
 
 
@@ -350,7 +368,7 @@ def test_communication_cheat_run(ideal_spec):
         29,
         keep_transcript=False,
     )
-    est, _ = run_game(config)
+    est = run_game(config)
     assert abs(est.mean - 2 * (3 - SQRT3)) < 5 * est.std_error
 
 
@@ -409,7 +427,7 @@ def test_adversarial_preparation_run():
     config = RunConfig(
         SteeringGameSpec(signal_ensemble=table), cheat, 50_000, 31, keep_transcript=False
     )
-    est, _ = run_game(config)
+    est = run_game(config)
     assert est.mean > 0
     assert abs(est.mean - 2 * (3 - SQRT3)) < 5 * est.std_error
 
@@ -562,7 +580,7 @@ def test_noisy_equivalence_check_work_does_not_grow_with_the_samples(monkeypatch
     assert seen[0]["tensor"] > 0
 
 
-def test_channel_run_equals_modified_povm_run():
+def test_channel_run_equals_modified_povm_run(tmp_path):
     """Transcripts agree round for round when the noise moves into the POVM."""
     channel = depolarizing_channel(0.3)
     honest = honest_strategy()
@@ -576,34 +594,51 @@ def test_channel_run_equals_modified_povm_run():
     clean_cfg = RunConfig(
         SteeringGameSpec.ideal(), absorbed, 20_000, 7, shared_state=shared
     )
-    est_a, tr_a = run_game(noisy_cfg)
-    est_b, tr_b = run_game(clean_cfg)
-    assert np.array_equal(tr_a.codes, tr_b.codes)
-    assert tr_a.rows == tr_b.rows
+    path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    est_a = run_game(noisy_cfg, path_a)
+    est_b = run_game(clean_cfg, path_b)
+    assert path_a.read_bytes() == path_b.read_bytes()
     assert est_a.mean == est_b.mean
 
 
+def _reference_rounds(config):
+    """Every round's (round, j, s, a, b, payoff), from the raw Philox words
+    through the float formula and ``per_round_payoff``."""
+    spec, n = config.spec, config.rounds
+    n_var = config.table.shape[1]
+    cdf_table = np.cumsum(config.table.reshape(-1, 4), axis=1)
+    variants = None
+    if n_var > 1:
+        answers = np.array(config.strategy.answer_list)
+        variants = (answers[np.arange(n) % answers.size] == -1).astype(np.int64)
+    codes = _float_codes(_stream_words(config.rng_seed, 2 * n), cdf_table, n_var, variants)
+    rows = []
+    for code in range(cdf_table.size):
+        (j, s), (a, b) = SIGNALS[code // (4 * n_var)], OUTCOMES[code % 4]
+        payoff = per_round_payoff(a, b, j, s, r=spec.r, payoff_bound=spec.payoff_bound)
+        rows.append((j, s, a, b, payoff))
+    return [(i, *rows[code]) for i, code in enumerate(codes.tolist())]
+
+
+def _reference_csv(config):
+    """transcript.csv as the one-f-string-per-round formula spells it."""
+    return (",".join(TRANSCRIPT_FIELDS) + "\r\n" + "".join(
+        f"{i},{j},{s},{a},{b},{payoff!r}\r\n"
+        for i, j, s, a, b, payoff in _reference_rounds(config)
+    )).encode()
+
+
 def test_transcript_csv_round_trip(tmp_path):
-    _, transcript = run_game(_honest_config(50, 3))
+    config = _honest_config(50, 3)
     path = tmp_path / "transcript.csv"
-    write_transcript_csv(path, transcript)
+    run_game(config, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == TRANSCRIPT_FIELDS
     assert len(rows) == 51
-    records = zip(*(transcript.column(name).tolist() for name in TRANSCRIPT_FIELDS))
-    for rec, row in zip(records, rows[1:]):
+    for rec, row in zip(_reference_rounds(config), rows[1:]):
         assert [int(x) for x in row[:5]] == list(rec[:5])
         assert float(row[5]) == rec[5]  # repr() round-trips exactly
-
-
-def _reference_csv(transcript):
-    """transcript.csv as the one-f-string-per-round formula spells it."""
-    rows = transcript.rows
-    return (",".join(TRANSCRIPT_FIELDS) + "\r\n" + "".join(
-        f"{i},{j},{s},{a},{b},{payoff!r}\r\n"
-        for i, (j, s, a, b, payoff) in enumerate(rows[c] for c in transcript.codes.tolist())
-    )).encode()
 
 
 @pytest.mark.parametrize("config, n_codes", [
@@ -620,24 +655,64 @@ def _reference_csv(transcript):
 def test_transcript_csv_matches_the_reference_formula(config, n_codes, tmp_path):
     """Run lengths cross every digit-width edge of the round index and
     every 10**4-round block edge of the writer."""
-    _, full = run_game(config)
-    assert len(full.rows) == n_codes
+    assert config.table.size == n_codes
     path = tmp_path / "transcript.csv"
     for n in (1, 9, 10, 11, 99, 100, 9_999, 10_000, 10_001, 20_000, 100_001):
-        transcript = simulator.Transcript(full.codes[:n], full.rows)
-        write_transcript_csv(path, transcript)
-        assert path.read_bytes() == _reference_csv(transcript), n
+        run = dataclasses.replace(config, rounds=n)
+        run_game(run, path)
+        assert path.read_bytes() == _reference_csv(run), n
 
 
-def test_transcript_codes_are_read_only():
-    _, transcript = run_game(_honest_config(100, 3))
-    with pytest.raises(ValueError):
-        transcript.codes[0] = 0
+_PROPERTY_CONFIGS = {
+    "honest": _honest_config(1, 20240818, w=0.85, r=1.081),
+    "list-cheat": RunConfig(
+        SteeringGameSpec.ideal(r=1.081),
+        ClassicalCheat(best_estimator(), answer_list=(1, -1, -1, 1, 1, -1, 1)), 1, 20240818,
+    ),
+}
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(
+    style=st.sampled_from(sorted(_PROPERTY_CONFIGS)),
+    n=st.integers(1, 30_000),
+    chunk=st.integers(1, 1 << 15),
+)
+def test_any_round_count_and_chunk_size_write_the_serial_bytes(style, n, chunk):
+    """transcript.csv is the float formula's, and summary.json the
+    default-chunk run's, whatever the run length and the chunk size."""
+    config = dataclasses.replace(_PROPERTY_CONFIGS[style], rounds=n)
+    with tempfile.TemporaryDirectory() as out:
+        csv_path, summary_path = Path(out) / "transcript.csv", Path(out) / "summary.json"
+        write_summary_json(summary_path, run_game(config), config)
+        serial = summary_path.read_bytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_CHUNK_ROUNDS", chunk)
+            write_summary_json(summary_path, run_game(config, csv_path), config)
+        assert summary_path.read_bytes() == serial
+        assert csv_path.read_bytes() == _reference_csv(config)
+
+
+def test_run_memory_does_not_grow_with_the_rounds(tmp_path):
+    """A run that writes its transcript holds one chunk, not one byte per
+    round: the traced peaks at 2 * 10**5 and 10**6 rounds agree."""
+    path = tmp_path / "transcript.csv"
+    run_game(_honest_config(1_000, 0), path)  # numpy.random's import is not traced
+    peaks = []
+    for rounds in (200_000, 1_000_000):
+        config = _honest_config(rounds, 7)
+        tracemalloc.start()
+        try:
+            run_game(config, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.25 * 2 ** 20, peaks
 
 
 def test_summary_json_is_self_describing(tmp_path):
     config = _honest_config(500, 13, w=0.8, r=1.2)
-    est, _ = run_game(config)
+    est = run_game(config)
     path = tmp_path / "summary.json"
     write_summary_json(path, est, config)
     payload = json.loads(path.read_text())
