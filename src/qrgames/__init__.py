@@ -21,14 +21,9 @@ from .games import (
     SIGNALS,
     SQRT2,
     SQRT3,
-    CorrelationTable,
     SteeringGameSpec,
     canonical_chsh_settings,
-    chsh_from_state,
     chsh_value,
-    classical_witness_payoff,
-    correlation_table,
-    correlator,
     ideal_signal_ensemble,
     outcome_table,
     per_round_payoff,
@@ -36,7 +31,6 @@ from .games import (
     single_axis_ensemble,
     steering2_value,
     steering3_value,
-    witness2_value,
 )
 from .qcore import (
     BlochVector,
@@ -44,11 +38,9 @@ from .qcore import (
     Povm,
     QuantumChannel,
     amplitude_damping_channel,
-    apply_channel,
     bloch_operator,
     depolarizing_channel,
     identity_channel,
-    partial_trace,
     pauli,
     signal_state,
     singlet_projector,
@@ -71,7 +63,6 @@ from .strategies import (
     best_estimator,
     honest_strategy,
     partial_bell_povm,
-    programmed_povm,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +73,6 @@ __all__ = [
     "SQRT3",
     "BlochVector",
     "ClassicalCheat",
-    "CorrelationTable",
     "DensityOperator",
     "HonestStrategy",
     "LhsStrategy",
@@ -92,15 +82,10 @@ __all__ = [
     "RunConfig",
     "SteeringGameSpec",
     "amplitude_damping_channel",
-    "apply_channel",
     "best_estimator",
     "bloch_operator",
     "canonical_chsh_settings",
-    "chsh_from_state",
     "chsh_value",
-    "classical_witness_payoff",
-    "correlation_table",
-    "correlator",
     "depolarizing_channel",
     "honest_strategy",
     "ideal_signal_ensemble",
@@ -109,10 +94,8 @@ __all__ = [
     "noisy_equivalence_check",
     "outcome_table",
     "partial_bell_povm",
-    "partial_trace",
     "pauli",
     "per_round_payoff",
-    "programmed_povm",
     "qrs_payoff_exact",
     "run_game",
     "signal_state",
@@ -122,7 +105,6 @@ __all__ = [
     "steering3_value",
     "tensor",
     "werner_state",
-    "witness2_value",
     "write_summary_json",
     "write_transcript_csv",
 ]

@@ -315,13 +315,6 @@ def cmd_verify(args) -> int:
 
     checks = {}
 
-    enum = oracle.enumerate_chsh_deterministic()
-    checks["chsh_enumeration"] = {
-        "passed": enum.max_value == 2.0 and enum.n_maximizers == 8,
-        "max_value": enum.max_value,
-        "n_maximizers": enum.n_maximizers,
-    }
-
     cert = oracle.cheat_certificates(spec)
     checks["cheat_certificates"] = {
         # 4 max(lambda*, 0) bounds the payoff of every cheat without a quantum state

@@ -20,17 +20,22 @@ strategy has two members, ``needs_shared_state`` and
 delivered signals.  :func:`outcome_table` makes that one call and is the
 one check that a shared state comes exactly when one is needed;
 :func:`_expectations` reduces every table to the six <ab> and <b>.
+
+The functionals :func:`chsh_value`, :func:`steering2_value` and
+:func:`steering3_value` score expectations, not states:
+``oracle.werner_columns`` takes every expectation of its states as one
+stacked trace and hands them the columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .qcore import (
-    _SIGMA_PAIRS,
     DensityOperator,
     QuantumChannel,
     _check_density_stack,
@@ -133,31 +138,11 @@ class SteeringGameSpec:
         return cls(r=r, payoff_bound=payoff_bound)
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationTable:
-    """Conditional expectations <ab> and <b> for each of the six conditions."""
-
-    e_ab: dict
-    e_b: dict
-
-    def __post_init__(self):
-        e_ab = {k: float(v) for k, v in dict(self.e_ab).items()}
-        e_b = {k: float(v) for k, v in dict(self.e_b).items()}
-        if set(e_ab) != set(SIGNALS) or set(e_b) != set(SIGNALS):
-            raise ValueError("correlation table must cover exactly the six (j, s) pairs")
-        _check_correlations(
-            np.array([e_ab[sig] for sig in SIGNALS]), np.array([e_b[sig] for sig in SIGNALS])
-        )
-        object.__setattr__(self, "e_ab", e_ab)
-        object.__setattr__(self, "e_b", e_b)
-
-
 def _check_correlations(e_ab: np.ndarray, e_b: np.ndarray) -> None:
     """Check stacked (..., 6) expectations <ab> and <b>, in ``SIGNALS`` order.
 
     Each condition needs <b> in [0, 1] and |<ab>| <= <b>, both to 1e-9;
-    the first bad condition of the first bad item raises the message
-    :class:`CorrelationTable` gives.
+    the first bad condition of the first bad item raises.
     """
     bad_b = ~((e_b >= -1e-9) & (e_b <= 1.0 + 1e-9))
     bad_ab = np.abs(e_ab) > e_b + 1e-9
@@ -235,36 +220,6 @@ def steering3_value(c1: float, c2: float, c3: float) -> float:
     return c1 + c2 + c3
 
 
-def witness2_value(state: DensityOperator) -> float:
-    """|Tr[(sigma_1 x sigma_1) rho] + Tr[(sigma_2 x sigma_2) rho]|.
-
-    Exceeding 1 witnesses entanglement of the two-qubit state.
-    """
-    if state.dim != 4:
-        raise ValueError("witness is defined for two-qubit states")
-    total = 0.0
-    for pair in _SIGMA_PAIRS[:2]:
-        total += state.expectation(pair)
-    return abs(total)
-
-
-def classical_witness_payoff(e11: float, e22: float) -> float:
-    """Payoff of the classically refereed witness game: |<ab>_11 + <ab>_22| - 1.
-
-    ``e11`` and ``e22`` are the outcome-product expectations when both
-    players were told the same setting (1,1) or (2,2).  Positive payoff
-    certifies nothing when players may share classical randomness: a
-    predetermined identical answer list reaches the maximum +1.
-    """
-    _check_expectation_range(e11=e11, e22=e22)
-    return abs(e11 + e22) - 1.0
-
-
-def correlator(state: DensityOperator, op_a, op_b) -> float:
-    """Tr[(op_a x op_b) rho] for a bipartite state."""
-    return state.expectation(tensor(op_a, op_b))
-
-
 def canonical_chsh_settings():
     """Observables (A1, A2, B1, B2) reaching CHSH = 2 sqrt(2) w on Werner states.
 
@@ -276,26 +231,12 @@ def canonical_chsh_settings():
     return (a1, a2, pauli(1), pauli(3))
 
 
-def _chsh_operators(settings) -> np.ndarray:
-    """A_x x B_y for settings (A1, A2, B1, B2), in ``chsh_value``'s argument order."""
-    a1, a2, b1, b2 = settings
-    return np.stack([tensor(a, b) for a in (a1, a2) for b in (b1, b2)])
-
-
-#: The canonical settings' four correlation operators, built once (read-only).
-_CANONICAL_CHSH_OPERATORS = _chsh_operators(canonical_chsh_settings())
+#: The canonical settings' four correlation operators A_x x B_y, Alice's
+#: pair by Bob's in ``chsh_value``'s argument order, built once (read-only).
+_CANONICAL_CHSH_OPERATORS = np.stack(
+    [tensor(a, b) for a, b in product(*np.split(np.stack(canonical_chsh_settings()), 2))]
+)
 _CANONICAL_CHSH_OPERATORS.setflags(write=False)
-
-
-def chsh_from_state(state: DensityOperator, settings=None) -> float:
-    """Evaluate the CHSH combination on a two-qubit state at given settings.
-
-    Without settings, the canonical ones of :func:`canonical_chsh_settings`.
-    """
-    operators = (
-        _CANONICAL_CHSH_OPERATORS if settings is None else _chsh_operators(settings)
-    )
-    return chsh_value(*(state.expectation(op) for op in operators))
 
 
 def _list_weights(strategy, table: np.ndarray) -> np.ndarray:
@@ -333,34 +274,18 @@ def outcome_table(
     return strategy.outcome_distribution(spec.delivered_signals, shared_state)
 
 
-def _expectations(tables: np.ndarray, list_weights: np.ndarray, check: bool = True):
+def _expectations(tables: np.ndarray, list_weights: np.ndarray):
     """<ab> and <b> per condition of stacked (..., 6, V, 4) outcome tables.
 
     The list variants are averaged with ``list_weights``; returns two
-    (..., 6) arrays in ``SIGNALS`` order, checked by :func:`_check_correlations`
-    unless ``check`` is false.
+    (..., 6) arrays in ``SIGNALS`` order, checked by :func:`_check_correlations`.
     """
     probs = (tables * list_weights[:, None]).sum(axis=-2)
     a = np.array([out[0] for out in OUTCOMES])
     b = np.array([out[1] for out in OUTCOMES])
     e_ab, e_b = probs @ (a * b), probs @ b
-    if check:
-        _check_correlations(e_ab, e_b)
+    _check_correlations(e_ab, e_b)
     return e_ab, e_b
-
-
-def correlation_table(
-    spec: SteeringGameSpec, strategy, shared_state: DensityOperator | None = None
-) -> CorrelationTable:
-    """Exact per-condition expectations <ab> and <b> from the outcome table.
-
-    List variants are averaged with the weights of their share of the
-    strategy's answer list.
-    """
-    table = outcome_table(spec, strategy, shared_state)
-    # CorrelationTable checks them
-    e_ab, e_b = _expectations(table, _list_weights(strategy, table), check=False)
-    return CorrelationTable(dict(zip(SIGNALS, e_ab)), dict(zip(SIGNALS, e_b)))
 
 
 def qrs_payoff_exact(

@@ -10,6 +10,8 @@ The hidden-state suite compares both routes of
 whole group of equally sized models at once; both hold for any referee,
 channel included, that a spec describes.  The Werner scan evaluates all
 its states as one stack into one float table, columns in ``SCAN_FIELDS``.
+Every check here reads the spec it is given; a fact no setting moves,
+such as the local CHSH bound of 2, is left to the tests.
 """
 
 from __future__ import annotations
@@ -55,35 +57,6 @@ from .strategies import (
     _lhs_routes,
     honest_strategy,
 )
-
-
-@dataclass(frozen=True)
-class ChshEnumeration:
-    """Exhaustive scan of the 16 deterministic CHSH assignments."""
-
-    max_value: float
-    argmax: dict
-    min_value: float
-    n_maximizers: int
-
-
-def enumerate_chsh_deterministic() -> ChshEnumeration:
-    """Maximise a1 b1 + a1 b2 + a2 b1 - a2 b2 over deterministic +-1 assignments."""
-    best = None
-    best_assign = None
-    worst = None
-    n_max = 0
-    for a1, a2, b1, b2 in product((1, -1), repeat=4):
-        val = a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2
-        if best is None or val > best:
-            best = val
-            best_assign = {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
-            n_max = 1
-        elif val == best:
-            n_max += 1
-        if worst is None or val < worst:
-            worst = val
-    return ChshEnumeration(float(best), best_assign, float(worst), n_max)
 
 
 #: Alice's answers (alpha_1, alpha_2, alpha_3) in the order the no-state
@@ -380,7 +353,7 @@ def werner_columns(w_grid) -> WernerColumns:
     c1, c2, c3 = x[:, 0], x[:, 1], x[:, 2]
     rows = np.column_stack([
         grid,
-        abs(x[:, 3] + x[:, 4]),  # witness2_value's sum
+        abs(x[:, 3] + x[:, 4]),  # |<sigma_1 x sigma_1> + <sigma_2 x sigma_2>|
         steering2_value(c1, c2),
         steering3_value(c1, c2, c3),
         chsh_value(*x[:, 5:].T),

@@ -88,31 +88,6 @@ _SIGMA_PAIRS = np.stack([tensor(p, p) for p in _PAULI])
 _SIGMA_PAIRS.setflags(write=False)
 
 
-def partial_trace(matrix, dims, traced_factor: int) -> np.ndarray:
-    """Trace out one tensor factor of a square matrix.
-
-    ``dims`` lists the factor dimensions in order; ``traced_factor`` is the
-    zero-based index of the factor to remove.  For a two-factor operator,
-    ``partial_trace(m, [dA, dB], 1)`` returns Tr_B[m].
-    """
-    m = np.asarray(matrix, dtype=np.complex128)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ValueError(f"factor dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if m.ndim != 2 or m.shape != (total, total):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match factor dimensions {dims}"
-        )
-    n = len(dims)
-    if not 0 <= traced_factor < n:
-        raise ValueError(f"traced_factor {traced_factor} out of range for {n} factors")
-    arr = m.reshape(dims + dims)
-    out = np.trace(arr, axis1=traced_factor, axis2=traced_factor + n)
-    keep = total // dims[traced_factor]
-    return np.ascontiguousarray(out.reshape(keep, keep))
-
-
 def mats_close(a, b, tol: float = VALIDATION_TOL) -> bool:
     """Entrywise comparison with an absolute tolerance."""
     a = np.asarray(a, dtype=np.complex128)
@@ -203,11 +178,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def expectation(self, operator) -> float:
-        """Tr[O rho] for a Hermitian observable O (real part returned)."""
-        op = np.asarray(operator, dtype=np.complex128)
-        return float(np.trace(op @ self.matrix).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,11 +349,6 @@ def signal_state(j: int, s: int) -> DensityOperator:
     if s not in (1, -1):
         raise ValueError(f"signal sign must be +1 or -1, got {s!r}")
     return DensityOperator((np.eye(2, dtype=np.complex128) + s * pauli(j)) / 2.0)
-
-
-def apply_channel(channel: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    """Schroedinger-picture action of a channel on a state."""
-    return DensityOperator(channel.apply_to_matrix(rho.matrix))
 
 
 def identity_channel() -> QuantumChannel:

@@ -101,7 +101,12 @@ def strategy_from_json(obj) -> object:
         )
     if kind == "no_state_cheat":
         rule = obj.get("alice_rule", "constant")
-        answers = rule["list"] if isinstance(rule, dict) else None if rule == "constant" else rule
+        if isinstance(rule, dict):
+            answers = rule["list"]
+        elif rule == "constant":
+            answers = None
+        else:
+            raise ValueError(f"unknown alice_rule {rule!r} of a no_state_cheat")
         return ClassicalCheat(bloch_from_json(obj["estimator"]), answer_list=answers)
     if kind == "lhs":
         return LhsStrategy(

@@ -54,7 +54,6 @@ from .qcore import (
     Povm,
     _check_density_stack,
     _kron_pair,
-    partial_trace,
     pauli,
     singlet_projector,
     tensor,
@@ -119,33 +118,15 @@ def partial_bell_povm() -> Povm:
     """Bob's honest joint measurement on B x C.
 
     The b=1 element is the projector onto the two-qubit singlet,
-    (1/4)(1x1 - sum_j sigma_j x sigma_j); b=0 is its complement.
+    (1/4)(1x1 - sum_j sigma_j x sigma_j); b=0 is its complement.  On the
+    signal (1/2)(1 + s sigma_j) it programs the effect
+    Tr_C[E_1 (1 x omega)] = (1/4)(1 - s sigma_j) on B: up to
+    normalisation, the projector onto the eigenstate orthogonal to the
+    one the referee sent.
     """
     e1 = singlet_projector()
     e0 = np.eye(4, dtype=np.complex128) - e1
     return Povm((e0, e1))
-
-
-def programmed_povm(e_bc: Povm, omega: DensityOperator) -> Povm:
-    """Effective measurement on B that a joint POVM programs via the signal.
-
-    M_b = Tr_C[E_b (1_B x omega)].  For the partial Bell measurement and
-    signal (1/2)(1 + s sigma_j) this evaluates to (1/4)(1 - s sigma_j):
-    up to normalisation, the projector onto the eigenstate orthogonal to
-    the one the referee sent.
-    """
-    d_bc = e_bc.dim
-    d_c = omega.dim
-    if d_bc % d_c != 0:
-        raise ValueError(
-            f"joint POVM dimension {d_bc} is not divisible by signal dimension {d_c}"
-        )
-    d_b = d_bc // d_c
-    elements = []
-    for el in e_bc:
-        m = partial_trace(el @ tensor(np.eye(d_b), omega.matrix), [d_b, d_c], 1)
-        elements.append((m + m.conj().T) / 2.0)
-    return Povm(tuple(elements))
 
 
 @dataclass(frozen=True, eq=False)

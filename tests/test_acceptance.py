@@ -4,20 +4,19 @@ machine-greppable pass/fail line (run with ``pytest -s`` to see them live).
 Every tolerance here is part of the package contract; do not loosen.
 """
 
+from itertools import product
+
 import numpy as np
 
 from qrgames.games import (
     SQRT2,
     SQRT3,
     SteeringGameSpec,
-    chsh_from_state,
-    classical_witness_payoff,
     qrs_payoff_exact,
     single_axis_ensemble,
 )
 from qrgames.oracle import (
     cheat_certificates,
-    enumerate_chsh_deterministic,
     random_lhs_suite,
     threshold_scan,
     werner_columns,
@@ -38,6 +37,7 @@ from qrgames.strategies import (
 )
 
 from cheat_grids import discrimination_stats, grid_max_cheat, grid_max_comm_ba
+from reference_states import chsh
 
 W_POINTS = (0.0, 0.25, 1 / SQRT3, 0.698, 0.75, 0.98, 1.0)
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
@@ -103,18 +103,19 @@ def test_criterion_04_no_hidden_state_model_wins():
 
 
 def test_criterion_05_chsh_classical_bound():
-    enum = enumerate_chsh_deterministic()
-    errs = [
-        abs(chsh_from_state(werner_state(w)) - 2 * SQRT2 * w) for w in W_POINTS
-    ]
-    below = chsh_from_state(werner_state(1 / SQRT2 - 0.001))
-    above = chsh_from_state(werner_state(1 / SQRT2 + 0.001))
+    # every deterministic +-1 assignment of (a1, a2, b1, b2)
+    deterministic = max(
+        a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2 for a1, a2, b1, b2 in product((1, -1), repeat=4)
+    )
+    errs = [abs(chsh(werner_state(w)) - 2 * SQRT2 * w) for w in W_POINTS]
+    below = chsh(werner_state(1 / SQRT2 - 0.001))
+    above = chsh(werner_state(1 / SQRT2 + 0.001))
     ok = (
-        enum.max_value == 2.0
+        deterministic == 2
         and max(errs) <= 1e-10
         and below < 2.0 < above
     )
-    _report(5, ok, f"deterministic max {enum.max_value}, Werner CHSH = 2*sqrt(2)*W "
+    _report(5, ok, f"deterministic max {deterministic}, Werner CHSH = 2*sqrt(2)*W "
             f"(max error {max(errs):.2e}), crosses 2 at W = 1/sqrt(2)")
 
 
@@ -142,7 +143,9 @@ def test_criterion_06_hierarchy_thresholds():
 
 
 def test_criterion_07_classical_referee_cheat():
-    classical = classical_witness_payoff(1.0, 1.0)
+    # an identical answer list gives <ab>_11 = <ab>_22 = 1, and the classically
+    # refereed witness game pays |<ab>_11 + <ab>_22| - 1
+    classical = abs(1.0 + 1.0) - 1.0
     cheat = ClassicalCheat(best_estimator(), answer_list=(1, -1, -1, 1))
     quantum = qrs_payoff_exact(SteeringGameSpec.ideal(), cheat)
     ok = classical == 1.0 and quantum <= 1e-9

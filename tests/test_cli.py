@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qrgames
@@ -380,8 +380,7 @@ def test_verify_passes_on_defaults(tmp_path, capsys, quick_verify_args):
     assert report["passed"] is True
     names = set(report["checks"])
     assert names == {
-        "chsh_enumeration", "cheat_certificates", "hidden_state_suite",
-        "channel_equivalence", "threshold_scan",
+        "cheat_certificates", "hidden_state_suite", "channel_equivalence", "threshold_scan",
     }
     assert all(c["passed"] for c in report["checks"].values())
     on_disk = json.loads((tmp_path / "verify_report.json").read_text())
@@ -571,12 +570,18 @@ def _redump_digest(report: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+#: The check the reports carried until it left ``verify``: the 16 deterministic
+#: CHSH assignments, whose maximum 2 no setting of any command moves.
+_CHSH_ENUMERATION = {"max_value": 2.0, "n_maximizers": 8, "passed": True}
+
+
 @pytest.mark.parametrize(
-    "flags, code, digest, rest, former",
+    "flags, code, digest, parent, rest, former",
     [
         (
             ["--seed", "1"],
             0,
+            "b02d17d6541a6d4e72f9a3fd03c5be66e0eafa17d0051baf31b6240af9983c9b",
             "fb4ed936b35fac48a7e1a670973ff89a5f483920a2615d7cfce80f89cd4ed413",
             "5f22d1c8ad8f9fc5212004d9b8ee05257bcc9e75726dee407b935503bfc31d55",
             "8d9058a8aaf79d4fb21d1801b224f865430fc5c396f3b40703ad5794c0d9cb92",
@@ -584,6 +589,7 @@ def _redump_digest(report: dict) -> str:
         (
             ["--seed", "7", "--preparation", "single_axis"],
             1,
+            "54a6afc4d423fd0548a566bad1e63107380881972fcd5e2d9eaa828cc5d9ba48",
             "493a68c0910a29a2d2e7f737d62b5024d9cf39461ccfea6addafe844dde23dde",
             "442853b0847a749b3f36aca316ad4b897f889baf63e068c8574476e6c75a1555",
             "64a9382318cd0a4f6e48ca3830dde59f5591a615a7c2111d3007b16f0e7487c2",
@@ -591,6 +597,7 @@ def _redump_digest(report: dict) -> str:
         (
             ["--payoff-bound", "1.5"],
             1,
+            "9c67dcee63b04ada71fded405fd41d6fa92aa63190defd798eca2ecf48849513",
             "00ac632a2c97d2af516c4061ebd6c112fe74a35d26f32e2c565978b055c16e13",
             "f5314f376d617897407f43d942a5b1bdf1209042a2820026ebaa0a6d57803910",
             "d18aa3d9d2f1654e224b5d49f1f2ee177c41a459ca444d29453417b2485646d0",
@@ -598,14 +605,19 @@ def _redump_digest(report: dict) -> str:
     ],
     ids=["seed-1", "seed-7-single-axis", "payoff-bound-1.5"],
 )
-def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest, rest, former):
+def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest, parent, rest, former):
     assert main(["verify", *flags, "--out", str(tmp_path)]) == code
     report = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == digest
+    # with the CHSH enumeration put back, each report re-dumps to the bytes
+    # the reports carrying that check were pinned as: no other bit moved
+    loaded = json.loads(report)
+    assert "chsh_enumeration" not in loaded["checks"]
+    loaded["checks"]["chsh_enumeration"] = _CHSH_ENUMERATION
+    assert _redump_digest(loaded) == parent
     # less lambda_max, each report re-dumps to the bytes that the report of
     # the Bob-to-Alice certificate (fields bob_to_alice, rule) re-dumps to
     # less that certificate: no other bit moved
-    loaded = json.loads(report)
     del loaded["checks"]["cheat_certificates"]["lambda_max"]
     assert _redump_digest(loaded) == rest
     # less also the hidden-state suite (200 trials by default before) and the
@@ -620,15 +632,20 @@ def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest, rest, for
 
 
 def test_verify_opt_in_trials_are_the_former_default_draws(tmp_path):
-    # --lhs-trials 200 was the default: less lambda_max the report re-dumps to
+    # with the CHSH enumeration put back the report re-dumps to the bytes it
+    # was pinned as; --lhs-trials 200 was the default: less lambda_max to
     # the bytes that the Bob-to-Alice certificate's report re-dumps to less
     # that certificate, and less also the channel deviations to the bytes that
     # the former default report, pinned as 6830293d..., re-dumps to
     assert main(["verify", "--seed", "1", "--lhs-trials", "200", "--out", str(tmp_path)]) == 0
     report = (tmp_path / "verify_report.json").read_bytes()
     digest = hashlib.sha256(report).hexdigest()
-    assert digest == "8ce470cb962d5a20d8e4009b708a0a48bb1f601536ab93c41a495f4866b6f694"
+    assert digest == "7b668a7fe7cfd910c18b1ff405a1721caa6c0fcaf21d35501c177a50be52cc6b"
     loaded = json.loads(report)
+    loaded["checks"]["chsh_enumeration"] = _CHSH_ENUMERATION
+    assert _redump_digest(loaded) == (
+        "8ce470cb962d5a20d8e4009b708a0a48bb1f601536ab93c41a495f4866b6f694"
+    )
     assert loaded["checks"]["hidden_state_suite"]["trials"] == 200
     del loaded["checks"]["cheat_certificates"]["lambda_max"]
     assert _redump_digest(loaded) == (
@@ -688,6 +705,27 @@ def test_verify_applies_the_payoff_tolerance_to_the_bound_on_every_cheat(tmp_pat
     spec = SteeringGameSpec.ideal(payoff_bound=bound)
     comm = ClassicalCheat(best_estimator(), "bob_to_alice", (1, -1), "follow_estimate")
     assert qrs_payoff_exact(spec, comm) > 1e-9
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    r=st.floats(0.0, 12.0).map(lambda e: 10.0 ** e),
+    bound=st.floats(0.0, 2.0 * SQRT3, exclude_min=True),
+)
+# 4 lambda* = 4e-9 and -4e-9, either side of the tolerance
+@example(r=1.0, bound=SQRT3 - 1e-9)
+@example(r=1.0, bound=SQRT3 + 1e-9)
+def test_verify_fails_exactly_the_winnable_ideal_games(r, bound):
+    """On the ideal referee Z(alpha) = sum_j alpha_j sigma_j - r b 1, so
+    lambda* = sqrt(3) - r b, and verify exits 1 exactly when 4 lambda* > 1e-9."""
+    want = SQRT3 - r * bound
+    assume(abs(4.0 * want - 1e-9) > 1e-9)
+    argv = ["verify", "--r", repr(r), "--payoff-bound", repr(bound), "--scan-step", "0.1"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    cert = json.loads(out.getvalue())["checks"]["cheat_certificates"]
+    assert abs(cert["lambda_max"] - want) <= 1e-12 * (1.0 + r * bound)
+    assert code == (1 if 4.0 * want > 1e-9 else 0)
 
 
 def test_verify_without_setting_flags_uses_the_published_defaults(capsys):

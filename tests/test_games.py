@@ -11,14 +11,9 @@ from qrgames.games import (
     SIGNALS,
     SQRT2,
     SQRT3,
-    CorrelationTable,
     SteeringGameSpec,
     _payoffs,
-    chsh_from_state,
     chsh_value,
-    classical_witness_payoff,
-    correlation_table,
-    correlator,
     ideal_signal_ensemble,
     outcome_table,
     per_round_payoff,
@@ -26,7 +21,6 @@ from qrgames.games import (
     single_axis_ensemble,
     steering2_value,
     steering3_value,
-    witness2_value,
 )
 from qrgames.qcore import (
     DensityOperator,
@@ -41,6 +35,8 @@ from qrgames.oracle import _extremal_lhs_strategy
 from qrgames.strategies import ClassicalCheat, best_estimator, honest_strategy
 
 from random_draws import random_density
+from reference_payoff import expectation_dicts
+from reference_states import chsh, expectation, witness2
 
 
 def test_signal_ordering_is_canonical():
@@ -139,21 +135,24 @@ def test_a_channel_off_the_qubit_line_is_refused_when_the_spec_is_built(channel)
         SteeringGameSpec(channel=channel)
 
 
-def test_correlation_table_validation():
-    e_b = {sig: 0.5 for sig in SIGNALS}
-    e_ab = {sig: 0.3 for sig in SIGNALS}
-    CorrelationTable(e_ab, e_b)
-    bad = dict(e_ab)
-    bad[(1, 1)] = 0.7  # |<ab>| > <b>
-    with pytest.raises(ValueError):
-        CorrelationTable(bad, e_b)
-    with pytest.raises(ValueError):
-        CorrelationTable(e_ab, {sig: 1.2 for sig in SIGNALS})
-    with pytest.raises(ValueError):
-        CorrelationTable({(1, 1): 0.0}, e_b)
+@pytest.mark.parametrize(
+    "e_ab, e_b, message",
+    [
+        ([0.7] + [0.3] * 5, [0.5] * 6, "|<ab>| exceeds <b> for (1, 1): 0.7 vs 0.5"),
+        ([0.3] * 6, [1.2] * 6, "<b> for (1, 1) outside [0, 1]: 1.2"),
+        ([[0.3] * 6, [0.3] * 5 + [0.0]], [[0.5] * 6, [0.5] * 5 + [-0.2]],
+         "<b> for (3, -1) outside [0, 1]: -0.2"),
+    ],
+    ids=["ab-exceeds-b", "b-above-one", "second-item"],
+)
+def test_check_correlations_refuses_bad_expectations(e_ab, e_b, message):
+    games._check_correlations(np.full(6, 0.3), np.full(6, 0.5))
+    with pytest.raises(ValueError) as err:
+        games._check_correlations(np.array(e_ab), np.array(e_b))
+    assert str(err.value) == message
 
 
-def test_correlation_table_checks_each_expectation_once(monkeypatch):
+def test_exact_payoff_checks_each_expectation_once(monkeypatch):
     calls = []
     check = games._check_correlations
 
@@ -162,7 +161,7 @@ def test_correlation_table_checks_each_expectation_once(monkeypatch):
         check(e_ab, e_b)
 
     monkeypatch.setattr(games, "_check_correlations", counted)
-    correlation_table(SteeringGameSpec.ideal(), honest_strategy(), werner_state(0.9))
+    qrs_payoff_exact(SteeringGameSpec.ideal(), honest_strategy(), werner_state(0.9))
     assert calls == [(6,)]
 
 
@@ -172,10 +171,9 @@ def test_payoff_functional_definition(rng):
         spec = SteeringGameSpec.ideal(r=r)
         e_b = {sig: rng.uniform(0.0, 1.0) for sig in SIGNALS}
         e_ab = {sig: rng.uniform(-e_b[sig], e_b[sig]) for sig in SIGNALS}
-        table = CorrelationTable(e_ab, e_b)
         payoff = _payoffs(
-            np.array([table.e_ab[sig] for sig in SIGNALS]),
-            np.array([table.e_b[sig] for sig in SIGNALS]),
+            np.array([e_ab[sig] for sig in SIGNALS]),
+            np.array([e_b[sig] for sig in SIGNALS]),
             spec.penalty_coefficient,
         )
         by_hand = 2.0 * sum(
@@ -197,10 +195,10 @@ def test_honest_conditional_expectations():
     """Frozen honest values: <ab>_{j,s} = s W / 4 and <b>_{j,s} = 1/4."""
     spec = SteeringGameSpec.ideal()
     w = 0.85
-    table = correlation_table(spec, honest_strategy(), werner_state(w))
+    e_ab, e_b = expectation_dicts(spec, honest_strategy(), werner_state(w))
     for (j, s) in SIGNALS:
-        assert abs(table.e_ab[(j, s)] - s * w / 4.0) < 1e-12
-        assert abs(table.e_b[(j, s)] - 0.25) < 1e-12
+        assert abs(e_ab[(j, s)] - s * w / 4.0) < 1e-12
+        assert abs(e_b[(j, s)] - 0.25) < 1e-12
 
 
 def test_honest_payoff_decreases_with_r():
@@ -222,7 +220,7 @@ def test_chsh_value_definition():
 def test_chsh_canonical_settings_on_werner():
     """At the canonical settings the Werner CHSH value is 2 sqrt(2) W."""
     for w in (0.0, 0.5, 1 / SQRT2, 0.9, 1.0):
-        val = chsh_from_state(werner_state(w))
+        val = chsh(werner_state(w))
         assert abs(val - 2 * SQRT2 * w) < 1e-10
 
 
@@ -232,23 +230,12 @@ def test_chsh_product_states_stay_classical(rng):
         rho = DensityOperator(
             tensor(random_density(rng, 2).matrix, random_density(rng, 2).matrix)
         )
-        assert chsh_from_state(rho) <= 2.0 + 1e-9
-
-
-def test_chsh_custom_settings():
-    """With aligned +sigma_3 on both sides the combination reduces to
-    e11 + e12 + e21 - e22 = <33> + <33> + <33> - <33> = 2<33>."""
-    state = werner_state(1.0)
-    settings = (pauli(3), pauli(3), pauli(3), pauli(3))
-    val = chsh_from_state(state, settings)
-    assert abs(val - 2.0) < 1e-12  # |2 * (-1)| on the singlet
+        assert chsh(rho) <= 2.0 + 1e-9
 
 
 def test_witness2_on_werner_states():
     for w in (0.0, 0.5, 0.75, 1.0):
-        assert abs(witness2_value(werner_state(w)) - 2 * w) < 1e-12
-    with pytest.raises(ValueError):
-        witness2_value(DensityOperator(np.eye(2) / 2))
+        assert abs(witness2(werner_state(w)) - 2 * w) < 1e-12
 
 
 def test_witness2_product_state_bound(rng):
@@ -257,14 +244,14 @@ def test_witness2_product_state_bound(rng):
         rho = DensityOperator(
             tensor(random_density(rng, 2).matrix, random_density(rng, 2).matrix)
         )
-        assert witness2_value(rho) <= 1.0 + 1e-9
+        assert witness2(rho) <= 1.0 + 1e-9
 
 
 def test_steering_values_on_werner():
     """With Alice measuring -sigma_j the Werner correlations are c_j = +W."""
     w = 0.8
     state = werner_state(w)
-    c = [correlator(state, -pauli(j), pauli(j)) for j in (1, 2, 3)]
+    c = [expectation(state, tensor(-pauli(j), pauli(j))) for j in (1, 2, 3)]
     assert all(abs(cj - w) < 1e-12 for cj in c)
     assert abs(steering2_value(c[0], c[1]) - 2 * w) < 1e-12
     assert abs(steering3_value(*c) - 3 * w) < 1e-12
@@ -274,23 +261,8 @@ def test_steering_values_on_werner():
         steering2_value(1.2, 0.0)
 
 
-def test_classical_witness_payoff():
-    assert classical_witness_payoff(1.0, 1.0) == pytest.approx(1.0)
-    assert classical_witness_payoff(-1.0, -1.0) == pytest.approx(1.0)
-    assert classical_witness_payoff(0.3, -0.8) == pytest.approx(-0.5)
-    with pytest.raises(ValueError):
-        classical_witness_payoff(1.1, 0.0)
-
-
-def test_correlation_table_rejects_missing_shared_state():
-    spec = SteeringGameSpec.ideal()
-    with pytest.raises(ValueError):
-        correlation_table(spec, honest_strategy(), None)
-
-
 @pytest.mark.parametrize(
-    "evaluate", [outcome_table, correlation_table, qrs_payoff_exact],
-    ids=["outcome_table", "correlation_table", "qrs_payoff_exact"],
+    "evaluate", [outcome_table, qrs_payoff_exact], ids=["outcome_table", "qrs_payoff_exact"],
 )
 @pytest.mark.parametrize(
     "make", [lambda: ClassicalCheat(best_estimator()), lambda: _extremal_lhs_strategy((1, 1, 1))],

@@ -1,6 +1,6 @@
-"""Verification oracles: exhaustive CHSH scan, the cheat certificates and
-the grid searches that cross-check them, the randomized hidden-state
-suite, and the Werner threshold scan."""
+"""Verification oracles: the cheat certificates and the grid searches that
+cross-check them, the randomized hidden-state suite, and the Werner
+threshold scan."""
 
 import contextlib
 import hashlib
@@ -25,20 +25,16 @@ from qrgames.games import (
     SQRT3,
     SteeringGameSpec,
     _payoff_operators,
-    chsh_from_state,
-    correlation_table,
     ideal_signal_ensemble,
     single_axis_ensemble,
     steering2_value,
     steering3_value,
-    witness2_value,
 )
 from qrgames.oracle import (
     _LHS_DIMS,
     _LHS_LAMBDA_SIZES,
     SCAN_FIELDS,
     cheat_certificates,
-    enumerate_chsh_deterministic,
     random_lhs_suite,
     threshold_scan,
     werner_columns,
@@ -50,7 +46,6 @@ from qrgames.qcore import (
     DensityOperator,
     Povm,
     amplitude_damping_channel,
-    apply_channel,
     depolarizing_channel,
     pauli,
     tensor,
@@ -74,18 +69,11 @@ from cheat_grids import (
 )
 from random_draws import random_lhs_strategy, random_povm, random_signal_ensemble
 from reference_cheats import ALICE_RULES
+from reference_payoff import expectation_dicts
 from reference_scan import csv_writer_sweep, dict_crossings, dict_rows
+from reference_states import chsh, expectation, witness2
 
 RATIO_BOUND = (SQRT3 + 1) / (SQRT3 - 1)
-
-
-def test_chsh_enumeration_is_exhaustive():
-    enum = enumerate_chsh_deterministic()
-    assert enum.max_value == 2.0
-    assert enum.min_value == -2.0
-    assert enum.n_maximizers == 8
-    a = enum.argmax
-    assert a["a1"] * a["b1"] + a["a1"] * a["b2"] + a["a2"] * a["b1"] - a["a2"] * a["b2"] == 2
 
 
 def test_fibonacci_sphere_basics():
@@ -679,17 +667,17 @@ def test_werner_columns_equal_the_per_state_evaluation(grid):
     scans = {r: threshold_scan(columns, r=r).rows for r in (1.0, 1.081)}
     for i, w in enumerate(grid):
         state = werner_state(float(w))
-        c = [state.expectation(op) for op in steering]
+        c = [expectation(state, op) for op in steering]
         assert dict(zip(SCAN_FIELDS, columns.rows[i].tolist())) == {
             "w": float(w),
-            "witness2": witness2_value(state),
+            "witness2": witness2(state),
             "steering2": steering2_value(c[0], c[1]),
             "steering3": steering3_value(c[0], c[1], c[2]),
-            "chsh": chsh_from_state(state),
+            "chsh": chsh(state),
         }
-        table = correlation_table(SteeringGameSpec.ideal(), honest, state)
-        assert columns.e_ab[i].tolist() == [table.e_ab[sig] for sig in SIGNALS]
-        assert columns.e_b[i].tolist() == [table.e_b[sig] for sig in SIGNALS]
+        e_ab, e_b = expectation_dicts(SteeringGameSpec.ideal(), honest, state)
+        assert columns.e_ab[i].tolist() == [e_ab[sig] for sig in SIGNALS]
+        assert columns.e_b[i].tolist() == [e_b[sig] for sig in SIGNALS]
         for r, rows in scans.items():
             spec = SteeringGameSpec.ideal(r=r)
             assert rows[i, SCAN_FIELDS.index("qrs_payoff")] == qrs_payoff_exact(spec, honest, state)
@@ -800,7 +788,10 @@ def test_sweep_and_crossings_equal_the_dict_rows(axes):
 )
 def test_certificates_and_suite_honour_the_channel_on_the_spec(channel):
     """A channel on the spec is the referee sending the states it delivers."""
-    received = {sig: apply_channel(channel, st) for sig, st in ideal_signal_ensemble().items()}
+    received = {
+        sig: DensityOperator(channel.apply_to_matrix(st.matrix))
+        for sig, st in ideal_signal_ensemble().items()
+    }
     for r, bound in ((1.0, SQRT3), (1.3, 1.5)):
         line = SteeringGameSpec(r=r, payoff_bound=bound, channel=channel)
         sent = SteeringGameSpec(signal_ensemble=received, r=r, payoff_bound=bound)

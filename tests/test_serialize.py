@@ -1,6 +1,7 @@
 """JSON round-trips for operators, channels, and strategy descriptions."""
 
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -168,6 +169,34 @@ def test_strategy_from_json_refuses_malformed_cheat_documents():
             jsonschema.validate(doc, STRATEGY_SCHEMA)
         with pytest.raises(ValueError):
             strategy_from_json(doc)
+
+
+def _no_state_cheat_document(**rule):
+    return {"type": "no_state_cheat", "estimator": bloch_to_json(best_estimator()), **rule}
+
+
+@pytest.mark.parametrize("rule", [[1, -1], "follow_estimate"], ids=["bare-list", "comm-rule"])
+def test_a_no_state_cheat_rule_outside_the_schema_is_refused_by_name(rule):
+    doc = _no_state_cheat_document(alice_rule=rule)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, STRATEGY_SCHEMA)
+    message = f"unknown alice_rule {rule!r} of a no_state_cheat"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        strategy_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "rule, answers",
+    [({}, None), ({"alice_rule": "constant"}, None), ({"alice_rule": {"list": [1]}}, (1,))],
+    ids=["absent", "constant", "list"],
+)
+def test_the_no_state_cheat_rules_of_the_schema_load(rule, answers):
+    cheat = strategy_from_json(_no_state_cheat_document(**rule))
+    assert cheat.answer_list == answers
+    assert strategy_to_json(cheat)["alice_rule"] == rule.get("alice_rule", "constant")
+    spec = SteeringGameSpec.ideal()
+    want = qrs_payoff_exact(spec, ClassicalCheat(best_estimator()))
+    assert qrs_payoff_exact(spec, cheat) == want
 
 
 def test_serialized_strategies_are_plain_json():

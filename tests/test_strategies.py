@@ -14,7 +14,6 @@ from qrgames.games import (
     SIGNALS,
     SQRT3,
     SteeringGameSpec,
-    correlation_table,
     outcome_table,
     qrs_payoff_exact,
     single_axis_ensemble,
@@ -27,7 +26,6 @@ from qrgames.qcore import (
     bloch_operator,
     depolarizing_channel,
     mats_close,
-    partial_trace,
     pauli,
     signal_state,
     singlet_projector,
@@ -44,12 +42,12 @@ from qrgames.strategies import (
     best_estimator,
     honest_strategy,
     partial_bell_povm,
-    programmed_povm,
 )
 
 from cheat_grids import discrimination_stats
 from reference_cheats import ALICE_RULES, comm_table, no_state_table
-from reference_payoff import round_trip_payoff
+from reference_payoff import expectation_dicts, round_trip_payoff
+from reference_states import partial_trace
 from random_draws import (
     random_density,
     random_lhs_strategy,
@@ -79,11 +77,16 @@ def test_partial_bell_povm_structure():
     assert mats_close(povm[0], np.eye(4) - singlet_projector(), 1e-15)
 
 
+def _programmed_effects(povm, omega):
+    """M_b = Tr_C[E_b (1_B x omega)]: the measurement on B a joint POVM programs via the signal."""
+    return [partial_trace(el @ tensor(np.eye(2), omega), [2, 2], 1) for el in povm]
+
+
 def test_programmed_povm_on_calibrated_signals():
     """Tr_C[E_b (1 x omega_{j,s})] = (1/4)(1 - s sigma_j) for b=1, all six signals."""
     bell = partial_bell_povm()
     for (j, s) in SIGNALS:
-        eff = programmed_povm(bell, signal_state(j, s))
+        eff = _programmed_effects(bell, signal_state(j, s).matrix)
         want = (np.eye(2) - s * pauli(j)) / 4.0
         assert mats_close(eff[1], want, 1e-12)
         assert mats_close(eff[0] + eff[1], np.eye(2), 1e-12)
@@ -91,15 +94,8 @@ def test_programmed_povm_on_calibrated_signals():
 
 def test_programmed_povm_depolarized_signal():
     """A fully mixed signal programs the constant measurement 1/4."""
-    bell = partial_bell_povm()
-    eff = programmed_povm(bell, DensityOperator(np.eye(2) / 2))
+    eff = _programmed_effects(partial_bell_povm(), np.eye(2) / 2)
     assert mats_close(eff[1], np.eye(2) / 4.0, 1e-12)
-
-
-def test_programmed_povm_dimension_check():
-    bell = partial_bell_povm()
-    with pytest.raises(ValueError):
-        programmed_povm(bell, DensityOperator(np.eye(3) / 3))
 
 
 def test_honest_strategy_components():
@@ -516,11 +512,11 @@ def test_cheats_without_bobs_message_refuse_the_rules_that_read_it(direction):
 def test_comm_cheat_expectations_consistent(ideal_spec):
     cheat = ClassicalCheat(best_estimator(), "bob_to_alice", (1, -1), "negate_estimate")
     dists = cheat.outcome_distribution(ideal_spec.delivered_signals)
-    table = correlation_table(ideal_spec, cheat)
+    e_abs, e_bs = expectation_dicts(ideal_spec, cheat)
     for k, (j, s) in enumerate(SIGNALS):
         dist = dists[k, 0]
         assert abs(sum(dist) - 1.0) < 1e-12
-        e_ab, e_b = table.e_ab[(j, s)], table.e_b[(j, s)]
+        e_ab, e_b = e_abs[(j, s)], e_bs[(j, s)]
         assert abs(e_ab - sum(a * b * p for (a, b), p in zip(OUTCOMES, dist))) < 1e-12
         assert abs(e_b - sum(b * p for (a, b), p in zip(OUTCOMES, dist))) < 1e-12
 
@@ -548,12 +544,12 @@ def test_no_state_table_matches_the_list_closed_form(spec_name, rule):
     )
     for est in estimators:
         answers = None if rule == "constant" else rule
-        table = correlation_table(spec, ClassicalCheat(est, answer_list=answers))
+        e_ab, e_b = expectation_dicts(spec, ClassicalCheat(est, answer_list=answers))
         m_plus = est.povm_pair()[0]
         for sig in SIGNALS:
             p = float(np.trace(m_plus @ spec.signal_ensemble[sig].matrix).real)
-            assert abs(table.e_ab[sig] - (f * p - (1 - f) * (1 - p))) < 1e-12
-            assert abs(table.e_b[sig] - (f * p + (1 - f) * (1 - p))) < 1e-12
+            assert abs(e_ab[sig] - (f * p - (1 - f) * (1 - p))) < 1e-12
+            assert abs(e_b[sig] - (f * p + (1 - f) * (1 - p))) < 1e-12
 
 
 @pytest.mark.parametrize("spec_name", sorted(_SPECS))
@@ -563,7 +559,7 @@ def test_hidden_state_table_matches_the_closed_form(spec_name):
     spec = _SPECS[spec_name]
     for t in range(12):
         strategy = random_lhs_strategy(np.random.default_rng([5, t]), t % 3 + 2, t % 4 + 1)
-        table = correlation_table(spec, strategy)
+        got_ab, got_b = expectation_dicts(spec, strategy)
         e1 = strategy.bob_joint_povm[1]
         for (j, s) in SIGNALS:
             omega = spec.signal_ensemble[(j, s)].matrix
@@ -572,8 +568,8 @@ def test_hidden_state_table_matches_the_closed_form(spec_name):
             )
             e_b = strategy.weights @ t_lam
             e_ab = (strategy.weights * strategy.alice_responses[:, j - 1]) @ t_lam
-            assert abs(table.e_ab[(j, s)] - e_ab) < 1e-12
-            assert abs(table.e_b[(j, s)] - e_b) < 1e-12
+            assert abs(got_ab[(j, s)] - e_ab) < 1e-12
+            assert abs(got_b[(j, s)] - e_b) < 1e-12
 
 
 def test_best_estimator_is_the_diagonal_direction():
@@ -609,7 +605,7 @@ def test_comm_cheat_table_matches_the_closed_form(spec_name):
                 cheat = ClassicalCheat(est, "bob_to_alice", ones, rule)
                 cases.append((cheat, est, answers, replies))
     for cheat, est, answers, replies in cases:
-        table = correlation_table(spec, cheat)
+        got_ab, got_b = expectation_dicts(spec, cheat)
         for (j, s) in SIGNALS:
             axis = 1 if spec_name == "single_axis" else j
             if est is None:
@@ -618,8 +614,8 @@ def test_comm_cheat_table_matches_the_closed_form(spec_name):
                 p = est.mu * (1 + s * est.m[axis - 1])
             e_ab = p * answers[1] * replies[1] + (1 - p) * answers[-1] * replies[-1]
             e_b = p * replies[1] + (1 - p) * replies[-1]
-            assert abs(table.e_ab[(j, s)] - e_ab) < 1e-12
-            assert abs(table.e_b[(j, s)] - e_b) < 1e-12
+            assert abs(got_ab[(j, s)] - e_ab) < 1e-12
+            assert abs(got_b[(j, s)] - e_b) < 1e-12
 
 
 def _tilted_spec(theta, eta):
