@@ -26,7 +26,6 @@ from .games import (
     chsh_value,
     ideal_signal_ensemble,
     outcome_table,
-    per_round_payoff,
     qrs_payoff_exact,
     single_axis_ensemble,
     steering2_value,
@@ -50,8 +49,6 @@ from .qcore import (
 from .simulator import (
     PayoffEstimate,
     RunConfig,
-    modified_povm,
-    noisy_equivalence_check,
     run_game,
     write_summary_json,
     write_transcript_csv,
@@ -90,12 +87,9 @@ __all__ = [
     "honest_strategy",
     "ideal_signal_ensemble",
     "identity_channel",
-    "modified_povm",
-    "noisy_equivalence_check",
     "outcome_table",
     "partial_bell_povm",
     "pauli",
-    "per_round_payoff",
     "qrs_payoff_exact",
     "run_game",
     "signal_state",

@@ -43,7 +43,6 @@ from .strategies import (
     ClassicalCheat,
     best_estimator,
     honest_strategy,
-    partial_bell_povm,
 )
 
 _CHANNEL_CONFIG_SCHEMA = {
@@ -325,22 +324,6 @@ def cmd_verify(args) -> int:
 
     suite = oracle.random_lhs_suite(settings["lhs_trials"], rng_seed=settings["seed"], spec=spec)
     checks["hidden_state_suite"] = suite.to_json()
-
-    bell = partial_bell_povm()
-    channel_reports = {}
-    for name, channel in (
-        ("depolarizing_0.3", depolarizing_channel(0.3)),
-        ("amplitude_damping_0.4", amplitude_damping_channel(0.4)),
-    ):
-        rep = simulator.noisy_equivalence_check(channel, bell)
-        channel_reports[name] = {
-            "passed": rep.passed,
-            "max_deviation": rep.max_deviation,
-        }
-    checks["channel_equivalence"] = {
-        "passed": all(v["passed"] for v in channel_reports.values()),
-        "channels": channel_reports,
-    }
 
     w_grid = _grid(0.0, 1.0, step)
     # a step that does not divide 1 overshoots it; werner_state would reject those points

@@ -301,18 +301,3 @@ def _round_payoffs(s, a, b, c):
     """Per-round payoffs 2 / (1/6) * (s a b - c b), elementwise."""
     return 12.0 * (s * a * b - c * b)
 
-
-def per_round_payoff(
-    a: int, b: int, j: int, s: int, r: float = 1.0, payoff_bound: float = SQRT3
-) -> float:
-    """Single-round payoff 12 (s a b - (r/sqrt(3)) b), the simulator's own formula.
-
-    Its expectation under the referee's uniform draw is the aggregate payoff.
-    """
-    if a not in (1, -1):
-        raise ValueError(f"Alice's outcome must be +1 or -1, got {a!r}")
-    if b not in (0, 1):
-        raise ValueError(f"Bob's outcome must be 0 or 1, got {b!r}")
-    if j not in (1, 2, 3) or s not in (1, -1):
-        raise ValueError(f"invalid signal condition ({j!r}, {s!r})")
-    return _round_payoffs(s, a, b, _penalty_coefficient(r, payoff_bound))

@@ -11,7 +11,8 @@ whole group of equally sized models at once; both hold for any referee,
 channel included, that a spec describes.  The Werner scan evaluates all
 its states as one stack into one float table, columns in ``SCAN_FIELDS``.
 Every check here reads the spec it is given; a fact no setting moves,
-such as the local CHSH bound of 2, is left to the tests.
+such as the local CHSH bound of 2 or the dual-map identity that pulls a
+line's noise into Bob's measurement, is left to the tests.
 """
 
 from __future__ import annotations

@@ -32,15 +32,6 @@ from and, when a transcript is asked for, written by
 Consecutive draws continue the stream, so the chunk size never shows in
 the output, and a run holds one chunk's memory whatever its length.
 
-Channel check
--------------
-:func:`modified_povm` pulls a transmission channel into Bob's joint
-POVM through its dual map, and :func:`noisy_equivalence_check` confirms
-the identity numerically.  The identity is linear in the state on B, so
-it checks a fixed basis of d_B**2 density operators, which decides it
-completely, and evaluates both orders with the Born-rule kernel of
-:mod:`strategies`, one call each, with no per-state loop.
-
 Communication discipline
 ------------------------
 A run opens the one-way channel its strategy declares and no other; the
@@ -56,20 +47,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from . import serialize
 from .games import OUTCOMES, SIGNALS, SteeringGameSpec, _round_payoffs, outcome_table
-from .qcore import (
-    DensityOperator,
-    Povm,
-    QuantumChannel,
-    _unit_trace,
-    tensor,
-)
-from .strategies import _signal_traces
+from .qcore import DensityOperator
 
 TRANSCRIPT_FIELDS = ("round", "j", "s", "a", "b", "payoff")
 
@@ -276,91 +259,6 @@ def run_game(config: RunConfig, transcript_path=None) -> PayoffEstimate:
         e_ab={sig: float(sum_ab[i] / safe[i]) for i, sig in enumerate(SIGNALS)},
         e_b={sig: float(sum_b[i] / safe[i]) for i, sig in enumerate(SIGNALS)},
     )
-
-
-def modified_povm(channel: QuantumChannel, e_bc: Povm) -> Povm:
-    """Pull a transmission channel on C into Bob's joint POVM.
-
-    With phi* the dual map, E~_b = (1_B x phi*)(E_b) satisfies
-    Tr[E_b (rho x phi(omega))] = Tr[E~_b (rho x omega)], so playing E~
-    against a clean line reproduces playing E behind the channel.
-    """
-    if channel.input_dim != channel.output_dim:
-        raise ValueError("signal channel must preserve dimension")
-    d_c = channel.input_dim
-    if e_bc.dim % d_c != 0:
-        raise ValueError("POVM dimension incompatible with the channel")
-    d_b = e_bc.dim // d_c
-    elements = []
-    for el in e_bc:
-        acc = np.zeros_like(el)
-        for k in channel.kraus_operators:
-            lift = tensor(np.eye(d_b), k)
-            acc = acc + lift.conj().T @ el @ lift
-        elements.append((acc + acc.conj().T) / 2.0)
-    return Povm(tuple(elements))
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Outcome of a channel/dual-POVM equivalence check."""
-
-    passed: bool
-    max_deviation: float
-    povm_valid: bool
-    message: str = ""
-
-    def __bool__(self):
-        return self.passed
-
-
-#: The largest deviation between the two evaluation orders that
-#: :func:`noisy_equivalence_check` accepts.
-_EQUIVALENCE_TOL = 1e-12
-
-
-def _state_basis(d: int) -> np.ndarray:
-    """d**2 density operators whose real span is every d x d Hermitian matrix.
-
-    The projectors on |i>, (|i> + |k>)/sqrt(2) and (|i> + i|k>)/sqrt(2),
-    i < k, as a (d**2, d, d) stack; every entry is exact.
-    """
-    eye = np.eye(d, dtype=np.complex128)
-    pairs = combinations(range(d), 2)
-    kets = np.array([*eye, *(eye[i] + ph * eye[k] for i, k in pairs for ph in (1, 1j))])
-    return _unit_trace(kets[:, :, None] * kets[:, None, :].conj())
-
-
-def noisy_equivalence_check(channel: QuantumChannel, e_bc: Povm) -> EquivalenceReport:
-    """Verify the dual-map identity behind :func:`modified_povm` numerically.
-
-    Checks that the modified POVM is valid and that both evaluation
-    orders agree, to ``_EQUIVALENCE_TOL``, against all six calibrated
-    signals on the d_B**2 states of :func:`_state_basis`: ``E`` against
-    the signals behind the channel, and the modified POVM against the
-    clean signals, one call of the Born-rule kernel each.  Both sides are
-    linear in the state on B and the basis spans every state, so the
-    identity holds on all of them exactly when it holds on these.
-    Never raises on failure; inspect the report.
-    """
-    modified = None
-    try:
-        modified = modified_povm(channel, e_bc)
-        noisy = SteeringGameSpec(channel=channel).delivered_signals
-    except ValueError as exc:
-        valid = modified is not None
-        stage = "signal channel" if valid else "modified POVM"
-        return EquivalenceReport(False, float("nan"), valid, f"invalid {stage}: {exc}")
-    states = _state_basis(e_bc.dim // channel.input_dim)[:, None]
-    clean = SteeringGameSpec().delivered_signals
-    # (signal, state, outcome): E behind the channel, E~ against the clean signals
-    lhs = _signal_traces(np.stack(e_bc.elements)[None], states, noisy)
-    rhs = _signal_traces(np.stack(modified.elements)[None], states, clean)
-    max_dev = float(np.max(np.abs(lhs - rhs)))
-    tol = _EQUIVALENCE_TOL
-    passed = max_dev <= tol
-    msg = "" if passed else f"evaluation orders deviate by {max_dev:.3e} (tol {tol:.1e})"
-    return EquivalenceReport(passed, max_dev, True, msg)
 
 
 def _sig_key(sig) -> str:

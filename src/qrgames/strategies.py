@@ -22,11 +22,10 @@ nowhere else; its table is what exact evaluation and the simulator read.
 
 Every probability on Bob's side is the Born rule Tr[E (rho x omega_k)]
 on the signal omega_k the referee sent, and one private kernel,
-``_signal_traces``, is the only code that evaluates it.  It has three
+``_signal_traces``, is the only code that evaluates it.  It has two
 callers: the honest table, over an ``(n, d, d)`` stack of shared states
-in blocks of ``qcore._STACK_BLOCK``; ``_lhs_tables``, over the hidden
-states of n equally sized hidden-state models; and
-``simulator.noisy_equivalence_check``, over its basis of states on B.
+in blocks of ``qcore._STACK_BLOCK``, and ``_lhs_tables``, over the
+hidden states of n equally sized hidden-state models.
 ``_lhs_routes``, which also takes n models at once, checks their
 tables against the collapse of Bob's side onto the signal qubit, paid
 through the payoff operator Z(alpha) of ``games._payoff_operators``

@@ -8,7 +8,8 @@ there, with the list weights read from the strategy's answer list.
 :func:`round_trip_payoff` keeps that formula as the reference the one
 reduction is held to bit for bit; :func:`expectation_dicts` is the
 per-condition view of the engine's own reduction that the closed-form
-tests read.
+tests read, and :func:`round_payoff` is one round's payoff written out,
+which the transcripts are held to.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from qrgames.games import (
     OUTCOMES,
     SIGNALS,
+    SQRT3,
     _check_correlations,
     _expectations,
     _list_weights,
@@ -49,3 +51,9 @@ def expectation_dicts(spec, strategy, shared_state=None):
     table = outcome_table(spec, strategy, shared_state)
     e_ab, e_b = _expectations(table, _list_weights(strategy, table))
     return dict(zip(SIGNALS, e_ab.tolist())), dict(zip(SIGNALS, e_b.tolist()))
+
+
+def round_payoff(a, b, s, r=1.0, payoff_bound=SQRT3) -> float:
+    """One round's payoff 12 (s a b - c b), with c = r * payoff_bound / 3."""
+    c = r * payoff_bound / 3.0
+    return 12.0 * (s * a * b - c * b)

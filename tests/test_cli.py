@@ -2,6 +2,7 @@
 artifact layout."""
 
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -379,12 +380,31 @@ def test_verify_passes_on_defaults(tmp_path, capsys, quick_verify_args):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     names = set(report["checks"])
-    assert names == {
-        "cheat_certificates", "hidden_state_suite", "channel_equivalence", "threshold_scan",
-    }
+    assert names == {"cheat_certificates", "hidden_state_suite", "threshold_scan"}
     assert all(c["passed"] for c in report["checks"].values())
     on_disk = json.loads((tmp_path / "verify_report.json").read_text())
     assert on_disk == report
+
+
+#: One flag set per setting a user can give ``verify`` for the game it checks.
+_SETTING_FLAGS = (
+    ["--r", "1.2"],
+    ["--payoff-bound", "1.5"],
+    ["--preparation", "single_axis"],
+    ["--scan-step", "0.05"],
+)
+
+
+def test_every_verify_check_reads_the_settings(capsys):
+    """A check that no flag moves checks nothing about the user's game."""
+    def checks(flags):
+        main(["verify", *flags])
+        return json.loads(capsys.readouterr().out)["checks"]
+
+    defaults = checks([])
+    moved = [checks(flags) for flags in _SETTING_FLAGS]
+    for name, check in defaults.items():
+        assert any(other[name] != check for other in moved), name
 
 
 def test_verify_flags_a_weakened_penalty(capsys, quick_verify_args):
@@ -574,13 +594,32 @@ def _redump_digest(report: dict) -> str:
 #: CHSH assignments, whose maximum 2 no setting of any command moves.
 _CHSH_ENUMERATION = {"max_value": 2.0, "n_maximizers": 8, "passed": True}
 
+#: The check the reports carried next to it: the dual-map identity on two fixed
+#: channels, the same dict for every setting of every command.
+_CHANNEL_EQUIVALENCE = {
+    "channels": {
+        "amplitude_damping_0.4": {"max_deviation": 1.1102230246251565e-16, "passed": True},
+        "depolarizing_0.3": {"max_deviation": 1.1102230246251565e-16, "passed": True},
+    },
+    "passed": True,
+}
+
+
+def _with_channel_check(report: bytes) -> dict:
+    """A report without the channel check, loaded with it put back."""
+    loaded = json.loads(report)
+    assert "channel_equivalence" not in loaded["checks"]
+    loaded["checks"]["channel_equivalence"] = copy.deepcopy(_CHANNEL_EQUIVALENCE)
+    return loaded
+
 
 @pytest.mark.parametrize(
-    "flags, code, digest, parent, rest, former",
+    "flags, code, digest, pinned, parent, rest, former",
     [
         (
             ["--seed", "1"],
             0,
+            "817401424a7a9e8e01c47fecf0973a22769f169457b1e136eaf6fe9267dab8b8",
             "b02d17d6541a6d4e72f9a3fd03c5be66e0eafa17d0051baf31b6240af9983c9b",
             "fb4ed936b35fac48a7e1a670973ff89a5f483920a2615d7cfce80f89cd4ed413",
             "5f22d1c8ad8f9fc5212004d9b8ee05257bcc9e75726dee407b935503bfc31d55",
@@ -589,6 +628,7 @@ _CHSH_ENUMERATION = {"max_value": 2.0, "n_maximizers": 8, "passed": True}
         (
             ["--seed", "7", "--preparation", "single_axis"],
             1,
+            "976801bab26068e3a1b25b2bb9b1120335c0a89330ff57f8ebcd01edb9bd1d41",
             "54a6afc4d423fd0548a566bad1e63107380881972fcd5e2d9eaa828cc5d9ba48",
             "493a68c0910a29a2d2e7f737d62b5024d9cf39461ccfea6addafe844dde23dde",
             "442853b0847a749b3f36aca316ad4b897f889baf63e068c8574476e6c75a1555",
@@ -597,6 +637,7 @@ _CHSH_ENUMERATION = {"max_value": 2.0, "n_maximizers": 8, "passed": True}
         (
             ["--payoff-bound", "1.5"],
             1,
+            "ac5ce643cb9d148e1ae64566533e9e19fed64030d6fbadabbbe366c297a1a029",
             "9c67dcee63b04ada71fded405fd41d6fa92aa63190defd798eca2ecf48849513",
             "00ac632a2c97d2af516c4061ebd6c112fe74a35d26f32e2c565978b055c16e13",
             "f5314f376d617897407f43d942a5b1bdf1209042a2820026ebaa0a6d57803910",
@@ -605,13 +646,18 @@ _CHSH_ENUMERATION = {"max_value": 2.0, "n_maximizers": 8, "passed": True}
     ],
     ids=["seed-1", "seed-7-single-axis", "payoff-bound-1.5"],
 )
-def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest, parent, rest, former):
+def test_verify_report_bytes_are_pinned(
+    tmp_path, flags, code, digest, pinned, parent, rest, former
+):
     assert main(["verify", *flags, "--out", str(tmp_path)]) == code
     report = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == digest
-    # with the CHSH enumeration put back, each report re-dumps to the bytes
+    # with the channel check put back, each report re-dumps to the bytes the
+    # reports carrying that check were pinned as: no other bit moved
+    loaded = _with_channel_check(report)
+    assert _redump_digest(loaded) == pinned
+    # with the CHSH enumeration put back too, each report re-dumps to the bytes
     # the reports carrying that check were pinned as: no other bit moved
-    loaded = json.loads(report)
     assert "chsh_enumeration" not in loaded["checks"]
     loaded["checks"]["chsh_enumeration"] = _CHSH_ENUMERATION
     assert _redump_digest(loaded) == parent
@@ -632,16 +678,20 @@ def test_verify_report_bytes_are_pinned(tmp_path, flags, code, digest, parent, r
 
 
 def test_verify_opt_in_trials_are_the_former_default_draws(tmp_path):
-    # with the CHSH enumeration put back the report re-dumps to the bytes it
-    # was pinned as; --lhs-trials 200 was the default: less lambda_max to
-    # the bytes that the Bob-to-Alice certificate's report re-dumps to less
-    # that certificate, and less also the channel deviations to the bytes that
-    # the former default report, pinned as 6830293d..., re-dumps to
+    # with the channel check, then the CHSH enumeration, put back the report
+    # re-dumps to the bytes it was pinned as each time; --lhs-trials 200 was
+    # the default: less lambda_max to the bytes that the Bob-to-Alice
+    # certificate's report re-dumps to less that certificate, and less also
+    # the channel deviations to the bytes that the former default report,
+    # pinned as 6830293d..., re-dumps to
     assert main(["verify", "--seed", "1", "--lhs-trials", "200", "--out", str(tmp_path)]) == 0
     report = (tmp_path / "verify_report.json").read_bytes()
     digest = hashlib.sha256(report).hexdigest()
-    assert digest == "7b668a7fe7cfd910c18b1ff405a1721caa6c0fcaf21d35501c177a50be52cc6b"
-    loaded = json.loads(report)
+    assert digest == "22cf069c8e33ab087f92ffc166e301463bdc547faefbdea2841fb6c7383860de"
+    loaded = _with_channel_check(report)
+    assert _redump_digest(loaded) == (
+        "7b668a7fe7cfd910c18b1ff405a1721caa6c0fcaf21d35501c177a50be52cc6b"
+    )
     loaded["checks"]["chsh_enumeration"] = _CHSH_ENUMERATION
     assert _redump_digest(loaded) == (
         "8ce470cb962d5a20d8e4009b708a0a48bb1f601536ab93c41a495f4866b6f694"
@@ -974,3 +1024,29 @@ def test_sweep_and_verify_keep_their_exit_contract_on_extreme_numbers(request):
         report = json.loads(stdout.getvalue(), parse_constant=_refuse_constant)
         assert report["passed"] is (code == 0)
         assert written["verify_report.json"] == stdout.getvalue()
+
+
+_RUN_NUMBER_KEYS = ("werner", "r", "payoff_bound", "seed")
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(flags=st.dictionaries(
+    st.sampled_from(_RUN_NUMBER_KEYS), st.sampled_from(_EXTREME_NUMBERS), min_size=1
+))
+def test_run_keeps_its_exit_contract_on_extreme_numbers(flags):
+    """An honest run of 50 rounds exits 0 with finite JSON or 2 with no file.
+
+    The round count stays fixed: the schema sets it no maximum, so an
+    extreme value would be a valid, practically endless run."""
+    flags = {"werner": "0.9", **flags}
+    argv = [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", "--strategy", "honest", "--rounds=50", *argv, "--out", out])
+        written = {path.name: path.read_text() for path in Path(out).iterdir()}
+    assert code in (0, 2)
+    if code == 2:
+        assert written == {}
+        return
+    assert "summary.json" in written
+    json.loads(written["summary.json"], parse_constant=_refuse_constant)

@@ -16,7 +16,6 @@ from qrgames.games import (
     chsh_value,
     ideal_signal_ensemble,
     outcome_table,
-    per_round_payoff,
     qrs_payoff_exact,
     single_axis_ensemble,
     steering2_value,
@@ -35,7 +34,7 @@ from qrgames.oracle import _extremal_lhs_strategy
 from qrgames.strategies import ClassicalCheat, best_estimator, honest_strategy
 
 from random_draws import random_density
-from reference_payoff import expectation_dicts
+from reference_payoff import expectation_dicts, round_payoff
 from reference_states import chsh, expectation, witness2
 
 
@@ -274,40 +273,33 @@ def test_a_strategy_without_a_shared_state_refuses_one(evaluate, make):
 
 
 def test_per_round_payoff_support():
-    """Support is {0, 12(1 - r/sqrt(3)), -12(1 + r/sqrt(3))}."""
+    """Support is {0, 12(1 - r/sqrt(3)), -12(1 + r/sqrt(3))}, the engine's
+    per-round formula equal to the written-out one."""
     for r in (1.0, 1.081):
         win = 12 * (1 - r / SQRT3)
         lose = -12 * (1 + r / SQRT3)
-        assert per_round_payoff(1, 1, 2, 1, r=r) == pytest.approx(win, abs=1e-12)
-        assert per_round_payoff(-1, 1, 2, -1, r=r) == pytest.approx(win, abs=1e-12)
-        assert per_round_payoff(-1, 1, 2, 1, r=r) == pytest.approx(lose, abs=1e-12)
-        assert per_round_payoff(1, 0, 2, 1, r=r) == 0.0
-    assert per_round_payoff(1, 1, 1, 1) == pytest.approx(12 * (1 - 1 / SQRT3))
-    assert per_round_payoff(-1, 1, 1, 1) == pytest.approx(-12 * (1 + 1 / SQRT3))
+        c = SteeringGameSpec.ideal(r=r).penalty_coefficient
+        for (a, b, s), want in [
+            ((1, 1, 1), win), ((-1, 1, -1), win), ((-1, 1, 1), lose), ((1, 0, 1), 0.0),
+        ]:
+            assert round_payoff(a, b, s, r=r) == pytest.approx(want, abs=1e-12)
+            assert games._round_payoffs(s, a, b, c) == round_payoff(a, b, s, r=r)
 
 
-def test_per_round_payoff_label_validation():
-    with pytest.raises(ValueError):
-        per_round_payoff(0, 1, 1, 1)
-    with pytest.raises(ValueError):
-        per_round_payoff(1, 2, 1, 1)
-    with pytest.raises(ValueError):
-        per_round_payoff(1, 1, 4, 1)
-    with pytest.raises(ValueError):
-        per_round_payoff(1, 1, 1, 0)
-    # the game parameters are checked as the spec checks them
-    for params, message in [
+@pytest.mark.parametrize(
+    "params, message",
+    [
         ({"r": 0.5}, "preparation-quality parameter r must be finite and >= 1, got 0.5"),
         ({"r": math.nan}, "preparation-quality parameter r must be finite and >= 1, got nan"),
         ({"r": math.inf}, "preparation-quality parameter r must be finite and >= 1, got inf"),
         ({"payoff_bound": 0}, "payoff bound must be finite and positive, got 0.0"),
         ({"payoff_bound": -1}, "payoff bound must be finite and positive, got -1.0"),
-    ]:
-        with pytest.raises(ValueError) as per_round:
-            per_round_payoff(1, 1, 1, 1, **params)
-        with pytest.raises(ValueError) as spec:
-            SteeringGameSpec.ideal(**params)
-        assert str(per_round.value) == str(spec.value) == message
+    ],
+)
+def test_spec_refuses_invalid_game_parameters(params, message):
+    with pytest.raises(ValueError) as spec:
+        SteeringGameSpec.ideal(**params)
+    assert str(spec.value) == message
 
 
 def test_per_round_expectation_matches_aggregate():
@@ -321,6 +313,6 @@ def test_per_round_expectation_matches_aggregate():
     total = 0.0
     for k, (j, s) in enumerate(SIGNALS):
         for (a, b), p in zip(OUTCOMES, table[k, 0]):
-            total += (1.0 / 6.0) * p * per_round_payoff(a, b, j, s, r=1.081)
+            total += (1.0 / 6.0) * p * round_payoff(a, b, s, r=1.081)
     exact = qrs_payoff_exact(spec, strategy, state)
     assert abs(total - exact) < 1e-10

@@ -34,6 +34,12 @@ _REMOVED = {
     "programmed_povm": "strategies",
     "ChshEnumeration": "oracle",
     "enumerate_chsh_deterministic": "oracle",
+    "modified_povm": "simulator",
+    "noisy_equivalence_check": "simulator",
+    "EquivalenceReport": "simulator",
+    "_EQUIVALENCE_TOL": "simulator",
+    "_state_basis": "simulator",
+    "per_round_payoff": "games",
 }
 
 

@@ -1,5 +1,5 @@
 """Monte Carlo engine: determinism, the documented RNG word rule, transcript
-artifacts, and the noisy-referee equivalence machinery."""
+artifacts, and a noisy line held to the dual-map reference."""
 
 import csv
 import dataclasses
@@ -15,34 +15,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qrgames
-from qrgames import qcore, simulator
+from qrgames import simulator
 from qrgames.games import (
     SIGNALS,
     SQRT3,
     SteeringGameSpec,
     outcome_table,
-    per_round_payoff,
     qrs_payoff_exact,
 )
 from qrgames.qcore import (
     BlochVector,
-    DensityOperator,
     Povm,
-    QuantumChannel,
     amplitude_damping_channel,
     depolarizing_channel,
     identity_channel,
     signal_state,
-    tensor,
     werner_state,
 )
 from qrgames.simulator import (
     OUTCOMES,
     TRANSCRIPT_FIELDS,
     RunConfig,
-    modified_povm,
-    noisy_equivalence_check,
     run_game,
     write_summary_json,
 )
@@ -55,6 +48,8 @@ from qrgames.strategies import (
 )
 
 from random_draws import random_povm
+from reference_channel import dual_map_deviation, modified_povm
+from reference_payoff import round_payoff
 
 
 def _honest_config(rounds, seed, w=0.9, r=1.0, **kw):
@@ -119,7 +114,7 @@ def test_word_rule_replay(style, bound, tmp_path):
 
     Replays the engine from the raw Philox stream and the strategies'
     exact conditional distributions; every transcript field must match,
-    the payoff through ``per_round_payoff`` at the game's own bound.
+    the payoff through the written-out ``round_payoff`` at the game's own bound.
     """
     n, seed = 300, 20240818
     spec = SteeringGameSpec.ideal(r=1.081, payoff_bound=bound)
@@ -151,8 +146,8 @@ def test_word_rule_replay(style, bound, tmp_path):
                 break
         assert (col["a"][i], col["b"][i]) == picked
         assert col["round"][i] == i
-        assert col["payoff"][i] == per_round_payoff(
-            col["a"][i], col["b"][i], j, s, r=spec.r, payoff_bound=spec.payoff_bound
+        assert col["payoff"][i] == round_payoff(
+            col["a"][i], col["b"][i], s, r=spec.r, payoff_bound=spec.payoff_bound
         )
 
 
@@ -448,60 +443,7 @@ def test_modified_povm_depolarizing_mixes_toward_identity():
     assert modified.n_outcomes == 2
 
 
-def test_noisy_equivalence_check_reports(monkeypatch):
-    report = noisy_equivalence_check(depolarizing_channel(0.3), partial_bell_povm())
-    assert report
-    assert report.passed and report.povm_valid
-    assert isinstance(report.max_deviation, float)
-    assert report.max_deviation <= 1e-12
-    assert report.message == ""
-    monkeypatch.setattr(simulator, "_EQUIVALENCE_TOL", 0.0)
-    tight = noisy_equivalence_check(depolarizing_channel(0.3), partial_bell_povm())
-    assert not tight          # genuine roundoff beats an impossible tolerance
-    assert tight.message != ""
-
-
-def _basis_states(d):
-    """|i>, then (|i> + |k>)/sqrt(2) and (|i> + i|k>)/sqrt(2) for i < k."""
-    states = [np.outer(ket, ket) for ket in np.eye(d, dtype=complex)]
-    for i in range(d):
-        for k in range(i + 1, d):
-            for phase in (1, 1j):
-                ket = np.zeros(d, dtype=complex)
-                ket[i], ket[k] = 1, phase
-                states.append(np.outer(ket, ket.conj()) / 2)  # exact, unlike (ket/sqrt 2)^2
-    return [DensityOperator(m) for m in states]
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_channel_check_states_span_every_hermitian_matrix(d):
-    # both sides of the dual-map identity are linear in the state on B, so
-    # agreement on a spanning set is agreement on every state
-    basis = simulator._state_basis(d)
-    assert basis.shape == (d * d, d, d)
-    for got, want in zip(basis, _basis_states(d)):
-        assert np.array_equal(got, want.matrix)
-    real = np.concatenate([basis.real, basis.imag], axis=-1).reshape(d * d, -1)
-    assert np.linalg.matrix_rank(real) == d * d
-
-
-def _per_sample_max_deviation(channel, e_bc):
-    """The channel check's deviation, one basis state, signal and outcome at a time."""
-    modified = modified_povm(channel, e_bc)
-    d_b = e_bc.dim // channel.input_dim
-    max_dev = 0.0
-    for rho in _basis_states(d_b):
-        for (j, s) in SIGNALS:
-            omega = signal_state(j, s)
-            noisy = channel.apply_to_matrix(omega.matrix)
-            for b in range(e_bc.n_outcomes):
-                lhs = np.trace(e_bc[b] @ tensor(rho.matrix, noisy)).real
-                rhs = np.trace(modified[b] @ tensor(rho.matrix, omega.matrix)).real
-                max_dev = max(max_dev, float(abs(lhs - rhs)))
-    return max_dev
-
-
-#: Bob's joint POVMs the channel check is compared on: the partial Bell
+#: Bob's joint POVMs the noisy line is compared on: the partial Bell
 #: measurement, three outcomes on 2 x 2, and two outcomes on 3 x 2.
 _EQUIVALENCE_POVMS = {
     "bell": partial_bell_povm,
@@ -517,67 +459,9 @@ _EQUIVALENCE_POVMS = {
 )
 @pytest.mark.parametrize("povm", list(_EQUIVALENCE_POVMS))
 def test_noisy_equivalence_check_equals_the_per_sample_loop(channel, povm):
-    e_bc = _EQUIVALENCE_POVMS[povm]()
-    report = noisy_equivalence_check(channel, e_bc)
-    assert report.max_deviation == _per_sample_max_deviation(channel, e_bc)
-    assert report.passed and report.povm_valid and report.message == ""
-
-
-def test_noisy_equivalence_check_reports_a_channel_the_signals_cannot_pass():
-    """A qutrit channel fits a 6x6 POVM but carries no qubit signal: a failed
-    report, not an exception."""
-    qutrit = QuantumChannel((np.eye(3, dtype=np.complex128),))
-    report = noisy_equivalence_check(qutrit, Povm((np.eye(6) / 2, np.eye(6) / 2)))
-    assert not report and report.povm_valid and math.isnan(report.max_deviation)
-    assert report.message.startswith("invalid signal channel: signal channel must be")
-
-
-def test_noisy_equivalence_check_catches_a_wrong_dual(monkeypatch):
-    right = modified_povm(depolarizing_channel(0.3), partial_bell_povm())
-    y = tensor(qcore.pauli(2), np.eye(2))
-    wrong = {
-        # a valid POVM, but the dual of the other channel
-        "other-channel": modified_povm(amplitude_damping_channel(0.4), partial_bell_povm()),
-        # off by eps (sigma_2 x 1): Tr[sigma_2 rho] = 0 on every real state on
-        # B, so only (|0> + i|1>)/sqrt(2) sees it
-        "sigma-2": qcore.Povm((right[0] - 1e-3 * y, right[1] + 1e-3 * y)),
-    }
-    for name, povm in wrong.items():
-        monkeypatch.setattr(simulator, "modified_povm", lambda channel, e_bc: povm)
-        report = noisy_equivalence_check(depolarizing_channel(0.3), partial_bell_povm())
-        assert not report and report.povm_valid, name
-        assert report.max_deviation > 1e-4, name
-    assert report.max_deviation == pytest.approx(1e-3, abs=1e-15)
-
-
-def test_noisy_equivalence_check_work_does_not_grow_with_the_samples(monkeypatch):
-    """Products and validated states are counted, not timed: a loop over the
-    basis states would make both grow with their number, d_B**2."""
-    povms = [partial_bell_povm(), _EQUIVALENCE_POVMS["2-outcome-3x2"]()]
-    counts = {"tensor": 0, "states": 0}
-
-    def counted_tensor(*operators):
-        counts["tensor"] += 1
-        return tensor(*operators)
-
-    validate = DensityOperator.__post_init__
-
-    def counted_validate(self):
-        counts["states"] += 1
-        validate(self)
-
-    for module in vars(qrgames).values():
-        if getattr(module, "tensor", None) is tensor:
-            monkeypatch.setattr(module, "tensor", counted_tensor)
-    monkeypatch.setattr(qcore.DensityOperator, "__post_init__", counted_validate)
-    seen = []
-    for e_bc in povms:  # 4 and 9 basis states on B, both with two outcomes
-        counts.update(tensor=0, states=0)
-        for channel in (depolarizing_channel(0.3), amplitude_damping_channel(0.4)):
-            assert noisy_equivalence_check(channel, e_bc)
-        seen.append(dict(counts))
-    assert seen[0] == seen[1]
-    assert seen[0]["tensor"] > 0
+    """The engine's noisy line equals the modified POVM on a clean line, state
+    by state, signal by signal and outcome by outcome, to roundoff."""
+    assert dual_map_deviation(channel, _EQUIVALENCE_POVMS[povm]()) <= 1e-12
 
 
 def test_channel_run_equals_modified_povm_run(tmp_path):
@@ -603,7 +487,7 @@ def test_channel_run_equals_modified_povm_run(tmp_path):
 
 def _reference_rounds(config):
     """Every round's (round, j, s, a, b, payoff), from the raw Philox words
-    through the float formula and ``per_round_payoff``."""
+    through the float formula and ``round_payoff``."""
     spec, n = config.spec, config.rounds
     n_var = config.table.shape[1]
     cdf_table = np.cumsum(config.table.reshape(-1, 4), axis=1)
@@ -615,7 +499,7 @@ def _reference_rounds(config):
     rows = []
     for code in range(cdf_table.size):
         (j, s), (a, b) = SIGNALS[code // (4 * n_var)], OUTCOMES[code % 4]
-        payoff = per_round_payoff(a, b, j, s, r=spec.r, payoff_bound=spec.payoff_bound)
+        payoff = round_payoff(a, b, s, r=spec.r, payoff_bound=spec.payoff_bound)
         rows.append((j, s, a, b, payoff))
     return [(i, *rows[code]) for i, code in enumerate(codes.tolist())]
 
