@@ -31,6 +31,7 @@ from .games import (
     SteeringGameSpec,
     _penalty_coefficient,
     ideal_signal_ensemble,
+    qrs_payoff_exact,
     single_axis_ensemble,
 )
 from .qcore import (
@@ -297,7 +298,7 @@ def cmd_verify(args) -> int:
     from . import oracle
 
     settings = _settings(args)
-    r, step = settings["r"], settings["scan_step"]
+    step = settings["scan_step"]
     try:
         n_w = _grid_size(0.0, 1.0, step)
         if n_w > SWEEP_MAX_ROWS:
@@ -322,24 +323,27 @@ def cmd_verify(args) -> int:
         "no_state": {"max_payoff": cert.no_state, "alpha": list(cert.alpha)},
     }
 
-    suite = oracle.random_lhs_suite(settings["lhs_trials"], rng_seed=settings["seed"], spec=spec)
+    suite = oracle.random_lhs_suite(spec, settings["lhs_trials"], rng_seed=settings["seed"])
     checks["hidden_state_suite"] = suite.to_json()
 
     w_grid = _grid(0.0, 1.0, step)
     # a step that does not divide 1 overshoots it; werner_state would reject those points
-    columns = oracle.werner_columns(w_grid[w_grid <= 1.0 + 1e-12])
-    scan = oracle.threshold_scan(columns, r=r)
+    columns = oracle.werner_columns(spec, w_grid[w_grid <= 1.0 + 1e-12])
+    scan = oracle.threshold_scan(columns, spec.penalty_coefficient)
+    # the honest payoff is affine in W, and -3c at W = 0 under every referee:
+    # it crosses 0 where the line from W = 0 to W = 1 does, if it ends above 0
+    p0, p1 = (qrs_payoff_exact(spec, honest_strategy(), werner_state(w)) for w in (0.0, 1.0))
     expected = {
         "witness2": 0.5,
         "steering2": 1.0 / SQRT2,
         "steering3": 1.0 / SQRT3,
         "chsh": 1.0 / SQRT2,
-        "qrs_payoff": r / SQRT3,
+        "qrs_payoff": p0 / (p0 - p1) if p1 > 0.0 else None,
     }
     crossing_checks = {}
     scan_ok = True
     for name, want in expected.items():
-        if want > scan.rows[-1, 0]:
+        if want is not None and want > scan.rows[-1, 0]:
             want = None
         got = scan.crossings[name]
         ok = (got is None and want is None) or (
@@ -400,6 +404,7 @@ def cmd_sweep(args) -> int:
 
     settings = _settings(args)
     settings.setdefault("r_stop", settings["r_start"])
+    spec = SteeringGameSpec()
     try:
         w_axis = (settings["w_start"], settings["w_stop"], settings["w_step"])
         r_axis = (settings["r_start"], settings["r_stop"], settings["r_step"])
@@ -416,7 +421,7 @@ def cmd_sweep(args) -> int:
             raise ValueError("Werner grid must stay inside [-1/3, 1]")
         # |qrs_payoff| <= 12 (1 + c), and c is largest at the last r
         r_max = float(r_grid[-1])
-        if not math.isfinite(12.0 * (1.0 + _penalty_coefficient(r_max, SQRT3))):
+        if not math.isfinite(12.0 * (1.0 + _penalty_coefficient(r_max, spec.payoff_bound))):
             raise ValueError(f"payoffs overflow a float at r = {r_max!r}")
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
@@ -427,12 +432,13 @@ def cmd_sweep(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "sweep.csv"
     # the W-dependent fields, computed and formatted once and reused for every r
-    columns = oracle.werner_columns(w_grid)
+    columns = oracle.werner_columns(spec, w_grid)
     texts = [(repr(w), ",".join(map(repr, rest))) for w, *rest in columns.rows.tolist()]
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(("w", "r", *oracle.SCAN_FIELDS[1:])) + "\r\n")
         for r in r_grid.tolist():
-            payoffs = oracle.threshold_scan(columns, r=r).rows[:, -1].tolist()
+            c = _penalty_coefficient(r, spec.payoff_bound)
+            payoffs = oracle.threshold_scan(columns, c).rows[:, -1].tolist()
             r_text = repr(r)
             fh.writelines(f"{w},{r_text},{x},{p!r}\r\n" for (w, x), p in zip(texts, payoffs))
     (outdir / "sweep_config.json").write_text(

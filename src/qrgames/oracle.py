@@ -9,8 +9,10 @@ The hidden-state suite compares both routes of
 ``strategies._lhs_routes``, the second of which reads the same Z, for a
 whole group of equally sized models at once; both hold for any referee,
 channel included, that a spec describes.  The Werner scan evaluates all
-its states as one stack into one float table, columns in ``SCAN_FIELDS``.
-Every check here reads the spec it is given; a fact no setting moves,
+its states as one stack into one float table, columns in ``SCAN_FIELDS``,
+the honest payoff taken under the spec's delivered signals and scored
+with the penalty coefficient it is given.  Every check here reads the
+spec it is given and builds none of its own; a fact no setting moves,
 such as the local CHSH bound of 2 or the dual-map identity that pulls a
 line's noise into Bob's measurement, is left to the tests.
 """
@@ -25,12 +27,10 @@ import numpy as np
 
 from .games import (
     _CANONICAL_CHSH_OPERATORS,
-    SQRT3,
     SteeringGameSpec,
     _expectations,
     _payoff_operators,
     _payoffs,
-    _penalty_coefficient,
     chsh_value,
     outcome_table,
     steering2_value,
@@ -199,12 +199,9 @@ _LHS_LAMBDA_SIZES = (1, 4, 8)
 _LHS_GROUP = 8
 
 
-def random_lhs_suite(
-    trials: int,
-    rng_seed: int = 0,
-    spec: SteeringGameSpec | None = None,
-) -> LhsSuiteReport:
-    """Verify no hidden-state model wins, over random draws plus boundary probes.
+def random_lhs_suite(spec: SteeringGameSpec, trials: int, rng_seed: int = 0) -> LhsSuiteReport:
+    """Verify no hidden-state model of the game ``spec`` wins, over random
+    draws plus boundary probes.
 
     Trial t draws from the child generator seeded by (rng_seed, t), with
     hidden dimension ``_LHS_DIMS[t % 3]`` and hidden-variable count
@@ -222,8 +219,6 @@ def random_lhs_suite(
     gets the bits it gets alone, and the report lists trials then probes
     in order.
     """
-    if spec is None:
-        spec = SteeringGameSpec.ideal()
     gap_bound = 1e-10 * max(1.0, spec.penalty_coefficient)
     groups = {}
     for t in range(int(trials)):
@@ -308,7 +303,7 @@ class WernerColumns:
     ``rows`` is a read-only (n, 5) float array: ``w`` and the witness2,
     steering2, steering3 and chsh values of ``werner_state(w)``;
     ``e_ab[i]`` and ``e_b[i]`` are the honest strategy's <ab> and <b> on
-    that state under the ideal signal ensemble, in ``SIGNALS`` order.
+    that state under the signals a spec delivers, in ``SIGNALS`` order.
     """
 
     rows: np.ndarray
@@ -331,22 +326,24 @@ _SCAN_OPERATORS = np.concatenate(
 _SCAN_OPERATORS.setflags(write=False)
 
 
-def werner_columns(w_grid) -> WernerColumns:
-    """Evaluate everything a threshold scan needs that does not depend on r.
+def werner_columns(spec: SteeringGameSpec, w_grid) -> WernerColumns:
+    """Evaluate everything a threshold scan needs that does not depend on
+    the penalty coefficient.
 
     All W states are built as one (n, 4, 4) stack.  The honest
-    strategy's outcome tables are one call over the stack, which
-    validates it, and the exact engine turns them into <ab> and <b>;
-    every steering, witness and CHSH expectation is one stacked trace.  Each W gets the bits it
-    gets alone.  Build the columns once and pass them to
-    :func:`threshold_scan` for each r.
+    strategy's outcome tables are one call over the stack under
+    ``spec.delivered_signals``, which validates it, and the exact engine
+    turns them into <ab> and <b>; every steering, witness and CHSH
+    expectation is one stacked trace.  Each W gets the bits it gets
+    alone.  Build the columns once and pass them to
+    :func:`threshold_scan` for each penalty coefficient.
     """
     grid = [float(w) for w in w_grid]
     if not grid:
         raise ValueError("empty Werner grid")
     states = _werner_matrices(grid)
     # the honest call validates the stack, before any trace is taken
-    tables = outcome_table(SteeringGameSpec.ideal(), honest_strategy(), states)
+    tables = outcome_table(spec, honest_strategy(), states)
     x = np.empty((len(grid), len(_SCAN_OPERATORS)))
     for start in range(0, len(grid), _STACK_BLOCK):
         block = slice(start, start + _STACK_BLOCK)
@@ -364,18 +361,17 @@ def werner_columns(w_grid) -> WernerColumns:
     return WernerColumns(rows=rows, e_ab=e_ab, e_b=e_b)
 
 
-def threshold_scan(columns: WernerColumns, r: float = 1.0) -> ThresholdScan:
+def threshold_scan(columns: WernerColumns, c: float) -> ThresholdScan:
     """Tabulate witness/steering/CHSH values and the honest game payoff on
     Werner states, locating where each first exceeds its bound.
 
     ``columns`` are the :class:`WernerColumns` that :func:`werner_columns`
-    built from a W grid.  Only ``qrs_payoff`` depends on r, so a sweep
-    over r builds the columns once and passes them here for each r.
-
-    It scans the calibrated game, penalty coefficient r sqrt(3)/3, whose honest
-    payoff crosses 0 at W = r/sqrt(3): only r moves it, not a payoff bound or preparation.
+    built from a spec and a W grid, and ``c`` is the penalty coefficient
+    that scores their honest expectations, ``spec.penalty_coefficient``
+    for that spec's game.  Only ``qrs_payoff`` depends on c, so a sweep
+    over r builds the columns once and passes them here for each c.
     """
-    payoffs = _payoffs(columns.e_ab, columns.e_b, _penalty_coefficient(r, SQRT3))
+    payoffs = _payoffs(columns.e_ab, columns.e_b, c)
     rows = np.column_stack([columns.rows, payoffs])
     above = rows[:, 1:] > _SCAN_BOUNDS
     crossings = {

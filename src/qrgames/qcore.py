@@ -288,10 +288,6 @@ class BlochVector:
         object.__setattr__(self, "m", vec)
         object.__setattr__(self, "mu", mu)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.m))
-
     def povm_pair(self) -> Povm:
         """The POVM (M_plus, M_minus) with M_plus = mu*(1 + m.sigma).
 

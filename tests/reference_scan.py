@@ -31,7 +31,8 @@ _SWEEP_FIELDS = ("w", "r", "witness2", "steering2", "steering3", "chsh", "qrs_pa
 
 
 def dict_rows(columns, r: float) -> list:
-    """One dict per W: its r-independent fields, then the honest payoff at r."""
+    """One dict per W: its r-independent fields, then the honest payoff at r
+    in the calibrated game, the one ``sweep`` tabulates."""
     names = ("w", "witness2", "steering2", "steering3", "chsh")
     spec = SteeringGameSpec.ideal(r=r)
     payoffs = _payoffs(columns.e_ab, columns.e_b, spec.penalty_coefficient).tolist()
@@ -56,7 +57,7 @@ def dict_crossings(rows) -> dict:
 
 def csv_writer_sweep(w_grid, r_grid) -> bytes:
     """The bytes of ``sweep.csv`` over the two grids, written row by row."""
-    columns = werner_columns(w_grid)
+    columns = werner_columns(SteeringGameSpec(), w_grid)
     fh = io.StringIO(newline="")
     writer = csv.writer(fh)
     writer.writerow(_SWEEP_FIELDS)

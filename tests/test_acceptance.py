@@ -96,7 +96,7 @@ def test_criterion_03_discrimination_bound():
 
 
 def test_criterion_04_no_hidden_state_model_wins():
-    report = random_lhs_suite(trials=1000, rng_seed=0)
+    report = random_lhs_suite(SteeringGameSpec(), 1000, rng_seed=0)
     ok = report.passed and report.max_payoff <= 1e-9 and report.max_route_gap <= 1e-10
     _report(4, ok, f"{report.trials} random models + {report.probes} probes: "
             f"max payoff {report.max_payoff:.2e}, max route gap "
@@ -122,8 +122,9 @@ def test_criterion_05_chsh_classical_bound():
 
 def test_criterion_06_hierarchy_thresholds():
     step = 0.001
-    columns = werner_columns(np.arange(0.0, 1.0 + 0.5 * step, step))
-    scan = threshold_scan(columns, r=1.0)
+    spec = SteeringGameSpec()
+    columns = werner_columns(spec, np.arange(0.0, 1.0 + 0.5 * step, step))
+    scan = threshold_scan(columns, spec.penalty_coefficient)
     expected = {
         "witness2": 0.5,
         "steering2": 1 / SQRT2,

@@ -407,6 +407,31 @@ def test_every_verify_check_reads_the_settings(capsys):
         assert any(other[name] != check for other in moved), name
 
 
+@pytest.mark.parametrize(
+    "flags, code, crossing",
+    [
+        # c = 0.5: the honest payoff 3W - 3c crosses 0 at W = 0.5
+        (["--payoff-bound", "1.5"], 1, {"passed": True, "crossing": 0.505, "expected": 0.5}),
+        # every signal along sigma_1: honest play never wins, at any W
+        (["--preparation", "single_axis"], 1,
+         {"passed": True, "crossing": None, "expected": None}),
+        # c = 1.2 * 1.5 / 3 = 0.6 >= 1/sqrt(3): no cheat wins, and the honest pair
+        # wins from W = 0.6 on, not from the calibrated game's 1.2/sqrt(3) = 0.693
+        (["--payoff-bound", "1.5", "--r", "1.2", "--scan-step", "0.005"], 0,
+         {"passed": True, "crossing": 0.605, "expected": 0.6}),
+    ],
+    ids=["payoff-bound-1.5", "single-axis", "payoff-bound-1.5-r-1.2"],
+)
+def test_threshold_scan_reads_the_referee_verify_certifies(capsys, flags, code, crossing):
+    def scan(flags, code):
+        assert main(["verify", *flags]) == code
+        return json.loads(capsys.readouterr().out)["checks"]["threshold_scan"]
+
+    moved = scan(flags, code)
+    assert moved != scan([], 0)
+    assert moved["crossings"]["qrs_payoff"] == crossing
+
+
 def test_verify_flags_a_weakened_penalty(capsys, quick_verify_args):
     code = main(["verify", "--payoff-bound", "1.5", *quick_verify_args])
     assert code == 1
@@ -453,9 +478,9 @@ def test_verify_scans_steps_that_do_not_divide_one(tmp_path, capsys, monkeypatch
     scanned = []
     werner_columns = qrgames.oracle.werner_columns
 
-    def recorded(w_grid):
+    def recorded(spec, w_grid):
         scanned.extend(w_grid)
-        return werner_columns(w_grid)
+        return werner_columns(spec, w_grid)
 
     monkeypatch.setattr(qrgames.oracle, "werner_columns", recorded)
     code = main([
@@ -605,6 +630,20 @@ _CHANNEL_EQUIVALENCE = {
 }
 
 
+#: The honest-payoff crossing the reports carried while the Werner scan kept
+#: its own calibrated referee, whatever --payoff-bound or --preparation said:
+#: the same dict in every pinned report.
+_CALIBRATED_QRS_CROSSING = {"crossing": 0.58, "expected": 0.5773502691896258, "passed": True}
+
+
+def _with_calibrated_crossing(report: bytes) -> bytes:
+    """A report's bytes, dumped as ``verify`` writes them, with the calibrated
+    game's ``qrs_payoff`` crossing put back."""
+    loaded = json.loads(report)
+    loaded["checks"]["threshold_scan"]["crossings"]["qrs_payoff"] = dict(_CALIBRATED_QRS_CROSSING)
+    return (json.dumps(loaded, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
 def _with_channel_check(report: bytes) -> dict:
     """A report without the channel check, loaded with it put back."""
     loaded = json.loads(report)
@@ -614,11 +653,12 @@ def _with_channel_check(report: bytes) -> dict:
 
 
 @pytest.mark.parametrize(
-    "flags, code, digest, pinned, parent, rest, former",
+    "flags, code, digest, calibrated, pinned, parent, rest, former",
     [
         (
             ["--seed", "1"],
             0,
+            "819cf9719057f8fb0c286251c4c1abff21e5dba901fcda1532f5b6c47b723247",
             "817401424a7a9e8e01c47fecf0973a22769f169457b1e136eaf6fe9267dab8b8",
             "b02d17d6541a6d4e72f9a3fd03c5be66e0eafa17d0051baf31b6240af9983c9b",
             "fb4ed936b35fac48a7e1a670973ff89a5f483920a2615d7cfce80f89cd4ed413",
@@ -628,6 +668,7 @@ def _with_channel_check(report: bytes) -> dict:
         (
             ["--seed", "7", "--preparation", "single_axis"],
             1,
+            "dd1963aba99b01d908b240652b740bb1155daf7ccd30511598f8b92441e75b7c",
             "976801bab26068e3a1b25b2bb9b1120335c0a89330ff57f8ebcd01edb9bd1d41",
             "54a6afc4d423fd0548a566bad1e63107380881972fcd5e2d9eaa828cc5d9ba48",
             "493a68c0910a29a2d2e7f737d62b5024d9cf39461ccfea6addafe844dde23dde",
@@ -637,6 +678,7 @@ def _with_channel_check(report: bytes) -> dict:
         (
             ["--payoff-bound", "1.5"],
             1,
+            "1e7a572897c4a6a68dc858e250b976109f3e3db3c3ff85c5b7e8e467814fe72f",
             "ac5ce643cb9d148e1ae64566533e9e19fed64030d6fbadabbbe366c297a1a029",
             "9c67dcee63b04ada71fded405fd41d6fa92aa63190defd798eca2ecf48849513",
             "00ac632a2c97d2af516c4061ebd6c112fe74a35d26f32e2c565978b055c16e13",
@@ -647,11 +689,15 @@ def _with_channel_check(report: bytes) -> dict:
     ids=["seed-1", "seed-7-single-axis", "payoff-bound-1.5"],
 )
 def test_verify_report_bytes_are_pinned(
-    tmp_path, flags, code, digest, pinned, parent, rest, former
+    tmp_path, flags, code, digest, calibrated, pinned, parent, rest, former
 ):
     assert main(["verify", *flags, "--out", str(tmp_path)]) == code
     report = (tmp_path / "verify_report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == digest
+    # with the calibrated game's payoff crossing put back, each report is the
+    # bytes it was pinned as while the scan kept its own referee: no other bit moved
+    report = _with_calibrated_crossing(report)
+    assert hashlib.sha256(report).hexdigest() == calibrated
     # with the channel check put back, each report re-dumps to the bytes the
     # reports carrying that check were pinned as: no other bit moved
     loaded = _with_channel_check(report)
@@ -686,6 +732,11 @@ def test_verify_opt_in_trials_are_the_former_default_draws(tmp_path):
     # pinned as 6830293d..., re-dumps to
     assert main(["verify", "--seed", "1", "--lhs-trials", "200", "--out", str(tmp_path)]) == 0
     report = (tmp_path / "verify_report.json").read_bytes()
+    digest = hashlib.sha256(report).hexdigest()
+    assert digest == "eed8ea5dac8f9de641e54314a411e0d8cc2dbbc9b2d76d85e067e4ece0d1292c"
+    # with the calibrated game's payoff crossing put back, the bytes it was
+    # pinned as while the scan kept its own referee
+    report = _with_calibrated_crossing(report)
     digest = hashlib.sha256(report).hexdigest()
     assert digest == "22cf069c8e33ab087f92ffc166e301463bdc547faefbdea2841fb6c7383860de"
     loaded = _with_channel_check(report)

@@ -378,7 +378,7 @@ def test_setting_dependent_bob_to_alice_cheats_stay_below_the_bound(name, rng):
 
 
 def test_random_lhs_suite_passes_on_the_ideal_game():
-    report = random_lhs_suite(trials=30, rng_seed=11)
+    report = random_lhs_suite(SteeringGameSpec(), 30, rng_seed=11)
     assert report.passed
     assert report.failures == []
     assert report.trials == 30
@@ -392,14 +392,14 @@ def test_random_lhs_suite_passes_on_the_ideal_game():
 
 
 def test_random_lhs_suite_is_deterministic():
-    a = random_lhs_suite(trials=12, rng_seed=4)
-    b = random_lhs_suite(trials=12, rng_seed=4)
+    a = random_lhs_suite(SteeringGameSpec(), 12, rng_seed=4)
+    b = random_lhs_suite(SteeringGameSpec(), 12, rng_seed=4)
     assert a.to_json() == b.to_json()
     # different seeds draw different models: under a near-zero penalty some
     # random models win, and which trials fail depends on the seed
     loose = SteeringGameSpec(r=1.0, payoff_bound=0.01)
-    c = random_lhs_suite(trials=12, rng_seed=5, spec=loose)
-    d = random_lhs_suite(trials=12, rng_seed=4, spec=loose)
+    c = random_lhs_suite(loose, 12, rng_seed=5)
+    d = random_lhs_suite(loose, 12, rng_seed=4)
     trials_c = [f["label"] for f in c.failures if f["label"].startswith("trial-")]
     trials_d = [f["label"] for f in d.failures if f["label"].startswith("trial-")]
     assert trials_c and trials_d
@@ -407,12 +407,12 @@ def test_random_lhs_suite_is_deterministic():
 
 
 def test_random_lhs_suite_without_probes_stays_negative():
-    report = random_lhs_suite(trials=20, rng_seed=2)
+    spec = SteeringGameSpec()
+    report = random_lhs_suite(spec, 20, rng_seed=2)
     assert report.probes == 5
     assert report.passed
     # the probes saturate the bound at zero; the random models, drawn as
     # trial t is, stay strictly below it
-    spec = SteeringGameSpec.ideal()
     for t in range(20):
         d = _LHS_DIMS[t % len(_LHS_DIMS)]
         n_lambda = _LHS_LAMBDA_SIZES[(t // len(_LHS_DIMS)) % len(_LHS_LAMBDA_SIZES)]
@@ -423,7 +423,7 @@ def test_random_lhs_suite_without_probes_stays_negative():
 def test_random_lhs_suite_catches_a_weakened_penalty():
     """Lowering the payoff bound below sqrt(3) lets hidden-state models win."""
     weak = SteeringGameSpec(r=1.0, payoff_bound=1.5)
-    report = random_lhs_suite(trials=10, rng_seed=0, spec=weak)
+    report = random_lhs_suite(weak, 10, rng_seed=0)
     assert not report.passed
     labels = [f["label"] for f in report.failures]
     assert "probe-0" in labels  # the diagonal probe pays 2(sqrt(3) - 1.5)
@@ -448,7 +448,7 @@ def test_random_lhs_suite_route_gap_bound_is_1e10_at_the_defaults(
         return direct, reduced + offset
 
     monkeypatch.setattr(oracle, "_lhs_routes", perturbed)
-    report = random_lhs_suite(trials=3, rng_seed=0)
+    report = random_lhs_suite(SteeringGameSpec(), 3, rng_seed=0)
     assert report.passed is passed
     if not passed:
         assert len(report.failures) == report.trials + report.probes
@@ -508,7 +508,7 @@ def test_random_lhs_suite_equals_the_one_model_at_a_time_suite(spec, seed):
     # others unequal in size; 200 fills all nine
     for trials in (1, 7, 200):
         want = _suite_one_model_at_a_time(trials, seed, spec)
-        assert random_lhs_suite(trials, rng_seed=seed, spec=spec).to_json() == want
+        assert random_lhs_suite(spec, trials, rng_seed=seed).to_json() == want
 
 
 @pytest.mark.parametrize(
@@ -528,7 +528,7 @@ def test_random_lhs_suite_reports_are_pinned(seed, spec, n_failures, digest, res
     to the bytes it had when the reduced route normalised every reduced
     state and summed <sigma_j> over the calibrated signals, which matched
     the one-model-at-a-time suite bit for bit."""
-    report = random_lhs_suite(200, rng_seed=seed, spec=_SUITE_SPECS[spec]).to_json()
+    report = random_lhs_suite(_SUITE_SPECS[spec], 200, rng_seed=seed).to_json()
     assert len(report["failures"]) == n_failures
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -542,7 +542,11 @@ def test_random_lhs_suite_reports_are_pinned(seed, spec, n_failures, digest, res
 def test_stacked_suite_and_scan_hold_one_block_at_a_time():
     """Evaluated as whole stacks, 1,000 trials peak at about 5 MB and
     1,001 W states at about 32 MB (321 MB at 10,001)."""
-    for run in (lambda: random_lhs_suite(1000), lambda: werner_columns(np.linspace(0, 1, 1001))):
+    spec = SteeringGameSpec()
+    for run in (
+        lambda: random_lhs_suite(spec, 1000),
+        lambda: werner_columns(spec, np.linspace(0, 1, 1001)),
+    ):
         tracemalloc.start()
         try:
             run()
@@ -575,7 +579,7 @@ def test_random_lhs_suite_routes_agree_under_any_signal_ensemble(monkeypatch, sp
         return routes[-1]
 
     monkeypatch.setattr(oracle, "_lhs_routes", recorded)
-    report = random_lhs_suite(60, rng_seed=5, spec=spec)
+    report = random_lhs_suite(spec, 60, rng_seed=5)
     direct, reduced = map(np.concatenate, zip(*routes))
     assert len(direct) == report.trials + report.probes
     c = spec.penalty_coefficient
@@ -594,7 +598,7 @@ def test_random_lhs_suite_evaluates_groups_not_models(monkeypatch):
         return original(spec, weights, *stack)
 
     monkeypatch.setattr(oracle, "_lhs_routes", counted)
-    report = random_lhs_suite(200)
+    report = random_lhs_suite(SteeringGameSpec(), 200)
     # the nine (dimension, count) pairs get 22 or 23 trials each, evaluated
     # in groups of at most _LHS_GROUP; the probes make one more group
     pairs = len(_LHS_DIMS) * len(_LHS_LAMBDA_SIZES)
@@ -611,8 +615,9 @@ def test_random_lhs_strategy_is_valid(rng):
 
 
 def test_threshold_scan_locates_all_crossings():
-    columns = werner_columns(np.arange(0.0, 1.0 + 1e-12, 0.005))
-    scan = threshold_scan(columns, r=1.0)
+    spec = SteeringGameSpec()
+    columns = werner_columns(spec, np.arange(0.0, 1.0 + 1e-12, 0.005))
+    scan = threshold_scan(columns, spec.penalty_coefficient)
     expected = {
         "witness2": 0.5,
         "steering2": 1 / SQRT2,
@@ -632,20 +637,24 @@ def test_threshold_scan_locates_all_crossings():
 
 
 def test_threshold_scan_payoff_crossing_moves_with_r():
-    columns = werner_columns(np.arange(0.0, 1.0 + 1e-12, 0.005))
-    scan = threshold_scan(columns, r=1.2)
+    columns = werner_columns(SteeringGameSpec(), np.arange(0.0, 1.0 + 1e-12, 0.005))
+
+    def scan_at(r):
+        return threshold_scan(columns, SteeringGameSpec(r=r).penalty_coefficient)
+
+    scan = scan_at(1.2)
     got = scan.crossings["qrs_payoff"]
     w_star = 1.2 / SQRT3
     assert w_star < got <= w_star + 0.005 + 1e-9
     # r large enough pushes the threshold past W = 1: no crossing at all
-    assert threshold_scan(columns, r=1.8).crossings["qrs_payoff"] is None
+    assert scan_at(1.8).crossings["qrs_payoff"] is None
     # the kinematic thresholds don't move
-    assert scan.crossings["witness2"] == threshold_scan(columns).crossings["witness2"]
+    assert scan.crossings["witness2"] == scan_at(1.0).crossings["witness2"]
 
 
 def test_threshold_scan_rejects_empty_grid():
     with pytest.raises(ValueError, match="empty Werner grid"):
-        threshold_scan(werner_columns([]))
+        threshold_scan(werner_columns(SteeringGameSpec(), []), 1.0)
 
 
 _WERNER_GRIDS = {
@@ -656,38 +665,56 @@ _WERNER_GRIDS = {
 }
 
 
+#: Referees the Werner scan is held to the exact engine under: the
+#: calibrated game at two r, an uncalibrated preparation, a weakened
+#: penalty and a noisy line.
+_SCAN_SPECS = {
+    "ideal": SteeringGameSpec(),
+    "r-1.081": SteeringGameSpec(r=1.081),
+    "single-axis": SteeringGameSpec(signal_ensemble=single_axis_ensemble()),
+    "payoff-bound-1.5": SteeringGameSpec(payoff_bound=1.5),
+    "depolarizing-0.3": SteeringGameSpec(channel=depolarizing_channel(0.3)),
+}
+
+
 @pytest.mark.parametrize("grid", list(_WERNER_GRIDS.values()), ids=list(_WERNER_GRIDS))
 def test_werner_columns_equal_the_per_state_evaluation(grid):
-    columns = werner_columns(grid)
-    assert len(columns.rows) == len(grid)
-    assert columns.rows.shape == (len(grid), len(SCAN_FIELDS) - 1)
-    assert not columns.rows.flags.writeable
     honest = honest_strategy()
     steering = [tensor(-pauli(j), pauli(j)) for j in (1, 2, 3)]
-    scans = {r: threshold_scan(columns, r=r).rows for r in (1.0, 1.081)}
-    for i, w in enumerate(grid):
-        state = werner_state(float(w))
+    states = [werner_state(float(w)) for w in grid]
+    kinematic = []
+    for state, w in zip(states, grid):
         c = [expectation(state, op) for op in steering]
-        assert dict(zip(SCAN_FIELDS, columns.rows[i].tolist())) == {
+        kinematic.append({
             "w": float(w),
             "witness2": witness2(state),
             "steering2": steering2_value(c[0], c[1]),
             "steering3": steering3_value(c[0], c[1], c[2]),
             "chsh": chsh(state),
-        }
-        e_ab, e_b = expectation_dicts(SteeringGameSpec.ideal(), honest, state)
-        assert columns.e_ab[i].tolist() == [e_ab[sig] for sig in SIGNALS]
-        assert columns.e_b[i].tolist() == [e_b[sig] for sig in SIGNALS]
-        for r, rows in scans.items():
-            spec = SteeringGameSpec.ideal(r=r)
-            assert rows[i, SCAN_FIELDS.index("qrs_payoff")] == qrs_payoff_exact(spec, honest, state)
+        })
+    for name, spec in _SCAN_SPECS.items():
+        columns = werner_columns(spec, grid)
+        assert columns.rows.shape == (len(grid), len(SCAN_FIELDS) - 1)
+        assert not columns.rows.flags.writeable
+        scan = threshold_scan(columns, spec.penalty_coefficient)
+        exact = []
+        for i, state in enumerate(states):
+            assert dict(zip(SCAN_FIELDS, columns.rows[i].tolist())) == kinematic[i]
+            e_ab, e_b = expectation_dicts(spec, honest, state)
+            assert columns.e_ab[i].tolist() == [e_ab[sig] for sig in SIGNALS], name
+            assert columns.e_b[i].tolist() == [e_b[sig] for sig in SIGNALS], name
+            exact.append(qrs_payoff_exact(spec, honest, state))
+            assert scan.rows[i, SCAN_FIELDS.index("qrs_payoff")] == exact[-1], (name, i)
+        # the crossing is the first grid W whose exact payoff is above 0
+        first = next((float(w) for w, p in zip(grid, exact) if p > 0.0), None)
+        assert scan.crossings["qrs_payoff"] == first, name
 
 
 def test_werner_columns_reject_a_parameter_out_of_range():
     with pytest.raises(ValueError) as per_state:
         werner_state(1.1)
     with pytest.raises(ValueError) as stacked:
-        werner_columns([0.5, 1.1, 1.2])
+        werner_columns(SteeringGameSpec(), [0.5, 1.1, 1.2])
     assert str(stacked.value) == str(per_state.value)
     assert str(stacked.value) == "Werner parameter must lie in [-1/3, 1], got 1.1"
 
@@ -702,7 +729,7 @@ def test_werner_columns_make_one_honest_table_call(monkeypatch, n):
         return original(self, signals, shared_state)
 
     monkeypatch.setattr(HonestStrategy, "outcome_distribution", counted)
-    werner_columns(np.linspace(0.0, 1.0, n))
+    werner_columns(SteeringGameSpec(), np.linspace(0.0, 1.0, n))
     assert calls == [n]
 
 
@@ -711,8 +738,8 @@ _HOIST_GRID = np.linspace(0.0, 1.0, 11)
 
 @pytest.mark.parametrize("r", [1.0, 1.081, 1.7])
 def test_threshold_scan_payoff_is_the_exact_engine(r):
-    scan = threshold_scan(werner_columns(_HOIST_GRID), r=r)
-    spec = SteeringGameSpec.ideal(r=r)
+    spec = SteeringGameSpec(r=r)
+    scan = threshold_scan(werner_columns(spec, _HOIST_GRID), spec.penalty_coefficient)
     for w, row in zip(_HOIST_GRID, scan.rows):
         assert row[SCAN_FIELDS.index("qrs_payoff")] == qrs_payoff_exact(
             spec, honest_strategy(), werner_state(float(w))
@@ -776,9 +803,10 @@ def test_sweep_and_crossings_equal_the_dict_rows(axes):
         written = Path(out, "sweep.csv").read_bytes()
     w_grid, r_grid = _grid(*w_axis), _grid(*r_axis)
     assert written == csv_writer_sweep(w_grid, r_grid)
-    columns = werner_columns(w_grid)
+    columns = werner_columns(SteeringGameSpec(), w_grid)
     for r in r_grid.tolist():
-        assert threshold_scan(columns, r).crossings == dict_crossings(dict_rows(columns, r))
+        scan = threshold_scan(columns, SteeringGameSpec(r=r).penalty_coefficient)
+        assert scan.crossings == dict_crossings(dict_rows(columns, r))
 
 
 @pytest.mark.parametrize(
@@ -797,7 +825,7 @@ def test_certificates_and_suite_honour_the_channel_on_the_spec(channel):
         sent = SteeringGameSpec(signal_ensemble=received, r=r, payoff_bound=bound)
         assert np.array_equal(line.delivered_signals, sent.delivered_signals)
         assert cheat_certificates(line) == cheat_certificates(sent)
-        assert random_lhs_suite(6, 2, line).to_json() == random_lhs_suite(6, 2, sent).to_json()
+        assert random_lhs_suite(line, 6, 2).to_json() == random_lhs_suite(sent, 6, 2).to_json()
     # the line changes the game: depolarized or damped signals move lambda*
     clean = SteeringGameSpec(r=1.3, payoff_bound=1.5)
     assert cheat_certificates(line) != cheat_certificates(clean)

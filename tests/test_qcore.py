@@ -297,7 +297,8 @@ def test_bloch_vector_validation():
     with pytest.raises(ValueError):
         BlochVector(np.array([np.inf, 0, 0]), 0.5)
     b = BlochVector(np.array([0.6, 0.0, 0.8]), 0.25)
-    assert abs(b.norm - 1.0) < 1e-15
+    assert b.m.tolist() == [0.6, 0.0, 0.8] and not b.m.flags.writeable
+    assert b.mu == 0.25
 
 
 def test_bloch_povm_pair():
