@@ -7,6 +7,10 @@ evaluates strategies exactly (honest partial-Bell measurements,
 hidden-state models, and one class for the classical cheats, silent or
 with one-way communication), simulates rounds reproducibly, and verifies
 that no cheat wins an honestly calibrated game.
+
+Only ``run`` needs :mod:`qrgames.simulator`, so its five names in ``__all__``
+(``PayoffEstimate``, ``RunConfig``, ``run_game``, ``write_summary_json``,
+``write_transcript_csv``) load it on first use.
 """
 
 import os
@@ -46,13 +50,6 @@ from .qcore import (
     tensor,
     werner_state,
 )
-from .simulator import (
-    PayoffEstimate,
-    RunConfig,
-    run_game,
-    write_summary_json,
-    write_transcript_csv,
-)
 from .strategies import (
     ClassicalCheat,
     HonestStrategy,
@@ -61,6 +58,18 @@ from .strategies import (
     honest_strategy,
     partial_bell_povm,
 )
+
+_SIMULATOR_NAMES = frozenset(
+    ("PayoffEstimate", "RunConfig", "run_game", "write_summary_json", "write_transcript_csv")
+)
+
+
+def __getattr__(name):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -11,12 +11,14 @@ published schema.  That schema declares each setting once: its flag (one
 per number, integer or enum key), its bounds, its default and its help.
 A command's flags and its config file are checked against it by the
 package's own draft-07 checker, imported on first use; ``run`` never
-imports :mod:`oracle`, which only ``verify`` and ``sweep`` need.
+imports :mod:`oracle`, nor ``verify`` and ``sweep`` :mod:`simulator`.
+The console entry freezes the import heap, which the collections at exit skip.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import serialize, simulator
+from . import serialize
 from .games import (
     SQRT2,
     SQRT3,
@@ -249,6 +251,8 @@ def _build_spec(settings) -> SteeringGameSpec:
 
 
 def cmd_run(args) -> int:
+    from . import simulator
+
     # parsed first, under its own name in any error, then resolved as any flag is
     if args.channel is not None:
         try:
@@ -533,6 +537,8 @@ def main(argv=None) -> int:
 
 
 def entry_point():
+    # what the imports built lives until exit; frozen, the exit-time collections skip it
+    gc.freeze()
     sys.exit(main())
 
 

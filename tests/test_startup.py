@@ -1,7 +1,8 @@
 """Fresh-interpreter start-up: no command loads jsonschema, ``run`` never
-loads the oracle, ``verify`` at its defaults and ``sweep`` never load
-numpy.random, importing the package starts no BLAS threads, and how the
-validating paths fail.
+loads the oracle, ``verify`` and ``sweep`` never load the simulator, and
+at its defaults ``verify`` never loads numpy.random either, importing the
+package starts no BLAS threads, the console entry writes what ``main``
+writes, and how the validating paths fail.
 
 Each test runs a child interpreter, because ``sys.modules`` of the test
 process already holds whatever earlier tests imported.
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import qrgames
+from qrgames.cli import main
 
 
 def _child(args, cwd, openblas_threads=None):
@@ -97,6 +99,63 @@ def test_verify_at_its_defaults_and_sweep_never_load_numpy_random(tmp_path):
     report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
     assert report["passed"] is True
     assert report["checks"]["hidden_state_suite"]["trials"] == 0
+
+
+def test_only_run_loads_the_simulator_and_main_freezes_nothing(tmp_path):
+    proc = _child(["-c", textwrap.dedent("""
+        import gc
+        import sys
+        from qrgames.cli import main
+
+        assert "qrgames.simulator" not in sys.modules, "import qrgames.cli"
+        for argv in (["verify", "--out", "v"], ["sweep", "--w-step", "0.25", "--out", "s"]):
+            assert main(argv) == 0, argv
+            assert "qrgames.simulator" not in sys.modules, argv
+        assert main(["run", "--werner", "0.9", "--rounds", "100", "--out", "r"]) == 0
+        assert "qrgames.simulator" in sys.modules
+        # only the console entry freezes: a library caller keeps its collector
+        assert gc.get_freeze_count() == 0
+    """)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_simulator_names_load_it_on_first_use(tmp_path):
+    proc = _child(["-c", textwrap.dedent("""
+        import sys
+        import qrgames
+
+        assert "qrgames.simulator" not in sys.modules
+        from qrgames import RunConfig, run_game
+        from qrgames import simulator
+
+        assert (RunConfig, run_game) == (simulator.RunConfig, simulator.run_game)
+        assert all(getattr(qrgames, name) is not None for name in qrgames.__all__)
+        assert not hasattr(qrgames, "Transcript")
+    """)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--werner", "0.98", "--r", "1.081", "--seed", "7", "--rounds", "25000"],
+        ["verify"],
+        ["sweep", "--w-step", "0.05", "--r-stop", "1.02"],
+    ],
+    ids=["run", "verify", "sweep"],
+)
+def test_the_console_entry_writes_what_main_writes(tmp_path, monkeypatch, capsys, argv):
+    # the console entry freezes the heap before the command: every byte still reaches disk
+    for side in ("entry", "main"):
+        (tmp_path / side).mkdir()
+    proc = _child(["-m", "qrgames.cli", *argv, "--out", "out"], tmp_path / "entry")
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(tmp_path / "main")
+    assert main([*argv, "--out", "out"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    written = {p.name: p.read_bytes() for p in (tmp_path / "entry" / "out").iterdir()}
+    assert written == {p.name: p.read_bytes() for p in (tmp_path / "main" / "out").iterdir()}
+    assert written
 
 
 @pytest.mark.parametrize(
