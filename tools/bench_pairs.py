@@ -2,7 +2,7 @@
 """Paired before/after runs of the benchmark: this tree against another revision.
 
     python3 tools/bench_pairs.py --against HEAD~1 --workload verify_default \\
-        --pairs 10 --seconds 5 --seed 3 --emit BENCH_36.json
+        --pairs 10 --seconds 5 --seed 3 --emit BENCH_n.json
 
 Both sides are exported with ``git archive`` into sibling directories of
 a fresh temporary directory (``TMPDIR``), so their paths have the same
@@ -16,7 +16,9 @@ once in each tree, alternating which side goes first, and reads the JSON
 line each run prints last.  Beside each run, ``import_cpu_s`` is the median
 user plus system CPU (from ``os.wait4``) of fresh ``import qrgames.cli``
 processes in that tree, and ``work_cpu_s`` is ``cpu_s`` less it: what the
-command costs beyond loading the CLI.
+command costs beyond loading the CLI.  A bare import still pays the
+collections at interpreter exit, which the console entry skips by freezing
+the import heap, so ``work_cpu_s`` of a short command can read below 0.
 
 ``--emit`` writes, for each side, every pair's metrics, the median and
 quartiles of each metric and the provenance ``bench/run.py`` prints, with
@@ -124,10 +126,10 @@ def _env(tree: Path) -> dict:
     return env
 
 
-def import_cpu_s(tree: Path, repeats: int = IMPORT_REPEATS) -> float:
+def import_cpu_s(tree: Path) -> float:
     """Median child CPU, from ``os.wait4``, of fresh ``import qrgames.cli`` processes."""
     times = []
-    for _ in range(repeats):
+    for _ in range(IMPORT_REPEATS):
         proc = subprocess.Popen(
             IMPORT_CMD, cwd=tree, env=_env(tree),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
