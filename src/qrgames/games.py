@@ -176,8 +176,8 @@ def _payoff_operators(spec: SteeringGameSpec, alpha) -> np.ndarray:
     effect X of the signal qubit and Alice's answers average alpha, the
     pair pays 2 Tr[X Z(alpha)], whatever states the referee sends.
     Returns the (..., 2, 2) operators.  ``matmul`` takes each block of
-    the last two coefficient axes on its own, so each model of a stack of
-    models gets the bits it gets alone; the coefficients are made complex
+    the last two coefficient axes on its own, so each alpha of a stack
+    gets the bits it gets alone; the coefficients are made complex
     first, since a mixed-type ``matmul`` buffers its cast.
     """
     alpha = np.asarray(alpha, dtype=np.float64)

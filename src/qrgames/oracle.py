@@ -6,21 +6,21 @@ eigenvalue of the payoff operator Z(alpha) of
 every no-state cheat, hidden-state model and Bob-to-Alice cheat; the
 estimator-grid searches the tests keep are its independent cross-check.
 The hidden-state suite compares both routes of
-``strategies._lhs_routes``, the second of which reads the same Z, for a
-whole group of equally sized models at once; both hold for any referee,
-channel included, that a spec describes.  The Werner scan evaluates all
-its states as one stack into one float table, columns in ``SCAN_FIELDS``,
-the honest payoff taken under the spec's delivered signals and scored
-with the penalty coefficient it is given.  Every check here reads the
-spec it is given and builds none of its own; a fact no setting moves,
-such as the local CHSH bound of 2 or the dual-map identity that pulls a
-line's noise into Bob's measurement, is left to the tests.
+``strategies._lhs_routes``, the second of which reads the same Z, for
+each model it draws or probes, one model at a time; both hold for any
+referee, channel included, that a spec describes.  The Werner scan
+evaluates all its states as one stack into one float table, columns in
+``SCAN_FIELDS``, the honest payoff taken under the spec's delivered
+signals and scored with the penalty coefficient it is given.  Every
+check here reads the spec it is given and builds none of its own; a fact
+no setting moves, such as the local CHSH bound of 2 or the dual-map
+identity that pulls a line's noise into Bob's measurement, is left to
+the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -41,8 +41,6 @@ from .qcore import (
     _STACK_BLOCK,
     DensityOperator,
     Povm,
-    _check_density_stack,
-    _check_povm_stack,
     _gram,
     _normalized_povm,
     _unit_trace,
@@ -50,14 +48,7 @@ from .qcore import (
     pauli,
     tensor,
 )
-from .serialize import strategy_to_json
-from .strategies import (
-    LhsStrategy,
-    _as_stack,
-    _checked_lhs_weights,
-    _lhs_routes,
-    honest_strategy,
-)
+from .strategies import LhsStrategy, _lhs_routes, honest_strategy
 
 
 #: Alice's answers (alpha_1, alpha_2, alpha_3) in the order the no-state
@@ -92,10 +83,12 @@ def cheat_certificates(spec: SteeringGameSpec) -> CheatCertificates:
     cheat replying on the positive eigenspace wins.  The no-state
     certificate is 2 max_alpha Tr[Z(alpha)_+], ties going to the first
     alpha in ``_ALPHAS`` order; the estimator-grid searches the tests
-    keep lie below both.
+    keep lie below both.  Tr Z(alpha) = -6c < 0, so Z(alpha) has at most
+    one positive eigenvalue, and Tr[Z(alpha)_+] is the top one clipped
+    at 0.
     """
     eig = np.linalg.eigvalsh(_payoff_operators(spec, np.array(_ALPHAS)))
-    no_state = 2.0 * np.maximum(eig, 0.0).sum(axis=-1)
+    no_state = 2.0 * np.maximum(eig[:, -1], 0.0)
     i = int(np.argmax(no_state))
     return CheatCertificates(
         lambda_max=float(eig[:, -1].max()),
@@ -104,34 +97,21 @@ def cheat_certificates(spec: SteeringGameSpec) -> CheatCertificates:
     )
 
 
-def _draw_lhs(rng: np.random.Generator, hidden_dim: int, n_lambda: int):
-    """The raw random draws of one hidden-state model, in generator order.
+def _random_lhs_strategy(rng: np.random.Generator, hidden_dim: int, n_lambda: int):
+    """A random hidden-state model, validated by its construction.
 
-    Dirichlet weights, then each hidden state's complex Gaussian (real
-    part, then imaginary part), then the uniform response biases, then
-    the Gaussians of Bob's two joint-POVM operators: the numbers that
-    drawing each state, then the POVM, one object at a time consumes.
+    Draws, in generator order: Dirichlet weights, then each hidden
+    state's complex Gaussian G (real part, then imaginary part), then the
+    uniform response biases, then the Gaussians of Bob's two joint-POVM
+    operators.  Each state is G^dag G at unit trace and Bob's POVM the
+    sum-normalised pair.
     """
     weights = rng.dirichlet(np.ones(n_lambda))
-    states = rng.standard_normal((n_lambda, 2, hidden_dim, hidden_dim))
+    states = _unit_trace(_gram(rng.standard_normal((n_lambda, 2, hidden_dim, hidden_dim))))
     responses = rng.uniform(-1.0, 1.0, size=(n_lambda, 3))
-    povm = rng.standard_normal((2, 2, 2 * hidden_dim, 2 * hidden_dim))
-    return weights, states, responses, povm
-
-
-def _lhs_parameters(weights, states, responses, povm):
-    """Model parameters from stacked raw draws of :func:`_draw_lhs`.
-
-    Each state is G^dag G at unit trace and Bob's POVM the sum-normalised
-    pair; returns (weights, states, responses, povm elements) as stacks.
-    """
-    return weights, _unit_trace(_gram(states)), responses, _normalized_povm(_gram(povm))
-
-
-def _lhs_strategy(weights, states, responses, elements) -> LhsStrategy:
-    return LhsStrategy(
-        weights, tuple(DensityOperator(m) for m in states), responses, Povm(tuple(elements))
-    )
+    povm = _normalized_povm(_gram(rng.standard_normal((2, 2, 2 * hidden_dim, 2 * hidden_dim))))
+    hidden = tuple(DensityOperator(m) for m in states)
+    return LhsStrategy(weights, hidden, responses, Povm(tuple(povm)))
 
 
 def _extremal_lhs_strategy(direction) -> LhsStrategy:
@@ -193,11 +173,6 @@ class LhsSuiteReport:
 _LHS_DIMS = (2, 3, 4)
 _LHS_LAMBDA_SIZES = (1, 4, 8)
 
-#: Most trials the suite evaluates as one stack.  Larger groups save no
-#: measurable time but raise ``verify``'s peak RSS through the allocator's
-#: high-water mark: about 0.3 MB at 32 trials, 0.1 MB at 16.
-_LHS_GROUP = 8
-
 
 def random_lhs_suite(spec: SteeringGameSpec, trials: int, rng_seed: int = 0) -> LhsSuiteReport:
     """Verify no hidden-state model of the game ``spec`` wins, over random
@@ -211,62 +186,39 @@ def random_lhs_suite(spec: SteeringGameSpec, trials: int, rng_seed: int = 0) -> 
     the penalty term 2c, whose rounding grows with c; failing strategies
     are serialised into the report.
 
-    The trials are evaluated in groups of equal (dimension, count), each
-    of at most ``_LHS_GROUP`` trials, and the probes as one more group
-    (28 groups for 200 trials).  Each group's
-    states and POVMs are validated as stacks, and both routes of
-    ``strategies._lhs_routes`` run over the whole group.  Every model
-    gets the bits it gets alone, and the report lists trials then probes
-    in order.
+    Each trial's model, then each boundary probe, is built as an
+    :class:`LhsStrategy`, whose construction validates it, and scored by
+    one ``strategies._lhs_routes`` call; the report lists trials then
+    probes in order.
     """
     gap_bound = 1e-10 * max(1.0, spec.penalty_coefficient)
-    groups = {}
-    for t in range(int(trials)):
-        d = _LHS_DIMS[t % len(_LHS_DIMS)]
-        n_lambda = _LHS_LAMBDA_SIZES[(t // len(_LHS_DIMS)) % len(_LHS_LAMBDA_SIZES)]
-        groups.setdefault((d, n_lambda), []).append(t)
 
-    def outcome(label, direct, reduced, build):
-        """(label, payoff, route gap, the model's JSON if it fails, else None)."""
-        direct = float(direct)
-        gap = abs(direct - float(reduced))
-        failed = direct > 1e-9 or gap > gap_bound
-        return label, direct, gap, strategy_to_json(build()) if failed else None
-
-    outcomes = [None] * int(trials)
-    blocks = [
-        (key, ts[start:start + _LHS_GROUP])
-        for key, ts in groups.items()
-        for start in range(0, len(ts), _LHS_GROUP)
-    ]
-    for (d, n_lambda), ts in blocks:
-        draws = [_draw_lhs(np.random.default_rng([int(rng_seed), t]), d, n_lambda) for t in ts]
-        weights, states, responses, elements = _lhs_parameters(
-            *(np.stack(arrays) for arrays in zip(*draws))
-        )
-        _check_density_stack(states.reshape(-1, d, d))
-        _check_povm_stack(elements)
-        weights = _checked_lhs_weights(weights, responses)
-        routes = _lhs_routes(spec, weights, states, responses, elements[:, 1])
-        for i, (t, direct, reduced) in enumerate(zip(ts, *routes)):
-            build = partial(_lhs_strategy, weights[i], states[i], responses[i], elements[i])
-            outcomes[t] = outcome(f"trial-{t}", direct, reduced, build)
-
-    probes = [_extremal_lhs_strategy(direction) for direction in _PROBE_DIRECTIONS]
-    routes = _lhs_routes(spec, *map(np.concatenate, zip(*map(_as_stack, probes))))
-    for i, (probe, direct, reduced) in enumerate(zip(probes, *routes)):
-        outcomes.append(outcome(f"probe-{i}", direct, reduced, lambda probe=probe: probe))
+    def models():
+        for t in range(int(trials)):
+            d = _LHS_DIMS[t % len(_LHS_DIMS)]
+            n_lambda = _LHS_LAMBDA_SIZES[(t // len(_LHS_DIMS)) % len(_LHS_LAMBDA_SIZES)]
+            rng = np.random.default_rng([int(rng_seed), t])
+            yield f"trial-{t}", _random_lhs_strategy(rng, d, n_lambda)
+        for i, direction in enumerate(_PROBE_DIRECTIONS):
+            yield f"probe-{i}", _extremal_lhs_strategy(direction)
 
     max_payoff = -np.inf
     max_gap = 0.0
     failures = []
-    for label, direct, gap, strategy in outcomes:
+    for label, model in models():
+        direct, reduced = _lhs_routes(spec, model)
+        gap = abs(direct - reduced)
         max_payoff = max(max_payoff, direct)
         max_gap = max(max_gap, gap)
-        if strategy is not None:
-            failures.append(
-                {"label": label, "payoff": direct, "route_gap": gap, "strategy": strategy}
-            )
+        if direct > 1e-9 or gap > gap_bound:
+            from .serialize import strategy_to_json
+
+            failures.append({
+                "label": label,
+                "payoff": direct,
+                "route_gap": gap,
+                "strategy": strategy_to_json(model),
+            })
 
     return LhsSuiteReport(
         trials=int(trials),

@@ -140,26 +140,20 @@ def _check_density_stack(mats: np.ndarray) -> None:
 
 
 def _check_povm_stack(elements: np.ndarray) -> None:
-    """Validate a (n, k, d, d) stack as n POVMs of k square elements each.
+    """Validate a (k, d, d) stack as the k elements of one POVM.
 
-    Each POVM gets the checks of :class:`Povm`: every element Hermitian
-    and positive semidefinite, in element order, then the elements sum to
-    the identity; one ``eigvalsh`` runs over all elements.  The first bad
-    POVM raises the message its own construction would.
+    The checks of :class:`Povm`: every element Hermitian and positive
+    semidefinite, in element order, with one ``eigvalsh`` over the
+    elements, then the elements sum to the identity.
     """
     herm = _hermitian_items(elements)
-    psd = _psd_items(elements, herm)
-    gap = np.abs(elements.sum(axis=1) - np.eye(elements.shape[-1]))
-    sums = np.max(gap, axis=(-2, -1)) <= VALIDATION_TOL
-    bad_element = ~(herm & psd)
-    bad = bad_element.any(axis=1) | ~sums
+    bad = ~(herm & _psd_items(elements, herm))
     if bad.any():
-        i = int(np.argmax(bad))
-        if bad_element[i].any():
-            k = int(np.argmax(bad_element[i]))
-            if not herm[i, k]:
-                raise ValueError("POVM elements must be Hermitian")
-            raise ValueError("POVM elements must be positive semidefinite")
+        if not herm[np.argmax(bad)]:
+            raise ValueError("POVM elements must be Hermitian")
+        raise ValueError("POVM elements must be positive semidefinite")
+    gap = np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1]))
+    if np.max(gap) > VALIDATION_TOL:
         raise ValueError("POVM elements must sum to the identity")
 
 
@@ -199,7 +193,7 @@ class Povm:
                 raise ValueError("POVM elements must be square matrices")
             if m.shape != mats[0].shape:
                 raise ValueError("POVM elements must share one dimension")
-        _check_povm_stack(np.stack(mats)[None])
+        _check_povm_stack(np.stack(mats))
         for m in mats:
             m.setflags(write=False)
         object.__setattr__(self, "elements", tuple(mats))

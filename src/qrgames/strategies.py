@@ -24,15 +24,14 @@ Every probability on Bob's side is the Born rule Tr[E (rho x omega_k)]
 on the signal omega_k the referee sent, and one private kernel,
 ``_signal_traces``, is the only code that evaluates it.  It has two
 callers: the honest table, over an ``(n, d, d)`` stack of shared states
-in blocks of ``qcore._STACK_BLOCK``, and ``_lhs_tables``, over the
-hidden states of n equally sized hidden-state models.
-``_lhs_routes``, which also takes n models at once, checks their
-tables against the collapse of Bob's side onto the signal qubit, paid
-through the payoff operator Z(alpha) of ``games._payoff_operators``
-whose largest eigenvalue lambda* bounds every hidden-state model in the
-cheat certificates, so it holds for any referee a spec describes.  A
-single object's call is the n = 1 case of the same kernel, and every
-item of a stack gets the bits it gets on its own.
+in blocks of ``qcore._STACK_BLOCK``, where a single state is the stack of
+one and every item gets the bits it gets on its own, and the table of
+one hidden-state model, over its hidden states.  ``_lhs_routes`` checks
+that model's table against the collapse of Bob's side onto the signal
+qubit, paid through the payoff operator Z(alpha) of
+``games._payoff_operators`` whose largest eigenvalue lambda* bounds
+every hidden-state model in the cheat certificates, so it holds for any
+referee a spec describes.
 
 Outcome conventions: Alice's POVMs are ordered (a=+1, a=-1); Bob's joint
 POVMs are ordered (b=0, b=1).
@@ -314,8 +313,10 @@ class LhsStrategy:
     B x C.  This is the most general strategy in which Bob holds a
     pre-set quantum state uncorrelated with Alice beyond lambda.
 
-    The hidden states are also stacked once, at construction, into the
-    read-only ``(n_lambda, d, d)`` array ``state_stack``, so each
+    Construction checks, in this order: weights finite and nonnegative
+    (to 1e-12), summing to 1 after clipping at 0 (to 1e-10), then biases
+    in [-1, 1] (to 1e-12).  The hidden states are also stacked once, into
+    the read-only ``(n_lambda, d, d)`` array ``state_stack``, so each
     evaluation contracts over every lambda at once.
     """
 
@@ -343,7 +344,14 @@ class LhsStrategy:
         resp = np.array(self.alice_responses, dtype=np.float64)
         if resp.shape != (w.size, 3):
             raise ValueError("alice_responses must have shape (n_lambda, 3)")
-        w = _checked_lhs_weights(w[None], resp[None])[0]
+        if not np.all(np.isfinite(w)) or np.any(w < -1e-12):
+            raise ValueError("weights must be finite and nonnegative")
+        w = np.clip(w, 0.0, None)
+        total = w.sum()
+        if abs(total - 1.0) > 1e-10:
+            raise ValueError(f"weights must sum to 1, got {total}")
+        if not np.all(np.abs(resp) <= 1.0 + 1e-12):  # NaN fails too
+            raise ValueError("response biases must be finite and lie in [-1, 1]")
         if self.bob_joint_povm.n_outcomes != 2 or self.bob_joint_povm.dim != 2 * d_b:
             raise ValueError("Bob's POVM must act on B x C with two outcomes")
         stack = np.stack([st.matrix for st in states])
@@ -355,92 +363,42 @@ class LhsStrategy:
         object.__setattr__(self, "state_stack", stack)
 
     def outcome_distribution(self, signals, shared_state=None):
-        return _lhs_tables(*_as_stack(self), signals)[0]
+        # t[k, lambda] = Tr[E_1 (rho_lambda x omega_k)]
+        t = _signal_traces(self.bob_joint_povm[1][None], self.state_stack, signals)
+        bob = np.stack([t, 1.0 - t], axis=-1).reshape(3, 2, -1, 2)  # b = 1, 0
+        # p(lambda) p(a | lambda, j) for a = +1, -1, shared by both signs s
+        answers = np.array([[1.0], [-1.0]])
+        alice = (1.0 + answers * self.alice_responses.T[:, None, None]) / 2.0
+        probs = (self.weights * alice) @ bob
+        # summed and normalised in the column order (a, b) = (+,1), (+,0),
+        # (-,1), (-,0) that every pinned output was computed in, then
+        # permuted to OUTCOMES
+        table = _clean_distribution(probs.reshape(len(SIGNALS), 1, 4))
+        return table[..., [1, 0, 3, 2]]
 
 
-def _checked_lhs_weights(weights: np.ndarray, responses: np.ndarray) -> np.ndarray:
-    """Check a stack of n hidden-state models' weights and response biases.
+def _lhs_routes(spec: games.SteeringGameSpec, model: LhsStrategy):
+    """Exact payoff of a hidden-state model by two independent routes.
 
-    ``weights`` is (n, n_lambda) and ``responses`` (n, n_lambda, 3).  Each
-    model gets the checks of :class:`LhsStrategy`, in its order: weights
-    finite and nonnegative (to 1e-12), summing to 1 after clipping at 0
-    (to 1e-10), then biases in [-1, 1] (to 1e-12).  The first bad model
-    raises; otherwise returns the clipped weights.
-    """
-    bad_w = ~np.all(np.isfinite(weights), axis=-1) | np.any(weights < -1e-12, axis=-1)
-    weights = np.clip(weights, 0.0, None)
-    sums = weights.sum(axis=-1)
-    bad_sum = np.abs(sums - 1.0) > 1e-10
-    bad_r = ~np.all(np.abs(responses) <= 1.0 + 1e-12, axis=(-2, -1))  # NaN fails too
-    bad = bad_w | bad_sum | bad_r
-    if bad.any():
-        i = int(np.argmax(bad))
-        if bad_w[i]:
-            raise ValueError("weights must be finite and nonnegative")
-        if bad_sum[i]:
-            raise ValueError(f"weights must sum to 1, got {sums[i]}")
-        raise ValueError("response biases must be finite and lie in [-1, 1]")
-    return weights
-
-
-def _lhs_tables(weights, states, responses, effects, signals) -> np.ndarray:
-    """Outcome tables of a stack of n hidden-state models with n_lambda each.
-
-    ``weights`` (n, n_lambda), ``states`` (n, n_lambda, d, d),
-    ``responses`` (n, n_lambda, 3) and ``effects`` (n, 2d, 2d), Bob's b=1
-    element, are validated model parameters; ``signals`` is the (6, 2, 2)
-    signal stack.  Returns the (n, 6, 1, 4) tables.  Every model goes
-    through the same per-item products and traces, so its table has the
-    bits it has when evaluated alone.
-    """
-    n = len(weights)
-    # t[i, k, lambda] = Tr[E_1 (rho_lambda x omega_k)]
-    t = np.moveaxis(_signal_traces(effects[None, :, None], states, signals), 0, 1)
-    bob = np.stack([t, 1.0 - t], axis=-1).reshape(n, 3, 2, -1, 2)  # b = 1, 0
-    # p(lambda) p(a | lambda, j) for a = +1, -1, shared by both signs s
-    answers = np.array([[1.0], [-1.0]])
-    alice = (1.0 + answers * responses.swapaxes(1, 2)[:, :, None, None]) / 2.0
-    probs = (weights[:, None, None, None] * alice) @ bob
-    # summed and normalised in the column order (a, b) = (+,1), (+,0),
-    # (-,1), (-,0) that every pinned output was computed in, then
-    # permuted to OUTCOMES
-    table = _clean_distribution(probs.reshape(n, len(SIGNALS), 1, 4))
-    return table[..., [1, 0, 3, 2]]
-
-
-def _as_stack(strategy: LhsStrategy):
-    """One model's parameters as a stack of one, in :func:`_lhs_tables` order."""
-    return (
-        strategy.weights[None],
-        strategy.state_stack[None],
-        strategy.alice_responses[None],
-        strategy.bob_joint_povm[1][None],
-    )
-
-
-def _lhs_routes(spec: games.SteeringGameSpec, weights, states, responses, effects):
-    """Exact payoffs of a stack of n hidden-state models by two independent routes.
-
-    Parameters as for :func:`_lhs_tables`; returns the (n,) direct and
-    reduced payoffs, whose disagreement would flag an implementation bug.
-    The direct route aggregates each model's outcome table.  The reduced
-    route collapses Bob's side onto the signal qubit:
-    X_lambda = Tr_B[E_1 (rho_lambda x 1_C)], every X_lambda of every
-    model one ``matmul`` and one trace over B, and the payoff is
+    Returns the direct and reduced payoffs as floats, whose disagreement
+    would flag an implementation bug.  The direct route aggregates the
+    model's outcome table.  The reduced route collapses Bob's side onto
+    the signal qubit: X_lambda = Tr_B[E_1 (rho_lambda x 1_C)], every
+    X_lambda one ``matmul`` and one trace over B, and the payoff is
     2 sum_lambda p(lambda) Tr[X_lambda Z(r_lambda)], with Z the payoff
     operator of ``games._payoff_operators`` at lambda's response biases.
-    Both routes hold for any qubit signal ensemble, and each model rounds
-    as it does alone; one model is the stack ``_as_stack(model)``.
+    Both routes hold for any qubit signal ensemble.
     """
-    tables = _lhs_tables(weights, states, responses, effects, spec.delivered_signals)
+    tables = model.outcome_distribution(spec.delivered_signals)
     e_ab, e_b = games._expectations(tables, np.ones(1))
     direct = games._payoffs(e_ab, e_b, spec.penalty_coefficient)
-    n, n_lambda, d_b, _ = states.shape
-    joint = effects[:, None] @ _tensor_rows(states, np.eye(2, dtype=np.complex128))
-    x_ops = np.trace(joint.reshape(n, n_lambda, d_b, 2, d_b, 2), axis1=2, axis2=4)
-    z = games._payoff_operators(spec, responses)
+    states = model.state_stack
+    n_lambda, d_b, _ = states.shape
+    joint = model.bob_joint_povm[1] @ _tensor_rows(states, np.eye(2, dtype=np.complex128))
+    x_ops = np.trace(joint.reshape(n_lambda, d_b, 2, d_b, 2), axis1=1, axis2=3)
+    z = games._payoff_operators(spec, model.alice_responses)
     terms = np.trace(x_ops @ z, axis1=-2, axis2=-1).real
-    return direct, 2.0 * (weights * terms).sum(axis=-1)
+    return float(direct), float(2.0 * (model.weights * terms).sum())
 
 
 def best_estimator() -> BlochVector:

@@ -1,16 +1,16 @@
 """Random states, POVMs and hidden-state models drawn one at a time, as
 the tests use them.
 
-The package draws such objects only as stacks (``oracle._draw_lhs``);
-these are the one-by-one draws that consume the same generator numbers,
-built from the same ``qcore`` and ``oracle`` helpers.  ``random_signal_ensemble`` draws an uncalibrated
-referee from the same states.
+The states and POVMs are built from the ``qcore`` helpers that
+``oracle._random_lhs_strategy``, the hidden-state suite's draw, uses;
+``random_lhs_strategy`` is that draw.  ``random_signal_ensemble`` draws
+an uncalibrated referee from the same states.
 """
 
 import numpy as np
 
 from qrgames.games import SIGNALS
-from qrgames.oracle import _draw_lhs, _lhs_parameters, _lhs_strategy
+from qrgames.oracle import _random_lhs_strategy
 from qrgames.qcore import DensityOperator, Povm, _gram, _normalized_povm, _unit_trace
 from qrgames.strategies import LhsStrategy
 
@@ -42,4 +42,4 @@ def random_lhs_strategy(
 ) -> LhsStrategy:
     """Draw a random hidden-state model (Dirichlet weights, G^dag G states,
     uniform response biases, sum-normalised random joint POVM)."""
-    return _lhs_strategy(*_lhs_parameters(*_draw_lhs(rng, hidden_dim, n_lambda)))
+    return _random_lhs_strategy(rng, hidden_dim, n_lambda)

@@ -6,7 +6,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import tempfile
 import tracemalloc
 from dataclasses import dataclass
@@ -47,6 +46,7 @@ from qrgames.qcore import (
     Povm,
     amplitude_damping_channel,
     depolarizing_channel,
+    identity_channel,
     pauli,
     tensor,
     werner_state,
@@ -54,12 +54,11 @@ from qrgames.qcore import (
 from qrgames.strategies import (
     ClassicalCheat,
     HonestStrategy,
-    _as_stack,
     _lhs_routes,
     best_estimator,
     honest_strategy,
 )
-from qrgames.serialize import strategy_from_json, strategy_to_json
+from qrgames.serialize import strategy_from_json
 
 from cheat_grids import (
     _BA_BOB_RULES,
@@ -184,6 +183,40 @@ def test_cheat_certificates_match_their_closed_forms(name, no_state, bob_to_alic
     if no_state > 0.0:
         # alpha = (-1, -1, -1) ties with (1, 1, 1); the first wins
         assert cert.alpha == (1, 1, 1)
+
+
+def _referees_for_the_no_state_certificate():
+    """Random referees, the single-axis referee, each channel on the line,
+    and the ideal referee at payoff bounds from 1e-300 to 1e300."""
+    rng = np.random.default_rng(38)
+    for _ in range(200):
+        bound = float(10.0 ** rng.uniform(-3.0, 3.0))
+        yield SteeringGameSpec(signal_ensemble=random_signal_ensemble(rng), payoff_bound=bound)
+    bounds = [SQRT3, 1.5, 0.01, 1e-300, 1e300]
+    for bound in bounds:
+        yield SteeringGameSpec(signal_ensemble=single_axis_ensemble(), payoff_bound=bound)
+    for channel in (
+        identity_channel(),
+        *(depolarizing_channel(p) for p in (0.0, 0.3, 1.0)),
+        *(amplitude_damping_channel(g) for g in (0.0, 0.4, 1.0)),
+    ):
+        for bound in bounds:
+            yield SteeringGameSpec(channel=channel, payoff_bound=bound)
+    for k in range(-300, 301):
+        yield SteeringGameSpec.ideal(payoff_bound=10.0 ** k)
+
+
+def test_no_state_certificate_reads_the_top_eigenvalue():
+    """Tr Z(alpha) = -6c < 0 leaves Z(alpha) at most one positive eigenvalue,
+    so 2 max(lambda_max(Z), 0) is bit for bit 2 Tr[Z(alpha)_+] summed over
+    both eigenvalues, with the same maximiser alpha."""
+    for spec in _referees_for_the_no_state_certificate():
+        eig = np.linalg.eigvalsh(_payoff_operators(spec, np.array(oracle._ALPHAS)))
+        both = 2.0 * np.maximum(eig, 0.0).sum(axis=-1)
+        i = int(np.argmax(both))
+        cert = cheat_certificates(spec)
+        assert np.float64(cert.no_state).tobytes() == both[i].tobytes(), spec
+        assert cert.alpha == oracle._ALPHAS[i], spec
 
 
 def test_cheat_certificates_stay_safe_at_every_penalty():
@@ -431,7 +464,7 @@ def test_random_lhs_suite_catches_a_weakened_penalty():
     assert probe["payoff"] == pytest.approx(2 * (SQRT3 - 1.5), abs=1e-12)
     # failing strategies are serialized well enough to replay the win
     replayed = strategy_from_json(probe["strategy"])
-    (direct,), (reduced,) = _lhs_routes(weak, *_as_stack(replayed))
+    direct, reduced = _lhs_routes(weak, replayed)
     assert abs(direct - reduced) <= 1e-10
     assert direct == pytest.approx(probe["payoff"], abs=1e-10)
 
@@ -443,8 +476,8 @@ def test_random_lhs_suite_route_gap_bound_is_1e10_at_the_defaults(
     """At c = 1/sqrt(3) <= 1 the route-gap bound stays an absolute 1e-10."""
     original = oracle._lhs_routes
 
-    def perturbed(spec, *stack):
-        direct, reduced = original(spec, *stack)
+    def perturbed(spec, model):
+        direct, reduced = original(spec, model)
         return direct, reduced + offset
 
     monkeypatch.setattr(oracle, "_lhs_routes", perturbed)
@@ -452,42 +485,6 @@ def test_random_lhs_suite_route_gap_bound_is_1e10_at_the_defaults(
     assert report.passed is passed
     if not passed:
         assert len(report.failures) == report.trials + report.probes
-
-
-def _suite_one_model_at_a_time(trials, seed, spec):
-    """The reference: the suite's report built by drawing, building and
-    evaluating each model on its own, trials then probes."""
-    gap_bound = 1e-10 * max(1.0, spec.penalty_coefficient)
-    models = []
-    for t in range(trials):
-        d = _LHS_DIMS[t % len(_LHS_DIMS)]
-        n_lambda = _LHS_LAMBDA_SIZES[(t // len(_LHS_DIMS)) % len(_LHS_LAMBDA_SIZES)]
-        rng = np.random.default_rng([seed, t])
-        models.append((f"trial-{t}", random_lhs_strategy(rng, d, n_lambda)))
-    for i, direction in enumerate(oracle._PROBE_DIRECTIONS):
-        models.append((f"probe-{i}", oracle._extremal_lhs_strategy(direction)))
-    max_payoff, max_gap, failures = -np.inf, 0.0, []
-    for label, model in models:
-        (direct,), (reduced,) = _lhs_routes(spec, *_as_stack(model))
-        gap = abs(direct - reduced)
-        max_payoff = max(max_payoff, direct)
-        max_gap = max(max_gap, gap)
-        if direct > 1e-9 or gap > gap_bound:
-            failures.append({
-                "label": label,
-                "payoff": direct,
-                "route_gap": gap,
-                "strategy": strategy_to_json(model),
-            })
-    return {
-        "trials": trials,
-        "probes": len(oracle._PROBE_DIRECTIONS),
-        "seed": seed,
-        "max_payoff": max_payoff,
-        "max_route_gap": max_gap,
-        "passed": not failures,
-        "failures": failures,
-    }
 
 
 _SUITE_SPECS = {
@@ -501,33 +498,71 @@ _SUITE_SPECS = {
 }
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("spec", list(_SUITE_SPECS.values()), ids=list(_SUITE_SPECS))
-def test_random_lhs_suite_equals_the_one_model_at_a_time_suite(spec, seed):
-    # 1 and 7 trials leave some (dimension, count) groups empty and the
-    # others unequal in size; 200 fills all nine
-    for trials in (1, 7, 200):
-        want = _suite_one_model_at_a_time(trials, seed, spec)
-        assert random_lhs_suite(spec, trials, rng_seed=seed).to_json() == want
+#: (seed, _SUITE_SPECS key, failures, sha256 of the report, sha256 of the
+#: report less its route gaps) of 200-trial suite reports.
+_SUITE_PINS = [
+    (0, "payoff-bound-0.01", 92,
+     "d1be6b416986b84158e8182fdf5a1cd952e9007229427ed490a8fcf8020cc0fd",
+     "dbe8dd511fbf641c8c69b2f8edab6e672091365764fc36a5ad645bc39735f4e7"),
+    (7, "r-1e5", 0,
+     "114cae94d0cb6ddb0dbadefd462a02eeb48db7d353e183f2a48f2c889d1f4e48",
+     "8f4e3e1c22ef7759b32bbf2bb36cff14e4ab5deed90c163c666ac49a580f6117"),
+    # every _SUITE_SPECS game at seeds 0, 1 and 7, as the suite that
+    # evaluated its models in stacked groups reported them
+    (0, "ideal", 0,
+     "b46aa0d12771ebd3fc06cf4fd0a638bd10799ec97dae1d38957480d5c5a15fb2",
+     "c02d680e7d8d3242b312abd75bc94e8d212392259e76c243f318f41343c359aa"),
+    (0, "r-1.081", 0,
+     "a518e6cd4073fd2a56787f116ef385c7b2f88001a98c0b18aca0c58cfd087fd8",
+     "2865bbe6b2cff9fc82eb589f2fb9ffda9a61a232b63989638b3b9dfa00b42ef8"),
+    (0, "r-1e5", 0,
+     "4573d9e8084b7ebe832db2a6d914e4de6e401b08dabc881ac39dec9cb54a0724",
+     "b01bb245a7e05a087a7445ae45f707707834e4165ccd0e74719536e30c34bee9"),
+    (0, "single-axis", 1,
+     "b19cac3e4e7a67bb285f6c5ebcb766d7dbcbf29368d2857f2c50aa3ca0e6844b",
+     "2831a73e9d107d92dd0d7c24934433df1a5096ccc90a8dd78e23530251dc7d8d"),
+    (1, "ideal", 0,
+     "c5816fbc504bc5867cddc0ac92be554af99a36aff5a41646f44e30e59906c892",
+     "3e2e6b12875fae05c97fbb746c275f711b1b25eb00bd7cf52bd821ba958654f9"),
+    (1, "r-1.081", 0,
+     "658a751a6ba8f498aa195b60f64684aa5de6126ac3206526b3526b0cba6835b6",
+     "c5abf89e72412e6db84b627f6ee58982c5f7526926ba9caddfab054f3e3cfb40"),
+    (1, "r-1e5", 0,
+     "52fc892e8a3fb6f03084a110b29ea2b9684448db829bba42d2fbd0adbb5b149e",
+     "3032cced1dc96fd8f7c3d5751864ef3272cc546ce9fa95480eaaa091e1a48773"),
+    (1, "payoff-bound-0.01", 96,
+     "98c6221249a9610ac83c16560b41fc4ee0f5859e6b754880b0c2174486fadcf9",
+     "a6f3ebdc7974c4764c97487f50a3654d2f4ec633a2ae35aefdd083d9465a9eb2"),
+    (1, "single-axis", 1,
+     "76ca02d3cc845704296033ff704bfec52814c26e0ab18e22e065ea4060f0eed1",
+     "f569f6c78667724d06b3069fc3d7f9643dece6661e1052fab228f66b9e3760b2"),
+    (7, "ideal", 0,
+     "648b41d8ceda0225f1162406803f043153558e088cb34f949e23635afb47eede",
+     "1cd912a1bd7229cd9df3476e0da675cb5142390e2829cfb77d5fd87e7c5f39c0"),
+    (7, "r-1.081", 0,
+     "7824a8726353b1d783f9cdde0b5eeb0a18be75c22c7af11e84a0525fba3fcb37",
+     "e26bdf3352e865678dcc70f54b5bee76dabe666491b440943d27a9c8cca22665"),
+    (7, "payoff-bound-0.01", 94,
+     "d3d2bd4bb6869c00862049a71bce0d207a465077148d4e93e2c9d5c0a3ba09b2",
+     "65b2c03fbe51e05c0452c6a92d864e2479df99b773c31b3495d5a3d653760b16"),
+    (7, "single-axis", 1,
+     "a474841461e5992bd20a2fefb943dd6a87c837bca51df32bc4b2327cd8af2864",
+     "63ad8bc557a75d7880851799cb1ad792c0eaff327c27ff65fa8272fe74975d2f"),
+]
 
 
 @pytest.mark.parametrize(
     "seed, spec, n_failures, digest, rest",
-    [
-        (0, "payoff-bound-0.01", 92,
-         "d1be6b416986b84158e8182fdf5a1cd952e9007229427ed490a8fcf8020cc0fd",
-         "dbe8dd511fbf641c8c69b2f8edab6e672091365764fc36a5ad645bc39735f4e7"),
-        (7, "r-1e5", 0,
-         "114cae94d0cb6ddb0dbadefd462a02eeb48db7d353e183f2a48f2c889d1f4e48",
-         "8f4e3e1c22ef7759b32bbf2bb36cff14e4ab5deed90c163c666ac49a580f6117"),
-    ],
-    ids=["seed-0-payoff-bound-0.01", "seed-7-r-1e5"],
+    _SUITE_PINS,
+    ids=[f"seed-{seed}-{spec}" for seed, spec, *_ in _SUITE_PINS],
 )
 def test_random_lhs_suite_reports_are_pinned(seed, spec, n_failures, digest, rest):
-    """Digests of two suite reports.  Less its route gaps, each report dumps
-    to the bytes it had when the reduced route normalised every reduced
-    state and summed <sigma_j> over the calibrated signals, which matched
-    the one-model-at-a-time suite bit for bit."""
+    """Digests of 200-trial suite reports.  Less its route gaps, each of the
+    first two reports dumps to the bytes it had when the reduced route
+    normalised every reduced state and summed <sigma_j> over the
+    calibrated signals, which matched the one-model-at-a-time suite bit
+    for bit.  The others are the reports of the suite that evaluated its
+    models in stacked groups, which also matched that suite bit for bit."""
     report = random_lhs_suite(_SUITE_SPECS[spec], 200, rng_seed=seed).to_json()
     assert len(report["failures"]) == n_failures
     text = json.dumps(report, sort_keys=True)
@@ -580,31 +615,13 @@ def test_random_lhs_suite_routes_agree_under_any_signal_ensemble(monkeypatch, sp
 
     monkeypatch.setattr(oracle, "_lhs_routes", recorded)
     report = random_lhs_suite(spec, 60, rng_seed=5)
-    direct, reduced = map(np.concatenate, zip(*routes))
+    direct, reduced = np.array(routes).T
     assert len(direct) == report.trials + report.probes
     c = spec.penalty_coefficient
     assert np.all(np.abs(direct - reduced) <= 1e-10 * max(1.0, c))
     cert = cheat_certificates(spec)
     assert np.all(direct <= cert.no_state + 1e-12 * (1.0 + c))
     assert np.all(direct <= _cheat_bound(cert) + 1e-12 * (1.0 + c))
-
-
-def test_random_lhs_suite_evaluates_groups_not_models(monkeypatch):
-    sizes = []
-    original = oracle._lhs_routes
-
-    def counted(spec, weights, *stack):
-        sizes.append(len(weights))
-        return original(spec, weights, *stack)
-
-    monkeypatch.setattr(oracle, "_lhs_routes", counted)
-    report = random_lhs_suite(SteeringGameSpec(), 200)
-    # the nine (dimension, count) pairs get 22 or 23 trials each, evaluated
-    # in groups of at most _LHS_GROUP; the probes make one more group
-    pairs = len(_LHS_DIMS) * len(_LHS_LAMBDA_SIZES)
-    assert max(sizes) <= oracle._LHS_GROUP
-    assert len(sizes) <= pairs * math.ceil(23 / oracle._LHS_GROUP) + 1 == 28
-    assert sum(sizes) == report.trials + report.probes == 205
 
 
 def test_random_lhs_strategy_is_valid(rng):

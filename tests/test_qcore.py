@@ -231,14 +231,17 @@ def test_stacked_state_validation_reports_the_first_bad_item(first, later):
 
 @pytest.mark.parametrize("first, later", list(permutations(_BAD_POVMS, 2)))
 def test_stacked_povm_validation_reports_the_first_bad_item(first, later):
-    good = [np.eye(2) / 2, np.eye(2) / 2]
-    stack = np.array([good, _BAD_POVMS[first], good, _BAD_POVMS[later]], dtype=complex)
+    """One POVM's elements are checked in order, each Hermitian then
+    positive, before their sum: the elements of two bad POVMs, stacked as
+    one, fail as the first of the two with a bad element fails alone."""
+    elements = np.array(_BAD_POVMS[first] + _BAD_POVMS[later], dtype=complex)
+    culprit = later if first == "not a resolution" else first
     with pytest.raises(ValueError) as alone:
-        Povm(tuple(_BAD_POVMS[first]))
+        Povm(tuple(_BAD_POVMS[culprit]))
     with pytest.raises(ValueError) as stacked:
-        _check_povm_stack(stack)
+        _check_povm_stack(elements)
     assert str(stacked.value) == str(alone.value)
-    _check_povm_stack(stack[[0, 2]])
+    _check_povm_stack(np.array([np.eye(2) / 2, np.eye(2) / 2], dtype=complex))
 
 
 def test_povm_validation_and_order():

@@ -36,7 +36,6 @@ from qrgames.strategies import (
     ClassicalCheat,
     HonestStrategy,
     LhsStrategy,
-    _as_stack,
     _clean_distribution,
     _lhs_routes,
     best_estimator,
@@ -392,7 +391,7 @@ def test_lhs_reduction_is_the_per_lambda_partial_trace_route(rng, dim, n_lambda)
         want = 0.0
         for p, x, alpha in zip(strategy.weights, x_ops, strategy.alice_responses):
             want += p * np.trace(x @ games._payoff_operators(spec, alpha)).real
-        (direct,), (reduced,) = _lhs_routes(spec, *_as_stack(strategy))
+        direct, reduced = _lhs_routes(spec, strategy)
         assert reduced == pytest.approx(2.0 * want, rel=0.0, abs=1e-14)
         assert abs(direct - reduced) <= 1e-14
 
@@ -400,7 +399,7 @@ def test_lhs_reduction_is_the_per_lambda_partial_trace_route(rng, dim, n_lambda)
 def test_lhs_routes_agree_and_never_win(rng, ideal_spec):
     for t in range(25):
         strategy = _random_lhs(rng, (t % 3) + 2, (t % 4) + 1)
-        (direct,), (reduced,) = _lhs_routes(ideal_spec, *_as_stack(strategy))
+        direct, reduced = _lhs_routes(ideal_spec, strategy)
         assert abs(direct - reduced) < 1e-10
         assert direct <= 1e-9
         assert qrs_payoff_exact(ideal_spec, strategy) == direct
@@ -413,7 +412,7 @@ def test_lhs_zero_responses_pay_only_the_penalty(rng, ideal_spec):
         base.weights, base.hidden_states, np.zeros((4, 3)), base.bob_joint_povm
     )
     normalization = float(strategy.weights @ [np.trace(x).real for x in _x_ops(strategy)])
-    (payoff,), (reduced,) = _lhs_routes(ideal_spec, *_as_stack(strategy))
+    payoff, reduced = _lhs_routes(ideal_spec, strategy)
     assert abs(payoff - reduced) <= 1e-10
     assert payoff == pytest.approx(-2.0 * normalization * SQRT3, abs=1e-12)
 
@@ -427,7 +426,7 @@ def test_lhs_saturates_bound_with_trivial_hidden_space(ideal_spec):
         np.ones((1, 3)),
         Povm((np.eye(2) - proj, proj)),
     )
-    (direct,), (reduced,) = _lhs_routes(ideal_spec, *_as_stack(strategy))
+    direct, reduced = _lhs_routes(ideal_spec, strategy)
     assert abs(direct) < 1e-12
     assert abs(reduced) < 1e-12
 
