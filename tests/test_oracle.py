@@ -58,7 +58,7 @@ from qrgames.strategies import (
     best_estimator,
     honest_strategy,
 )
-from qrgames.serialize import strategy_from_json
+from qrgames.serialize import strategy_from_json, strategy_to_json
 
 from cheat_grids import (
     _BA_BOB_RULES,
@@ -487,6 +487,42 @@ def test_random_lhs_suite_route_gap_bound_is_1e10_at_the_defaults(
         assert len(report.failures) == report.trials + report.probes
 
 
+def _suite_one_model_at_a_time(trials, seed, spec):
+    """The reference: the suite's report built by drawing and building
+    every model first, trials then probes, then evaluating each on its own."""
+    gap_bound = 1e-10 * max(1.0, spec.penalty_coefficient)
+    models = []
+    for t in range(trials):
+        d = _LHS_DIMS[t % len(_LHS_DIMS)]
+        n_lambda = _LHS_LAMBDA_SIZES[(t // len(_LHS_DIMS)) % len(_LHS_LAMBDA_SIZES)]
+        rng = np.random.default_rng([seed, t])
+        models.append((f"trial-{t}", random_lhs_strategy(rng, d, n_lambda)))
+    for i, direction in enumerate(oracle._PROBE_DIRECTIONS):
+        models.append((f"probe-{i}", oracle._extremal_lhs_strategy(direction)))
+    max_payoff, max_gap, failures = -np.inf, 0.0, []
+    for label, model in models:
+        direct, reduced = _lhs_routes(spec, model)
+        gap = abs(direct - reduced)
+        max_payoff = max(max_payoff, direct)
+        max_gap = max(max_gap, gap)
+        if direct > 1e-9 or gap > gap_bound:
+            failures.append({
+                "label": label,
+                "payoff": direct,
+                "route_gap": gap,
+                "strategy": strategy_to_json(model),
+            })
+    return {
+        "trials": trials,
+        "probes": len(oracle._PROBE_DIRECTIONS),
+        "seed": seed,
+        "max_payoff": max_payoff,
+        "max_route_gap": max_gap,
+        "passed": not failures,
+        "failures": failures,
+    }
+
+
 _SUITE_SPECS = {
     "ideal": SteeringGameSpec.ideal(),
     "r-1.081": SteeringGameSpec.ideal(r=1.081),
@@ -496,6 +532,16 @@ _SUITE_SPECS = {
     # an uncalibrated referee: the probe along sigma_1 wins
     "single-axis": SteeringGameSpec(signal_ensemble=single_axis_ensemble()),
 }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("spec", list(_SUITE_SPECS.values()), ids=list(_SUITE_SPECS))
+def test_random_lhs_suite_equals_the_one_model_at_a_time_suite(spec, seed):
+    # 1 and 7 trials leave some (dimension, count) pairs undrawn; 200 draws
+    # all nine
+    for trials in (1, 7, 200):
+        want = _suite_one_model_at_a_time(trials, seed, spec)
+        assert random_lhs_suite(spec, trials, rng_seed=seed).to_json() == want
 
 
 #: (seed, _SUITE_SPECS key, failures, sha256 of the report, sha256 of the
