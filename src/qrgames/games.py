@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -233,9 +232,8 @@ def canonical_chsh_settings():
 
 #: The canonical settings' four correlation operators A_x x B_y, Alice's
 #: pair by Bob's in ``chsh_value``'s argument order, built once (read-only).
-_CANONICAL_CHSH_OPERATORS = np.stack(
-    [tensor(a, b) for a, b in product(*np.split(np.stack(canonical_chsh_settings()), 2))]
-)
+_CHSH_SETTINGS = np.stack(canonical_chsh_settings())
+_CANONICAL_CHSH_OPERATORS = tensor(_CHSH_SETTINGS[:2, None], _CHSH_SETTINGS[2:]).reshape(4, 4, 4)
 _CANONICAL_CHSH_OPERATORS.setflags(write=False)
 
 

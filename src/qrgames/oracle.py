@@ -37,6 +37,7 @@ from .games import (
     steering3_value,
 )
 from .qcore import (
+    _PAULI,
     _SIGMA_PAIRS,
     _STACK_BLOCK,
     DensityOperator,
@@ -270,7 +271,7 @@ class WernerColumns:
 #: correlators in ``chsh_value``'s argument order.
 _SCAN_OPERATORS = np.concatenate(
     [
-        np.stack([tensor(-pauli(j), pauli(j)) for j in (1, 2, 3)]),
+        tensor(-_PAULI, _PAULI),
         _SIGMA_PAIRS[:2],
         _CANONICAL_CHSH_OPERATORS,
     ]

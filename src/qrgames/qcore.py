@@ -4,9 +4,9 @@ All operators are plain numpy arrays of dtype complex128.  Hilbert-space
 factors are ordered A, B, C throughout the package: composite operators
 are assembled as ``tensor(op_A, op_B, op_C)`` and never permuted
 afterwards, so no permutation bookkeeping is needed anywhere else.
-``tensor`` takes 2-D matrices only and returns the bits ``np.kron``
-would, through one broadcast multiply per factor; its private pair
-kernel also takes stacks of matrices, one Kronecker product per item.
+``tensor`` is the package's one Kronecker product: it returns the bits
+numpy's ``kron`` would, through one broadcast multiply per factor, and
+takes stacks of matrices too, one product per item.
 Dimensions stay small (<= ~16) and everything uses dense double
 precision; there is no sparse or symbolic path.
 
@@ -45,46 +45,33 @@ def pauli(j: int) -> np.ndarray:
     return _PAULI[j - 1].copy()
 
 
-def _as_matrix(op) -> np.ndarray:
-    m = np.asarray(op, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"tensor() operands must be 2-D matrices, got shape {m.shape}")
-    return m
-
-
-def _kron_pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Kronecker product over the last two axes; leading stack axes broadcast.
-
-    One broadcast outer product reshaped into block form: entry by entry
-    the complex multiplies ``np.kron`` performs, so each stacked result
-    is bitwise equal to ``np.kron`` of the matching 2-D items.
-    """
-    (m, n), (p, q) = left.shape[-2:], right.shape[-2:]
-    out = left[..., :, None, :, None] * right[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (m * p, n * q))
-
-
 def tensor(*operators) -> np.ndarray:
-    """Kronecker product of one or more 2-D matrices, in the given order.
+    """Kronecker product of one or more operators, in the given order.
 
-    Each factor goes through the pair kernel ``_kron_pair``: the same
-    complex multiplies ``np.kron`` performs, so the result is bitwise
-    equal to ``np.kron``'s, without its generic axis handling.  A stack
-    of matrices stacked row-wise is one 2-D operand, and
-    [A; B] x C = [A x C; B x C]; the stacked kernels of :mod:`strategies`
-    take their products that way.
-    Raises ValueError for no operands or an operand that is not 2-D.
+    Each operand is a matrix or a stack of them: the product is taken
+    over the last two axes, and the leading axes broadcast, so a stack
+    gives one product per item.  Each factor is one broadcast outer
+    product reshaped into block form: entry by entry the complex
+    multiplies numpy's ``kron`` performs, so each result is bitwise equal
+    to ``kron`` of the matching 2-D items.
+    Raises ValueError for no operands or an operand with fewer than two axes.
     """
     if not operators:
         raise ValueError("tensor() needs at least one operator")
-    out = _as_matrix(operators[0])
-    for op in operators[1:]:
-        out = _kron_pair(out, _as_matrix(op))
+    factors = [np.asarray(op, dtype=np.complex128) for op in operators]
+    for f in factors:
+        if f.ndim < 2:
+            raise ValueError(f"tensor() operands must have two or more axes, got shape {f.shape}")
+    out = factors[0]
+    for right in factors[1:]:
+        (m, n), (p, q) = out.shape[-2:], right.shape[-2:]
+        out = out[..., :, None, :, None] * right[..., None, :, None, :]
+        out = out.reshape(out.shape[:-4] + (m * p, n * q))
     return out
 
 
 #: sigma_j x sigma_j for j = 1, 2, 3 as one read-only (3, 4, 4) stack.
-_SIGMA_PAIRS = np.stack([tensor(p, p) for p in _PAULI])
+_SIGMA_PAIRS = tensor(_PAULI, _PAULI)
 _SIGMA_PAIRS.setflags(write=False)
 
 
@@ -139,24 +126,6 @@ def _check_density_stack(mats: np.ndarray) -> None:
         raise ValueError("density operator must be positive semidefinite")
 
 
-def _check_povm_stack(elements: np.ndarray) -> None:
-    """Validate a (k, d, d) stack as the k elements of one POVM.
-
-    The checks of :class:`Povm`: every element Hermitian and positive
-    semidefinite, in element order, with one ``eigvalsh`` over the
-    elements, then the elements sum to the identity.
-    """
-    herm = _hermitian_items(elements)
-    bad = ~(herm & _psd_items(elements, herm))
-    if bad.any():
-        if not herm[np.argmax(bad)]:
-            raise ValueError("POVM elements must be Hermitian")
-        raise ValueError("POVM elements must be positive semidefinite")
-    gap = np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1]))
-    if np.max(gap) > VALIDATION_TOL:
-        raise ValueError("POVM elements must sum to the identity")
-
-
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A validated density operator: Hermitian, unit trace, positive."""
@@ -178,8 +147,11 @@ class DensityOperator:
 class Povm:
     """A validated POVM: Hermitian positive elements summing to identity.
 
-    Outcome order is positional and fixed by the caller's convention
-    (documented at each use site within this package).
+    Construction checks every element Hermitian and positive
+    semidefinite, in element order, with one ``eigvalsh`` over the
+    elements, then that the elements sum to the identity.  Outcome order
+    is positional and fixed by the caller's convention (documented at
+    each use site within this package).
     """
 
     elements: tuple
@@ -193,7 +165,16 @@ class Povm:
                 raise ValueError("POVM elements must be square matrices")
             if m.shape != mats[0].shape:
                 raise ValueError("POVM elements must share one dimension")
-        _check_povm_stack(np.stack(mats))
+        elements = np.stack(mats)
+        herm = _hermitian_items(elements)
+        bad = ~(herm & _psd_items(elements, herm))
+        if bad.any():
+            if not herm[np.argmax(bad)]:
+                raise ValueError("POVM elements must be Hermitian")
+            raise ValueError("POVM elements must be positive semidefinite")
+        gap = np.abs(elements.sum(axis=0) - np.eye(elements.shape[-1]))
+        if np.max(gap) > VALIDATION_TOL:
+            raise ValueError("POVM elements must sum to the identity")
         for m in mats:
             m.setflags(write=False)
         object.__setattr__(self, "elements", tuple(mats))

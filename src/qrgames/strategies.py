@@ -22,7 +22,8 @@ nowhere else; its table is what exact evaluation and the simulator read.
 
 Every probability on Bob's side is the Born rule Tr[E (rho x omega_k)]
 on the signal omega_k the referee sent, and one private kernel,
-``_signal_traces``, is the only code that evaluates it.  It has two
+``_signal_traces``, is the only code that evaluates it, forming every
+rho x omega_k of a stack of states in one ``qcore.tensor`` call.  It has two
 callers: the honest table, over an ``(n, d, d)`` stack of shared states
 in blocks of ``qcore._STACK_BLOCK``, where a single state is the stack of
 one and every item gets the bits it gets on its own, and the table of
@@ -51,7 +52,6 @@ from .qcore import (
     DensityOperator,
     Povm,
     _check_density_stack,
-    _kron_pair,
     pauli,
     singlet_projector,
     tensor,
@@ -79,19 +79,6 @@ def _clean_distribution(table: np.ndarray) -> np.ndarray:
     return table / total
 
 
-def _tensor_rows(stack: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Each matrix of a (..., m, n) stack Kronecker the 2-D matrix ``right``.
-
-    The items, stacked row-wise, are one 2-D operand of :func:`tensor`,
-    and [A; B] x C = [A x C; B x C]: one call gives every product, each
-    bitwise equal to ``tensor`` of its item alone.
-    """
-    m, n = stack.shape[-2:]
-    p, q = right.shape
-    out = tensor(stack.reshape(-1, n), right)
-    return out.reshape(stack.shape[:-2] + (m * p, n * q))
-
-
 def _signal_traces(effects: np.ndarray, states: np.ndarray, signals: np.ndarray) -> np.ndarray:
     """Tr[E (rho x omega_k)] for every effect E, state rho and signal omega_k.
 
@@ -99,14 +86,14 @@ def _signal_traces(effects: np.ndarray, states: np.ndarray, signals: np.ndarray)
     stack and ``signals`` a (K, c, c) stack; ``effects`` is
     (K or 1, ..., d*c, d*c), its leading axis picking the effects played
     against each signal, and its remaining leading axes broadcasting
-    against those of ``states``.  Per signal: one :func:`_tensor_rows`,
+    against those of ``states``.  Per signal: one stacked :func:`tensor`,
     one ``matmul`` and one stacked trace.  Returns the real traces with
     the signal axis first.
     """
     effects = np.broadcast_to(effects, (len(signals),) + effects.shape[1:])
     return np.stack(
         [
-            np.trace(e @ _tensor_rows(states, omega), axis1=-2, axis2=-1).real
+            np.trace(e @ tensor(states, omega), axis1=-2, axis2=-1).real
             for e, omega in zip(effects, signals)
         ]
     )
@@ -169,7 +156,7 @@ class HonestStrategy:
         alice = np.stack([np.stack(povms[j].elements) for j in (1, 2, 3)])
         bob = np.stack(self.bob_joint_povm.elements)
         # (a, b) pairs in OUTCOMES order: a = +1, -1 outer, b = 0, 1 inner
-        effects = _kron_pair(alice[:, :, None], bob[None, None, :])
+        effects = tensor(alice[:, :, None], bob)
         effects = effects.reshape((3, 4) + effects.shape[-2:])
         effects.setflags(write=False)
         object.__setattr__(self, "joint_effects", effects)
@@ -394,7 +381,7 @@ def _lhs_routes(spec: games.SteeringGameSpec, model: LhsStrategy):
     direct = games._payoffs(e_ab, e_b, spec.penalty_coefficient)
     states = model.state_stack
     n_lambda, d_b, _ = states.shape
-    joint = model.bob_joint_povm[1] @ _tensor_rows(states, np.eye(2, dtype=np.complex128))
+    joint = model.bob_joint_povm[1] @ tensor(states, np.eye(2, dtype=np.complex128))
     x_ops = np.trace(joint.reshape(n_lambda, d_b, 2, d_b, 2), axis1=1, axis2=3)
     z = games._payoff_operators(spec, model.alice_responses)
     terms = np.trace(x_ops @ z, axis1=-2, axis2=-1).real

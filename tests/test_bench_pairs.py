@@ -4,6 +4,7 @@ wins, checked without starting a benchmark."""
 import importlib.util
 import json
 import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,15 @@ def test_wins_follow_each_metric_direction_and_the_gain_rule():
         {"change": change, "parent": parent}, {"cpu_s": "lower", "items_per_s": "higher"}
     )
     assert summary["wins"]["cpu_s"]["gain_rule_met"] is True
+
+
+def test_a_run_adds_import_cpu_s_and_no_work_cpu_s(tmp_path, monkeypatch):
+    stdout = 'provenance {"python": "3"}\n' + _line({"cpu_s": {"value": 0.2, "unit": "s"}})
+    done = subprocess.CompletedProcess([], 0, stdout, "")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: done)
+    monkeypatch.setattr(bench_pairs, "import_cpu_s", lambda tree: 0.15)
+    metrics, provenance = bench_pairs.bench_once(tmp_path, "verify_default", 0, 1.0, ["cpu_s"])
+    assert metrics == {"cpu_s": 0.2, "import_cpu_s": 0.15, "attempted": 3, "failed": 0}
+    assert provenance == {"python": "3"}
+    better = bench_pairs._better(ROOT)
+    assert better["import_cpu_s"] == "lower" and "work_cpu_s" not in better

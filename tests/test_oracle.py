@@ -22,8 +22,10 @@ from qrgames.games import (
     SIGNALS,
     SQRT2,
     SQRT3,
+    _CANONICAL_CHSH_OPERATORS,
     SteeringGameSpec,
     _payoff_operators,
+    canonical_chsh_settings,
     ideal_signal_ensemble,
     single_axis_ensemble,
     steering2_value,
@@ -32,6 +34,7 @@ from qrgames.games import (
 from qrgames.oracle import (
     _LHS_DIMS,
     _LHS_LAMBDA_SIZES,
+    _SCAN_OPERATORS,
     SCAN_FIELDS,
     cheat_certificates,
     random_lhs_suite,
@@ -43,6 +46,7 @@ from qrgames.games import qrs_payoff_exact
 from qrgames.qcore import (
     BlochVector,
     DensityOperator,
+    _SIGMA_PAIRS,
     Povm,
     amplitude_damping_channel,
     depolarizing_channel,
@@ -620,9 +624,12 @@ def test_random_lhs_suite_reports_are_pinned(seed, spec, n_failures, digest, res
     assert hashlib.sha256(text.encode()).hexdigest() == rest
 
 
-def test_stacked_suite_and_scan_hold_one_block_at_a_time():
-    """Evaluated as whole stacks, 1,000 trials peak at about 5 MB and
-    1,001 W states at about 32 MB (321 MB at 10,001)."""
+def test_suite_and_scan_peak_below_4_mb():
+    """The suite builds and evaluates one model at a time, so 1,000 trials
+    hold no more than one model's arrays at once; the Werner scan takes
+    its traces over blocks of ``_STACK_BLOCK`` states, so 1,001 W states
+    hold one block of 8 x 9 products, not the whole stack (about 32 MB
+    at 1,001 states, 321 MB at 10,001)."""
     spec = SteeringGameSpec()
     for run in (
         lambda: random_lhs_suite(spec, 1000),
@@ -738,6 +745,33 @@ _SCAN_SPECS = {
     "payoff-bound-1.5": SteeringGameSpec(payoff_bound=1.5),
     "depolarizing-0.3": SteeringGameSpec(channel=depolarizing_channel(0.3)),
 }
+
+
+def test_stacked_operator_tables_are_bitwise_kron_per_item():
+    """Each table built by one stacked ``tensor`` call holds, item by item,
+    the bits ``np.kron`` gives for its factors."""
+    sigma = [pauli(j) for j in (1, 2, 3)]
+    a1, a2, b1, b2 = canonical_chsh_settings()
+    chsh_ops = [np.kron(a, b) for a in (a1, a2) for b in (b1, b2)]
+    tables = {
+        "sigma pairs": (_SIGMA_PAIRS, [np.kron(s, s) for s in sigma]),
+        "chsh": (_CANONICAL_CHSH_OPERATORS, chsh_ops),
+        "scan": (
+            _SCAN_OPERATORS,
+            [np.kron(-s, s) for s in sigma] + [np.kron(s, s) for s in sigma[:2]] + chsh_ops,
+        ),
+    }
+    honest = honest_strategy()
+    tables["joint effects"] = (
+        honest.joint_effects.reshape(12, 8, 8),
+        [
+            np.kron(honest.alice_povms[j][(1, -1).index(a)], honest.bob_joint_povm[b])
+            for j in (1, 2, 3)
+            for a, b in OUTCOMES
+        ],
+    )
+    for name, (table, items) in tables.items():
+        assert np.array_equal(table, np.stack(items)), name
 
 
 @pytest.mark.parametrize("grid", list(_WERNER_GRIDS.values()), ids=list(_WERNER_GRIDS))

@@ -11,9 +11,7 @@ from qrgames.qcore import (
     Povm,
     QuantumChannel,
     _check_density_stack,
-    _check_povm_stack,
     _gram,
-    _kron_pair,
     amplitude_damping_channel,
     bloch_operator,
     depolarizing_channel,
@@ -86,6 +84,21 @@ def test_tensor_is_bitwise_kron(rng):
     assert np.array_equal(tensor(a, b, c), np.kron(np.kron(a, b), c))
 
 
+def _assert_kron_per_item(*operators):
+    """``tensor`` of stacked operands is, item by item, the bits of ``np.kron``."""
+    out = tensor(*operators)
+    lead = np.broadcast_shapes(*(op.shape[:-2] for op in operators))
+    items = [np.broadcast_to(op, lead + op.shape[-2:]) for op in operators]
+    rows = np.prod([op.shape[-2] for op in operators])
+    cols = np.prod([op.shape[-1] for op in operators])
+    assert out.shape == lead + (rows, cols)
+    for idx in np.ndindex(*lead):
+        want = items[0][idx]
+        for item in items[1:]:
+            want = np.kron(want, item[idx])
+        assert np.array_equal(out[idx], want)
+
+
 @pytest.mark.parametrize(
     "left_shape, right_shape",
     [
@@ -94,24 +107,22 @@ def test_tensor_is_bitwise_kron(rng):
         ((2, 2), (3, 4, 4)),  # one matrix times a stack
         ((2, 1, 2, 2), (1, 3, 4, 4)),  # stack axes broadcast against each other
         ((1, 1, 1), (1, 1)),
+        ((2, 2), (2, 2, 2)),  # a 3-D operand is a stack, not an error
     ],
 )
 def test_stacked_kron_kernel_is_bitwise_kron_per_item(rng, left_shape, right_shape):
-    left = _complex_matrix(rng, left_shape)
-    right = _complex_matrix(rng, right_shape)
-    out = _kron_pair(left, right)
-    lead = np.broadcast_shapes(left.shape[:-2], right.shape[:-2])
-    l_items = np.broadcast_to(left, lead + left.shape[-2:])
-    r_items = np.broadcast_to(right, lead + right.shape[-2:])
-    assert out.shape == lead + (
-        left.shape[-2] * right.shape[-2],
-        left.shape[-1] * right.shape[-1],
+    _assert_kron_per_item(_complex_matrix(rng, left_shape), _complex_matrix(rng, right_shape))
+
+
+def test_stacked_tensor_of_three_operands_is_bitwise_kron_per_item(rng):
+    _assert_kron_per_item(
+        _complex_matrix(rng, (3, 1, 2, 2)),
+        _complex_matrix(rng, (2, 3, 1)),
+        _complex_matrix(rng, (3, 2, 2, 2)),
     )
-    for idx in np.ndindex(*lead):
-        assert np.array_equal(out[idx], np.kron(l_items[idx], r_items[idx]))
 
 
-@pytest.mark.parametrize("bad", [np.ones(2), np.ones((2, 2, 2))])
+@pytest.mark.parametrize("bad", [np.ones(2), np.array(1.0)])
 def test_tensor_rejects_operands_that_are_not_matrices(bad):
     with pytest.raises(ValueError):
         tensor(bad)
@@ -232,16 +243,16 @@ def test_stacked_state_validation_reports_the_first_bad_item(first, later):
 @pytest.mark.parametrize("first, later", list(permutations(_BAD_POVMS, 2)))
 def test_stacked_povm_validation_reports_the_first_bad_item(first, later):
     """One POVM's elements are checked in order, each Hermitian then
-    positive, before their sum: the elements of two bad POVMs, stacked as
+    positive, before their sum: the elements of two bad POVMs, joined into
     one, fail as the first of the two with a bad element fails alone."""
     elements = np.array(_BAD_POVMS[first] + _BAD_POVMS[later], dtype=complex)
     culprit = later if first == "not a resolution" else first
     with pytest.raises(ValueError) as alone:
         Povm(tuple(_BAD_POVMS[culprit]))
     with pytest.raises(ValueError) as stacked:
-        _check_povm_stack(elements)
+        Povm(tuple(elements))
     assert str(stacked.value) == str(alone.value)
-    _check_povm_stack(np.array([np.eye(2) / 2, np.eye(2) / 2], dtype=complex))
+    Povm((np.eye(2) / 2, np.eye(2) / 2))
 
 
 def test_povm_validation_and_order():

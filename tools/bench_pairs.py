@@ -15,10 +15,9 @@ Each pair runs ``bench/run.py --workload W --seed S --seconds T --trace 0``
 once in each tree, alternating which side goes first, and reads the JSON
 line each run prints last.  Beside each run, ``import_cpu_s`` is the median
 user plus system CPU (from ``os.wait4``) of fresh ``import qrgames.cli``
-processes in that tree, and ``work_cpu_s`` is ``cpu_s`` less it: what the
-command costs beyond loading the CLI.  A bare import still pays the
-collections at interpreter exit, which the console entry skips by freezing
-the import heap, so ``work_cpu_s`` of a short command can read below 0.
+processes in that tree: what loading the CLI costs.  It is not subtracted
+from ``cpu_s``, because import processes timed apart from the run vary
+more than a short command's work does.
 
 ``--emit`` writes, for each side, every pair's metrics, the median and
 quartiles of each metric and the provenance ``bench/run.py`` prints, with
@@ -48,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 IMPORT_REPEATS = 5
 IMPORT_CMD = [sys.executable, "-c", "import qrgames.cli"]
 #: Metrics, in seconds, this script adds to those ``bench/run.py`` reports; lower is better.
-DERIVED = ("import_cpu_s", "work_cpu_s")
+DERIVED = ("import_cpu_s",)
 SIDES = ("change", "parent")
 
 
@@ -153,7 +152,6 @@ def bench_once(tree: Path, workload: str, seed: int, seconds: float, required) -
         raise PairsError(f"bench/run.py exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
     metrics = parse_run(proc.stdout, required)
     metrics["import_cpu_s"] = import_cpu_s(tree)
-    metrics["work_cpu_s"] = metrics["cpu_s"] - metrics["import_cpu_s"]
     return metrics, parse_provenance(proc.stdout)
 
 
