@@ -80,15 +80,16 @@ def _guide(limits: np.ndarray) -> np.ndarray:
 
     Entry b of a row counts the row's limits <= k for every k = w >> 11
     whose word w has top bits b, or is ``_STRADDLE`` where that count
-    changes inside the bucket.
+    changes inside the bucket.  A row has at most five limits, so the
+    counts are summed as uint8.
     """
     width = 53 - _GUIDE_BITS
     lo = np.arange(1 << _GUIDE_BITS, dtype=np.uint64)[:, None] << np.uint64(width)
     hi = lo + np.uint64((1 << width) - 1)
     limits = limits[..., None, :]
-    below_lo = (limits <= lo).sum(axis=-1)
-    below_hi = (limits <= hi).sum(axis=-1)
-    return np.where(below_lo == below_hi, below_lo, _STRADDLE).astype(np.uint8)
+    below_lo = (limits <= lo).sum(axis=-1, dtype=np.uint8)
+    below_hi = (limits <= hi).sum(axis=-1, dtype=np.uint8)
+    return np.where(below_lo == below_hi, below_lo, np.uint8(_STRADDLE))
 
 
 class _Sampler:
@@ -321,42 +322,47 @@ def write_transcript_csv(path, rows, chunks) -> None:
     each code's ``,j,s,a,b,payoff`` suffix is encoded once, NUL-padded to
     a common width, and the rounds, staged from the chunks as they
     arrive, go out in blocks of 10**4.  In block q >= 1 every round index
-    is ``str(q)`` followed by four zero-padded low digits from a digit
-    table (block 0 has NUL for the leading zeros), and one gather by code
-    fills in the suffixes.  NUL never occurs in a row, so deleting it
-    from a block's bytes leaves exactly the rows.  Blocks reuse one
-    gather buffer and one row buffer, which is replaced only when the row
-    width or the block length changes, so the writer does not fault in
-    fresh block-sized memory per block.
+    is ``str(q)`` followed by four zero-padded low digits (block 0 has NUL
+    for the leading zeros).  The table holds each code's whole row as one
+    record: ``len(str(q)) + 4`` NULs, then its suffix.  One gather by code
+    fills a block's row buffer, and the prefix and the low digits, from a
+    digit table, are written over the NULs through strided record views.
+    NUL never occurs in a row, so deleting it from a block's bytes leaves
+    exactly the rows.  The table is rebuilt only when the prefix gains a
+    digit, and the row buffer only then or for a short last block, so the
+    writer does not fault in fresh block-sized memory per block.
     """
     suffixes = [f",{j},{s},{a},{b},{payoff!r}\r\n".encode() for j, s, a, b, payoff in rows]
     width = max(map(len, suffixes))
-    padded = b"".join(suffix.ljust(width, b"\0") for suffix in suffixes)
-    table = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
+    suffixes = [suffix.ljust(width, b"\0") for suffix in suffixes]
     block = 10 ** 4
     # digits[i] spells i with four zero-padded digits
-    low, places = np.arange(block)[:, None], np.array([1000, 100, 10, 1])
+    low = np.arange(block, dtype=np.uint16)[:, None]
+    places = np.array([1000, 100, 10, 1], dtype=np.uint16)
     digits = (low // places % 10 + ord("0")).astype(np.uint8)
     # block 0 has no prefix, so its leading zeros go; round 0 keeps its "0"
-    first = np.where(low < places, 0, digits).astype(np.uint8)
+    first = np.where(low < places, np.uint8(0), digits)
     first[0, -1] = ord("0")
-    suffix = np.empty((block, width), dtype=np.uint8)
-    raw = out = None
+    digits, first = digits.view("V4").ravel(), first.view("V4").ravel()
+    table = out = None
     with open(path, "wb") as fh:
         fh.write((",".join(TRANSCRIPT_FIELDS) + "\r\n").encode())
         for q, codes in enumerate(_blocks(chunks, block)):
             m = codes.size
             prefix = str(q).encode() if q else b""
             p = len(prefix)
-            if out is None or out.shape != (m, p + 4 + width):
+            rec = p + 4 + width
+            if table is None or table.itemsize != rec:
+                # the prefix gained a digit
+                table = np.frombuffer(b"".join(bytes(p + 4) + s for s in suffixes), f"V{rec}")
+            if out is None or out.dtype != table.dtype or out.size != m:
                 # the prefix gained a digit, or this is a short last block
-                raw = bytearray(m * (p + 4 + width))
-                out = np.frombuffer(raw, dtype=np.uint8).reshape(m, -1)
-            out[:, :p] = np.frombuffer(prefix, dtype=np.uint8)
-            out[:, p:p + 4] = (digits if q else first)[:m]
+                raw = bytearray(m * rec)
+                out = np.frombuffer(raw, dtype=table.dtype)
             # codes index the table, so "clip" clips nothing; it lets take write in place
-            np.take(table, codes, axis=0, out=suffix[:m], mode="clip")
-            out[:, p + 4:] = suffix[:m]
+            np.take(table, codes, out=out, mode="clip")
+            np.ndarray(m, f"V{p}", raw, 0, (rec,))[:] = prefix
+            np.ndarray(m, "V4", raw, p, (rec,))[:] = (digits if q else first)[:m]
             fh.write(raw.translate(None, b"\0"))
 
 

@@ -111,3 +111,57 @@ def test_a_run_adds_import_cpu_s_and_no_work_cpu_s(tmp_path, monkeypatch):
     assert provenance == {"python": "3"}
     better = bench_pairs._better(ROOT)
     assert better["import_cpu_s"] == "lower" and "work_cpu_s" not in better
+
+
+def _stub_export(traced_stdout):
+    """An ``export`` whose bench/run.py prints a result with every end-to-end
+    metric, or ``traced_stdout`` when run with ``--trace 1``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    plain = _line({m["name"]: {"value": 1.0} for m in spec["end_to_end"]})
+
+    def export(commit, dest):
+        (dest / "bench").mkdir(parents=True)
+        (dest / "bench" / "run.py").write_text(
+            f"import sys\nprint({traced_stdout!r} if sys.argv[-1] == '1' else {plain!r})\n"
+        )
+        shutil.copy(ROOT / "BENCHMARK.json", dest)
+
+    return export
+
+
+def _per_layer_names():
+    return [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+
+
+@needs_git
+def test_the_traced_pass_gives_each_side_its_per_layer_metrics(tmp_path, monkeypatch):
+    per_layer = {name: float(i) for i, name in enumerate(_per_layer_names())}
+    traced = _line({name: {"value": value} for name, value in per_layer.items()})
+    monkeypatch.setattr(bench_pairs, "export", _stub_export(traced))
+    monkeypatch.setattr(bench_pairs, "import_cpu_s", lambda tree: 0.15)
+    emit = tmp_path / "pairs.json"
+    argv = ["--against", "HEAD", "--workload", "mc_transcript", "--pairs", "1",
+            "--seconds", "0", "--emit", str(emit)]
+    assert bench_pairs.main(argv) == 0
+    sides = json.loads(emit.read_text())["sides"]
+    for side in bench_pairs.SIDES:
+        assert sides[side]["per_layer"] == {**per_layer, "attempted": 3, "failed": 0}
+        assert sides[side]["runs"][0]["cpu_s"] == 1.0
+
+
+@needs_git
+@pytest.mark.parametrize("missing", [False, True], ids=["not-json", "metric-missing"])
+def test_a_malformed_traced_line_exits_two(missing, tmp_path, monkeypatch, capsys):
+    if missing:
+        traced = _line({name: {"value": 0.0} for name in _per_layer_names()[1:]})
+    else:
+        traced = "trace 0.2"
+    monkeypatch.setattr(bench_pairs, "export", _stub_export(traced))
+    monkeypatch.setattr(bench_pairs, "import_cpu_s", lambda tree: 0.15)
+    emit = tmp_path / "pairs.json"
+    argv = ["--against", "HEAD", "--workload", "mc_transcript", "--pairs", "1",
+            "--seconds", "0", "--emit", str(emit)]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert (f"did not report {_per_layer_names()[0]}" if missing else "is not JSON") in err
+    assert not emit.exists()

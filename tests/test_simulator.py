@@ -594,6 +594,34 @@ def test_run_memory_does_not_grow_with_the_rounds(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 0.25 * 2 ** 20, peaks
 
 
+def _run_game_peak(config, path=None):
+    """Traced peak, in bytes, of one ``run_game`` call after an untraced warm-up."""
+    run_game(dataclasses.replace(config, rounds=1_000), path)
+    tracemalloc.start()
+    try:
+        run_game(config, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transcript_run_peak_stays_below_1_15_mb(tmp_path):
+    """The writer gathers each row whole into its one row buffer and builds
+    its digit tables from uint16: an honest 2 * 10**5-round run with a
+    transcript peaks near 0.98 MB traced (1.33 MB with a separate gather
+    buffer and int64 digit temporaries)."""
+    config = _honest_config(200_000, 7, w=0.98, r=1.081)
+    peak = _run_game_peak(config, tmp_path / "transcript.csv")
+    assert peak < 1.15 * 2 ** 20, peak
+
+
+def test_list_cheat_run_peak_stays_below_0_8_mb():
+    """The guide tables count in uint8: the 12-row sampling table of a
+    list cheat peaks near 0.55 MB traced (1.24 MB with int64 counts)."""
+    config = dataclasses.replace(_PROPERTY_CONFIGS["list-cheat"], rounds=100_000)
+    assert _run_game_peak(config) < 0.8 * 2 ** 20
+
+
 def test_summary_json_is_self_describing(tmp_path):
     config = _honest_config(500, 13, w=0.8, r=1.2)
     est = run_game(config)

@@ -19,13 +19,21 @@ processes in that tree: what loading the CLI costs.  It is not subtracted
 from ``cpu_s``, because import processes timed apart from the run vary
 more than a short command's work does.
 
+After the pairs, ``bench/run.py`` runs once more in each tree with
+``--trace 1`` and the same workload, seed and seconds: the per-layer
+metrics of its median traced pass, every name ``BENCHMARK.json`` lists
+under ``per_layer``.  Of these, ``simulator.run_game.peak_mb`` traces
+``run_game`` without a transcript path, so it follows the sampler's
+memory but not the transcript writer's, even on ``mc_transcript``.
+
 ``--emit`` writes, for each side, every pair's metrics, the median and
-quartiles of each metric and the provenance ``bench/run.py`` prints, with
-``PYTHONDONTWRITEBYTECODE`` added; and, for each metric, the pairs each side
-won and whether the change meets the gain rule of ROADMAP aim 1 (it wins
-at least nine tenths of the pairs, and the medians differ by more than the
-interquartile range of the other side).  An unknown revision, a failed
-``bench/run.py`` or a malformed last line exits 2.
+quartiles of each metric, the traced pass's metrics (``per_layer``) and
+the provenance ``bench/run.py`` prints, with ``PYTHONDONTWRITEBYTECODE``
+added; and, for each metric, the pairs each side won and whether the
+change meets the gain rule of ROADMAP aim 1 (it wins at least nine tenths
+of the pairs, and the medians differ by more than the interquartile range
+of the other side).  An unknown revision, a failed ``bench/run.py`` or a
+malformed last line, traced or not, exits 2.
 """
 
 from __future__ import annotations
@@ -141,18 +149,29 @@ def import_cpu_s(tree: Path) -> float:
     return statistics.median(times)
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float, required) -> tuple:
-    """(metrics, provenance) of one ``bench/run.py`` run in ``tree``, plus import CPU."""
+def _bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> str:
+    """Standard output of one ``bench/run.py`` run in ``tree``."""
     cmd = [
         sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=tree.parent, env=_env(tree), capture_output=True, text=True)
     if proc.returncode != 0:
         raise PairsError(f"bench/run.py exited {proc.returncode}: {proc.stderr.strip()[-500:]}")
-    metrics = parse_run(proc.stdout, required)
+    return proc.stdout
+
+
+def bench_once(tree: Path, workload: str, seed: int, seconds: float, required) -> tuple:
+    """(metrics, provenance) of one ``bench/run.py`` run in ``tree``, plus import CPU."""
+    stdout = _bench_run(tree, workload, seed, seconds, 0)
+    metrics = parse_run(stdout, required)
     metrics["import_cpu_s"] = import_cpu_s(tree)
-    return metrics, parse_provenance(proc.stdout)
+    return metrics, parse_provenance(stdout)
+
+
+def traced_once(tree: Path, workload: str, seed: int, seconds: float, required) -> dict:
+    """Per-layer metrics of one ``bench/run.py --trace 1`` run in ``tree``."""
+    return parse_run(_bench_run(tree, workload, seed, seconds, 1), required)
 
 
 def _spread(values: list) -> dict:
@@ -189,9 +208,12 @@ def summarize(runs: dict, better: dict) -> dict:
     return {"sides": sides, "wins": wins}
 
 
+def _spec(tree: Path) -> dict:
+    return json.loads((tree / "BENCHMARK.json").read_text())
+
+
 def _better(tree: Path) -> dict:
-    spec = json.loads((tree / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in _spec(tree)["end_to_end"]}
     better.update(dict.fromkeys(DERIVED, "lower"))
     return better
 
@@ -227,6 +249,7 @@ def main(argv=None) -> int:
             for side in SIDES:
                 export(commits[side], trees[side])
             better = _better(trees["change"])
+            per_layer = [m["name"] for m in _spec(trees["change"])["per_layer"]]
             measured = [name for name in better if name not in DERIVED]
             runs = {side: [] for side in SIDES}
             provenance = {}
@@ -241,6 +264,10 @@ def main(argv=None) -> int:
                 print(f"pair {pair + 1}/{args.pairs}: cpu_s "
                       f"parent {runs['parent'][-1]['cpu_s']:.4f} "
                       f"change {runs['change'][-1]['cpu_s']:.4f}", file=sys.stderr)
+            traced = {
+                side: traced_once(trees[side], args.workload, args.seed, args.seconds, per_layer)
+                for side in SIDES
+            }
         finally:
             shutil.rmtree(base, ignore_errors=True)
     except (PairsError, subprocess.CalledProcessError) as exc:
@@ -270,6 +297,7 @@ def main(argv=None) -> int:
                 side: {
                     "summary": summary["sides"][side],
                     "runs": runs[side],
+                    "per_layer": traced[side],
                     "provenance": provenance[side],
                 }
                 for side in SIDES
