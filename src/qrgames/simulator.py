@@ -31,6 +31,9 @@ from and, when a transcript is asked for, written by
 :func:`write_transcript_csv`, before the next chunk is drawn.
 Consecutive draws continue the stream, so the chunk size never shows in
 the output, and a run holds one chunk's memory whatever its length.
+The writer stages the codes into blocks of 10**4 rows and writes each
+block in parts of at most ``_PART = 2500`` rows through one reused part
+buffer, so its row bytes take a quarter of a block.
 
 Communication discipline
 ------------------------
@@ -58,6 +61,8 @@ TRANSCRIPT_FIELDS = ("round", "j", "s", "a", "b", "payoff")
 
 #: Rounds sampled per chunk, one transcript block; bounds a run's memory.
 _CHUNK_ROUNDS = 10 ** 4
+#: Rows the transcript writer gathers, patches and writes at a time.
+_PART = 2_500
 
 #: A word's guide-table bucket is its top _GUIDE_BITS bits; a guide entry
 #: of _STRADDLE marks a bucket whose rounds are compared exactly.
@@ -321,16 +326,18 @@ def write_transcript_csv(path, rows, chunks) -> None:
     ``repr`` so they read back exactly.  Rows are assembled as bytes:
     each code's ``,j,s,a,b,payoff`` suffix is encoded once, NUL-padded to
     a common width, and the rounds, staged from the chunks as they
-    arrive, go out in blocks of 10**4.  In block q >= 1 every round index
-    is ``str(q)`` followed by four zero-padded low digits (block 0 has NUL
-    for the leading zeros).  The table holds each code's whole row as one
-    record: ``len(str(q)) + 4`` NULs, then its suffix.  One gather by code
-    fills a block's row buffer, and the prefix and the low digits, from a
+    arrive, are numbered in blocks of 10**4.  In block q >= 1 every round
+    index is ``str(q)`` followed by four zero-padded low digits (block 0
+    has NUL for the leading zeros).  The table holds each code's whole
+    row as one record: ``len(str(q)) + 4`` NULs, then its suffix.  A
+    block goes out in parts of at most ``_PART`` rows: one gather by code
+    fills the part buffer, and the prefix and the low digits, from a
     digit table, are written over the NULs through strided record views.
-    NUL never occurs in a row, so deleting it from a block's bytes leaves
-    exactly the rows.  The table is rebuilt only when the prefix gains a
-    digit, and the row buffer only then or for a short last block, so the
-    writer does not fault in fresh block-sized memory per block.
+    NUL never occurs in a row, so deleting it from a part's bytes leaves
+    exactly the rows.  The table and the part buffer are rebuilt only
+    when the prefix gains a digit, and only a short last part is sliced,
+    so per part the writer allocates only the stripped bytes it writes:
+    its row bytes are one part's, not one block's.
     """
     suffixes = [f",{j},{s},{a},{b},{payoff!r}\r\n".encode() for j, s, a, b, payoff in rows]
     width = max(map(len, suffixes))
@@ -344,26 +351,27 @@ def write_transcript_csv(path, rows, chunks) -> None:
     first = np.where(low < places, np.uint8(0), digits)
     first[0, -1] = ord("0")
     digits, first = digits.view("V4").ravel(), first.view("V4").ravel()
-    table = out = None
+    table = None
     with open(path, "wb") as fh:
         fh.write((",".join(TRANSCRIPT_FIELDS) + "\r\n").encode())
         for q, codes in enumerate(_blocks(chunks, block)):
-            m = codes.size
             prefix = str(q).encode() if q else b""
             p = len(prefix)
             rec = p + 4 + width
             if table is None or table.itemsize != rec:
                 # the prefix gained a digit
                 table = np.frombuffer(b"".join(bytes(p + 4) + s for s in suffixes), f"V{rec}")
-            if out is None or out.dtype != table.dtype or out.size != m:
-                # the prefix gained a digit, or this is a short last block
-                raw = bytearray(m * rec)
+                raw = bytearray(_PART * rec)
                 out = np.frombuffer(raw, dtype=table.dtype)
-            # codes index the table, so "clip" clips nothing; it lets take write in place
-            np.take(table, codes, out=out, mode="clip")
-            np.ndarray(m, f"V{p}", raw, 0, (rec,))[:] = prefix
-            np.ndarray(m, "V4", raw, p, (rec,))[:] = (digits if q else first)[:m]
-            fh.write(raw.translate(None, b"\0"))
+            spelled = digits if q else first
+            for lo in range(0, codes.size, _PART):
+                part = codes[lo:lo + _PART]
+                m = part.size
+                # codes index the table, so "clip" clips nothing; it lets take write in place
+                np.take(table, part, out=out[:m], mode="clip")
+                np.ndarray(m, f"V{p}", raw, 0, (rec,))[:] = prefix
+                np.ndarray(m, "V4", raw, p, (rec,))[:] = spelled[lo:lo + m]
+                fh.write((raw if m == _PART else raw[:m * rec]).translate(None, b"\0"))
 
 
 def write_summary_json(path, estimate: PayoffEstimate, config: RunConfig) -> None:

@@ -1,8 +1,10 @@
 """The paired-run script ``tools/bench_pairs.py``: what it refuses and how it counts
-wins, checked without starting a benchmark."""
+wins, checked without starting a benchmark, and one real two-pair run, which
+the ``bench_smoke`` marker keeps out of the default selection."""
 
 import importlib.util
 import json
+import math
 import shutil
 import subprocess
 from pathlib import Path
@@ -165,3 +167,34 @@ def test_a_malformed_traced_line_exits_two(missing, tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert (f"did not report {_per_layer_names()[0]}" if missing else "is not JSON") in err
     assert not emit.exists()
+
+
+@needs_git
+@pytest.mark.bench_smoke
+def test_two_real_pairs_report_every_metric_and_the_gain_rule(tmp_path, capsys):
+    """``bench/run.py --workload sweep_grid --seconds 1`` twice in each tree,
+    this one against HEAD: both sides, every end-to-end metric, the wins and
+    the gain-rule verdict reach the table and the emitted document."""
+    emit = tmp_path / "pairs.json"
+    argv = ["--against", "HEAD", "--workload", "sweep_grid", "--pairs", "2",
+            "--seconds", "1", "--emit", str(emit)]
+    assert bench_pairs.main(argv) == 0
+    table = capsys.readouterr().out
+    document = json.loads(emit.read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in spec["end_to_end"]] + list(bench_pairs.DERIVED)
+    assert set(document["sides"]) == set(bench_pairs.SIDES)
+    for side in bench_pairs.SIDES:
+        recorded = document["sides"][side]
+        assert len(recorded["runs"]) == 2
+        assert set(_per_layer_names()) <= set(recorded["per_layer"])
+        for name in metrics:
+            assert all(math.isfinite(run[name]) for run in recorded["runs"]), (side, name)
+            assert set(recorded["summary"][name]) == {"median", "q1", "q3"}
+    rows = {line.split()[0]: line for line in table.splitlines()[1:]}
+    for name in metrics:
+        wins = document["wins"][name]
+        assert wins["change"] + wins["parent"] + wins["ties"] == 2
+        assert isinstance(wins["gain_rule_met"], bool)
+        assert f"  {wins['change']}/2" in rows[name]
+        assert rows[name].endswith("gain rule met") == wins["gain_rule_met"]

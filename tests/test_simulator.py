@@ -537,11 +537,12 @@ def test_transcript_csv_round_trip(tmp_path):
      24),
 ], ids=["honest", "list-cheat", "huge-penalty"])
 def test_transcript_csv_matches_the_reference_formula(config, n_codes, tmp_path):
-    """Run lengths cross every digit-width edge of the round index and
-    every 10**4-round block edge of the writer."""
+    """Run lengths cross every digit-width edge of the round index, every
+    10**4-round block edge of the writer and the part edges inside a block."""
     assert config.table.size == n_codes
     path = tmp_path / "transcript.csv"
-    for n in (1, 9, 10, 11, 99, 100, 9_999, 10_000, 10_001, 20_000, 100_001):
+    for n in (1, 9, 10, 11, 99, 100, 2_499, 2_500, 2_501, 9_999, 10_000, 10_001, 12_501,
+              20_000, 100_001):
         run = dataclasses.replace(config, rounds=n)
         run_game(run, path)
         assert path.read_bytes() == _reference_csv(run), n
@@ -561,10 +562,13 @@ _PROPERTY_CONFIGS = {
     style=st.sampled_from(sorted(_PROPERTY_CONFIGS)),
     n=st.integers(1, 30_000),
     chunk=st.integers(1, 1 << 15),
+    part=st.integers(1, 10 ** 4),
 )
-def test_any_round_count_and_chunk_size_write_the_serial_bytes(style, n, chunk):
+def test_any_round_count_and_chunk_size_write_the_serial_bytes(style, n, chunk, part):
     """transcript.csv is the float formula's, and summary.json the
-    default-chunk run's, whatever the run length and the chunk size."""
+    default-chunk run's, whatever the run length, the chunk size and the
+    writer's part size: part edges fall inside block 0's digit-width
+    edges and leave a short last part."""
     config = dataclasses.replace(_PROPERTY_CONFIGS[style], rounds=n)
     with tempfile.TemporaryDirectory() as out:
         csv_path, summary_path = Path(out) / "transcript.csv", Path(out) / "summary.json"
@@ -572,6 +576,7 @@ def test_any_round_count_and_chunk_size_write_the_serial_bytes(style, n, chunk):
         serial = summary_path.read_bytes()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(simulator, "_CHUNK_ROUNDS", chunk)
+            patch.setattr(simulator, "_PART", part)
             write_summary_json(summary_path, run_game(config, csv_path), config)
         assert summary_path.read_bytes() == serial
         assert csv_path.read_bytes() == _reference_csv(config)
@@ -605,14 +610,15 @@ def _run_game_peak(config, path=None):
         tracemalloc.stop()
 
 
-def test_transcript_run_peak_stays_below_1_15_mb(tmp_path):
-    """The writer gathers each row whole into its one row buffer and builds
-    its digit tables from uint16: an honest 2 * 10**5-round run with a
-    transcript peaks near 0.98 MB traced (1.33 MB with a separate gather
-    buffer and int64 digit temporaries)."""
+def test_transcript_run_peak_stays_below_0_85_mb(tmp_path):
+    """The writer gathers each row whole into one part buffer of 2,500 rows
+    and builds its digit tables from uint16: an honest 2 * 10**5-round run
+    with a transcript peaks near 0.72 MB traced (0.98 MB with a buffer of
+    a whole 10**4-row block, 1.33 MB with a separate gather buffer and
+    int64 digit temporaries)."""
     config = _honest_config(200_000, 7, w=0.98, r=1.081)
     peak = _run_game_peak(config, tmp_path / "transcript.csv")
-    assert peak < 1.15 * 2 ** 20, peak
+    assert peak < 0.85 * 2 ** 20, peak
 
 
 def test_list_cheat_run_peak_stays_below_0_8_mb():
